@@ -74,10 +74,6 @@ class Direction:
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Direction is immutable")
 
-    @classmethod
-    def family(cls, r: Fraction | int | str) -> "Direction":
-        return cls(r)
-
     @property
     def r(self) -> Fraction:
         return self._r
@@ -124,10 +120,6 @@ class StartPoint:
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("StartPoint is immutable")
-
-    @classmethod
-    def face_x(cls, y: NumberLike, z: NumberLike) -> "StartPoint":
-        return cls(0, y, z)
 
     @property
     def coords(self) -> tuple[FieldNumber, FieldNumber, FieldNumber]:
@@ -348,6 +340,30 @@ class BilliardWord:
         return len(self.word)
 
 
+def _emit(
+    specs: Sequence[_AxisSpec], length: int, with_times: bool
+) -> tuple[str, Optional[tuple[FieldNumber, ...]], int]:
+    """Word, crossing times (None unless ``with_times``) and tie count.
+
+    The one driver of the progressive engine: the wall letters at t = 0
+    come first, then the engine's events up to ``length`` letters.
+    """
+    if length < 0:
+        raise ValueError("length must be nonnegative")
+    head = _wall_letters(specs)[:length]
+    engine = _ProgressiveEngine(specs, max_letters=length)
+    events = engine.events(length - len(head))
+    times = None
+    if with_times:
+        events = list(events)
+        times = (FieldNumber(0),) * len(head) + tuple(
+            (plane - specs[axis].offset) * specs[axis].inverse_speed
+            for axis, plane in events
+        )
+    word = head + "".join([specs[axis].letter for axis, _ in events])
+    return word, times, engine.tie_count
+
+
 def trace(
     start: StartPoint,
     direction: Direction = GOLDEN_DIRECTION,
@@ -363,30 +379,13 @@ def trace(
     non-degenerate and free of simultaneous crossings over the whole
     requested length.
     """
-    if length < 0:
-        raise ValueError("length must be nonnegative")
     if require_valid:
         report = validate(start, direction, horizon=length)
         if not report.ok:
             raise ValueError(f"start fails validation: {report.reason}")
-    specs = _cube_axes(start, direction)
-    head = _wall_letters(specs)[:length]
-    letters = [head]
-    times: Optional[list[FieldNumber]] = None
-    if with_times:
-        times = [FieldNumber(0)] * len(head)
-    engine = _ProgressiveEngine(specs, max_letters=length)
-    for axis, plane in engine.events(length - len(head)):
-        spec = specs[axis]
-        letters.append(spec.letter)
-        if times is not None:
-            times.append((plane - spec.offset) * spec.inverse_speed)
+    word, times, tie_count = _emit(_cube_axes(start, direction), length, with_times)
     return BilliardWord(
-        word="".join(letters),
-        times=tuple(times) if times is not None else None,
-        start=start,
-        direction=direction,
-        tie_count=engine.tie_count,
+        word=word, times=times, start=start, direction=direction, tie_count=tie_count
     )
 
 
@@ -396,14 +395,7 @@ def trace_letters(
     length: int = 100,
 ) -> str:
     """Letters-only fast path of trace."""
-    if length < 0:
-        raise ValueError("length must be nonnegative")
-    specs = _cube_axes(start, direction)
-    head = _wall_letters(specs)[:length]
-    engine = _ProgressiveEngine(specs, max_letters=length)
-    parts = [head]
-    parts.extend(specs[axis].letter for axis, _ in engine.events(length - len(head)))
-    return "".join(parts)
+    return _emit(_cube_axes(start, direction), length, with_times=False)[0]
 
 
 def raw_crossings(
@@ -445,19 +437,10 @@ def square_trace(
     the word is over b and c, a z wall emits its c at t = 0, a y wall
     crossing at t = 0 is dropped, and ties resolve b before c.
     """
-    if length < 0:
-        raise ValueError("length must be nonnegative")
-    coords = (_as_number(y), _as_number(z))
+    coords = StartPoint(0, y, z).coords[1:]  # checks y and z as axes b and c
     inverse = direction.inverse_speeds[1:]
-    for axis, value in zip("bc", coords):
-        if value < 0 or value > 1:
-            raise ValueError(f"coordinate {axis}={value} outside [0, 1]")
     specs = _axis_specs(coords, inverse, "bc", wall_ranks=(None, 0), tie_order=(0, 1))
-    head = _wall_letters(specs)[:length]
-    engine = _ProgressiveEngine(specs, max_letters=length)
-    parts = [head]
-    parts.extend(specs[axis].letter for axis, _ in engine.events(length - len(head)))
-    return "".join(parts)
+    return _emit(specs, length, with_times=False)[0]
 
 
 def delete_letter(word: str, letter: str) -> str:
@@ -509,57 +492,30 @@ def _pair_ties(
     """All common crossing times of two progressions within the bound.
 
     Solves n*iota_i - m*iota_j = offset_i*iota_i - offset_j*iota_j over
-    the four basis coordinates.  Independent inverse speeds give one
-    rational candidate; rationally dependent ones reduce to a scalar
-    Diophantine condition that is enumerated directly.
+    the four basis coordinates.  The inverse speeds of the family are
+    1/r, phi and phi + 1, so on the coordinates (1, phi) the pairs (b, a),
+    (b, c) and (a, c) have determinants 1/r, 1 and -1/r, never zero: the
+    pair of planes (n, m) is the single solution of that 2x2 system, and
+    it counts only if it also satisfies the sqrt2 coordinates.  One
+    candidate per pair makes the cost independent of the horizon.
     """
     p = first.inverse_speed.coeffs
     q = second.inverse_speed.coeffs
     target = first.offset * first.inverse_speed - second.offset * second.inverse_speed
     r = target.coeffs
-    pivot = None
-    for k in range(4):
-        for l in range(k + 1, 4):
-            det = q[k] * p[l] - p[k] * q[l]
-            if det != 0:
-                pivot = (k, l, det)
-                break
-        if pivot:
-            break
+    det = q[0] * p[1] - p[0] * q[1]
+    n = (q[0] * r[1] - q[1] * r[0]) / det
+    m = (p[0] * r[1] - p[1] * r[0]) / det
     out: list[SimultaneousCrossing] = []
-    if pivot is not None:
-        k, l, det = pivot
-        n = (q[k] * r[l] - q[l] * r[k]) / det
-        m = (p[k] * r[l] - p[l] * r[k]) / det
-        if all(n * p[i] - m * q[i] == r[i] for i in range(4)):
-            if n.denominator == 1 and m.denominator == 1 and n >= 1 and m >= 1:
-                time = (FieldNumber(n) - first.offset) * first.inverse_speed
-                if time <= time_bound:
-                    out.append(
-                        SimultaneousCrossing(
-                            time, first.letter + second.letter, (int(n), int(m))
-                        )
+    if all(n * p[i] - m * q[i] == r[i] for i in range(4)):
+        if n.denominator == 1 and m.denominator == 1 and n >= 1 and m >= 1:
+            time = (FieldNumber(n) - first.offset) * first.inverse_speed
+            if time <= time_bound:
+                out.append(
+                    SimultaneousCrossing(
+                        time, first.letter + second.letter, (int(n), int(m))
                     )
-        return out
-    # Parallel progressions: q = ratio * p with a rational ratio, so the
-    # system collapses to n - m*ratio = target / iota_i, solvable only
-    # for a rational right side.
-    base = next(i for i in range(4) if p[i] != 0)
-    ratio = q[base] / p[base]
-    rho = target / first.inverse_speed
-    if not rho.is_rational:
-        return out
-    rho_value = rho.as_fraction()
-    top = (time_bound / second.inverse_speed + second.offset).floor() + 1
-    for m in range(1, max(top, 1) + 1):
-        n = rho_value + m * ratio
-        if n.denominator != 1 or n < 1:
-            continue
-        time = (FieldNumber(n) - first.offset) * first.inverse_speed
-        if FieldNumber(0) < time <= time_bound:
-            out.append(
-                SimultaneousCrossing(time, first.letter + second.letter, (int(n), m))
-            )
+                )
     return out
 
 

@@ -308,14 +308,8 @@ def _cmd_rotation(config: RunConfig) -> tuple[int, list[str], dict]:
     except ValueError as exc:
         raise InputError(str(exc)) from exc
     rank = zmodule_rank((angle,) + partition.cuts)
-    law = None
-    if report.slope is not None:
-        law = {
-            "slope": str(report.slope),
-            "intercept": str(report.intercept),
-            "threshold": report.threshold,
-        }
-    match = law is not None and Fraction(law["slope"]) == rank
+    law = _fit_meta(report.law)
+    match = report.slope == rank
     cuts = [
         {
             "i": i,

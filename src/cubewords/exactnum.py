@@ -21,8 +21,6 @@ from fractions import Fraction
 from functools import total_ordering
 from typing import Iterable, Union
 
-Rational = Fraction
-
 RationalLike = Union[int, Fraction]
 
 _GRAMMAR_BASES = ("", "phi", "sqrt2", "phi*sqrt2")
@@ -106,14 +104,6 @@ class FieldNumber:
     # -- constructors ------------------------------------------------
 
     @classmethod
-    def from_rational(cls, value: RationalLike | str) -> FieldNumber:
-        return cls(Fraction(value))
-
-    @classmethod
-    def golden(cls, c0: RationalLike, c1: RationalLike) -> FieldNumber:
-        return cls(c0, c1)
-
-    @classmethod
     def parse(cls, text: str) -> FieldNumber:
         """Parse ``p/q + r/s*phi + t/u*sqrt2 + v/w*phi*sqrt2``.
 
@@ -137,7 +127,12 @@ class FieldNumber:
                 coeff = Fraction(1)
             else:
                 base = match.group("base") or ""
-                coeff = Fraction(match.group("coeff"))
+                try:
+                    coeff = Fraction(match.group("coeff"))
+                except ZeroDivisionError:
+                    raise ValueError(
+                        f"zero denominator in term {term!r} of {text!r}"
+                    ) from None
             if match.group("sign") == "-":
                 coeff = -coeff
             coeffs[_GRAMMAR_BASES.index(base)] += coeff
@@ -184,6 +179,11 @@ class FieldNumber:
                 raise ValueError(f"{denominator} does not clear denominators of {self}")
             out.append(num.numerator)
         return tuple(out)
+
+    def _integer_coords(self) -> tuple[int, tuple[int, int, int, int]]:
+        """Least common denominator D and the coordinates times D."""
+        denom = math.lcm(*(c.denominator for c in self.coeffs))
+        return denom, tuple(c.numerator * (denom // c.denominator) for c in self.coeffs)
 
     # -- arithmetic --------------------------------------------------
 
@@ -274,10 +274,7 @@ class FieldNumber:
     def sign(self) -> int:
         if self.is_zero:
             return 0
-        denom = 1
-        for c in self.coeffs:
-            denom = denom * c.denominator // math.gcd(denom, c.denominator)
-        return _int_sign(self.scaled_coeffs(denom))
+        return _int_sign(self._integer_coords()[1])
 
     def __eq__(self, other: object) -> bool:
         o = self._coerce(other)
@@ -292,7 +289,8 @@ class FieldNumber:
         return (self - o).sign() < 0
 
     def __hash__(self) -> int:
-        return hash(self.coeffs)
+        # A rational value equals its Fraction, so it must hash like it.
+        return hash(self._c0) if self.is_rational else hash(self.coeffs)
 
     def __bool__(self) -> bool:
         return not self.is_zero
@@ -306,17 +304,15 @@ class FieldNumber:
         """Exact floor, certified by sign tests on the residual."""
         if self.is_rational:
             return math.floor(self._c0)
-        denom = 1
-        for c in self.coeffs:
-            denom = denom * c.denominator // math.gcd(denom, c.denominator)
-        a0, a1, a2, a3 = self.scaled_coeffs(denom)
+        denom, (a0, a1, a2, a3) = self._integer_coords()
         precision = 64
         e0, e1, e2, e3 = basis_approx(precision)
         estimate = (a0 * e0 + a1 * e1 + a2 * e2 + a3 * e3) // denom
         guess = estimate >> precision
-        while (self - guess).sign() < 0:
+        # self - g has integer coordinates (a0 - g*D, a1, a2, a3) over D > 0
+        while _int_sign((a0 - guess * denom, a1, a2, a3)) < 0:
             guess -= 1
-        while (self - guess - 1).sign() >= 0:
+        while _int_sign((a0 - (guess + 1) * denom, a1, a2, a3)) >= 0:
             guess += 1
         return guess
 
@@ -358,10 +354,7 @@ class FieldNumber:
         requested number of places from a 192-bit enclosure.
         """
         precision = 192
-        denom = 1
-        for c in self.coeffs:
-            denom = denom * c.denominator // math.gcd(denom, c.denominator)
-        a0, a1, a2, a3 = self.scaled_coeffs(denom)
+        denom, (a0, a1, a2, a3) = self._integer_coords()
         e0, e1, e2, e3 = basis_approx(precision)
         scaled = a0 * e0 + a1 * e1 + a2 * e2 + a3 * e3
         shifted = scaled * 10**places
@@ -386,20 +379,12 @@ def parse_field_number(text: str) -> FieldNumber:
 
 
 def common_denominator(values: Iterable[FieldNumber]) -> int:
-    denom = 1
-    for value in values:
-        for c in value.coeffs:
-            denom = denom * c.denominator // math.gcd(denom, c.denominator)
-    return denom
+    return math.lcm(*(value._integer_coords()[0] for value in values))
 
 
-ZERO = FieldNumber(0)
-ONE = FieldNumber(1)
 PHI = FieldNumber(0, 1)
 SQRT2 = FieldNumber(0, 0, 1)
 PHI_SQRT2 = FieldNumber(0, 0, 0, 1)
-INV_PHI = PHI - 1  # 1/phi
-INV_PHI_SQUARED = 2 - PHI  # 1/phi**2
 
 _PHI_FLOAT = (1.0 + math.sqrt(5.0)) / 2.0
 _SQRT2_FLOAT = math.sqrt(2.0)

@@ -210,10 +210,7 @@ def coding_complexity(rc: RotationCoding, n_max: int) -> CodingComplexity:
     compare the slope against zmodule_rank predictions themselves.
     """
     profile = complexity(rc.symbols, n_max)
-    law = fit_complexity_tail(profile)
-    if law is None:
-        return CodingComplexity(profile=profile, slope=None, intercept=None, threshold=None)
-    slope, intercept, threshold = law
+    slope, intercept, threshold = fit_complexity_tail(profile) or (None, None, None)
     return CodingComplexity(
         profile=profile, slope=slope, intercept=intercept, threshold=threshold
     )

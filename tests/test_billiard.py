@@ -39,7 +39,7 @@ def random_start(rng):
 
 
 def test_frozen_interior_face_word():
-    bw = trace(StartPoint.face_x(HALF, HALF), length=16)
+    bw = trace(StartPoint(0, HALF, HALF), length=16)
     assert bw.word == "abcabcabbacbabca"
     assert bw.tie_count == 0
     assert bw.times[:4] == (FieldNumber(0), PHI / 2, (PHI + 1) / 2, FieldNumber(2))
@@ -106,7 +106,7 @@ def test_validate_flags_ab_tie():
 
 
 def test_validate_accepts_clean_start():
-    report = validate(StartPoint.face_x(HALF, HALF), horizon=2000)
+    report = validate(StartPoint(0, HALF, HALF), horizon=2000)
     assert report.ok
     assert report.ties == ()
     assert not report.degenerate_start
@@ -124,7 +124,7 @@ def test_trace_require_valid():
         trace(StartPoint(0, 0, 2 - PHI), length=10, require_valid=True)
     with pytest.raises(ValueError):
         trace(StartPoint(0, HALF, (3 - PHI) / 2), length=10, require_valid=True)
-    bw = trace(StartPoint.face_x(HALF, HALF), length=10, require_valid=True)
+    bw = trace(StartPoint(0, HALF, HALF), length=10, require_valid=True)
     assert bw.word == "abcabcabba"
 
 
@@ -157,7 +157,7 @@ def test_times_are_nondecreasing_and_land_on_walls():
 
 
 def test_letter_counts_match_frequencies():
-    word = trace_letters(StartPoint.face_x(HALF, HALF), length=3000)
+    word = trace_letters(StartPoint(0, HALF, HALF), length=3000)
     freq = letter_frequencies()
     assert freq["a"] == FieldNumber(Fraction(1, 3))
     assert freq["b"] == (2 * PHI - 2) / 3
@@ -187,7 +187,7 @@ def test_square_trace_wall_convention():
 
 
 def test_other_family_member():
-    word = trace_letters(StartPoint.face_x(HALF, HALF), Direction(Fraction(1, 3)), 12)
+    word = trace_letters(StartPoint(0, HALF, HALF), Direction(Fraction(1, 3)), 12)
     assert word == "abcbacbbacbb"
     freq = letter_frequencies(Direction(Fraction(1, 3)))
     assert freq["a"] == FieldNumber(Fraction(1, 4))
@@ -208,8 +208,39 @@ def test_direction_and_start_validation():
 
 
 def test_zero_and_tiny_lengths():
-    assert trace_letters(StartPoint.face_x(HALF, HALF), length=0) == ""
+    assert trace_letters(StartPoint(0, HALF, HALF), length=0) == ""
     assert trace_letters(StartPoint(0, 0, 0), length=2) == "ac"
     bw = trace(StartPoint(0, 0, 0), length=1)
     assert bw.word == "a"
     assert bw.times == (FieldNumber(0),)
+
+
+def test_negative_length_rejected():
+    start = StartPoint(0, HALF, HALF)
+    for call in (
+        lambda: trace(start, length=-1),
+        lambda: trace(start, length=-1, with_times=False),
+        lambda: trace_letters(start, length=-1),
+        lambda: square_trace(HALF, HALF, -1),
+    ):
+        with pytest.raises(ValueError, match="length must be nonnegative"):
+            call()
+
+
+def test_trace_without_times():
+    tied = StartPoint(0, HALF, (3 - PHI) / 2)
+    walls = (StartPoint(0, 0, 0), StartPoint(0, 0, 1))
+    for start in (StartPoint(0, HALF, HALF), *walls, tied):
+        timed = trace(start, length=300)
+        bare = trace(start, length=300, with_times=False)
+        assert bare.times is None
+        assert bare.word == timed.word == trace_letters(start, length=300)
+        assert bare.tie_count == timed.tie_count
+    assert trace(tied, length=300, with_times=False).tie_count == 1
+
+
+def test_square_trace_checks_coordinates():
+    with pytest.raises(ValueError, match="coordinate b="):
+        square_trace(2, HALF, 4)
+    with pytest.raises(ValueError, match="coordinate c="):
+        square_trace(HALF, -HALF, 4)

@@ -80,6 +80,12 @@ class TestTrace:
         assert out == ""
         assert err.startswith("invalid input: coordinate y:")
 
+    def test_zero_denominator_coordinate(self, capsys):
+        status, out, err = invoke(capsys, "trace", "--m", "0,1/0,1/2")
+        assert status == 1
+        assert out == ""
+        assert err.startswith("invalid input: coordinate y:")
+
 
 class TestComplexity:
     def test_interior_law(self, capsys):

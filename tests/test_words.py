@@ -49,7 +49,7 @@ def test_automaton_membership():
 
 
 def test_interior_word_profile():
-    word = trace_letters(StartPoint.face_x(Fraction(1, 2), Fraction(1, 2)), length=20000)
+    word = trace_letters(StartPoint(0, Fraction(1, 2), Fraction(1, 2)), length=20000)
     profile = complexity(word, 16)
     assert profile.stable_through == 16
     assert profile.p(1) == 3
@@ -115,7 +115,7 @@ def test_special_factors_wrapper():
 
 def test_cassaigne_on_traced_words():
     for start in [
-        StartPoint.face_x(Fraction(1, 2), Fraction(1, 2)),
+        StartPoint(0, Fraction(1, 2), Fraction(1, 2)),
         StartPoint(0, 0, 2 - PHI),
         StartPoint(0, 0, SQRT2 - 1),
     ]:
@@ -130,12 +130,12 @@ def test_cassaigne_on_fibonacci():
 def test_sturmian_detection():
     assert is_sturmian(fibonacci_word(8000), 40)
     assert not is_sturmian("ab" * 4000, 40)
-    word = trace_letters(StartPoint.face_x(Fraction(1, 2), Fraction(1, 2)), length=8000)
+    word = trace_letters(StartPoint(0, Fraction(1, 2), Fraction(1, 2)), length=8000)
     assert not is_sturmian(word, 40)
 
 
 def test_stability_and_unstable_errors():
-    word = trace_letters(StartPoint.face_x(Fraction(1, 2), Fraction(1, 2)), length=300)
+    word = trace_letters(StartPoint(0, Fraction(1, 2), Fraction(1, 2)), length=300)
     profile = complexity(word, 100)
     assert profile.stable_through < 100
     with pytest.raises(UnstableLength):
