@@ -289,6 +289,7 @@ def _cmd_returns(config: RunConfig) -> tuple[int, list[str], dict]:
 def _cmd_rotation(config: RunConfig) -> tuple[int, list[str], dict]:
     start = _parse_start(config)
     ratio = _parse_ratio(config)
+    _direction(ratio)
     if start.x != 0:
         raise InputError("not_on_face: the coded circle lives on the face x = 0")
     invariant = reduce_mod1(start.y + start.z)

@@ -226,6 +226,10 @@ class FieldNumber:
         return self
 
     def __mul__(self, other: object) -> FieldNumber:
+        if isinstance(other, (int, Fraction)):
+            return FieldNumber(
+                self._c0 * other, self._c1 * other, self._c2 * other, self._c3 * other
+            )
         o = self._coerce(other)
         if o is None:
             return NotImplemented

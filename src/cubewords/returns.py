@@ -193,7 +193,22 @@ def first_return_word(word: str, letter: str = "a") -> str:
 
 def translation_step(r: Fraction) -> FieldNumber:
     """The rotation step theta_2 / r reduced mod 1; 2*phi - 3 for r = 1/2."""
-    return reduce_mod1((PHI - 1) / FieldNumber(Fraction(r)))
+    r = Fraction(r)
+    if r <= 0:
+        raise ValueError("the rational speed r must be positive")
+    return reduce_mod1((PHI - 1) * (1 / r))
+
+
+def _translated_face_point(
+    m: StartPoint, k: int, r: Fraction
+) -> tuple[FieldNumber, FieldNumber]:
+    """The face point (y + k*d, z - k*d) mod 1 of the (k+1)-th return."""
+    if k < 0:
+        raise ValueError("k must be nonnegative")
+    if m.x != 0:
+        raise ValueError("return prediction starts from the face X = 0")
+    step = translation_step(r)
+    return reduce_mod1(m.y + k * step), reduce_mod1(m.z - k * step)
 
 
 def kth_return_prediction(
@@ -207,12 +222,7 @@ def kth_return_prediction(
     it still names a region but the block it stands for must be read
     empirically (see predict_return_word).
     """
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    step = translation_step(r)
-    y = reduce_mod1(m.y + k * step)
-    z = reduce_mod1(m.z - k * step)
-    return cell_of(y, z)
+    return cell_of(*_translated_face_point(m, k, r))
 
 
 def predict_return_word(m: StartPoint, k: int, r: Fraction = Fraction(1, 2)) -> str:
@@ -225,9 +235,7 @@ def predict_return_word(m: StartPoint, k: int, r: Fraction = Fraction(1, 2)) -> 
     """
     if r == Fraction(1, 2):
         return kth_return_prediction(m, k, r).word
-    step = translation_step(r)
-    y = reduce_mod1(m.y + k * step)
-    z = reduce_mod1(m.z - k * step)
+    y, z = _translated_face_point(m, k, r)
     probe = trace_letters(StartPoint(0, y, z), Direction(r), length=32)
     return first_return_word(probe)
 

@@ -7,6 +7,15 @@ that layer self-contained: orbits are coded exactly (a point landing
 on a cut is an error, not a rounding event), saddle connections
 between cuts are decided algebraically, and the Z-module rank of the
 numbers steering a coding predicts the slope of its complexity.
+
+The orbit loop of code_orbit runs on integers: the start, the angle
+and the cuts are written over one common denominator D, each orbit
+point is four integers (a0, a1, a2, a3) standing for
+(a0 + a1*phi + a2*sqrt2 + a3*phi*sqrt2) / D, and every comparison is
+the sign of an integer 4-vector decided by exactnum._int_sign, the
+same certified dyadic-filter-then-refine core the rest of the package
+uses.  rotate and CirclePartition.label_of remain the single-point
+route on FieldNumbers that the tests compare the loop against.
 """
 
 from __future__ import annotations
@@ -15,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .exactnum import PHI, FieldNumber, reduce_mod1
+from .exactnum import PHI, FieldNumber, _int_sign, common_denominator, reduce_mod1
 from .returns import CellLabel, CirclePartition, HitsCut
 from .words import ComplexityProfile, complexity, fit_affine
 
@@ -38,6 +47,12 @@ def code_orbit(
     Any orbit point landing exactly on a cut raises HitsCut carrying
     the step index; the coding of such an orbit is ambiguous and the
     caller must pick a different start rather than get a silent choice.
+
+    The angle is reduced mod 1 once; the orbit is then stepped on
+    integer coordinates over the common denominator of the start, the
+    angle and the cuts, with every order and zero decision taken by
+    exactnum._int_sign on integer differences, so no float and no
+    uncertified margin decides a label.
     """
     if n < 0:
         raise ValueError("orbit length must be nonnegative")
@@ -45,14 +60,35 @@ def code_orbit(
         y0 = FieldNumber(y0)
     if y0 < 0 or y0 >= 1:
         raise ValueError(f"orbit start {y0} outside [0, 1)")
-    y = y0
+    if not isinstance(angle, FieldNumber):
+        angle = FieldNumber(angle)
+    angle = angle.mod1()
+    # Exact on integers: y, the angle and the cuts share the denominator
+    # D, so y is (a0, a1, a2, a3) / D and every decision is the sign of
+    # an integer 4-vector.  The coordinates grow only linearly with the
+    # step count, _int_sign certifies its 64-bit estimate against the
+    # error bound 2*(|a1| + |a2| + |a3|) + 2 (doubling the precision
+    # when that is too close to call), and zero is decided on the
+    # integers themselves.  Since the angle lies in [0, 1), one
+    # comparison with 1 = D/D wraps y back into [0, 1).
+    denom = common_denominator((y0, angle) + partition.cuts)
+    a0, a1, a2, a3 = y0.scaled_coeffs(denom)
+    d0, d1, d2, d3 = angle.scaled_coeffs(denom)
+    cuts = [(cut, cut.scaled_coeffs(denom)) for cut in partition.cuts]
     labels = []
     for step in range(n):
-        try:
-            labels.append(partition.label_of(y))
-        except HitsCut as exc:
-            raise HitsCut(exc.position, step) from None
-        y = rotate(y, angle)
+        index = 0
+        for cut, (c0, c1, c2, c3) in cuts:
+            relation = _int_sign((a0 - c0, a1 - c1, a2 - c2, a3 - c3))
+            if relation == 0:
+                raise HitsCut(cut, step)
+            if relation < 0:
+                break
+            index += 1
+        labels.append(partition.labels[index])
+        a0, a1, a2, a3 = a0 + d0, a1 + d1, a2 + d2, a3 + d3
+        if _int_sign((a0 - denom, a1, a2, a3)) >= 0:
+            a0 -= denom
     return tuple(labels)
 
 

@@ -158,6 +158,13 @@ class TestRotation:
         assert status == 1
         assert err.startswith("invalid input: orbit_hits_cut: step 0")
 
+    @pytest.mark.parametrize("ratio", ["0", "-1/2"])
+    def test_nonpositive_ratio_rejected(self, capsys, ratio):
+        status, out, err = invoke(capsys, "rotation", f"--r={ratio}")
+        assert status == 1
+        assert out == ""
+        assert err == "invalid input: the rational speed r must be positive\n"
+
 
 class TestDirectional:
     def test_fixed_seed_census(self, capsys):

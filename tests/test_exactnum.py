@@ -141,10 +141,16 @@ def test_tags():
 
 def test_field_axioms_random():
     rng = random.Random(97)
+    scalars = random.Random(98)
     for _ in range(200):
         x = random_field_number(rng)
         y = random_field_number(rng)
         z = random_field_number(rng)
+        for k in (
+            scalars.randrange(-50, 51),
+            Fraction(scalars.randrange(-50, 51), scalars.randrange(1, 30)),
+        ):
+            assert x * k == k * x == x * FieldNumber(k)
         assert (x + y) * z == x * z + y * z
         assert x * (y * z) == (x * y) * z
         assert x + y == y + x

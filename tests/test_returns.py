@@ -223,6 +223,11 @@ class TestPredictions:
     def test_step_for_half(self):
         assert translation_step(Fraction(1, 2)) == 2 * PHI - 3
 
+    @pytest.mark.parametrize("r", [Fraction(0), Fraction(-1, 2)])
+    def test_step_rejects_nonpositive_r(self, r):
+        with pytest.raises(ValueError, match="must be positive"):
+            translation_step(r)
+
     def test_first_and_third_return(self):
         m = StartPoint(0, fr(1, 2), fr(1, 2))
         assert kth_return_prediction(m, 0) is A2
@@ -231,6 +236,14 @@ class TestPredictions:
     def test_negative_k_rejected(self):
         with pytest.raises(ValueError):
             kth_return_prediction(StartPoint(0, fr(1, 2), fr(1, 2)), -1)
+
+    def test_off_face_start_rejected(self):
+        m = StartPoint(1, fr(1, 3), fr(1, 5))
+        with pytest.raises(ValueError, match="face X = 0"):
+            kth_return_prediction(m, 0)
+        for r in (Fraction(1, 2), Fraction(1, 3)):
+            with pytest.raises(ValueError, match="face X = 0"):
+                predict_return_word(m, 0, r)
 
     def test_predictions_match_trace(self):
         rng = random.Random(77)

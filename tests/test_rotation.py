@@ -88,6 +88,47 @@ class TestCodeOrbit:
         assert rc.partition is part
         assert rc.start == fr(1, 2)
 
+    def test_matches_reference_route(self):
+        def reference(y, part, angle, n):
+            labels = []
+            for step in range(n):
+                try:
+                    labels.append(part.label_of(y))
+                except HitsCut as exc:
+                    return ("hits", step, exc.position)
+                y = rotate(y, angle)
+            return tuple(labels)
+
+        def engine(y, part, angle, n):
+            try:
+                return code_orbit(y, part, angle, n)
+            except HitsCut as exc:
+                return ("hits", exc.step, exc.position)
+
+        rng = random.Random(2024)
+        circles = (F(0), 2 - PHI, reduce_mod1(fr(4, 13) + SQRT2 / 3))
+        for s in circles:
+            part = circle_partition(s)
+            for _ in range(2):
+                y0 = reduce_mod1(fr(rng.randrange(1, 997), 997) + rng.randrange(-5, 6) * SQRT2)
+                assert engine(y0, part, TRANSLATION_ANGLE, 2000) == reference(
+                    y0, part, TRANSLATION_ANGLE, 2000
+                )
+            start = fr(rng.randrange(1, 101), 101)
+            # 8/13 + 5/13 lands exactly on 1, which must wrap to 0
+            for y0, angle in (
+                (fr(8, 13), Fraction(5, 13)),
+                (start, TRANSLATION_ANGLE + 3),
+                (start, -TRANSLATION_ANGLE),
+            ):
+                assert engine(y0, part, angle, 300) == reference(y0, part, angle, 300)
+            for cut in part.cuts:
+                for step in (0, 3, 17):
+                    y0 = reduce_mod1(cut - step * TRANSLATION_ANGLE)
+                    outcome = engine(y0, part, TRANSLATION_ANGLE, 40)
+                    assert outcome == reference(y0, part, TRANSLATION_ANGLE, 40)
+                    assert outcome[0] == "hits" and outcome[1] <= step
+
 
 class TestRecodingMatchesBilliard:
     def test_block_concatenation_is_the_trace(self):
