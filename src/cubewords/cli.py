@@ -102,7 +102,6 @@ def parse_args(argv: Optional[Sequence[str]] = None) -> RunConfig:
             default=None,
             help=f"report file; bare names land in ${OUTDIR_VARIABLE} when set",
         )
-        p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("trace", help="billiard word with crossing times")
     p.add_argument("--letters", dest="n_letters", type=_positive, default=64)
@@ -127,13 +126,14 @@ def parse_args(argv: Optional[Sequence[str]] = None) -> RunConfig:
     p.add_argument("--n-max", dest="n_max", type=_positive, default=20)
     p.add_argument("--prefix", type=_positive, default=4000)
     common(p, point=False)
+    p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("verify", help="acceptance suite; exit 2 on any failure")
     p.add_argument("--suite", default="all", help='"all" or criteria like "1,6,7"')
     common(p, point=False)
 
     args = parser.parse_args(argv)
-    fields = {"command": args.command, "format": args.format, "seed": args.seed}
+    fields = {"command": args.command, "format": args.format}
     if args.output is not None:
         fields["output"] = args.output
     if hasattr(args, "m"):
@@ -142,7 +142,7 @@ def parse_args(argv: Optional[Sequence[str]] = None) -> RunConfig:
             parser.error("--m needs exactly three comma-separated coordinates")
         fields["start"] = pieces
         fields["r"] = args.r
-    for name in ("n_letters", "n_max", "prefix", "samples", "suite"):
+    for name in ("n_letters", "n_max", "prefix", "samples", "seed", "suite"):
         if hasattr(args, name):
             fields[name] = getattr(args, name)
     return RunConfig(**fields)

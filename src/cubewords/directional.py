@@ -28,7 +28,7 @@ from .billiard import StartPoint, trace_letters, validate
 from .exactnum import PHI, SQRT2, FieldNumber, reduce_mod1
 from .returns import circle_partition
 from .rotation import fit_complexity_tail
-from .words import common_factor_depth, complexity
+from .words import complexity
 
 DIRECTIONAL_CONSTANT = (4 + PHI) / 6
 """Target constant for p(n)/n^2 of the full directional language."""
@@ -88,7 +88,7 @@ def sample_schedule(total: int, seed: int = 0) -> list[FieldNumber]:
     )
     rationals = [FieldNumber(f) for f in rng.sample(pool, 50)]
     emitted = 0
-    seen = {s.coeffs for s in stream}
+    seen = set(stream)
     while len(stream) < total:
         slot = len(stream) - 5
         if emitted < len(rationals) and slot % _RATIONAL_CADENCE == 0:
@@ -98,9 +98,9 @@ def sample_schedule(total: int, seed: int = 0) -> list[FieldNumber]:
         u = Fraction(rng.randrange(0, 97), 97)
         v = Fraction(rng.randrange(1, 89), 89)
         s = reduce_mod1(FieldNumber(u) + FieldNumber(v) * SQRT2)
-        if s.coeffs in seen:
+        if s in seen:
             continue
-        seen.add(s.coeffs)
+        seen.add(s)
         stream.append(s)
     return stream[:total]
 
@@ -216,12 +216,17 @@ def _coerce_invariant(s) -> FieldNumber:
     return reduce_mod1(s)
 
 
+def _factors(word: str, n: int) -> set[str]:
+    return {word[i : i + n] for i in range(len(word) - n + 1)}
+
+
 def census(samples: Sequence, n_max: int, prefix: int) -> DirectionalCensus:
     """Trace a representative per invariant and fit class laws.
 
     Each sample is verified against a second start on the same circle:
     the two factor sets must agree at every mutually stabilized length,
-    which is the strongest per-sample check the window supports.  A
+    which is the strongest per-sample check the window supports (equal
+    sets at the longest such length give equal sets below it).  A
     disagreement is raised, not recorded: it would falsify the
     invariance the whole census is built on.  Starts whose trajectories
     fail validation are recorded in skipped and contribute nothing.
@@ -256,11 +261,8 @@ def census(samples: Sequence, n_max: int, prefix: int) -> DirectionalCensus:
                 raise ValueError(
                     f"equal-s starts disagree at length {n} on circle s={s}"
                 )
-        if stable:
-            if common_factor_depth(word, twin) < stable or (
-                common_factor_depth(twin, word) < stable
-            ):
-                raise ValueError(f"equal-s starts have different factors, s={s}")
+        if stable and _factors(word, stable) != _factors(twin, stable):
+            raise ValueError(f"equal-s starts have different factors, s={s}")
         law = fit_complexity_tail(profile)
         union.add(word)
         used += 1

@@ -1,16 +1,14 @@
 """Exact arithmetic in the field Q(phi, sqrt2).
 
-Numbers are stored as exact rational coordinates over the fixed basis
-(1, phi, sqrt2, phi*sqrt2), where phi is the golden ratio.  Since
-phi**2 = 1 + phi and sqrt2**2 = 2, the basis is closed under
-multiplication, and a number is zero iff all four coordinates are zero
-(the basis is linearly independent over Q).  That zero test is what
-makes comparisons exact: sign() short-circuits on the coefficient test
-and otherwise refines a certified dyadic enclosure of the value until
-it excludes zero.
-
-Rational coordinates use fractions.Fraction, which already guarantees
-arbitrary-precision integers, lowest terms and a positive denominator.
+Numbers are stored over the fixed basis (1, phi, sqrt2, phi*sqrt2),
+where phi is the golden ratio, as four integer coordinates over one
+positive denominator in lowest terms, so equal values have equal
+fields.  Since phi**2 = 1 + phi and sqrt2**2 = 2, the basis is closed
+under multiplication, and a number is zero iff all four coordinates are
+zero (the basis is linearly independent over Q).  That zero test is
+what makes comparisons exact: sign() short-circuits on the coefficient
+test and otherwise refines a certified dyadic enclosure of the value
+until it excludes zero.
 """
 
 from __future__ import annotations
@@ -67,24 +65,35 @@ def _int_sign(scaled: tuple[int, int, int, int], precision: int = 64) -> int:
         precision *= 2
 
 
-def _gmul(a: Fraction, b: Fraction, c: Fraction, d: Fraction) -> tuple[Fraction, Fraction]:
+def _gmul(a: int, b: int, c: int, d: int) -> tuple[int, int]:
     # (a + b*phi)(c + d*phi) with phi**2 = 1 + phi
     return a * c + b * d, a * d + b * c + b * d
 
 
-def _ginv(a: Fraction, b: Fraction) -> tuple[Fraction, Fraction]:
-    # (a + b*phi)**-1 == (a + b - b*phi) / (a**2 + a*b - b**2)
-    norm = a * a + a * b - b * b
-    if norm == 0:
-        raise ZeroDivisionError("inverse of zero in Q(phi)")
-    return (a + b) / norm, -b / norm
+def _reduced(num: tuple[int, int, int, int], den: int) -> FieldNumber:
+    """The number num / den, divided through by the gcd, den made positive."""
+    g = math.gcd(den, *num)
+    if den < 0:
+        g = -g
+    if g != 1:
+        num = (num[0] // g, num[1] // g, num[2] // g, num[3] // g)
+        den //= g
+    value = object.__new__(FieldNumber)
+    object.__setattr__(value, "_num", num)
+    object.__setattr__(value, "_den", den)
+    return value
 
 
 @total_ordering
 class FieldNumber:
-    """An element of Q(phi, sqrt2) with exact dyadic-certified ordering."""
+    """An element of Q(phi, sqrt2) with exact dyadic-certified ordering.
 
-    __slots__ = ("_c0", "_c1", "_c2", "_c3")
+    Stored as ``_num = (n0, n1, n2, n3)`` and ``_den = d`` for the value
+    (n0 + n1*phi + n2*sqrt2 + n3*phi*sqrt2) / d, with d > 0 and
+    gcd(d, n0, n1, n2, n3) == 1.
+    """
+
+    __slots__ = ("_num", "_den")
 
     def __init__(
         self,
@@ -93,10 +102,12 @@ class FieldNumber:
         c2: RationalLike = 0,
         c3: RationalLike = 0,
     ) -> None:
-        object.__setattr__(self, "_c0", Fraction(c0))
-        object.__setattr__(self, "_c1", Fraction(c1))
-        object.__setattr__(self, "_c2", Fraction(c2))
-        object.__setattr__(self, "_c3", Fraction(c3))
+        coords = (c0, c1, c2, c3)
+        # Over the lcm of lowest-terms denominators the form is reduced.
+        den = math.lcm(*(c.denominator for c in coords))
+        num = tuple(c.numerator * (den // c.denominator) for c in coords)
+        object.__setattr__(self, "_num", num)
+        object.__setattr__(self, "_den", den)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("FieldNumber is immutable")
@@ -142,19 +153,21 @@ class FieldNumber:
 
     @property
     def coeffs(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-        return (self._c0, self._c1, self._c2, self._c3)
+        den = self._den
+        return tuple(Fraction(c, den) for c in self._num)
 
     @property
     def is_zero(self) -> bool:
-        return not (self._c0 or self._c1 or self._c2 or self._c3)
+        return not any(self._num)
 
     @property
     def is_rational(self) -> bool:
-        return not (self._c1 or self._c2 or self._c3)
+        _, n1, n2, n3 = self._num
+        return not (n1 or n2 or n3)
 
     @property
     def is_golden(self) -> bool:
-        return not (self._c2 or self._c3)
+        return not (self._num[2] or self._num[3])
 
     @property
     def tag(self) -> str:
@@ -168,22 +181,14 @@ class FieldNumber:
     def as_fraction(self) -> Fraction:
         if not self.is_rational:
             raise ValueError(f"{self} is irrational")
-        return self._c0
+        return Fraction(self._num[0], self._den)
 
     def scaled_coeffs(self, denominator: int) -> tuple[int, int, int, int]:
         """Coordinates times ``denominator``, which must clear all fractions."""
-        out = []
-        for c in self.coeffs:
-            num = c * denominator
-            if num.denominator != 1:
-                raise ValueError(f"{denominator} does not clear denominators of {self}")
-            out.append(num.numerator)
-        return tuple(out)
-
-    def _integer_coords(self) -> tuple[int, tuple[int, int, int, int]]:
-        """Least common denominator D and the coordinates times D."""
-        denom = math.lcm(*(c.denominator for c in self.coeffs))
-        return denom, tuple(c.numerator * (denom // c.denominator) for c in self.coeffs)
+        factor, rest = divmod(denominator, self._den)
+        if rest:
+            raise ValueError(f"{denominator} does not clear denominators of {self}")
+        return tuple(c * factor for c in self._num)
 
     # -- arithmetic --------------------------------------------------
 
@@ -199,8 +204,12 @@ class FieldNumber:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return FieldNumber(
-            self._c0 + o._c0, self._c1 + o._c1, self._c2 + o._c2, self._c3 + o._c3
+        (a0, a1, a2, a3), d = self._num, self._den
+        (b0, b1, b2, b3), e = o._num, o._den
+        if d == e:
+            return _reduced((a0 + b0, a1 + b1, a2 + b2, a3 + b3), d)
+        return _reduced(
+            (a0 * e + b0 * d, a1 * e + b1 * d, a2 * e + b2 * d, a3 * e + b3 * d), d * e
         )
 
     __radd__ = __add__
@@ -209,40 +218,36 @@ class FieldNumber:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return FieldNumber(
-            self._c0 - o._c0, self._c1 - o._c1, self._c2 - o._c2, self._c3 - o._c3
-        )
+        return self + -o
 
     def __rsub__(self, other: object) -> FieldNumber:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return o - self
+        return o + -self
 
     def __neg__(self) -> FieldNumber:
-        return FieldNumber(-self._c0, -self._c1, -self._c2, -self._c3)
+        n0, n1, n2, n3 = self._num
+        return _reduced((-n0, -n1, -n2, -n3), self._den)
 
     def __pos__(self) -> FieldNumber:
         return self
 
     def __mul__(self, other: object) -> FieldNumber:
-        if isinstance(other, (int, Fraction)):
-            return FieldNumber(
-                self._c0 * other, self._c1 * other, self._c2 * other, self._c3 * other
-            )
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         # Split over sqrt2: self = p + q*sqrt2 and other = r + t*sqrt2
-        # with p, q, r, t in Q(phi); then (p*r + 2*q*t) + (p*t + q*r)*sqrt2.
-        p0, p1, q0, q1 = self._c0, self._c1, self._c2, self._c3
-        r0, r1, t0, t1 = o._c0, o._c1, o._c2, o._c3
+        # with p, q, r, t in Z[phi]; then (p*r + 2*q*t) + (p*t + q*r)*sqrt2.
+        p0, p1, q0, q1 = self._num
+        r0, r1, t0, t1 = o._num
         pr = _gmul(p0, p1, r0, r1)
         qt = _gmul(q0, q1, t0, t1)
         pt = _gmul(p0, p1, t0, t1)
         qr = _gmul(q0, q1, r0, r1)
-        return FieldNumber(
-            pr[0] + 2 * qt[0], pr[1] + 2 * qt[1], pt[0] + qr[0], pt[1] + qr[1]
+        return _reduced(
+            (pr[0] + 2 * qt[0], pr[1] + 2 * qt[1], pt[0] + qr[0], pt[1] + qr[1]),
+            self._den * o._den,
         )
 
     __rmul__ = __mul__
@@ -250,16 +255,20 @@ class FieldNumber:
     def inverse(self) -> FieldNumber:
         if self.is_zero:
             raise ZeroDivisionError("inverse of zero field number")
-        p0, p1, q0, q1 = self._c0, self._c1, self._c2, self._c3
-        # 1/(p + q*sqrt2) = (p - q*sqrt2)/(p**2 - 2*q**2); the norm lies
-        # in Q(phi) and vanishes only at zero because sqrt2 is not in Q(phi).
+        p0, p1, q0, q1 = self._num
+        # 1/(p + q*sqrt2) = (p - q*sqrt2)/(p**2 - 2*q**2), and the norm
+        # n0 + n1*phi of Q(phi) times its conjugate n0 + n1 - n1*phi is
+        # the integer n0**2 + n0*n1 - n1**2.  Both norms vanish only at
+        # zero, because sqrt2 and phi are irrational.
         pp = _gmul(p0, p1, p0, p1)
         qq = _gmul(q0, q1, q0, q1)
         n0, n1 = pp[0] - 2 * qq[0], pp[1] - 2 * qq[1]
-        i0, i1 = _ginv(n0, n1)
-        a, b = _gmul(p0, p1, i0, i1)
-        c, d = _gmul(-q0, -q1, i0, i1)
-        return FieldNumber(a, b, c, d)
+        c0, c1 = n0 + n1, -n1
+        a, b = _gmul(p0, p1, c0, c1)
+        c, d = _gmul(-q0, -q1, c0, c1)
+        den = self._den
+        norm = n0 * n0 + n0 * n1 - n1 * n1
+        return _reduced((a * den, b * den, c * den, d * den), norm)
 
     def __truediv__(self, other: object) -> FieldNumber:
         o = self._coerce(other)
@@ -276,15 +285,13 @@ class FieldNumber:
     # -- ordering ----------------------------------------------------
 
     def sign(self) -> int:
-        if self.is_zero:
-            return 0
-        return _int_sign(self._integer_coords()[1])
+        return _int_sign(self._num)
 
     def __eq__(self, other: object) -> bool:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self.coeffs == o.coeffs
+        return self._num == o._num and self._den == o._den
 
     def __lt__(self, other: object) -> bool:
         o = self._coerce(other)
@@ -294,7 +301,9 @@ class FieldNumber:
 
     def __hash__(self) -> int:
         # A rational value equals its Fraction, so it must hash like it.
-        return hash(self._c0) if self.is_rational else hash(self.coeffs)
+        if self.is_rational:
+            return hash(Fraction(self._num[0], self._den))
+        return hash((self._num, self._den))
 
     def __bool__(self) -> bool:
         return not self.is_zero
@@ -306,9 +315,9 @@ class FieldNumber:
 
     def floor(self) -> int:
         """Exact floor, certified by sign tests on the residual."""
+        (a0, a1, a2, a3), denom = self._num, self._den
         if self.is_rational:
-            return math.floor(self._c0)
-        denom, (a0, a1, a2, a3) = self._integer_coords()
+            return a0 // denom
         precision = 64
         e0, e1, e2, e3 = basis_approx(precision)
         estimate = (a0 * e0 + a1 * e1 + a2 * e2 + a3 * e3) // denom
@@ -341,14 +350,16 @@ class FieldNumber:
         return "".join(parts) if parts else "0"
 
     def __repr__(self) -> str:
-        return f"FieldNumber({self._c0!r}, {self._c1!r}, {self._c2!r}, {self._c3!r})"
+        c0, c1, c2, c3 = self.coeffs
+        return f"FieldNumber({c0!r}, {c1!r}, {c2!r}, {c3!r})"
 
     def __float__(self) -> float:
+        c0, c1, c2, c3 = self.coeffs
         return (
-            float(self._c0)
-            + float(self._c1) * _PHI_FLOAT
-            + float(self._c2) * _SQRT2_FLOAT
-            + float(self._c3) * _PHI_FLOAT * _SQRT2_FLOAT
+            float(c0)
+            + float(c1) * _PHI_FLOAT
+            + float(c2) * _SQRT2_FLOAT
+            + float(c3) * _PHI_FLOAT * _SQRT2_FLOAT
         )
 
     def decimal(self, places: int = 20) -> str:
@@ -358,7 +369,7 @@ class FieldNumber:
         requested number of places from a 192-bit enclosure.
         """
         precision = 192
-        denom, (a0, a1, a2, a3) = self._integer_coords()
+        (a0, a1, a2, a3), denom = self._num, self._den
         e0, e1, e2, e3 = basis_approx(precision)
         scaled = a0 * e0 + a1 * e1 + a2 * e2 + a3 * e3
         shifted = scaled * 10**places
@@ -383,7 +394,7 @@ def parse_field_number(text: str) -> FieldNumber:
 
 
 def common_denominator(values: Iterable[FieldNumber]) -> int:
-    return math.lcm(*(value._integer_coords()[0] for value in values))
+    return math.lcm(*(value._den for value in values))
 
 
 PHI = FieldNumber(0, 1)

@@ -202,13 +202,18 @@ def translation_step(r: Fraction) -> FieldNumber:
 def _translated_face_point(
     m: StartPoint, k: int, r: Fraction
 ) -> tuple[FieldNumber, FieldNumber]:
-    """The face point (y + k*d, z - k*d) mod 1 of the (k+1)-th return."""
+    """The face point (y + k*d, z + k*e) mod 1 of the (k+1)-th return.
+
+    d = theta_2 / r and e = theta_3 / r = 1/r - d; e equals -d mod 1
+    only when 1/r is an integer.
+    """
     if k < 0:
         raise ValueError("k must be nonnegative")
     if m.x != 0:
         raise ValueError("return prediction starts from the face X = 0")
     step = translation_step(r)
-    return reduce_mod1(m.y + k * step), reduce_mod1(m.z - k * step)
+    z_step = 1 / Fraction(r) - step
+    return reduce_mod1(m.y + k * step), reduce_mod1(m.z + k * z_step)
 
 
 def kth_return_prediction(
@@ -216,11 +221,11 @@ def kth_return_prediction(
 ) -> CellLabel:
     """Cell predicted to emit the (k+1)-th return word of the trace of m.
 
-    Consecutive face hits translate (Y, Z) by (+d, -d) with
-    d = theta_2 / r, so the prediction is the cell at the k-fold
-    translate.  The cell table itself is the r = 1/2 one; for other r
-    it still names a region but the block it stands for must be read
-    empirically (see predict_return_word).
+    Consecutive face hits translate (Y, Z) by (theta_2 / r, theta_3 / r),
+    so the prediction is the cell at the k-fold translate.  The cell
+    table itself is the r = 1/2 one; for other r it still names a region
+    but the block it stands for must be read empirically (see
+    predict_return_word).
     """
     return cell_of(*_translated_face_point(m, k, r))
 
@@ -231,12 +236,15 @@ def predict_return_word(m: StartPoint, k: int, r: Fraction = Fraction(1, 2)) -> 
     With r = 1/2 this is the block table applied to the predicted cell.
     For other r the cells are not hard-coded; the prediction falls back
     to tracing a short word from the translated face point, which is
-    exactly the translation property read forwards.
+    exactly the translation property read forwards.  At most
+    floor(1/r) + 2 crossings of Y and Z faces lie between two of X, so
+    floor(1/r) + 6 letters close the first return.
     """
     if r == Fraction(1, 2):
         return kth_return_prediction(m, k, r).word
     y, z = _translated_face_point(m, k, r)
-    probe = trace_letters(StartPoint(0, y, z), Direction(r), length=32)
+    length = int(1 / Fraction(r)) + 6
+    probe = trace_letters(StartPoint(0, y, z), Direction(r), length=length)
     return first_return_word(probe)
 
 

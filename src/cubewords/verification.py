@@ -47,6 +47,7 @@ from .rotation import (
 from .words import ComplexityProfile, FactorIndex, cassaigne_check, complexity, is_sturmian
 
 REFERENCE_LENGTH = 100_000
+CODING_STEPS = 50_000
 
 _REFERENCE_STARTS = {
     "interior": StartPoint(0, Fraction(1, 2), Fraction(1, 2)),
@@ -77,22 +78,18 @@ class CriterionResult:
 class VerificationContext:
     """Caches the reference traces and profiles shared across criteria.
 
-    The first criterion to touch a word pays for its trace; later ones
-    reuse it.  A shorter ``reference_length`` makes exploratory runs
-    cheap, but the acceptance verdicts are only meaningful at the
-    default length.
+    The first criterion to touch a word pays for its trace of
+    REFERENCE_LENGTH letters; later ones reuse it.
     """
 
-    def __init__(self, reference_length: int = REFERENCE_LENGTH) -> None:
-        self.reference_length = reference_length
-        self.coding_steps = 50_000
+    def __init__(self) -> None:
         self._words: dict[str, str] = {}
         self._profiles: dict[tuple[str, int], ComplexityProfile] = {}
 
     def word(self, key: str) -> str:
         cached = self._words.get(key)
         if cached is None:
-            cached = trace_letters(_REFERENCE_STARTS[key], length=self.reference_length)
+            cached = trace_letters(_REFERENCE_STARTS[key], length=REFERENCE_LENGTH)
             self._words[key] = cached
         return cached
 
@@ -193,9 +190,7 @@ def criterion_3(ctx: VerificationContext) -> CriterionResult:
         if mismatch:
             return False, mismatch
         partition = circle_partition(SQRT2 - 1)
-        rc = rotation_coding(
-            FieldNumber(0), partition, TRANSLATION_ANGLE, ctx.coding_steps
-        )
+        rc = rotation_coding(FieldNumber(0), partition, TRANSLATION_ANGLE, CODING_STEPS)
         coding_profile = complexity(rc.symbols, 100)
         rot_mismatch = _affine_mismatch(coding_profile, 2, 100, 4, 2)
         if rot_mismatch:

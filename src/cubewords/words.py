@@ -128,10 +128,6 @@ class FactorIndex:
         self._word = word
         self._cache: dict[int, dict[str, ExtensionCensus]] = {}
 
-    @property
-    def word(self) -> str:
-        return self._word
-
     def extensions(self, n: int) -> dict[str, ExtensionCensus]:
         cached = self._cache.get(n)
         if cached is not None:
@@ -215,9 +211,6 @@ class ComplexityProfile:
                 return n - 1
         return self.n_max
 
-    def pairs(self) -> list[tuple[int, int]]:
-        return [(n, self.p(n)) for n in range(1, self.n_max + 1)]
-
 
 def complexity(word: str, n_max: int) -> ComplexityProfile:
     """Complexity profile of the window, cross-checked on its half prefix."""
@@ -227,9 +220,14 @@ def complexity(word: str, n_max: int) -> ComplexityProfile:
         raise ValueError(
             f"window of {len(word)} letters is too short to profile up to {n_max}"
         )
-    half = word[: len(word) // 2]
-    full_counts = SuffixAutomaton(word).factor_counts(n_max)
-    half_counts = SuffixAutomaton(half).factor_counts(n_max)
+    # The construction is online, so the automaton part-built over the
+    # half prefix is exactly that prefix's automaton.
+    half = len(word) // 2
+    automaton = SuffixAutomaton(word[:half])
+    half_counts = automaton.factor_counts(n_max)
+    for letter in word[half:]:
+        automaton.extend(letter)
+    full_counts = automaton.factor_counts(n_max)
     return ComplexityProfile(
         word_length=len(word),
         n_max=n_max,
@@ -279,43 +277,6 @@ def is_sturmian(word: str, n_max: Optional[int] = None) -> bool:
     if top == 0:
         raise UnstableLength(1, len(word))
     return all(profile.p(n) == n + 1 for n in range(1, top + 1))
-
-
-def common_factor_depth(container: str, probe: str) -> int:
-    """Largest n such that every length-n factor of probe occurs in container.
-
-    Runs the probe through the container's suffix automaton keeping the
-    matching statistic (longest factor of the container ending at each
-    probe position), then grows n while every window of that length is
-    covered.  One automaton walk answers all lengths at once, so two
-    long windows can be compared factor-for-factor in linear time.
-    """
-    if not probe:
-        return 0
-    automaton = SuffixAutomaton(container)
-    ms = []
-    state = 0
-    matched = 0
-    for letter in probe:
-        while state != 0 and letter not in automaton.transitions[state]:
-            state = automaton.link[state]
-            matched = automaton.length[state]
-        if letter in automaton.transitions[state]:
-            state = automaton.transitions[state][letter]
-            matched += 1
-        else:
-            matched = 0
-        ms.append(matched)
-    suffix_min = ms[:]
-    for i in range(len(ms) - 2, -1, -1):
-        suffix_min[i] = min(suffix_min[i], suffix_min[i + 1])
-    depth = 0
-    for n in range(1, len(probe) + 1):
-        if suffix_min[n - 1] >= n:
-            depth = n
-        else:
-            break
-    return depth
 
 
 def fit_affine(points: Iterable[tuple[int, int]]) -> Optional[tuple[Fraction, Fraction]]:

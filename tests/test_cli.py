@@ -38,6 +38,13 @@ class TestParse:
         assert status == 1
         assert "positive" in err
 
+    def test_seed_only_on_directional(self, capsys):
+        status, _, err = invoke(capsys, "trace", "--seed", "1")
+        assert status == 1
+        assert err.startswith("usage: cubewords")
+        assert "unrecognized arguments: --seed 1" in err
+        assert parse_args(["directional", "--seed", "3"]).seed == 3
+
 
 class TestTrace:
     def test_short_word(self, capsys):
@@ -114,6 +121,11 @@ class TestReturns:
             k, observed, predicted, match = line.split("\t")
             assert observed == predicted
             assert match == "1"
+
+    def test_small_ratio_closes_every_probe(self, capsys):
+        status, out, _ = invoke(capsys, "returns", "--m", "0,1/5,2/7", "--r", "1/100")
+        assert status == 0
+        assert "# mismatches\t0" in out.splitlines()
 
     def test_degenerate_start_rejected(self, capsys):
         status, _, err = invoke(capsys, "returns", "--m", "0,0,1/2")

@@ -17,13 +17,17 @@ from cubewords.directional import (
     union_complexity,
 )
 from cubewords.exactnum import PHI, SQRT2, FieldNumber, reduce_mod1
-from cubewords.words import common_factor_depth, complexity
+from cubewords.words import complexity
 
 F = FieldNumber
 
 
 def fr(*args) -> FieldNumber:
     return FieldNumber(Fraction(*args))
+
+
+def factor_set(word, n):
+    return {word[i : i + n] for i in range(len(word) - n + 1)}
 
 
 class TestClassify:
@@ -165,6 +169,17 @@ class TestCensus:
         assert small_census.union_p(1) == 3
         assert small_census.union_p(2) == 7
 
+    def test_twins_with_equal_counts_but_different_factors(self, monkeypatch):
+        s = SQRT2 - 1
+        first = representative_start(s, 0)
+
+        def fake_trace(start, length):
+            return ("aab" if start == first else "abb") * (length // 3)
+
+        monkeypatch.setattr("cubewords.directional.trace_letters", fake_trace)
+        with pytest.raises(ValueError, match="equal-s starts have different factors"):
+            census([s], n_max=6, prefix=60)
+
     def test_prefix_too_short(self):
         with pytest.raises(ValueError):
             census([F(0)], n_max=30, prefix=40)
@@ -248,6 +263,5 @@ class TestEqualInvariantLanguages:
             assert stable >= 10
             for n in range(1, stable + 1):
                 assert p1.p(n) == p2.p(n), (str(s), n)
-            assert common_factor_depth(w1, w2) >= stable
-            assert common_factor_depth(w2, w1) >= stable
+            assert factor_set(w1, stable) == factor_set(w2, stable), str(s)
             checked += 1

@@ -29,6 +29,41 @@ def random_field_number(rng, span=30, max_denominator=12):
     return FieldNumber(*coeffs)
 
 
+# e_i * e_j over the basis (1, phi, sqrt2, phi*sqrt2), for 1 <= i <= j
+_BASIS_PRODUCTS = {
+    (1, 1): (1, 1, 0, 0),  # phi**2 = 1 + phi
+    (1, 2): (0, 0, 0, 1),
+    (1, 3): (0, 0, 1, 1),  # phi**2*sqrt2 = sqrt2 + phi*sqrt2
+    (2, 2): (2, 0, 0, 0),
+    (2, 3): (0, 2, 0, 0),
+    (3, 3): (2, 2, 0, 0),
+}
+
+
+def reference_mul(x, y):
+    """Product of two Fraction 4-vectors through the multiplication table."""
+    out = [Fraction(0)] * 4
+    for i, a in enumerate(x):
+        for j, b in enumerate(y):
+            if i == 0 or j == 0:
+                out[i + j] += a * b
+                continue
+            for k, c in enumerate(_BASIS_PRODUCTS[min(i, j), max(i, j)]):
+                out[k] += a * b * c
+    return tuple(out)
+
+
+def reference_inverse(x):
+    """1/x as the product of the three Galois conjugates over the norm."""
+    c0, c1, c2, c3 = x
+    flip_phi = (c0 + c1, -c1, c2 + c3, -c3)  # phi -> 1 - phi
+    flip_root = (c0, c1, -c2, -c3)  # sqrt2 -> -sqrt2
+    flip_both = (c0 + c1, -c1, -c2 - c3, c3)
+    others = reference_mul(reference_mul(flip_phi, flip_root), flip_both)
+    norm = reference_mul(x, others)[0]
+    return tuple(c / norm for c in others)
+
+
 def test_defining_relations():
     assert PHI * PHI == PHI + 1
     assert SQRT2 * SQRT2 == FieldNumber(2)
@@ -160,6 +195,42 @@ def test_field_axioms_random():
             assert y * y.inverse() == FieldNumber(1)
 
 
+def test_arithmetic_matches_fraction_reference():
+    rng = random.Random(4099)
+    values = [random_field_number(rng) for _ in range(150)]
+    values += [
+        FieldNumber(Fraction(rng.randint(-40, 40), rng.randint(1, 15))) for _ in range(30)
+    ]
+    # the integer norm of phi + sqrt2 over Q(phi) is -1
+    values += [PHI + SQRT2, -PHI - SQRT2, PHI, SQRT2 - 1]
+    rng.shuffle(values)
+    for x, y in zip(values, values[1:] + values[:1]):
+        assert (x + y).coeffs == tuple(a + b for a, b in zip(x.coeffs, y.coeffs))
+        assert (x - y).coeffs == tuple(a - b for a, b in zip(x.coeffs, y.coeffs))
+        assert (-x).coeffs == tuple(-a for a in x.coeffs)
+        assert (x * y).coeffs == reference_mul(x.coeffs, y.coeffs)
+        if not x.is_zero:
+            assert x.inverse().coeffs == reference_inverse(x.coeffs)
+
+
+def test_canonical_form():
+    assert (PHI / 3) * 3 == PHI
+    assert hash((PHI / 3) * 3) == hash(PHI)
+    one = (SQRT2 - 1) * (SQRT2 + 1)
+    assert one == 1 and hash(one) == hash(1)
+    assert FieldNumber(Fraction(2, 4)) == FieldNumber(Fraction(1, 2))
+    rng = random.Random(733)
+    for _ in range(100):
+        x = random_field_number(rng) * random_field_number(rng)
+        assert all(isinstance(c, Fraction) for c in x.coeffs)
+        assert all(math.gcd(c.numerator, c.denominator) == 1 for c in x.coeffs)
+        # stored over the least common denominator of its coordinates
+        assert common_denominator([x]) == math.lcm(*(c.denominator for c in x.coeffs))
+    assert (PHI / 6).scaled_coeffs(12) == (0, 2, 0, 0)
+    with pytest.raises(ValueError):
+        (PHI / 6).scaled_coeffs(4)
+
+
 def test_nonzero_vectors_have_nonzero_sign():
     rng = random.Random(1291)
     for _ in range(2000):
@@ -230,4 +301,4 @@ def test_hash_consistency():
 
 def test_immutability():
     with pytest.raises(AttributeError):
-        PHI._c0 = Fraction(5)
+        PHI._num = (5, 0, 0, 0)

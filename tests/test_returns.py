@@ -268,8 +268,10 @@ class TestPredictions:
             if ok:
                 starts += 1
 
-    def test_predict_return_word_other_r(self):
-        r = Fraction(1, 3)
+    @pytest.mark.parametrize(
+        "r", [Fraction(1, 3), Fraction(2, 3), Fraction(3), Fraction(7, 2)], ids=str
+    )
+    def test_predict_return_word_other_r(self, r):
         rng = random.Random(3)
         starts = 0
         while starts < 6:

@@ -162,36 +162,11 @@ def test_fit_affine():
     assert fit_affine([(3, 5), (5, 6)]) == (Fraction(1, 2), Fraction(7, 2))
 
 
-class TestCommonFactorDepth:
-    def test_against_naive_sets(self):
-        from cubewords.words import common_factor_depth
-
-        def naive(container, probe):
-            depth = 0
-            for n in range(1, len(probe) + 1):
-                have = {container[i : i + n] for i in range(len(container) - n + 1)}
-                want = {probe[i : i + n] for i in range(len(probe) - n + 1)}
-                if want and want <= have:
-                    depth = n
-                else:
-                    break
-            return depth
-
-        rng = random.Random(2)
-        for _ in range(200):
-            container = "".join(rng.choice("abc") for _ in range(rng.randrange(1, 40)))
-            probe = "".join(rng.choice("abc") for _ in range(rng.randrange(1, 40)))
-            assert common_factor_depth(container, probe) == naive(container, probe)
-
-    def test_saturates_on_equal_words(self):
-        from cubewords.words import common_factor_depth
-
-        word = "abcab" * 40
-        assert common_factor_depth(word, word) == len(word)
-
-    def test_degenerate_inputs(self):
-        from cubewords.words import common_factor_depth
-
-        assert common_factor_depth("", "abc") == 0
-        assert common_factor_depth("abc", "") == 0
-        assert common_factor_depth("ab", "abd") == 0
+def test_half_counts_are_the_half_prefix_counts():
+    rng = random.Random(6061)
+    for length in [rng.randint(2, 300) for _ in range(40)] + [41, 42]:
+        word = "".join(rng.choice("abc") for _ in range(length))
+        n_max = min(length // 2, 12)
+        profile = complexity(word, n_max)
+        assert list(profile.half_counts) == naive_counts(word[: length // 2], n_max)
+        assert list(profile.full_counts) == naive_counts(word, n_max)
