@@ -65,7 +65,6 @@ class RunConfig:
     r: str = "1/2"
     n_letters: int = 64
     n_max: int = 24
-    prefix: int = 4000
     samples: int = 8
     format: str = "tsv"
     output: Optional[str] = None
@@ -124,7 +123,6 @@ def parse_args(argv: Optional[Sequence[str]] = None) -> RunConfig:
     p = sub.add_parser("directional", help="sampled census and union table")
     p.add_argument("--samples", type=_positive, default=8)
     p.add_argument("--n-max", dest="n_max", type=_positive, default=20)
-    p.add_argument("--prefix", type=_positive, default=4000)
     common(p, point=False)
     p.add_argument("--seed", type=int, default=0)
 
@@ -142,7 +140,7 @@ def parse_args(argv: Optional[Sequence[str]] = None) -> RunConfig:
             parser.error("--m needs exactly three comma-separated coordinates")
         fields["start"] = pieces
         fields["r"] = args.r
-    for name in ("n_letters", "n_max", "prefix", "samples", "seed", "suite"):
+    for name in ("n_letters", "n_max", "samples", "seed", "suite"):
         if hasattr(args, name):
             fields[name] = getattr(args, name)
     return RunConfig(**fields)
@@ -216,7 +214,7 @@ def _cmd_complexity(config: RunConfig) -> tuple[int, list[str], dict]:
         profile = complexity(word, config.n_max)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
-    law = _fit_meta(fit_complexity_tail(profile))
+    law = _fit_meta(fit_complexity_tail(profile.full_counts[: profile.stable_through]))
     mismatches = cassaigne_check(word, config.n_max)
     rows = []
     for n in range(1, config.n_max + 1):
@@ -351,9 +349,9 @@ def _cmd_rotation(config: RunConfig) -> tuple[int, list[str], dict]:
 
 
 def _cmd_directional(config: RunConfig) -> tuple[int, list[str], dict]:
-    schedule = sample_schedule(config.samples, seed=config.seed)
     try:
-        result = census(schedule, n_max=config.n_max, prefix=config.prefix)
+        schedule = sample_schedule(config.samples, seed=config.seed)
+        result = census(schedule, n_max=config.n_max)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
     class_meta = []
@@ -376,7 +374,7 @@ def _cmd_directional(config: RunConfig) -> tuple[int, list[str], dict]:
         )
     lines = [
         "# command\tdirectional",
-        f"# samples\t{result.sample_count}\tskipped\t{len(result.skipped)}",
+        f"# samples\t{result.sample_count}",
     ]
     lines += [
         f"# class\t{m['label']}\tk\t{m['k']}\tmembers\t{m['members']}\tlaw\t{_law_text(m['law'])}"
@@ -392,7 +390,6 @@ def _cmd_directional(config: RunConfig) -> tuple[int, list[str], dict]:
     payload = {
         "command": "directional",
         "samples": result.sample_count,
-        "skipped": [list(item) for item in result.skipped],
         "classes": class_meta,
         "rows": rows,
     }

@@ -1,20 +1,20 @@
-"""Census of languages across starting circles and their union growth.
+"""Exact circle languages, the census across circles and union growth.
 
 The complexity class of a trajectory word depends only on the circle
 invariant s = y + z mod 1 of its start: s = 0, the four distinguished
-golden values, and everything else.  This module samples s values on a
-stratified schedule, fits the per-class affine complexity laws from
-traced words, cross-checks that equal-s starts generate identical
-factor sets, and accumulates the union language whose quadratic growth
-estimates the directional complexity constant.
+golden values, and everything else.  So does its language, which
+circle_language computes exactly, without tracing.  This module
+samples s values on a stratified schedule, fits per-sample and
+per-class affine laws on the exact counts, and unions the languages.
 
 Two honesty rules shape the API.  Fitted laws are reported per sample,
 not just per class, so a member whose tail deviates from its class
 summary is visible rather than averaged away; rational invariants, for
 instance, share the generic 4n+4 tail but realize a different set of
 small factors than quartic ones.  And the union table is a certified
-lower bound, nothing more; it grows with the sample count and the
-ratio column exists to watch the trend, not to assert the limit.
+lower bound, nothing more; it grows with the sample count, and its
+ratio column is read against DIRECTIONAL_CONSTANT, an unverified
+target, not an estimate of it.
 """
 
 from __future__ import annotations
@@ -27,8 +27,7 @@ from typing import Optional, Sequence
 from .billiard import StartPoint, trace_letters, validate
 from .exactnum import PHI, SQRT2, FieldNumber, reduce_mod1
 from .returns import circle_partition
-from .rotation import fit_complexity_tail
-from .words import complexity
+from .rotation import TRANSLATION_ANGLE, code_orbit, fit_complexity_tail
 
 DIRECTIONAL_CONSTANT = (4 + PHI) / 6
 """Target constant for p(n)/n^2 of the full directional language."""
@@ -59,6 +58,7 @@ def classify_s(s: FieldNumber) -> str:
 
 
 _RATIONAL_CADENCE = 16
+_SCHEDULE_LIMIT = 1 + 4 + 50 + 97 * 88
 
 
 def sample_schedule(total: int, seed: int = 0) -> list[FieldNumber]:
@@ -72,10 +72,11 @@ def sample_schedule(total: int, seed: int = 0) -> list[FieldNumber]:
     rationals keeps the sampled union growing as the schedule lengthens
     instead of spending that stratum in one early burst.  The stream is
     generated in one fixed order, so a longer schedule with the same
-    seed extends a shorter one prefix-for-prefix.
+    seed extends a shorter one prefix-for-prefix.  The strata hold
+    _SCHEDULE_LIMIT distinct values; a longer schedule is rejected.
     """
-    if total < 0:
-        raise ValueError("total must be nonnegative")
+    if not 0 <= total <= _SCHEDULE_LIMIT:
+        raise ValueError(f"total {total} outside 0..{_SCHEDULE_LIMIT} distinct invariants")
     rng = random.Random(seed)
     stream: list[FieldNumber] = [FieldNumber(0)]
     stream.extend(value for value, _ in SPECIAL_INVARIANTS)
@@ -108,15 +109,53 @@ def sample_schedule(total: int, seed: int = 0) -> list[FieldNumber]:
 _Y_CANDIDATES = tuple(Fraction(k, 23) for k in range(1, 23))
 
 
-def representative_start(s: FieldNumber, variant: int = 0) -> StartPoint:
-    """A face start with invariant s; variants give distinct points."""
+def _coerce_invariant(s) -> FieldNumber:
     if not isinstance(s, FieldNumber):
         s = FieldNumber(s)
-    if variant < 0:
-        raise ValueError("variant must be nonnegative")
-    usable = [y for y in _Y_CANDIDATES if FieldNumber(y) != s]
-    y = usable[variant % len(usable)]
+    return reduce_mod1(s)
+
+
+def representative_start(s: FieldNumber) -> StartPoint:
+    """A face start with invariant s and neither coordinate zero."""
+    s = _coerce_invariant(s)
+    y = next(y for y in _Y_CANDIDATES if s != y)
     return StartPoint(0, y, reduce_mod1(s - y))
+
+
+def circle_language(s, n: int) -> frozenset[str]:
+    """Every length-n factor of the valid words on the circle s.
+
+    With m = n // 2 + 3 and alpha = TRANSLATION_ANGLE, the points
+    c - j*alpha mod 1 (c the wrap point 0 or a cut, 0 <= j < m) cut the
+    circle into arcs on which the first m orbit labels are constant.
+    Each arc's midpoint is coded for m steps, its blocks are joined,
+    and the length-n windows starting in the first block are kept.
+    A midpoint's orbit meets no cut and no wrap point, so code_orbit
+    never raises.  Alpha is irrational, so every valid trajectory on
+    the circle visits every arc: each kept window is its factor.  Each
+    block has at least 2 letters, so the m blocks hold n + 5 or more
+    and cover every window starting in the first: each factor is
+    kept.  The limit convention moves a start by epsilon*(0, +1, -1),
+    which keeps s = y + z fixed, so corner starts read theirs here too.
+    """
+    if n < 1:
+        raise ValueError("factor length must be positive")
+    s = _coerce_invariant(s)
+    partition = circle_partition(s)
+    steps = n // 2 + 3
+    seeds = (FieldNumber(0),) + partition.cuts
+    points = sorted(
+        {reduce_mod1(c - j * TRANSLATION_ANGLE) for c in seeds for j in range(steps)}
+    )
+    language = set()
+    for lo, hi in zip(points, points[1:] + [FieldNumber(1)]):
+        blocks = [
+            label.word
+            for label in code_orbit((lo + hi) / 2, partition, TRANSLATION_ANGLE, steps)
+        ]
+        word = "".join(blocks)
+        language.update(word[i : i + n] for i in range(len(blocks[0])))
+    return frozenset(language)
 
 
 class _UnionAccumulator:
@@ -200,9 +239,7 @@ class DirectionalCensus:
     classes: dict[str, ClassSummary]
     union_counts: tuple[int, ...]
     n_max: int
-    prefix: int
     sample_count: int
-    skipped: tuple[tuple[str, str], ...]
 
     def union_p(self, n: int) -> int:
         if not 1 <= n <= self.n_max:
@@ -210,93 +247,48 @@ class DirectionalCensus:
         return self.union_counts[n - 1]
 
 
-def _coerce_invariant(s) -> FieldNumber:
-    if not isinstance(s, FieldNumber):
-        s = FieldNumber(s)
-    return reduce_mod1(s)
+def _prefix_counts(language, n_max: int) -> tuple[int, ...]:
+    return tuple(len({word[:n] for word in language}) for n in range(1, n_max + 1))
 
 
-def _factors(word: str, n: int) -> set[str]:
-    return {word[i : i + n] for i in range(len(word) - n + 1)}
+def census(samples: Sequence, n_max: int) -> DirectionalCensus:
+    """Exact languages per invariant, their laws, classes and union.
 
-
-def census(samples: Sequence, n_max: int, prefix: int) -> DirectionalCensus:
-    """Trace a representative per invariant and fit class laws.
-
-    Each sample is verified against a second start on the same circle:
-    the two factor sets must agree at every mutually stabilized length,
-    which is the strongest per-sample check the window supports (equal
-    sets at the longest such length give equal sets below it).  A
-    disagreement is raised, not recorded: it would falsify the
-    invariance the whole census is built on.  Starts whose trajectories
-    fail validation are recorded in skipped and contribute nothing.
+    Each sample contributes circle_language(s, n_max); its p(n) is the
+    number of distinct length-n prefixes in that set, since every factor
+    of a valid word extends to the right.  The per-sample law is fitted
+    on those exact counts, and the union table counts the prefixes of
+    the union of the languages.  A class whose circles differ in
+    partition size raises, since it would falsify the classification.
     """
-    if prefix < 2 * n_max:
-        raise ValueError("prefix must be at least twice n_max for stable counts")
-    union = _UnionAccumulator(n_max)
-    buckets: dict[str, dict] = {}
-    skipped: list[tuple[str, str]] = []
-    used = 0
+    languages: set[str] = set()
+    buckets: dict[str, list] = {}
     for raw in samples:
         s = _coerce_invariant(raw)
-        label = classify_s(s)
-        first = representative_start(s, 0)
-        second = representative_start(s, 1)
-        bad = None
-        for start in (first, second):
-            check = validate(start, horizon=prefix)
-            if not check.ok:
-                bad = check.reason
-                break
-        if bad is not None:
-            skipped.append((str(s), bad))
-            continue
-        word = trace_letters(first, length=prefix)
-        twin = trace_letters(second, length=prefix)
-        profile = complexity(word, n_max)
-        twin_profile = complexity(twin, n_max)
-        stable = min(profile.stable_through, twin_profile.stable_through)
-        for n in range(1, stable + 1):
-            if profile.p(n) != twin_profile.p(n):
-                raise ValueError(
-                    f"equal-s starts disagree at length {n} on circle s={s}"
-                )
-        if stable and _factors(word, stable) != _factors(twin, stable):
-            raise ValueError(f"equal-s starts have different factors, s={s}")
-        law = fit_complexity_tail(profile)
-        union.add(word)
-        used += 1
-        bucket = buckets.setdefault(
-            label, {"s_values": [], "laws": [], "k": None, "law": None, "law_tag": None}
-        )
-        k = circle_partition(s).k
-        if bucket["k"] is None:
-            bucket["k"] = k
-        elif bucket["k"] != k:
-            raise ValueError(f"class {label} saw both k={bucket['k']} and k={k}")
-        bucket["s_values"].append(str(s))
-        bucket["laws"].append(law)
-        prefer = s.tag == "quartic"
-        if bucket["law"] is None or (prefer and bucket["law_tag"] != "quartic"):
-            bucket["law"] = law
-            bucket["law_tag"] = s.tag
-    classes = {
-        label: ClassSummary(
+        language = circle_language(s, n_max)
+        languages |= language
+        law = fit_complexity_tail(_prefix_counts(language, n_max))
+        buckets.setdefault(classify_s(s), []).append((s, circle_partition(s).k, law))
+    classes = {}
+    for label, members in buckets.items():
+        k = members[0][1]
+        for _, other, _ in members:
+            if other != k:
+                raise ValueError(f"class {label} saw both k={k} and k={other}")
+        # a quartic member, when there is one, speaks for the class
+        quartic = [law for s, _, law in members if s.tag == "quartic"]
+        classes[label] = ClassSummary(
             label=label,
-            s_values=tuple(b["s_values"]),
-            k=b["k"],
-            law=b["law"],
-            sample_laws=tuple(b["laws"]),
+            s_values=tuple(str(s) for s, _, _ in members),
+            k=k,
+            law=(quartic or [members[0][2]])[0],
+            sample_laws=tuple(law for _, _, law in members),
         )
-        for label, b in buckets.items()
-    }
     return DirectionalCensus(
         classes=classes,
-        union_counts=union.counts(),
+        union_counts=_prefix_counts(languages, n_max),
         n_max=n_max,
-        prefix=prefix,
-        sample_count=used,
-        skipped=tuple(skipped),
+        sample_count=len(samples),
     )
 
 
@@ -304,7 +296,10 @@ def union_complexity(samples: Sequence, n_max: int, prefix: int) -> UnionComplex
     """Factor counts of the union language over the sampled circles.
 
     One representative word per invariant; invalid starts are dropped
-    silently since the union is a lower bound either way.
+    silently since the union is a lower bound either way.  This route
+    stays traced on purpose: it is the benchmark's union workload and
+    the independent cross-check of census, whose exact union contains
+    it at every length.
     """
     if prefix < 2 * n_max:
         raise ValueError("prefix must be at least twice n_max for stable counts")
@@ -312,7 +307,7 @@ def union_complexity(samples: Sequence, n_max: int, prefix: int) -> UnionComplex
     used = 0
     for raw in samples:
         s = _coerce_invariant(raw)
-        start = representative_start(s, 0)
+        start = representative_start(s)
         if not validate(start, horizon=prefix).ok:
             continue
         union.add(trace_letters(start, length=prefix))

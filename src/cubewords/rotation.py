@@ -223,14 +223,14 @@ class CodingComplexity:
 
 
 def fit_complexity_tail(
-    profile: ComplexityProfile,
+    counts: Sequence[int],
 ) -> Optional[tuple[Fraction, Fraction, int]]:
-    """Smallest n0 from which the stabilized counts are exactly affine."""
-    top = profile.stable_through
+    """Smallest n0 from which the counts p(1..top) are exactly affine."""
+    top = len(counts)
     if top < 3:
         return None
     for n0 in range(1, top - 1):
-        points = [(n, profile.p(n)) for n in range(n0, top + 1)]
+        points = [(n, counts[n - 1]) for n in range(n0, top + 1)]
         law = fit_affine(points)
         if law is not None:
             return law[0], law[1], n0
@@ -246,7 +246,8 @@ def coding_complexity(rc: RotationCoding, n_max: int) -> CodingComplexity:
     compare the slope against zmodule_rank predictions themselves.
     """
     profile = complexity(rc.symbols, n_max)
-    slope, intercept, threshold = fit_complexity_tail(profile) or (None, None, None)
+    law = fit_complexity_tail(profile.full_counts[: profile.stable_through])
+    slope, intercept, threshold = law or (None, None, None)
     return CodingComplexity(
         profile=profile, slope=slope, intercept=intercept, threshold=threshold
     )

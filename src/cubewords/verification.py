@@ -27,7 +27,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Optional
 
 from .billiard import StartPoint, delete_letter, trace_letters, validate
-from .directional import sample_schedule, union_complexity
+from .directional import census, sample_schedule
 from .exactnum import PHI, SQRT2, FieldNumber, reduce_mod1
 from .returns import (
     OnBoundary,
@@ -384,18 +384,18 @@ def criterion_9(ctx: VerificationContext) -> CriterionResult:
 
 
 def criterion_10(ctx: VerificationContext) -> CriterionResult:
-    """Union complexity grows monotonically toward the quadratic regime."""
+    """The union of exact circle languages grows monotonically with samples."""
 
     def body() -> tuple[bool, str]:
         schedule = sample_schedule(800, seed=7)
-        base = union_complexity(schedule[:400], n_max=40, prefix=100_000)
-        doubled = union_complexity(schedule, n_max=40, prefix=100_000)
-        if base.p(2) != 7:
-            return False, f"union p(2)={base.p(2)}, expected 7"
+        base = census(schedule[:400], n_max=40)
+        doubled = census(schedule, n_max=40)
+        if base.union_p(2) != 7:
+            return False, f"union p(2)={base.union_p(2)}, expected 7"
         for n in range(1, 41):
-            if doubled.p(n) < base.p(n):
+            if doubled.union_p(n) < base.union_p(n):
                 return False, f"union count shrank at n={n} when samples doubled"
-        low, high = base.ratio(40), doubled.ratio(40)
+        low, high = base.union_p(40) / 40**2, doubled.union_p(40) / 40**2
         if not 0.75 <= low <= 1.0:
             return False, f"p(40)/40^2 = {low:.4f} at 400 samples, outside [0.75, 1.0]"
         if not 0.75 <= high <= 1.0:
@@ -405,8 +405,8 @@ def criterion_10(ctx: VerificationContext) -> CriterionResult:
         # equality only ever happens by saturation: measured schedules of
         # every composition reach the complete 40-gram set near 400
         # samples, after which doubling has nothing left to add
-        if doubled.p(40) == base.p(40):
-            trend = f"saturated at {base.p(40)} 40-grams, ratio {low:.4f}"
+        if doubled.union_p(40) == base.union_p(40):
+            trend = f"saturated at {base.union_p(40)} 40-grams, ratio {low:.4f}"
         else:
             trend = f"p(40)/40^2: {low:.4f} -> {high:.4f}"
         return True, f"union p(2)=7, monotone in samples, {trend}"

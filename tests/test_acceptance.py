@@ -7,11 +7,15 @@ pays its tracing cost.  Expected values are frozen: a criterion that
 the build cannot meet fails here rather than being weakened.  An
 expected value changes only when an independent route refutes it, as
 the slice-set counts in test_words.py refute the old 4n-1 law of
-criterion 3.
+criterion 3.  Criteria 1-3 read their laws off traced words, which
+bound p(n) from below; the circle-language test after them bounds it
+from above, so the three laws are certified through n = 100.
 """
 
 import pytest
 
+from cubewords.directional import circle_language
+from cubewords.exactnum import PHI, SQRT2, FieldNumber
 from cubewords.verification import (
     VerificationContext,
     criterion_1,
@@ -48,6 +52,24 @@ def test_criterion_02_corner_complexity_law(ctx):
 
 def test_criterion_03_quartic_start_laws(ctx):
     _report(criterion_3(ctx))
+
+
+# The circles s = y + z mod 1 of the three reference starts and the
+# frozen laws of criteria 1-3 as counts p(1..100).
+_FROZEN_LAWS = {
+    "interior": (FieldNumber(0), [3] + [2 * n + 3 for n in range(2, 101)]),
+    "golden": (2 - PHI, [3 * n for n in range(1, 8)] + [2 * n + 8 for n in range(8, 101)]),
+    "quartic": (SQRT2 - 1, [3, 6, 9, 14, 19, 25, 31] + [4 * n + 4 for n in range(8, 101)]),
+}
+
+
+@pytest.mark.parametrize("key", sorted(_FROZEN_LAWS))
+def test_criteria_01_to_03_laws_are_upper_bounds(ctx, key):
+    s, law = _FROZEN_LAWS[key]
+    language = circle_language(s, 100)
+    assert [len({w[:n] for w in language}) for n in range(1, 101)] == law
+    word = ctx.word(key)
+    assert {word[i : i + 100] for i in range(len(word) - 99)} <= language
 
 
 def test_criterion_04_reconstruction_equals_tracing(ctx):

@@ -186,13 +186,11 @@ class TestDirectional:
             "6",
             "--n-max",
             "8",
-            "--prefix",
-            "600",
         )
         status, out, _ = invoke(capsys, *args)
         assert status == 0
         lines = out.splitlines()
-        assert "# samples\t6\tskipped\t0" in lines
+        assert "# samples\t6" in lines
         assert "# class\tzero\tk\t3\tmembers\t1\tlaw\t2\t3\t2" in lines
         assert sum(1 for line in lines if line.startswith("# class\t")) == 6
         header = lines.index("n\tp\ts\tratio")
@@ -204,7 +202,7 @@ class TestDirectional:
         assert again == out
 
     def test_json_rows_match(self, capsys):
-        args = ("directional", "--samples", "3", "--n-max", "6", "--prefix", "400")
+        args = ("directional", "--samples", "3", "--n-max", "6")
         _, tsv, _ = invoke(capsys, *args)
         _, raw, _ = invoke(capsys, *args, "--format", "json")
         payload = json.loads(raw)
@@ -215,6 +213,27 @@ class TestDirectional:
             assert row["n"] == int(n)
             assert row["p"] == int(p)
             assert row["ratio"] == ratio
+        assert "skipped" not in payload
+
+    def test_census_on_a_circle_traces_misread(self, capsys):
+        # 2000-letter traces of s=-24/97+64/89*sqrt2, one of these
+        # circles, read 3n+11 where its language reads 4n+4
+        status, out, err = invoke(
+            capsys, "directional", "--samples", "20", "--n-max", "16", "--seed", "9"
+        )
+        assert status == 0, err
+        assert "# samples\t20" in out.splitlines()
+
+    def test_samples_beyond_the_pool(self, capsys, bounded):
+        status, out, err = bounded(20, invoke, capsys, "directional", "--samples", "8592")
+        assert status == 1
+        assert out == ""
+        assert err.startswith("invalid input: total 8592 outside 0..8591 distinct")
+
+    def test_prefix_option_gone(self, capsys):
+        status, _, err = invoke(capsys, "directional", "--prefix", "600")
+        assert status == 1
+        assert "--prefix" in err
 
 
 class TestVerify:

@@ -1,4 +1,4 @@
-"""Circle-invariant classification, schedules, census and union growth."""
+"""Circle-invariant classification, schedules, languages, census, union."""
 
 import random
 from fractions import Fraction
@@ -11,6 +11,7 @@ from cubewords.directional import (
     GENERIC_CLASS,
     ZERO_CLASS,
     census,
+    circle_language,
     classify_s,
     representative_start,
     sample_schedule,
@@ -28,6 +29,10 @@ def fr(*args) -> FieldNumber:
 
 def factor_set(word, n):
     return {word[i : i + n] for i in range(len(word) - n + 1)}
+
+
+def language_counts(language, n_max):
+    return [len({w[:n] for w in language}) for n in range(1, n_max + 1)]
 
 
 class TestClassify:
@@ -99,6 +104,11 @@ class TestSchedule:
         assert sample_schedule(60, seed=3) == sample_schedule(60, seed=3)
         assert sample_schedule(60, seed=3) != sample_schedule(60, seed=4)
 
+    def test_beyond_the_pool_rejected(self, bounded):
+        # 1 zero + 4 golden + 50 rationals + 97*88 quartic values
+        with pytest.raises(ValueError, match="8591"):
+            bounded(20, sample_schedule, 8592, seed=1)
+
 
 class TestRepresentative:
     def test_on_face_with_invariant(self):
@@ -107,37 +117,56 @@ class TestRepresentative:
             assert m.x == 0
             assert reduce_mod1(m.y + m.z) == s
 
-    def test_variants_differ(self):
-        s = 2 - PHI
-        a = representative_start(s, 0)
-        b = representative_start(s, 1)
-        assert a.y != b.y
-        assert reduce_mod1(a.y + a.z) == reduce_mod1(b.y + b.z)
-
     def test_avoids_zero_z(self):
         s = fr(1, 23)
-        m = representative_start(s, 0)
+        m = representative_start(s)
         assert m.z != 0
         assert m.y != 0
 
     def test_valid_trajectories(self):
         for s in (F(0), 2 * PHI - 3, PHI - 1, SQRT2 - 1, fr(2, 7)):
-            for variant in (0, 1):
-                m = representative_start(s, variant)
-                assert validate(m, horizon=400).ok, str(s)
+            assert validate(representative_start(s), horizon=400).ok, str(s)
+
+
+class TestCircleLanguage:
+    def test_found_circle_counts(self):
+        # 2000-letter traces of this circle read 3n+11 for n = 8..16,
+        # with equal half-window and full counts
+        s = reduce_mod1(fr(-24, 97) + fr(64, 89) * SQRT2)
+        want = [3, 7, 12, 18, 24] + [4 * n + 4 for n in range(6, 17)]
+        assert language_counts(circle_language(s, 16), 16) == want
+
+    def test_shorter_lengths_are_prefixes(self):
+        for s in (F(0), 2 - PHI, SQRT2 - 1, fr(1, 3)):
+            longest = circle_language(s, 30)
+            for n in (1, 2, 7, 8, 15, 29):
+                assert circle_language(s, n) == {w[:n] for w in longest}, (str(s), n)
+
+    def test_rejects_nonpositive_length(self):
+        with pytest.raises(ValueError):
+            circle_language(F(0), 0)
+
+    def test_traced_factors_on_schedule_circles(self):
+        for s in sample_schedule(30, seed=3):
+            start = representative_start(s)
+            assert validate(start, horizon=20_000).ok, str(s)
+            word = trace_letters(start, length=20_000)
+            language = circle_language(s, 40)
+            assert factor_set(word, 40) <= language, str(s)
+            for n in range(1, 17):
+                assert factor_set(word, n) == {w[:n] for w in language}, (str(s), n)
 
 
 @pytest.fixture(scope="module")
 def small_census():
     samples = [F(0), 2 - PHI, SQRT2 - 1, fr(1, 3)]
-    return census(samples, n_max=25, prefix=5200)
+    return census(samples, n_max=25)
 
 
 class TestCensus:
     def test_classes_present(self, small_census):
         assert set(small_census.classes) == {ZERO_CLASS, "s=2-phi", GENERIC_CLASS}
         assert small_census.sample_count == 4
-        assert small_census.skipped == ()
 
     def test_k_values(self, small_census):
         assert small_census.classes[ZERO_CLASS].k == 3
@@ -169,20 +198,10 @@ class TestCensus:
         assert small_census.union_p(1) == 3
         assert small_census.union_p(2) == 7
 
-    def test_twins_with_equal_counts_but_different_factors(self, monkeypatch):
-        s = SQRT2 - 1
-        first = representative_start(s, 0)
-
-        def fake_trace(start, length):
-            return ("aab" if start == first else "abb") * (length // 3)
-
-        monkeypatch.setattr("cubewords.directional.trace_letters", fake_trace)
-        with pytest.raises(ValueError, match="equal-s starts have different factors"):
-            census([s], n_max=6, prefix=60)
-
-    def test_prefix_too_short(self):
-        with pytest.raises(ValueError):
-            census([F(0)], n_max=30, prefix=40)
+    def test_union_counts_the_union_of_languages(self, small_census):
+        samples = [F(0), 2 - PHI, SQRT2 - 1, fr(1, 3)]
+        union = set().union(*(circle_language(s, 25) for s in samples))
+        assert list(small_census.union_counts) == language_counts(union, 25)
 
 
 class TestUnionComplexity:
@@ -228,6 +247,23 @@ class TestUnionComplexity:
         table = union_complexity(samples, n_max=10, prefix=2000)
         assert table.ratio(10) == table.p(10) / 100
         assert table.difference_ratio(5) == (table.p(6) - table.p(5)) / 5
+
+    def test_benchmark_contract(self):
+        # called positionally, as the union_growth benchmark calls it
+        schedule = sample_schedule(12, seed=5)
+        table = union_complexity(schedule, 10, 1200)
+        words = []
+        for s in schedule:
+            start = representative_start(reduce_mod1(s))
+            if validate(start, horizon=1200).ok:
+                words.append(trace_letters(start, length=1200))
+        plain = tuple(
+            len(set().union(*(factor_set(w, n) for w in words))) for n in range(1, 11)
+        )
+        assert table.sample_count == len(words)
+        assert table.counts == plain
+        exact = census(schedule, 10)
+        assert all(t <= e for t, e in zip(table.counts, exact.union_counts))
 
     def test_target_constant(self):
         assert abs(float(DIRECTIONAL_CONSTANT) - 0.93634) < 1e-4
