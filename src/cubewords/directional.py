@@ -28,6 +28,7 @@ from .billiard import StartPoint, trace_letters, validate
 from .exactnum import PHI, SQRT2, FieldNumber, reduce_mod1
 from .returns import circle_partition
 from .rotation import TRANSLATION_ANGLE, code_orbit, fit_complexity_tail
+from .words import _prefix_counts, _windows
 
 DIRECTIONAL_CONSTANT = (4 + PHI) / 6
 """Target constant for p(n)/n^2 of the full directional language."""
@@ -158,43 +159,6 @@ def circle_language(s, n: int) -> frozenset[str]:
     return frozenset(language)
 
 
-class _UnionAccumulator:
-    """Distinct factor windows of many words, one fixed window size.
-
-    Full-size windows are collected as a set; the last window - 1
-    letters of each word are kept separately so shorter lengths can
-    count the windows that only occur near a word's end.
-    """
-
-    def __init__(self, window: int) -> None:
-        if window < 1:
-            raise ValueError("window must be positive")
-        self.window = window
-        self.grams: set[str] = set()
-        self.tails: set[str] = set()
-
-    def add(self, word: str) -> None:
-        w = self.window
-        if len(word) < w:
-            self.tails.add(word)
-            return
-        grams = self.grams
-        for i in range(len(word) - w + 1):
-            grams.add(word[i : i + w])
-        if w > 1:
-            self.tails.add(word[len(word) - w + 1 :])
-
-    def counts(self) -> tuple[int, ...]:
-        result = []
-        for n in range(1, self.window + 1):
-            seen = {gram[:n] for gram in self.grams}
-            for tail in self.tails:
-                for i in range(len(tail) - n + 1):
-                    seen.add(tail[i : i + n])
-            result.append(len(seen))
-        return tuple(result)
-
-
 @dataclass(frozen=True)
 class UnionComplexity:
     """Factor counts of the union of sampled languages."""
@@ -247,10 +211,6 @@ class DirectionalCensus:
         return self.union_counts[n - 1]
 
 
-def _prefix_counts(language, n_max: int) -> tuple[int, ...]:
-    return tuple(len({word[:n] for word in language}) for n in range(1, n_max + 1))
-
-
 def census(samples: Sequence, n_max: int) -> DirectionalCensus:
     """Exact languages per invariant, their laws, classes and union.
 
@@ -301,17 +261,19 @@ def union_complexity(samples: Sequence, n_max: int, prefix: int) -> UnionComplex
     the independent cross-check of census, whose exact union contains
     it at every length.
     """
+    if n_max < 1:
+        raise ValueError("n_max must be at least 1")
     if prefix < 2 * n_max:
         raise ValueError("prefix must be at least twice n_max for stable counts")
-    union = _UnionAccumulator(n_max)
+    windows: set[str] = set()
     used = 0
     for raw in samples:
         s = _coerce_invariant(raw)
         start = representative_start(s)
         if not validate(start, horizon=prefix).ok:
             continue
-        union.add(trace_letters(start, length=prefix))
+        windows |= _windows(trace_letters(start, length=prefix), n_max)
         used += 1
     return UnionComplexity(
-        n_max=n_max, prefix=prefix, sample_count=used, counts=union.counts()
+        n_max=n_max, prefix=prefix, sample_count=used, counts=_prefix_counts(windows, n_max)
     )

@@ -27,7 +27,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Optional
 
 from .billiard import StartPoint, delete_letter, trace_letters, validate
-from .directional import census, sample_schedule
+from .directional import circle_language, sample_schedule
 from .exactnum import PHI, SQRT2, FieldNumber, reduce_mod1
 from .returns import (
     OnBoundary,
@@ -44,10 +44,18 @@ from .rotation import (
     rotation_coding,
     zmodule_rank,
 )
-from .words import ComplexityProfile, FactorIndex, cassaigne_check, complexity, is_sturmian
+from .words import (
+    ComplexityProfile,
+    _prefix_counts,
+    cassaigne_check,
+    complexity,
+    extension_censuses,
+    is_sturmian,
+)
 
 REFERENCE_LENGTH = 100_000
 CODING_STEPS = 50_000
+PROFILE_N_MAX = 100
 
 _REFERENCE_STARTS = {
     "interior": StartPoint(0, Fraction(1, 2), Fraction(1, 2)),
@@ -79,12 +87,13 @@ class VerificationContext:
     """Caches the reference traces and profiles shared across criteria.
 
     The first criterion to touch a word pays for its trace of
-    REFERENCE_LENGTH letters; later ones reuse it.
+    REFERENCE_LENGTH letters and its profile up to PROFILE_N_MAX; later
+    ones reuse them.
     """
 
     def __init__(self) -> None:
         self._words: dict[str, str] = {}
-        self._profiles: dict[tuple[str, int], ComplexityProfile] = {}
+        self._profiles: dict[str, ComplexityProfile] = {}
 
     def word(self, key: str) -> str:
         cached = self._words.get(key)
@@ -93,11 +102,11 @@ class VerificationContext:
             self._words[key] = cached
         return cached
 
-    def profile(self, key: str, n_max: int = 100) -> ComplexityProfile:
-        cached = self._profiles.get((key, n_max))
+    def profile(self, key: str) -> ComplexityProfile:
+        cached = self._profiles.get(key)
         if cached is None:
-            cached = complexity(self.word(key), n_max)
-            self._profiles[(key, n_max)] = cached
+            cached = complexity(self.word(key), PROFILE_N_MAX)
+            self._profiles[key] = cached
         return cached
 
 
@@ -154,12 +163,12 @@ def criterion_2(ctx: VerificationContext) -> CriterionResult:
         mismatch = _affine_mismatch(profile, 8, 100, 2, 8)
         if mismatch:
             return False, mismatch
-        index = FactorIndex(word)
-        letters = index.right_special(1)
+        censuses = extension_censuses(word, 12)
+        letters = sorted(piece for piece, e in censuses[0].items() if len(e.right) >= 2)
         if letters != ["a", "b", "c"]:
             return False, f"right-special letters {letters}, expected [a, b, c]"
         for probe in ("abcabacbabc", "cbabcab", "acbabcabcbab"):
-            census = index.extensions(len(probe)).get(probe)
+            census = censuses[len(probe) - 1].get(probe)
             if census is None:
                 return False, f"probe {probe} does not occur"
             if len(census.right) < 2:
@@ -388,14 +397,19 @@ def criterion_10(ctx: VerificationContext) -> CriterionResult:
 
     def body() -> tuple[bool, str]:
         schedule = sample_schedule(800, seed=7)
-        base = census(schedule[:400], n_max=40)
-        doubled = census(schedule, n_max=40)
-        if base.union_p(2) != 7:
-            return False, f"union p(2)={base.union_p(2)}, expected 7"
+        union: set[str] = set()
+        for s in schedule[:400]:
+            union |= circle_language(s, 40)
+        base = _prefix_counts(union, 40)
+        for s in schedule[400:]:
+            union |= circle_language(s, 40)
+        doubled = _prefix_counts(union, 40)
+        if base[1] != 7:
+            return False, f"union p(2)={base[1]}, expected 7"
         for n in range(1, 41):
-            if doubled.union_p(n) < base.union_p(n):
+            if doubled[n - 1] < base[n - 1]:
                 return False, f"union count shrank at n={n} when samples doubled"
-        low, high = base.union_p(40) / 40**2, doubled.union_p(40) / 40**2
+        low, high = base[39] / 40**2, doubled[39] / 40**2
         if not 0.75 <= low <= 1.0:
             return False, f"p(40)/40^2 = {low:.4f} at 400 samples, outside [0.75, 1.0]"
         if not 0.75 <= high <= 1.0:
@@ -405,8 +419,8 @@ def criterion_10(ctx: VerificationContext) -> CriterionResult:
         # equality only ever happens by saturation: measured schedules of
         # every composition reach the complete 40-gram set near 400
         # samples, after which doubling has nothing left to add
-        if doubled.union_p(40) == base.union_p(40):
-            trend = f"saturated at {base.union_p(40)} 40-grams, ratio {low:.4f}"
+        if doubled[39] == base[39]:
+            trend = f"saturated at {base[39]} 40-grams, ratio {low:.4f}"
         else:
             trend = f"p(40)/40^2: {low:.4f} -> {high:.4f}"
         return True, f"union p(2)=7, monotone in samples, {trend}"

@@ -9,20 +9,21 @@ can be made fatal through require_stable.
 
 Factor counting runs on a suffix automaton, so profiles of words with
 10**5 letters or more stay cheap.  Extension censuses (left, right and
-two-sided special factors) use direct per-length scans instead; they
-are independent of the automaton, which keeps the two machineries able
-to cross-check each other.  Census scans skip occurrences too close to
-the end of the window for their context to be trustworthy: a right
-extension at length n is only believed when a further n + 2 letters
-follow it, which removes the bias a truncated final occurrence would
-otherwise inject into special-factor counts.
+two-sided special factors) are read instead from one pass over the
+distinct windows of the word, cut short at its end, for every length
+at once; they are independent of the automaton, which keeps the two
+machineries able to cross-check each other.  At length n, a window
+shorter than 2n + 3 letters carries no right letter: a right extension
+is only believed when a further n + 2 letters follow it, which removes
+the bias a truncated final occurrence would otherwise inject into
+special-factor counts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Collection, Iterable, Optional
 
 
 class UnstableLength(Exception):
@@ -121,58 +122,49 @@ class ExtensionCensus:
         return len(self.pairs) - len(self.right) - len(self.left) + 1
 
 
-class FactorIndex:
-    """Per-length extension censuses of a finite word."""
+def _windows(word: str, width: int) -> set[str]:
+    """Distinct windows of the word, cut short at its end."""
+    return {word[i : i + width] for i in range(len(word))}
 
-    def __init__(self, word: str) -> None:
-        self._word = word
-        self._cache: dict[int, dict[str, ExtensionCensus]] = {}
 
-    def extensions(self, n: int) -> dict[str, ExtensionCensus]:
-        cached = self._cache.get(n)
-        if cached is not None:
-            return cached
-        word = self._word
-        total = len(word)
-        if not 1 <= n <= total:
-            raise ValueError(f"factor length {n} out of range for window of {total}")
-        # Right context is only trusted when n + 2 further letters exist.
-        right_limit = total - (n + 2)
-        raw: dict[str, tuple[set, set, set]] = {}
-        for i in range(total - n + 1):
-            piece = word[i : i + n]
-            entry = raw.get(piece)
-            if entry is None:
-                entry = raw[piece] = (set(), set(), set())
-            if i >= 1:
-                entry[0].add(word[i - 1])
-            if i + n <= right_limit:
-                entry[1].add(word[i + n])
-                if i >= 1:
-                    entry[2].add((word[i - 1], word[i + n]))
-        census = {
-            piece: ExtensionCensus(frozenset(l), frozenset(r), frozenset(p))
-            for piece, (l, r, p) in raw.items()
-        }
-        self._cache[n] = census
-        return census
+def _prefix_counts(texts: Collection[str], n_max: int) -> tuple[int, ...]:
+    """Distinct length-n prefixes among texts of at least n letters, n = 1..n_max.
 
-    def left_special(self, n: int) -> list[str]:
-        return sorted(
-            piece for piece, e in self.extensions(n).items() if len(e.left) >= 2
-        )
+    Applied to the cut-short windows of a word, these are its factor
+    counts: every length-n factor starts some window of n letters or more.
+    """
+    return tuple(
+        len({text[:n] for text in texts if len(text) >= n}) for n in range(1, n_max + 1)
+    )
 
-    def right_special(self, n: int) -> list[str]:
-        return sorted(
-            piece for piece, e in self.extensions(n).items() if len(e.right) >= 2
-        )
 
-    def bispecial(self, n: int) -> list[str]:
-        return sorted(
-            piece
-            for piece, e in self.extensions(n).items()
-            if len(e.left) >= 2 and len(e.right) >= 2
-        )
+def extension_censuses(word: str, n_max: int) -> tuple[dict[str, ExtensionCensus], ...]:
+    """Extension censuses of the word at every length 1..n_max; entry n - 1 is length n.
+
+    One set of distinct windows of 2 * n_max + 3 letters carries them
+    all.  A window t starting at j stands for the occurrence at j + 1:
+    its left letter is t[0], its length-n factor t[1 : n + 1], and its
+    right letter t[n + 1] counts only when t has 2n + 3 letters or more.
+    Each length reads the distinct contexts t[: n + 2], or t[: n + 1]
+    without a trusted right letter.  Position 0 has no left letter and
+    is read directly.
+    """
+    total = len(word)
+    if not 1 <= n_max <= total:
+        raise ValueError(f"factor length {n_max} out of range for window of {total}")
+    windows = _windows(word, 2 * n_max + 3)
+    censuses = []
+    for n in range(1, n_max + 1):
+        found = {word[:n]: (set(), {word[n]} if total >= 2 * n + 2 else set(), set())}
+        contexts = {t[: n + 2 if len(t) >= 2 * n + 3 else n + 1] for t in windows if len(t) > n}
+        for context in contexts:
+            left, right, pairs = found.setdefault(context[1 : n + 1], (set(), set(), set()))
+            left.add(context[0])
+            if len(context) == n + 2:
+                right.add(context[-1])
+                pairs.add((context[0], context[-1]))
+        censuses.append({v: ExtensionCensus(*map(frozenset, sets)) for v, sets in found.items()})
+    return tuple(censuses)
 
 
 @dataclass(frozen=True)
@@ -238,8 +230,10 @@ def complexity(word: str, n_max: int) -> ComplexityProfile:
 
 def special_factors(word: str, n: int) -> tuple[list[str], list[str], list[str]]:
     """(left-special, right-special, bispecial) factors of one length."""
-    index = FactorIndex(word)
-    return index.left_special(n), index.right_special(n), index.bispecial(n)
+    census = extension_censuses(word, n)[n - 1]
+    left = sorted(piece for piece, e in census.items() if len(e.left) >= 2)
+    right = sorted(piece for piece, e in census.items() if len(e.right) >= 2)
+    return left, right, sorted(set(left).intersection(right))
 
 
 def cassaigne_check(word: str, n_max: int) -> list[tuple[int, int, int]]:
@@ -249,18 +243,18 @@ def cassaigne_check(word: str, n_max: int) -> list[tuple[int, int, int]]:
     of bilateral multiplicities over bispecial factors of length n.
     Returns the list of (n, increment, census_sum) mismatches, empty
     when the window passes; lengths whose counts are unstable are not
-    checked, since the identity only holds for honest windows.
+    checked, since the identity only holds for honest windows.  One
+    window pass builds the censuses up to the largest length checked.
     """
     profile = complexity(word, n_max)
-    index = FactorIndex(word)
+    checked = [n for n in range(1, n_max - 1) if all(map(profile.stable, (n, n + 1, n + 2)))]
+    censuses = extension_censuses(word, checked[-1]) if checked else ()
     failures = []
-    for n in range(1, n_max - 1):
-        if not (profile.stable(n) and profile.stable(n + 1) and profile.stable(n + 2)):
-            continue
+    for n in checked:
         increment = profile.s(n + 1) - profile.s(n)
         census = sum(
             e.bilateral_multiplicity
-            for e in index.extensions(n).values()
+            for e in censuses[n - 1].values()
             if len(e.left) >= 2 and len(e.right) >= 2
         )
         if increment != census:

@@ -2,9 +2,11 @@
 
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
+from cubewords import directional
 from cubewords.billiard import StartPoint, trace_letters, validate
 from cubewords.directional import (
     DIRECTIONAL_CONSTANT,
@@ -264,6 +266,34 @@ class TestUnionComplexity:
         assert table.counts == plain
         exact = census(schedule, 10)
         assert all(t <= e for t, e in zip(table.counts, exact.union_counts))
+
+    def test_counts_random_word_lists(self, monkeypatch):
+        # the counting route alone: every start is valid and each trace is
+        # the next of a seeded list holding empty, short and repeated words
+        rng = random.Random(8111)
+        valid = SimpleNamespace(ok=True)
+        monkeypatch.setattr(directional, "validate", lambda start, horizon: valid)
+        for _ in range(60):
+            n_max = rng.randint(1, 9)
+            words = [
+                "".join(rng.choice("abc") for _ in range(rng.randint(0, 3 * n_max)))
+                for _ in range(rng.randint(0, 6))
+            ]
+            words += rng.sample(words, min(len(words), 2)) + [""]
+            traces = iter(words)
+            monkeypatch.setattr(directional, "trace_letters", lambda start, length: next(traces))
+            samples = [fr(k, 101) for k in range(1, len(words) + 1)]
+            table = union_complexity(samples, n_max, 2 * n_max)
+            plain = tuple(
+                len(set().union(*(factor_set(w, n) for w in words)))
+                for n in range(1, n_max + 1)
+            )
+            assert table.counts == plain, (words, n_max)
+            assert table.sample_count == len(words)
+
+    def test_rejects_nonpositive_length(self):
+        with pytest.raises(ValueError):
+            union_complexity([F(0)], 0, 10)
 
     def test_target_constant(self):
         assert abs(float(DIRECTIONAL_CONSTANT) - 0.93634) < 1e-4

@@ -10,11 +10,12 @@ from cubewords.billiard import StartPoint, raw_crossings, trace_letters
 from cubewords.exactnum import PHI, SQRT2
 from cubewords.words import (
     ComplexityProfile,
-    FactorIndex,
+    ExtensionCensus,
     SuffixAutomaton,
     UnstableLength,
     cassaigne_check,
     complexity,
+    extension_censuses,
     fit_affine,
     is_sturmian,
     special_factors,
@@ -23,6 +24,32 @@ from cubewords.words import (
 
 def naive_counts(word, n_max):
     return [len({word[i : i + n] for i in range(len(word) - n + 1)}) for n in range(1, n_max + 1)]
+
+
+def scanned_extensions(word, n):
+    """Census at one length by a scan over every position of the word.
+
+    A right extension is trusted only when n + 2 further letters follow
+    it; position 0 has no left letter.
+    """
+    total = len(word)
+    raw = {}
+    for i in range(total - n + 1):
+        left, right, pairs = raw.setdefault(word[i : i + n], (set(), set(), set()))
+        if i >= 1:
+            left.add(word[i - 1])
+        if i + n <= total - (n + 2):
+            right.add(word[i + n])
+            if i >= 1:
+                pairs.add((word[i - 1], word[i + n]))
+    return {
+        piece: ExtensionCensus(frozenset(l), frozenset(r), frozenset(p))
+        for piece, (l, r, p) in raw.items()
+    }
+
+
+def right_special(census):
+    return sorted(piece for piece, e in census.items() if len(e.right) >= 2)
 
 
 def fibonacci_word(length):
@@ -89,28 +116,63 @@ def test_quartic_word_refutes_4n_minus_1():
 
 def test_known_right_special_factors():
     word = trace_letters(StartPoint(0, 0, 2 - PHI), length=30000)
-    index = FactorIndex(word)
-    assert "abcabacbabc" in index.right_special(11)
-    assert "cbabcab" in index.right_special(7)
-    assert "acbabcabcbab" in index.right_special(12)
-    assert index.right_special(1) == ["a", "b", "c"]
+    censuses = extension_censuses(word, 12)
+    assert "abcabacbabc" in right_special(censuses[10])
+    assert "cbabcab" in right_special(censuses[6])
+    assert "acbabcabcbab" in right_special(censuses[11])
+    assert right_special(censuses[0]) == ["a", "b", "c"]
 
 
 def test_hand_censused_extensions():
-    index = FactorIndex("aabab")
-    census = index.extensions(1)
+    (census,) = extension_censuses("aabab", 1)
     assert census["a"].left == frozenset("ab")
     assert census["a"].right == frozenset("ab")
     assert census["b"].left == frozenset("a")
     assert census["b"].right == frozenset()
-    assert index.left_special(1) == ["a"]
-    assert index.right_special(1) == ["a"]
-    assert index.bispecial(1) == ["a"]
+    assert sorted(piece for piece, e in census.items() if len(e.left) >= 2) == ["a"]
+    assert right_special(census) == ["a"]
+    bispecial = [p for p, e in census.items() if len(e.left) >= 2 and len(e.right) >= 2]
+    assert bispecial == ["a"]
 
 
 def test_special_factors_wrapper():
     left, right, bispecial = special_factors("aabab", 1)
     assert (left, right, bispecial) == (["a"], ["a"], ["a"])
+
+
+def test_censuses_match_the_scan_on_random_words():
+    rng = random.Random(7207)
+    for _ in range(300):
+        length = rng.randint(1, 90)
+        alphabet = "abc"[: rng.randint(1, 3)]
+        word = "".join(rng.choice(alphabet) for _ in range(length))
+        # n_max = len(word), windows longer than the word, and the rest
+        for n_max in {length, rng.randint(1, length), min(length, 4)}:
+            censuses = extension_censuses(word, n_max)
+            assert len(censuses) == n_max
+            for n in range(1, n_max + 1):
+                assert censuses[n - 1] == scanned_extensions(word, n), (word, n)
+
+
+def test_censuses_match_the_scan_on_reference_words():
+    for start in [
+        StartPoint(0, Fraction(1, 2), Fraction(1, 2)),
+        StartPoint(0, 0, 2 - PHI),
+        StartPoint(0, 0, SQRT2 - 1),
+    ]:
+        word = trace_letters(start, length=8000)
+        censuses = extension_censuses(word, 52)
+        for n in range(1, 53):
+            assert censuses[n - 1] == scanned_extensions(word, n), n
+
+
+def test_census_length_out_of_range():
+    with pytest.raises(ValueError):
+        extension_censuses("abcab", 0)
+    with pytest.raises(ValueError):
+        extension_censuses("abcab", 6)
+    with pytest.raises(ValueError):
+        extension_censuses("", 1)
 
 
 def test_cassaigne_on_traced_words():
