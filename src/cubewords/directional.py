@@ -25,8 +25,16 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .billiard import StartPoint, trace_letters, validate
-from .exactnum import PHI, SQRT2, FieldNumber, reduce_mod1
-from .returns import circle_partition
+from .exactnum import (
+    PHI,
+    SQRT2,
+    FieldNumber,
+    _int_sign,
+    _sorted_merged,
+    common_denominator,
+    reduce_mod1,
+)
+from .returns import CirclePartition, circle_partition
 from .rotation import TRANSLATION_ANGLE, code_orbit, fit_complexity_tail
 from .words import _prefix_counts, _windows
 
@@ -129,31 +137,61 @@ def circle_language(s, n: int) -> frozenset[str]:
     With m = n // 2 + 3 and alpha = TRANSLATION_ANGLE, the points
     c - j*alpha mod 1 (c the wrap point 0 or a cut, 0 <= j < m) cut the
     circle into arcs on which the first m orbit labels are constant.
-    Each arc's midpoint is coded for m steps, its blocks are joined,
-    and the length-n windows starting in the first block are kept.
-    A midpoint's orbit meets no cut and no wrap point, so code_orbit
-    never raises.  Alpha is irrational, so every valid trajectory on
-    the circle visits every arc: each kept window is its factor.  Each
-    block has at least 2 letters, so the m blocks hold n + 5 or more
-    and cover every window starting in the first: each factor is
-    kept.  The limit convention moves a start by epsilon*(0, +1, -1),
-    which keeps s = y + z fixed, so corner starts read theirs here too.
+    Each arc's m blocks are joined, and the length-n windows starting
+    in the first block are kept.  Alpha is irrational, so every valid
+    trajectory on the circle visits every arc: each kept window is its
+    factor.  Each block has at least 2 letters, so the m blocks hold
+    n + 5 or more and cover every window starting in the first: each
+    factor is kept.  The limit convention moves a start by
+    epsilon*(0, +1, -1), which keeps s = y + z fixed, so corner starts
+    read theirs here too.
+
+    One sweep around the circle reads every arc's coding.  Step j of
+    the orbit of y sits at y + j*alpha mod 1, which meets cut c_k
+    exactly when y = c_k - j*alpha and the wrap point when
+    y = -j*alpha, so between two consecutive points no step's label
+    changes.  Crossing c_k - j*alpha upward moves step j into interval
+    k + 1; crossing -j*alpha wraps step j to interval 0.  Two crossings
+    of one step never coincide, since the cuts and 0 are distinct.  So
+    the first arc, which starts at 0, is coded once with code_orbit at
+    its midpoint, which meets no cut and no wrap point, and each arc's
+    coding is the one before it with the steps tagged at its left end
+    moved (at 0 those moves agree with code_orbit's labels).  The
+    points are integer 4-vectors over one denominator, stepped by
+    -alpha with one exact wrap test each; exactnum._sorted_merged
+    certifies their order and merges coinciding ones (saddle
+    connections), whose steps all move at once.  No float decides
+    anything.
     """
+    return _partition_language(circle_partition(_coerce_invariant(s)), n)
+
+
+def _partition_language(partition: CirclePartition, n: int) -> frozenset[str]:
+    """circle_language of the circle whose partition is given."""
     if n < 1:
         raise ValueError("factor length must be positive")
-    s = _coerce_invariant(s)
-    partition = circle_partition(s)
     steps = n // 2 + 3
-    seeds = (FieldNumber(0),) + partition.cuts
-    points = sorted(
-        {reduce_mod1(c - j * TRANSLATION_ANGLE) for c in seeds for j in range(steps)}
-    )
+    denom = common_denominator((TRANSLATION_ANGLE,) + partition.cuts)
+    d0, d1, d2, d3 = TRANSLATION_ANGLE.scaled_coeffs(denom)
+    seeds = [(0, 0, 0, 0)] + [cut.scaled_coeffs(denom) for cut in partition.cuts]
+    points = []
+    # a point of seed index `new` at step j moves step j into interval new
+    for new, (a0, a1, a2, a3) in enumerate(seeds):
+        for j in range(steps):
+            points.append(((a0, a1, a2, a3), (j, new)))
+            a0, a1, a2, a3 = a0 - d0, a1 - d1, a2 - d2, a3 - d3
+            if _int_sign((a0, a1, a2, a3)) < 0:
+                a0 += denom
+    arcs = _sorted_merged(points)
+    # arcs[0] is the wrap point 0; the first arc ends at arcs[1]
+    middle = FieldNumber(*(Fraction(a, 2 * denom) for a in arcs[1][0]))
+    orbit = code_orbit(middle, partition, TRANSLATION_ANGLE, steps)
+    blocks = [label.word for label in orbit]
+    words = [label.word for label in partition.labels]
     language = set()
-    for lo, hi in zip(points, points[1:] + [FieldNumber(1)]):
-        blocks = [
-            label.word
-            for label in code_orbit((lo + hi) / 2, partition, TRANSLATION_ANGLE, steps)
-        ]
+    for _, tags in arcs:
+        for j, new in tags:
+            blocks[j] = words[new]
         word = "".join(blocks)
         language.update(word[i : i + n] for i in range(len(blocks[0])))
     return frozenset(language)
@@ -225,10 +263,11 @@ def census(samples: Sequence, n_max: int) -> DirectionalCensus:
     buckets: dict[str, list] = {}
     for raw in samples:
         s = _coerce_invariant(raw)
-        language = circle_language(s, n_max)
+        partition = circle_partition(s)
+        language = _partition_language(partition, n_max)
         languages |= language
         law = fit_complexity_tail(_prefix_counts(language, n_max))
-        buckets.setdefault(classify_s(s), []).append((s, circle_partition(s).k, law))
+        buckets.setdefault(classify_s(s), []).append((s, partition.k, law))
     classes = {}
     for label, members in buckets.items():
         k = members[0][1]

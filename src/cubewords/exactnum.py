@@ -16,8 +16,8 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from functools import total_ordering
-from typing import Iterable, Union
+from functools import cmp_to_key, total_ordering
+from typing import Iterable, Optional, Union
 
 RationalLike = Union[int, Fraction]
 
@@ -63,6 +63,47 @@ def _int_sign(scaled: tuple[int, int, int, int], precision: int = 64) -> int:
         if estimate < -error:
             return -1
         precision *= 2
+
+
+def _sorted_merged(points: Iterable[tuple[tuple[int, int, int, int], object]]) -> list:
+    """Distinct values of (vector, tag) points in increasing order, with their tags.
+
+    Each vector (a0, a1, a2, a3) stands for a0 + a1*phi + a2*sqrt2 +
+    a3*phi*sqrt2 over one denominator shared by all points.  The points
+    are sorted by their 64-bit dyadic estimate, the first round of
+    _int_sign, and the order is then certified pair by pair with
+    _int_sign: a sign of 0 merges two points into one entry, and a
+    negative sign (estimates closer than their error bounds, in the
+    wrong order) re-sorts with the exact comparator.  Equal values have
+    equal vectors, since the basis is linearly independent over Q.
+    Returns a list of (vector, tags) pairs.
+    """
+    e0, e1, e2, e3 = basis_approx(64)
+    points = sorted(
+        points, key=lambda p: p[0][0] * e0 + p[0][1] * e1 + p[0][2] * e2 + p[0][3] * e3
+    )
+
+    def relation(p: tuple, q: tuple) -> int:
+        (u0, u1, u2, u3), (v0, v1, v2, v3) = p[0], q[0]
+        return _int_sign((u0 - v0, u1 - v1, u2 - v2, u3 - v3))
+
+    def merged_runs() -> Optional[list]:
+        merged: list = []
+        for point in points:
+            order = relation(point, merged[-1]) if merged else 1
+            if order < 0:
+                return None
+            if order == 0:
+                merged[-1][1].append(point[1])
+            else:
+                merged.append((point[0], [point[1]]))
+        return merged
+
+    merged = merged_runs()
+    if merged is None:
+        points.sort(key=cmp_to_key(relation))
+        merged = merged_runs()
+    return merged
 
 
 def _gmul(a: int, b: int, c: int, d: int) -> tuple[int, int]:

@@ -20,6 +20,8 @@ from cubewords.directional import (
     union_complexity,
 )
 from cubewords.exactnum import PHI, SQRT2, FieldNumber, reduce_mod1
+from cubewords.returns import circle_partition
+from cubewords.rotation import TRANSLATION_ANGLE, code_orbit
 from cubewords.words import complexity
 
 F = FieldNumber
@@ -35,6 +37,38 @@ def factor_set(word, n):
 
 def language_counts(language, n_max):
     return [len({w[:n] for w in language}) for n in range(1, n_max + 1)]
+
+
+def arc_midpoint_language(s, n):
+    """circle_language with one code_orbit per arc, the route the sweep replaced.
+
+    The distinct points c - j*alpha mod 1 are sorted as FieldNumbers, the
+    midpoint of each arc between neighbours is coded for n // 2 + 3
+    steps, and the length-n windows starting in its first block are kept.
+    """
+    partition = circle_partition(reduce_mod1(s))
+    steps = n // 2 + 3
+    seeds = (F(0),) + partition.cuts
+    points = sorted(
+        {reduce_mod1(c - j * TRANSLATION_ANGLE) for c in seeds for j in range(steps)}
+    )
+    language = set()
+    for lo, hi in zip(points, points[1:] + [F(1)]):
+        blocks = [
+            label.word
+            for label in code_orbit((lo + hi) / 2, partition, TRANSLATION_ANGLE, steps)
+        ]
+        word = "".join(blocks)
+        language.update(word[i : i + n] for i in range(len(blocks[0])))
+    return frozenset(language)
+
+
+def seeded_quartics(count, seed):
+    rng = random.Random(seed)
+    return [
+        reduce_mod1(fr(rng.randrange(0, 97), 97) + fr(rng.randrange(1, 89), 89) * SQRT2)
+        for _ in range(count)
+    ]
 
 
 class TestClassify:
@@ -148,6 +182,28 @@ class TestCircleLanguage:
         with pytest.raises(ValueError):
             circle_language(F(0), 0)
 
+    def test_sweep_matches_arc_midpoints(self, monkeypatch):
+        merges = []
+        sort_and_merge = directional._sorted_merged
+
+        def counting(points):
+            merged = sort_and_merge(points)
+            merges.append(sum(len(tags) > 1 for _, tags in merged))
+            return merged
+
+        monkeypatch.setattr(directional, "_sorted_merged", counting)
+        golden = (2 * PHI - 3, 2 - PHI, PHI - 1, 4 - 2 * PHI)
+        rationals = (fr(1, 2), fr(1, 3), fr(2, 7), fr(5, 64), fr(19, 36))
+        for s in (F(0),) + golden + rationals + tuple(seeded_quartics(6, 71)):
+            for n in (1, 2, 3, 7, 20, 40):
+                assert circle_language(s, n) == arc_midpoint_language(s, n), (str(s), n)
+        # coinciding points (saddle connections) took the merge path
+        assert min(merges) > 0
+
+    def test_sweep_matches_arc_midpoints_at_100(self):
+        for s in (F(0), 2 - PHI, fr(3, 7)) + tuple(seeded_quartics(2, 83)):
+            assert circle_language(s, 100) == arc_midpoint_language(s, 100), str(s)
+
     def test_traced_factors_on_schedule_circles(self):
         for s in sample_schedule(30, seed=3):
             start = representative_start(s)
@@ -199,6 +255,13 @@ class TestCensus:
     def test_union_table(self, small_census):
         assert small_census.union_p(1) == 3
         assert small_census.union_p(2) == 7
+
+    def test_one_partition_per_sample(self, monkeypatch):
+        calls = []
+        build = directional.circle_partition
+        monkeypatch.setattr(directional, "circle_partition", lambda s: calls.append(s) or build(s))
+        census([F(0), 2 - PHI, SQRT2 - 1], n_max=8)
+        assert len(calls) == 3
 
     def test_union_counts_the_union_of_languages(self, small_census):
         samples = [F(0), 2 - PHI, SQRT2 - 1, fr(1, 3)]

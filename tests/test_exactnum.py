@@ -3,14 +3,17 @@
 import math
 import random
 from fractions import Fraction
+from functools import cmp_to_key
 
 import pytest
 
+from cubewords import exactnum
 from cubewords.exactnum import (
     PHI,
     PHI_SQRT2,
     SQRT2,
     FieldNumber,
+    _sorted_merged,
     basis_approx,
     common_denominator,
     parse_field_number,
@@ -302,3 +305,68 @@ def test_hash_consistency():
 def test_immutability():
     with pytest.raises(AttributeError):
         PHI._num = (5, 0, 0, 0)
+
+
+def field_sorted_merged(points):
+    """_sorted_merged by FieldNumber sorting: (value, sorted tags) per value."""
+    groups = {}
+    for vector, tag in points:
+        groups.setdefault(FieldNumber(*vector), []).append(tag)
+    return [(value, sorted(tags)) for value, tags in sorted(groups.items())]
+
+
+def as_values(merged):
+    return [(FieldNumber(*vector), sorted(tags)) for vector, tags in merged]
+
+
+# F(48) - F(47)*phi: about -1.7e-10 below zero, yet its 64-bit dyadic
+# estimate reads +50920843, since 2971215073 times phi's rounding error
+# outweighs the value itself; the negation is misestimated the other way.
+NEAR_ZERO = (4807526976, -2971215073, 0, 0)
+
+
+def test_sorted_merged_matches_field_order_random():
+    rng = random.Random(4471)
+    for _ in range(60):
+        size = rng.randint(1, 12)
+        pool = [tuple(rng.randint(-40, 40) for _ in range(4)) for _ in range(size)]
+        points = [(rng.choice(pool), tag) for tag in range(rng.randint(1, 30))]
+        assert as_values(_sorted_merged(points)) == field_sorted_merged(points)
+
+
+def test_sorted_merged_exact_duplicates():
+    points = [((3, 1, 0, 0), "a"), ((0, 0, 1, 0), "b"), ((3, 1, 0, 0), "c"), ((0, 0, 1, 0), "d")]
+    assert _sorted_merged(points) == [((0, 0, 1, 0), ["b", "d"]), ((3, 1, 0, 0), ["a", "c"])]
+
+
+def test_sorted_merged_near_ties_fall_back(monkeypatch):
+    e0, e1, e2, e3 = basis_approx(64)
+    below = NEAR_ZERO
+    above = tuple(-a for a in NEAR_ZERO)
+    assert FieldNumber(*below) < 0 < FieldNumber(*above)
+    # the estimates order the three points exactly backwards
+    assert below[0] * e0 + below[1] * e1 > 0 > above[0] * e0 + above[1] * e1
+    calls = []
+
+    def counting(compare):
+        calls.append(compare)
+        return cmp_to_key(compare)
+
+    monkeypatch.setattr(exactnum, "cmp_to_key", counting)
+    points = [
+        ((0, 0, 0, 0), "zero"),
+        (above, "above"),
+        (below, "below"),
+        ((1, 0, 0, 0), "one"),
+        (below, "below again"),
+        ((-1, 0, 0, 0), "minus one"),
+    ]
+    merged = _sorted_merged(points)
+    assert len(calls) == 1
+    assert merged == [
+        ((-1, 0, 0, 0), ["minus one"]),
+        (below, ["below", "below again"]),
+        ((0, 0, 0, 0), ["zero"]),
+        (above, ["above"]),
+        ((1, 0, 0, 0), ["one"]),
+    ]
