@@ -225,18 +225,15 @@ class _ProgressiveEngine:
     genuine ties are detected and everything else is decided correctly.
     """
 
-    def __init__(
-        self,
-        specs: Sequence[_AxisSpec],
-        max_letters: int,
-        precision: int = 160,
-    ) -> None:
+    PRECISION = 160  # bits of the dyadic values S_i
+
+    def __init__(self, specs: Sequence[_AxisSpec], max_letters: int) -> None:
         numbers = []
         for spec in specs:
             numbers.append(spec.inverse_speed)
             numbers.append(spec.offset * spec.inverse_speed)
         denominator = common_denominator(numbers)
-        basis = basis_approx(precision)
+        basis = basis_approx(self.PRECISION)
         self._specs = list(specs)
         self._steps: list[tuple[int, int, int, int]] = []
         self._offsets: list[tuple[int, int, int, int]] = []
@@ -369,20 +366,14 @@ def trace(
     direction: Direction = GOLDEN_DIRECTION,
     length: int = 100,
     with_times: bool = True,
-    require_valid: bool = False,
 ) -> BilliardWord:
     """The first ``length`` letters of the billiard word from ``start``.
 
     Wall starts follow the limit convention described in the module
     docstring, so every start of the closed cube has a well-defined
-    word.  With ``require_valid`` the start is first checked to be
-    non-degenerate and free of simultaneous crossings over the whole
-    requested length.
+    word; callers that need a start free of degeneracy and simultaneous
+    crossings check it first with validate.
     """
-    if require_valid:
-        report = validate(start, direction, horizon=length)
-        if not report.ok:
-            raise ValueError(f"start fails validation: {report.reason}")
     word, times, tie_count = _emit(_cube_axes(start, direction), length, with_times)
     return BilliardWord(
         word=word, times=times, start=start, direction=direction, tie_count=tie_count

@@ -29,7 +29,7 @@ from typing import Optional, Sequence
 
 from .billiard import Direction, StartPoint, trace, trace_letters
 from .directional import census, sample_schedule
-from .exactnum import FieldNumber, parse_field_number, reduce_mod1
+from .exactnum import FieldNumber, reduce_mod1
 from .returns import (
     HitsCut,
     InsufficientOccurrences,
@@ -150,7 +150,7 @@ def _parse_start(config: RunConfig) -> StartPoint:
     coords = []
     for label, text in zip("xyz", config.start):
         try:
-            coords.append(parse_field_number(text))
+            coords.append(FieldNumber.parse(text))
         except ValueError as exc:
             raise InputError(f"coordinate {label}: {exc}") from exc
     try:

@@ -211,17 +211,6 @@ class UnionComplexity:
             raise ValueError(f"length {n} outside table range 1..{self.n_max}")
         return self.counts[n - 1]
 
-    def s(self, n: int) -> int:
-        return self.p(n + 1) - self.p(n)
-
-    def ratio(self, n: int) -> float:
-        """p(n)/n^2, to be read against DIRECTIONAL_CONSTANT."""
-        return self.p(n) / (n * n)
-
-    def difference_ratio(self, n: int) -> float:
-        """s(n)/n, to be read against twice DIRECTIONAL_CONSTANT."""
-        return self.s(n) / n
-
 
 @dataclass(frozen=True)
 class ClassSummary:

@@ -49,11 +49,12 @@ def basis_approx(precision: int) -> tuple[int, int, int, int]:
     return approx
 
 
-def _int_sign(scaled: tuple[int, int, int, int], precision: int = 64) -> int:
+def _int_sign(scaled: tuple[int, int, int, int]) -> int:
     """Sign of a0 + a1*phi + a2*sqrt2 + a3*phi*sqrt2 for integer ai."""
     a0, a1, a2, a3 = scaled
     if a0 == 0 and a1 == 0 and a2 == 0 and a3 == 0:
         return 0
+    precision = 64
     while True:
         e0, e1, e2, e3 = basis_approx(precision)
         estimate = a0 * e0 + a1 * e1 + a2 * e2 + a3 * e3
@@ -145,7 +146,13 @@ class FieldNumber:
     ) -> None:
         coords = (c0, c1, c2, c3)
         # Over the lcm of lowest-terms denominators the form is reduced.
-        den = math.lcm(*(c.denominator for c in coords))
+        try:
+            den = math.lcm(*(c.denominator for c in coords))
+        except AttributeError:
+            bad = next(c for c in coords if not hasattr(c, "denominator"))
+            raise TypeError(
+                f"FieldNumber coordinates must be int or Fraction, not {type(bad).__name__}"
+            ) from None
         num = tuple(c.numerator * (den // c.denominator) for c in coords)
         object.__setattr__(self, "_num", num)
         object.__setattr__(self, "_den", den)
@@ -338,7 +345,10 @@ class FieldNumber:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return (self - o).sign() < 0
+        # a/d < b/e with d, e > 0 iff a*e - b*d < 0
+        (a0, a1, a2, a3), d = self._num, self._den
+        (b0, b1, b2, b3), e = o._num, o._den
+        return _int_sign((a0 * e - b0 * d, a1 * e - b1 * d, a2 * e - b2 * d, a3 * e - b3 * d)) < 0
 
     def __hash__(self) -> int:
         # A rational value equals its Fraction, so it must hash like it.
@@ -371,9 +381,6 @@ class FieldNumber:
         return guess
 
     __floor__ = floor
-
-    def mod1(self) -> FieldNumber:
-        return self - self.floor()
 
     # -- emission ----------------------------------------------------
 
@@ -427,11 +434,7 @@ def sign(value: FieldNumber) -> int:
 
 def reduce_mod1(value: FieldNumber) -> FieldNumber:
     """Exact fractional part: value - floor(value), in [0, 1)."""
-    return value.mod1()
-
-
-def parse_field_number(text: str) -> FieldNumber:
-    return FieldNumber.parse(text)
+    return value - value.floor()
 
 
 def common_denominator(values: Iterable[FieldNumber]) -> int:

@@ -32,10 +32,10 @@ import logging
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Optional
 
-from .billiard import Direction, GOLDEN_DIRECTION, StartPoint, trace_letters
-from .exactnum import PHI, FieldNumber, reduce_mod1
+from .billiard import Direction, StartPoint, trace_letters
+from .exactnum import PHI, FieldNumber, _sorted_merged, common_denominator, reduce_mod1
 
 logger = logging.getLogger(__name__)
 
@@ -50,7 +50,7 @@ class OnBoundary(ValueError):
 
 
 class InsufficientOccurrences(ValueError):
-    """Too few occurrences of the marker letter to cut out return words."""
+    """Too few occurrences of the letter a to cut out return words."""
 
 
 class HitsCut(ValueError):
@@ -104,10 +104,10 @@ _WORD_CELLS = {word: cell for cell, word in _CELL_WORDS.items()}
 
 
 class FacePartition:
-    """The seven-cell partition of the face X = 0 for r = 1/2.
+    """The curves of the seven-cell partition of the face X = 0 for r = 1/2.
 
-    Cells are open; the assignment predicate rejects points on any of
-    the four dividing curves, since trajectories from there may run
+    cell_of assigns the cells.  They are open: points on any of the four
+    dividing curves are rejected, since trajectories from there may run
     into cube edges.  Constants are hard-coded exactly and the whole
     table is cross-validated against traced return words in the tests.
     """
@@ -126,69 +126,55 @@ class FacePartition:
     def blue_z(cls, y: FieldNumber) -> FieldNumber:
         return cls.LINE_SLOPE * y + cls.BLUE_INTERCEPT
 
-    @staticmethod
-    def on_anti_diagonal(y: FieldNumber, z: FieldNumber) -> bool:
-        """Whether Y + Z = 1; informational only, never rejects."""
-        return y + z == 1
-
-    @classmethod
-    def assign(cls, y: FieldNumber, z: FieldNumber) -> CellLabel:
-        if not (FieldNumber(0) < y < 1 and FieldNumber(0) < z < 1):
-            raise ValueError(f"point ({y}, {z}) outside the open unit square")
-        horizontal = (z - cls.HORIZONTAL_Z).sign()
-        vertical = (y - cls.VERTICAL_Y).sign()
-        if vertical == 0:
-            raise OnBoundary("vertical", (y, z))
-        if horizontal == 0:
-            raise OnBoundary("horizontal", (y, z))
-        if horizontal < 0:
-            return CellLabel.A7 if vertical < 0 else CellLabel.A4
-        red = (z - cls.red_z(y)).sign()
-        if red == 0:
-            raise OnBoundary("red", (y, z))
-        if vertical < 0:
-            return CellLabel.A2 if red < 0 else CellLabel.A1
-        if red > 0:
-            return CellLabel.A6
-        blue = (z - cls.blue_z(y)).sign()
-        if blue == 0:
-            raise OnBoundary("blue", (y, z))
-        return CellLabel.A3 if blue > 0 else CellLabel.A5
-
 
 def cell_of(y: FieldNumber, z: FieldNumber) -> CellLabel:
     """Label of the open cell containing (y, z); OnBoundary on a curve."""
-    return FacePartition.assign(y, z)
+    if not (FieldNumber(0) < y < 1 and FieldNumber(0) < z < 1):
+        raise ValueError(f"point ({y}, {z}) outside the open unit square")
+    horizontal = (z - FacePartition.HORIZONTAL_Z).sign()
+    vertical = (y - FacePartition.VERTICAL_Y).sign()
+    if vertical == 0:
+        raise OnBoundary("vertical", (y, z))
+    if horizontal == 0:
+        raise OnBoundary("horizontal", (y, z))
+    if horizontal < 0:
+        return CellLabel.A7 if vertical < 0 else CellLabel.A4
+    red = (z - FacePartition.red_z(y)).sign()
+    if red == 0:
+        raise OnBoundary("red", (y, z))
+    if vertical < 0:
+        return CellLabel.A2 if red < 0 else CellLabel.A1
+    if red > 0:
+        return CellLabel.A6
+    blue = (z - FacePartition.blue_z(y)).sign()
+    if blue == 0:
+        raise OnBoundary("blue", (y, z))
+    return CellLabel.A3 if blue > 0 else CellLabel.A5
 
 
 @dataclass(frozen=True)
 class ReturnWords:
-    """Return words of a marker letter plus the trailing partial block."""
+    """Return words of the letter a plus the trailing partial block."""
 
     blocks: tuple[str, ...]
     trailing: str
-    letter: str
 
 
-def return_words(word: str, letter: str = "a") -> ReturnWords:
-    """Blocks from each marker occurrence to just before the next.
+def return_words(word: str) -> ReturnWords:
+    """Blocks from each occurrence of the letter a to just before the next.
 
     The final stretch, which is only bounded by the window and not by a
     further occurrence, is reported as trailing, not as a return word.
     """
-    positions = [i for i, ch in enumerate(word) if ch == letter]
+    positions = [i for i, ch in enumerate(word) if ch == "a"]
     if len(positions) < 2:
         raise InsufficientOccurrences(
-            f"need at least two occurrences of {letter!r}, found {len(positions)}"
+            f"need at least two occurrences of 'a', found {len(positions)}"
         )
     blocks = tuple(
         word[lo:hi] for lo, hi in zip(positions, positions[1:])
     )
-    return ReturnWords(blocks=blocks, trailing=word[positions[-1] :], letter=letter)
-
-
-def first_return_word(word: str, letter: str = "a") -> str:
-    return return_words(word, letter).blocks[0]
+    return ReturnWords(blocks=blocks, trailing=word[positions[-1] :])
 
 
 def translation_step(r: Fraction) -> FieldNumber:
@@ -216,18 +202,14 @@ def _translated_face_point(
     return reduce_mod1(m.y + k * step), reduce_mod1(m.z + k * z_step)
 
 
-def kth_return_prediction(
-    m: StartPoint, k: int, r: Fraction = Fraction(1, 2)
-) -> CellLabel:
-    """Cell predicted to emit the (k+1)-th return word of the trace of m.
+def kth_return_prediction(m: StartPoint, k: int) -> CellLabel:
+    """Cell predicted to emit the (k+1)-th return word of the trace of m, r = 1/2.
 
     Consecutive face hits translate (Y, Z) by (theta_2 / r, theta_3 / r),
     so the prediction is the cell at the k-fold translate.  The cell
-    table itself is the r = 1/2 one; for other r it still names a region
-    but the block it stands for must be read empirically (see
-    predict_return_word).
+    table is the r = 1/2 one; predict_return_word covers other r.
     """
-    return cell_of(*_translated_face_point(m, k, r))
+    return cell_of(*_translated_face_point(m, k, Fraction(1, 2)))
 
 
 def predict_return_word(m: StartPoint, k: int, r: Fraction = Fraction(1, 2)) -> str:
@@ -241,11 +223,11 @@ def predict_return_word(m: StartPoint, k: int, r: Fraction = Fraction(1, 2)) -> 
     floor(1/r) + 6 letters close the first return.
     """
     if r == Fraction(1, 2):
-        return kth_return_prediction(m, k, r).word
+        return kth_return_prediction(m, k).word
     y, z = _translated_face_point(m, k, r)
     length = int(1 / Fraction(r)) + 6
     probe = trace_letters(StartPoint(0, y, z), Direction(r), length=length)
-    return first_return_word(probe)
+    return return_words(probe).blocks[0]
 
 
 @dataclass(frozen=True)
@@ -336,24 +318,25 @@ def circle_partition(s: FieldNumber) -> CirclePartition:
         s = FieldNumber(s)
     if s < 0 or s >= 1:
         raise ValueError(f"circle invariant {s} outside [0, 1)")
-    candidates: list[tuple[str, FieldNumber]] = []
-    for curve, y in _circle_cut_candidates(s):
-        if y == 0:
-            logger.info("circle s=%s: %s cut sits on the wrap point, dropped", s, curve)
-            continue
-        candidates.append((curve, y))
-    candidates.sort(key=lambda item: item[1])
+    candidates = list(_circle_cut_candidates(s))
+    denom = common_denominator(y for _, y in candidates)
+    points = ((y.scaled_coeffs(denom), i) for i, (_, y) in enumerate(candidates))
     cuts: list[FieldNumber] = []
-    for curve, y in candidates:
-        if cuts and cuts[-1] == y:
+    # the sorts are stable, so each value lists its candidates in order
+    for vector, tags in _sorted_merged(points):
+        curves = [candidates[i][0] for i in tags]
+        if not any(vector):
+            for curve in curves:
+                logger.info("circle s=%s: %s cut sits on the wrap point, dropped", s, curve)
+            continue
+        cuts.append(candidates[tags[0]][1])
+        for curve in curves[1:]:
             logger.info(
                 "circle s=%s: %s cut coincides with %s, zero-length interval dropped",
                 s,
                 curve,
-                y,
+                cuts[-1],
             )
-            continue
-        cuts.append(y)
     bounds = [FieldNumber(0)] + cuts + [FieldNumber(1)]
     labels = []
     for lo, hi in zip(bounds, bounds[1:]):
@@ -406,7 +389,7 @@ def empirical_cells(
             z = Fraction(j, grid)
             word = trace_letters(StartPoint(0, y, z), direction, length=word_length)
             try:
-                block = first_return_word(word)
+                block = return_words(word).blocks[0]
             except InsufficientOccurrences:
                 continue
             found.setdefault(block, []).append((y, z))

@@ -14,7 +14,7 @@ point is four integers (a0, a1, a2, a3) standing for
 (a0 + a1*phi + a2*sqrt2 + a3*phi*sqrt2) / D, and every comparison is
 the sign of an integer 4-vector decided by exactnum._int_sign, the
 same certified dyadic-filter-then-refine core the rest of the package
-uses.  rotate and CirclePartition.label_of remain the single-point
+uses.  reduce_mod1 and CirclePartition.label_of remain the single-point
 route on FieldNumbers that the tests compare the loop against.
 """
 
@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from .exactnum import PHI, FieldNumber, _int_sign, common_denominator, reduce_mod1
 from .returns import CellLabel, CirclePartition, HitsCut
@@ -30,10 +30,6 @@ from .words import ComplexityProfile, complexity, fit_affine
 
 TRANSLATION_ANGLE = reduce_mod1(2 * (PHI - 1))
 """Rotation angle 2*phi - 3 driving returns for the r = 1/2 direction."""
-
-
-def rotate(y: FieldNumber, angle: FieldNumber) -> FieldNumber:
-    return reduce_mod1(y + angle)
 
 
 def code_orbit(
@@ -62,7 +58,7 @@ def code_orbit(
         raise ValueError(f"orbit start {y0} outside [0, 1)")
     if not isinstance(angle, FieldNumber):
         angle = FieldNumber(angle)
-    angle = angle.mod1()
+    angle = reduce_mod1(angle)
     # Exact on integers: y, the angle and the cuts share the denominator
     # D, so y is (a0, a1, a2, a3) / D and every decision is the sign of
     # an integer 4-vector.  The coordinates grow only linearly with the
@@ -122,21 +118,14 @@ def rotation_coding(
     return RotationCoding(angle=angle, partition=partition, start=y0, word=word)
 
 
-def saddle_connection(
-    a_i: FieldNumber,
-    a_j: FieldNumber,
-    alpha: FieldNumber,
-    n_bound: Union[int, str] = "exact",
-) -> Optional[int]:
+def saddle_connection(a_i: FieldNumber, a_j: FieldNumber, alpha: FieldNumber) -> Optional[int]:
     """Integer n with a_i - a_j = n*alpha (mod 1), or None.
 
     Two cuts connected this way merge under the orbit equivalence that
-    controls coding complexity.  In exact mode the candidate n is read
-    off the irrational coordinates (the shift by n*alpha moves them
-    linearly and nothing else can), then verified; with an integer
-    n_bound the window |n| <= n_bound is scanned instead, which is the
-    slow cross-check.  Rational alpha is rejected: its orbit is finite
-    and connection-counting degenerates.
+    controls coding complexity.  The candidate n is read off the
+    irrational coordinates (the shift by n*alpha moves them linearly and
+    nothing else can), then verified.  Rational alpha is rejected: its
+    orbit is finite and connection-counting degenerates.
     """
     if not isinstance(alpha, FieldNumber):
         alpha = FieldNumber(alpha)
@@ -145,15 +134,6 @@ def saddle_connection(
     a_i = a_i if isinstance(a_i, FieldNumber) else FieldNumber(a_i)
     a_j = a_j if isinstance(a_j, FieldNumber) else FieldNumber(a_j)
     difference = a_i - a_j
-    if n_bound != "exact":
-        bound = int(n_bound)
-        if bound < 0:
-            raise ValueError("n_bound must be nonnegative")
-        for magnitude in range(bound + 1):
-            for n in {magnitude, -magnitude}:
-                if reduce_mod1(difference - n * alpha).is_zero:
-                    return n
-        return None
     d_coeffs = difference.coeffs
     a_coeffs = alpha.coeffs
     candidate: Optional[Fraction] = None

@@ -262,10 +262,8 @@ def cassaigne_check(word: str, n_max: int) -> list[tuple[int, int, int]]:
     return failures
 
 
-def is_sturmian(word: str, n_max: Optional[int] = None) -> bool:
-    """Whether the window is consistent with complexity n + 1 throughout."""
-    if n_max is None:
-        n_max = max(1, min(len(word) // 4, 200))
+def is_sturmian(word: str, n_max: int) -> bool:
+    """Whether the window is consistent with complexity n + 1 through n_max."""
     profile = complexity(word, n_max)
     top = profile.stable_through
     if top == 0:

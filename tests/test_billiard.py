@@ -119,15 +119,6 @@ def test_validate_rejects_degenerate_start():
     assert report.reason == "degenerate_start"
 
 
-def test_trace_require_valid():
-    with pytest.raises(ValueError):
-        trace(StartPoint(0, 0, 2 - PHI), length=10, require_valid=True)
-    with pytest.raises(ValueError):
-        trace(StartPoint(0, HALF, (3 - PHI) / 2), length=10, require_valid=True)
-    bw = trace(StartPoint(0, HALF, HALF), length=10, require_valid=True)
-    assert bw.word == "abcabcabba"
-
-
 def test_two_routes_agree_on_random_starts():
     rng = random.Random(40918)
     for _ in range(40):
@@ -205,6 +196,10 @@ def test_direction_and_start_validation():
     assert StartPoint(0, 0, 1).integral_axes == "abc"
     assert StartPoint(0, HALF, 1).integral_axes == "ac"
     assert not StartPoint(0, HALF, HALF).is_degenerate
+    with pytest.raises(TypeError, match="int or Fraction, not float"):
+        StartPoint(0, 0.5, 0.25)
+    # grammar strings still parse
+    assert StartPoint("0", "1/2", "2-phi") == StartPoint(0, HALF, 2 - PHI)
 
 
 def test_zero_and_tiny_lengths():

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from cubewords.cli import RunConfig, main, parse_args, run
-from cubewords.exactnum import parse_field_number
+from cubewords.exactnum import FieldNumber
 from cubewords.verification import CriterionResult
 
 
@@ -61,7 +61,7 @@ class TestTrace:
         previous = None
         for i, row in enumerate(rows):
             assert int(row[0]) == i
-            moment = parse_field_number(row[2])
+            moment = FieldNumber.parse(row[2])
             if previous is not None:
                 assert previous < moment
             previous = moment
@@ -153,12 +153,12 @@ class TestRotation:
         assert law.split("\t")[1] == "2"
         header = lines.index("i\tcut\tcut_decimal\tlabel")
         cut_rows = [line.split("\t") for line in lines[header + 1 : header + 5]]
-        cuts = [parse_field_number(row[1]) for row in cut_rows]
+        cuts = [FieldNumber.parse(row[1]) for row in cut_rows]
         assert cuts == [
-            parse_field_number("5-3*phi"),
-            parse_field_number("2-1*phi"),
-            parse_field_number("-1+1*phi"),
-            parse_field_number("4-2*phi"),
+            FieldNumber.parse("5-3*phi"),
+            FieldNumber.parse("2-1*phi"),
+            FieldNumber.parse("-1+1*phi"),
+            FieldNumber.parse("4-2*phi"),
         ]
         assert [row[3] for row in cut_rows] == ["a2", "a7", "a1", "a2"]
         assert lines[-1].startswith("orbit\t")

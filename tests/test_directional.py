@@ -307,12 +307,6 @@ class TestUnionComplexity:
         for n in range(2, 16):
             assert table.p(n) <= 2 * n * n
 
-    def test_ratio_columns(self):
-        samples = [F(0), SQRT2 - 1]
-        table = union_complexity(samples, n_max=10, prefix=2000)
-        assert table.ratio(10) == table.p(10) / 100
-        assert table.difference_ratio(5) == (table.p(6) - table.p(5)) / 5
-
     def test_benchmark_contract(self):
         # called positionally, as the union_growth benchmark calls it
         schedule = sample_schedule(12, seed=5)

@@ -16,7 +16,6 @@ from cubewords.exactnum import (
     _sorted_merged,
     basis_approx,
     common_denominator,
-    parse_field_number,
     reduce_mod1,
     sign,
 )
@@ -109,6 +108,13 @@ def test_floor_and_mod1_frozen_cases():
     assert reduce_mod1(FieldNumber(5)) == FieldNumber(0)
 
 
+@pytest.mark.parametrize("bad", [0.5, "1/2"])
+def test_non_rational_coordinates_are_a_type_error(bad):
+    for coords in ((bad,), (0, bad), (1, 0, 0, bad)):
+        with pytest.raises(TypeError, match="int or Fraction, not " + type(bad).__name__):
+            FieldNumber(*coords)
+
+
 def test_total_order_frozen_chain():
     chain = [
         FieldNumber(0),
@@ -138,7 +144,7 @@ def test_parse_round_trip_examples():
         "0": FieldNumber(0),
     }
     for text, value in cases.items():
-        assert parse_field_number(text) == value
+        assert FieldNumber.parse(text) == value
 
 
 def test_canonical_emission():
@@ -153,14 +159,14 @@ def test_canonical_emission():
 def test_parse_rejects_malformed():
     for text in ["", "1..2", "2**phi", "phi sqrt2", "1/0", "++1", "x"]:
         with pytest.raises(ValueError):
-            parse_field_number(text)
+            FieldNumber.parse(text)
 
 
 def test_emission_parses_back():
     rng = random.Random(20240817)
     for _ in range(300):
         x = random_field_number(rng)
-        assert parse_field_number(str(x)) == x
+        assert FieldNumber.parse(str(x)) == x
 
 
 def test_decimal_rendering():
@@ -323,6 +329,24 @@ def as_values(merged):
 # estimate reads +50920843, since 2971215073 times phi's rounding error
 # outweighs the value itself; the negation is misestimated the other way.
 NEAR_ZERO = (4807526976, -2971215073, 0, 0)
+
+
+def test_less_than_matches_sign_of_difference():
+    rng = random.Random(5821)
+    values = [
+        random_field_number(rng, span=10**4, max_denominator=rng.choice((1, 12, 997)))
+        for _ in range(60)
+    ]
+    values += [FieldNumber(Fraction(rng.randint(-40, 40), rng.randint(1, 30))) for _ in range(30)]
+    near = FieldNumber(*NEAR_ZERO)
+    values += [near, -near, near / 3, -near / 7, near + Fraction(1, 5), FieldNumber(Fraction(1, 5))]
+    others = values + [0, 1, Fraction(-3, 7), Fraction(1, 5)]
+    for a in values:
+        for b in others:
+            difference = (a - b).sign()
+            assert (a < b) == (difference < 0), (a, b)
+            assert (a > b) == (difference > 0), (a, b)
+            assert (a <= b) == (difference <= 0), (a, b)
 
 
 def test_sorted_merged_matches_field_order_random():

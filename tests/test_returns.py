@@ -8,6 +8,7 @@ ran.  The sweep tests then compare every cell assignment against
 return words observed in actual traces.
 """
 
+import logging
 import random
 from fractions import Fraction
 
@@ -24,7 +25,6 @@ from cubewords.returns import (
     cell_of,
     circle_partition,
     empirical_cells,
-    first_return_word,
     kth_return_prediction,
     predict_return_word,
     reconstruct,
@@ -158,7 +158,6 @@ class TestCellOf:
         assert exc.value.curve == "blue"
 
     def test_anti_diagonal_does_not_reject(self):
-        assert FacePartition.on_anti_diagonal(fr(1, 2), fr(1, 2))
         assert cell_of(fr(1, 2), fr(1, 2)) is A2
         assert cell_of(fr(1, 5), fr(4, 5)) is A1
 
@@ -183,7 +182,7 @@ class TestCellOf:
             except OnBoundary:
                 continue
             word = trace_letters(start, length=16)
-            assert first_return_word(word) == label.word, (y, z)
+            assert return_words(word).blocks[0] == label.word, (y, z)
             checked += 1
 
 
@@ -192,12 +191,6 @@ class TestReturnWords:
         rw = return_words("abcabcabbacb")
         assert rw.blocks == ("abc", "abc", "abb")
         assert rw.trailing == "acb"
-        assert rw.letter == "a"
-
-    def test_other_letter(self):
-        rw = return_words("abcabcabb", "b")
-        assert rw.blocks == ("bca", "bca", "b")
-        assert rw.trailing == "b"
 
     def test_insufficient(self):
         with pytest.raises(InsufficientOccurrences):
@@ -357,6 +350,19 @@ class TestCirclePartition:
             circle_partition(F(1))
         with pytest.raises(ValueError):
             circle_partition(fr(-1, 2))
+
+    def test_dropped_cuts_are_logged(self, caplog):
+        circles = (F(0), 2 * PHI - 3, 2 - PHI, PHI - 1, 4 - 2 * PHI, SQRT2 - 1, fr(1, 3))
+        with caplog.at_level(logging.INFO, logger="cubewords.returns"):
+            for s in circles:
+                circle_partition(s)
+        assert [record.getMessage() for record in caplog.records] == [
+            "circle s=0: vertical cut coincides with 4-2*phi, zero-length interval dropped",
+            "circle s=-3+2*phi: horizontal cut sits on the wrap point, dropped",
+            "circle s=2-1*phi: red cut sits on the wrap point, dropped",
+            "circle s=-1+1*phi: red cut coincides with 4-2*phi, zero-length interval dropped",
+            "circle s=4-2*phi: vertical cut coincides with 4-2*phi, zero-length interval dropped",
+        ]
 
 
 class TestReconstruct:

@@ -13,7 +13,6 @@ from cubewords.rotation import (
     RotationCoding,
     code_orbit,
     coding_complexity,
-    rotate,
     rotation_coding,
     saddle_connection,
     zmodule_rank,
@@ -28,6 +27,15 @@ def fr(*args) -> FieldNumber:
     return FieldNumber(Fraction(*args))
 
 
+def scanned_connection(a_i, a_j, alpha, n_bound: int):
+    """Reference for saddle_connection: scan |n| <= n_bound for a_i - a_j = n*alpha mod 1."""
+    for magnitude in range(n_bound + 1):
+        for n in {magnitude, -magnitude}:
+            if reduce_mod1(a_i - a_j - n * alpha).is_zero:
+                return n
+    return None
+
+
 class TestAngle:
     def test_value(self):
         assert TRANSLATION_ANGLE == 2 * PHI - 3
@@ -39,9 +47,9 @@ class TestAngle:
         assert TRANSLATION_ANGLE == translation_step(Fraction(1, 2))
 
     def test_rotate_wraps(self):
-        y = rotate(fr(9, 10), TRANSLATION_ANGLE)
+        y = reduce_mod1(fr(9, 10) + TRANSLATION_ANGLE)
         assert F(0) <= y < 1
-        assert y == reduce_mod1(fr(9, 10) + 2 * PHI - 3)
+        assert y == fr(9, 10) + 2 * PHI - 4
 
 
 class TestCodeOrbit:
@@ -96,7 +104,7 @@ class TestCodeOrbit:
                     labels.append(part.label_of(y))
                 except HitsCut as exc:
                     return ("hits", step, exc.position)
-                y = rotate(y, angle)
+                y = reduce_mod1(y + angle)
             return tuple(labels)
 
         def engine(y, part, angle, n):
@@ -147,7 +155,7 @@ class TestRecodingMatchesBilliard:
         position = fr(1, 9)
         for label in word:
             counts[part.interval_of(position)] += 1
-            position = rotate(position, TRANSLATION_ANGLE)
+            position = reduce_mod1(position + TRANSLATION_ANGLE)
         for i in range(part.k):
             assert abs(counts[i] / len(word) - float(lengths[i])) < 1e-2
 
@@ -188,13 +196,13 @@ class TestSaddleConnection:
             shift = rng.randrange(-6, 7)
             other = reduce_mod1(base - shift * TRANSLATION_ANGLE)
             exact = saddle_connection(base, other, TRANSLATION_ANGLE)
-            scanned = saddle_connection(base, other, TRANSLATION_ANGLE, n_bound=8)
+            scanned = scanned_connection(base, other, TRANSLATION_ANGLE, 8)
             assert exact == shift
             assert scanned == shift
 
     def test_unrelated_pair(self):
         assert saddle_connection(SQRT2 - 1, 2 - PHI, TRANSLATION_ANGLE) is None
-        assert saddle_connection(SQRT2 - 1, 2 - PHI, TRANSLATION_ANGLE, n_bound=50) is None
+        assert scanned_connection(SQRT2 - 1, 2 - PHI, TRANSLATION_ANGLE, 50) is None
 
     def test_rational_angle_degenerate(self):
         with pytest.raises(ValueError):
