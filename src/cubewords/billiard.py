@@ -27,16 +27,23 @@ two-dimensional analogue used as an oracle for projected words.
 
 Two independent evaluation routes are provided.  raw_crossings merges
 the three progressions with field-number comparisons and is the
-reference; the progressive engine behind trace_letters works on scaled
-integer coordinates with a certified dyadic filter and only falls back
-to exact vector comparisons near ties, which makes it fast enough for
-words of 10**5 letters and beyond.
+reference; the crossing merge behind trace, trace_letters and
+square_trace sorts 64-bit dyadic keys of the crossing times in one
+list.sort per chunk, certifies the order with a proven error margin
+and re-sorts only runs of keys closer than that margin with exact
+vector comparisons, which makes it fast enough for words of 10**5
+letters and beyond.
 """
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cmp_to_key
+from itertools import accumulate, chain, compress, groupby, islice, repeat
+from operator import sub
 from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .exactnum import (
@@ -212,112 +219,120 @@ def _wall_letters(specs: Sequence[_AxisSpec]) -> str:
     return "".join(letter for _, letter in sorted(ranked))
 
 
-class _ProgressiveEngine:
-    """Merges crossing progressions on scaled integer coordinates.
+_CHUNK = 4096  # crossings merged per sort, which bounds the memory of long traces
 
-    Axis i contributes times (n - offset_i) * inverse_speed_i.  With D a
-    common denominator, the time of plane n on axis i has integer
-    coordinates n*A_i - B_i over the basis (1, phi, sqrt2, phi*sqrt2).
-    The engine keeps a dyadic value S_i of the current crossing time per
-    axis and compares axes through S; whenever two values come within a
-    precomputed margin that certifies the dyadic error plus the worst
-    coordinate growth, it re-compares the integer vectors exactly, so
-    genuine ties are detected and everything else is decided correctly.
+
+def _merged_axes(specs: Sequence[_AxisSpec], count: int) -> tuple[bytes, int]:
+    """Spec indices of the first ``count`` crossings in exact order, and the ties.
+
+    Axis i crosses plane n at time (n - offset_i) * inverse_speed_i.  With
+    D a common denominator, D times that time has integer coordinates
+    n*step_i - shift_i over the basis (1, phi, sqrt2, phi*sqrt2), and its
+    p-bit dyadic estimate S_i(n) = n*s_i - h_i (s_i and h_i the estimates
+    of step_i and shift_i) lies within 2*(n*|step_i| + |shift_i|) of the
+    value times 2**p, |.| summing the three irrational coordinates.
+
+    Each chunk lays out the keys S_i(n)*k + i (k axes, i the tie rank) of a
+    window of planes per axis as arithmetic runs and sorts them in one
+    list.sort; the runs are already sorted, so timsort only merges them.
+    Keys whose estimates differ by more than the margin, which bounds the
+    error of any two estimates in the chunk, are in exact order.  Runs of
+    closer keys are re-sorted with _int_sign on the integer vectors, equal
+    times falling back to the tie rank; each group of equal times is one
+    tie.  Only keys below every axis's first missing plane, less the
+    margin, are emitted, and the cut never splits a close run; the next
+    chunk starts at the first plane of each axis not emitted.
+
+    p starts at 64.  The margin grows with the coordinates, not with p,
+    so p doubles while the margin is not small against every step.  Then
+    a close run holds at most one crossing per axis, and each window of
+    planes, sized for 2k + 1 more crossings than the chunk needs, keeps
+    more than k of them below the cut, so every chunk emits crossings.
     """
+    k = len(specs)
+    inverse_speeds = [spec.inverse_speed for spec in specs]
+    shifts = [spec.offset * spec.inverse_speed for spec in specs]
+    denominator = common_denominator(inverse_speeds + shifts)
+    steps = [value.scaled_coeffs(denominator) for value in inverse_speeds]
+    shifts = [value.scaled_coeffs(denominator) for value in shifts]
+    slopes = [2 * (abs(a1) + abs(a2) + abs(a3)) for _, a1, a2, a3 in steps]
+    intercepts = [2 * (abs(b1) + abs(b2) + abs(b3)) for _, b1, b2, b3 in shifts]
 
-    PRECISION = 160  # bits of the dyadic values S_i
+    def estimates(precision: int) -> tuple[list[int], list[int]]:
+        basis = basis_approx(precision)
+        return (
+            [sum(a * e for a, e in zip(step, basis)) for step in steps],
+            [sum(b * e for b, e in zip(shift, basis)) for shift in shifts],
+        )
 
-    def __init__(self, specs: Sequence[_AxisSpec], max_letters: int) -> None:
-        numbers = []
-        for spec in specs:
-            numbers.append(spec.inverse_speed)
-            numbers.append(spec.offset * spec.inverse_speed)
-        denominator = common_denominator(numbers)
-        basis = basis_approx(self.PRECISION)
-        self._specs = list(specs)
-        self._steps: list[tuple[int, int, int, int]] = []
-        self._offsets: list[tuple[int, int, int, int]] = []
-        self._dyadic_step: list[int] = []
-        self._dyadic: list[int] = []
-        self._plane: list[int] = []
-        for spec in specs:
-            step = spec.inverse_speed.scaled_coeffs(denominator)
-            shift = (spec.offset * spec.inverse_speed).scaled_coeffs(denominator)
-            dyadic_step = sum(a * e for a, e in zip(step, basis))
-            dyadic_shift = sum(b * e for b, e in zip(shift, basis))
-            self._steps.append(step)
-            self._offsets.append(shift)
-            self._dyadic_step.append(dyadic_step)
-            self._dyadic.append(dyadic_step - dyadic_shift)
-            self._plane.append(1)
-        top_plane = max_letters + 4
-        margin = 0
-        count = len(specs)
-        for i in range(count):
-            for j in range(i + 1, count):
-                bound = 2
-                for k in (1, 2, 3):
-                    bound += 2 * (
-                        top_plane * (abs(self._steps[i][k]) + abs(self._steps[j][k]))
-                        + abs(self._offsets[i][k])
-                        + abs(self._offsets[j][k])
-                    )
-                margin = max(margin, bound)
-        self._margin = margin
-        self.tie_count = 0
+    precision = 64
+    dyadic_steps, dyadic_shifts = estimates(precision)
 
-    def _vector(self, i: int) -> tuple[int, int, int, int]:
-        n = self._plane[i]
-        step = self._steps[i]
-        shift = self._offsets[i]
-        return tuple(n * a - b for a, b in zip(step, shift))
+    def relation(p: int, q: int) -> int:
+        """Exact sign of time(p) - time(q) for two keys."""
+        i, j = p % k, q % k
+        n = (p // k + dyadic_shifts[i]) // dyadic_steps[i]
+        m = (q // k + dyadic_shifts[j]) // dyadic_steps[j]
+        u, b, v, c = steps[i], shifts[i], steps[j], shifts[j]
+        return _int_sign(tuple(n * u[t] - b[t] - m * v[t] + c[t] for t in range(4)))
 
-    def _exact_compare(self, i: int, j: int) -> int:
-        vi = self._vector(i)
-        vj = self._vector(j)
-        return _int_sign(tuple(a - b for a, b in zip(vi, vj)))
+    def exact_order(p: int, q: int) -> int:
+        return relation(p, q) or p % k - q % k
 
-    def events(self, count: int) -> Iterator[tuple[int, int]]:
-        """Yield (axis index, plane number) for the next crossings in order."""
-        dyadic = self._dyadic
-        steps = self._dyadic_step
-        plane = self._plane
-        margin = self._margin
-        axes = range(len(dyadic))
-        emitted = 0
-        while emitted < count:
-            lead = 0
-            best = dyadic[0]
-            for i in axes:
-                if dyadic[i] < best:
-                    best = dyadic[i]
-                    lead = i
-            close = [i for i in axes if i != lead and dyadic[i] - best <= margin]
-            if not close:
-                yield lead, plane[lead]
-                emitted += 1
-                plane[lead] += 1
-                dyadic[lead] += steps[lead]
-                continue
-            # Exact comparison among the contenders; equal times are a tie
-            # and are emitted in stored (tie) order.
-            front = [lead]
-            for i in close:
-                relation = self._exact_compare(i, front[0])
-                if relation < 0:
-                    front = [i]
-                elif relation == 0:
-                    front.append(i)
-            front.sort()
-            if len(front) > 1:
-                self.tie_count += 1
-            for i in front:
-                yield i, plane[i]
-                emitted += 1
-                plane[i] += 1
-                dyadic[i] += steps[i]
-                if emitted == count:
-                    break
+    out = bytearray()
+    ties = 0
+    planes = [1] * k
+    while len(out) < count:
+        need = count - len(out)
+        firsts = [n * s - h for n, s, h in zip(planes, dyadic_steps, dyadic_shifts)]
+        # S-units per crossing of the merged stream: 1 / sum(1 / s_i)
+        product = math.prod(dyadic_steps)
+        span = (min(_CHUNK, need) + 2 * k + 1) * product // sum(product // s for s in dyadic_steps)
+        sizes = [max(0, (min(firsts) + span - f) // s + 1) for f, s in zip(firsts, dyadic_steps)]
+        margin = 2 + 2 * max(
+            slope * (n + size) + intercept
+            for slope, intercept, n, size in zip(slopes, intercepts, planes, sizes)
+        )
+        if 4 * k * (margin + 2) > min(dyadic_steps):
+            precision *= 2
+            dyadic_steps, dyadic_shifts = estimates(precision)
+            continue
+        keys = list(
+            chain.from_iterable(
+                accumulate(repeat(s * k, size - 1), initial=f * k + i)
+                for i, (f, s, size) in enumerate(zip(firsts, dyadic_steps, sizes))
+                if size
+            )
+        )
+        keys.sort()
+        nexts = [f + size * s for f, s, size in zip(firsts, dyadic_steps, sizes)]
+        cut = bisect_left(keys, (min(nexts) - margin) * k)
+        gap = (margin + 1) * k
+        close = []
+        # Close keys are rare, so one pass of min rules them out first.
+        if min(map(sub, islice(keys, 1, cut + 1), keys), default=gap + 1) <= gap:
+            close = list(compress(range(cut), map(gap.__ge__, map(sub, islice(keys, 1, None), keys))))
+        while close and close[-1] == cut - 1:
+            close.pop()
+            cut -= 1
+        limit = min(cut, need)
+        # Consecutive close pairs j, j + 1, ... form one run of keys.
+        for _, run in groupby(enumerate(close), lambda pair: pair[1] - pair[0]):
+            run = [j for _, j in run]
+            lo, hi = run[0], run[-1] + 2
+            block = sorted(keys[lo:hi], key=cmp_to_key(exact_order))
+            keys[lo:hi] = block
+            tied_before = False
+            for t in range(len(block) - 1):
+                tied = relation(block[t], block[t + 1]) == 0
+                if tied and not tied_before and lo + t < limit:
+                    ties += 1
+                tied_before = tied
+        axes = bytes(map(k.__rmod__, islice(keys, limit)))
+        out += axes
+        for i in range(k):
+            planes[i] += axes.count(i)
+    return bytes(out), ties
 
 
 @dataclass(frozen=True)
@@ -342,23 +357,27 @@ def _emit(
 ) -> tuple[str, Optional[tuple[FieldNumber, ...]], int]:
     """Word, crossing times (None unless ``with_times``) and tie count.
 
-    The one driver of the progressive engine: the wall letters at t = 0
-    come first, then the engine's events up to ``length`` letters.
+    The one driver of the crossing merge: the wall letters at t = 0 come
+    first, then the merged crossings up to ``length`` letters.
     """
     if length < 0:
         raise ValueError("length must be nonnegative")
     head = _wall_letters(specs)[:length]
-    engine = _ProgressiveEngine(specs, max_letters=length)
-    events = engine.events(length - len(head))
+    axes, tie_count = _merged_axes(specs, length - len(head))
+    letters = bytes.maketrans(
+        bytes(range(len(specs))), "".join(spec.letter for spec in specs).encode()
+    )
+    word = head + axes.translate(letters).decode()
     times = None
     if with_times:
-        events = list(events)
-        times = (FieldNumber(0),) * len(head) + tuple(
-            (plane - specs[axis].offset) * specs[axis].inverse_speed
-            for axis, plane in events
-        )
-    word = head + "".join([specs[axis].letter for axis, _ in events])
-    return word, times, engine.tie_count
+        planes = [0] * len(specs)
+        crossings = []
+        for axis in axes:
+            planes[axis] += 1
+            spec = specs[axis]
+            crossings.append((planes[axis] - spec.offset) * spec.inverse_speed)
+        times = (FieldNumber(0),) * len(head) + tuple(crossings)
+    return word, times, tie_count
 
 
 def trace(

@@ -245,7 +245,11 @@ class FieldNumber:
         if isinstance(other, FieldNumber):
             return other
         if isinstance(other, (int, Fraction)):
-            return FieldNumber(other)
+            # A rational in lowest terms is already a reduced field number.
+            value = object.__new__(FieldNumber)
+            object.__setattr__(value, "_num", (other.numerator, 0, 0, 0))
+            object.__setattr__(value, "_den", other.denominator)
+            return value
         return None
 
     def __add__(self, other: object) -> FieldNumber:

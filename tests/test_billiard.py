@@ -6,8 +6,11 @@ from fractions import Fraction
 
 import pytest
 
+from cubewords import billiard
 from cubewords.billiard import (
     Direction,
+    _AxisSpec,
+    _merged_axes,
     GOLDEN_DIRECTION,
     StartPoint,
     delete_letter,
@@ -18,7 +21,7 @@ from cubewords.billiard import (
     trace_letters,
     validate,
 )
-from cubewords.exactnum import PHI, SQRT2, FieldNumber, reduce_mod1
+from cubewords.exactnum import PHI, SQRT2, FieldNumber, basis_approx, reduce_mod1
 
 HALF = Fraction(1, 2)
 
@@ -239,3 +242,224 @@ def test_square_trace_checks_coordinates():
         square_trace(2, HALF, 4)
     with pytest.raises(ValueError, match="coordinate c="):
         square_trace(HALF, -HALF, 4)
+
+
+DIRECTIONS = [Direction(r) for r in (HALF, Fraction(1, 3), 5, Fraction(1, 100))]
+
+
+def oracle(start, direction, length):
+    """Letters, times and tie count of the first ``length`` raw crossings.
+
+    A tie is a group of equal crossing times after t = 0 whose first
+    crossing is among the first ``length``; the stream is read two
+    crossings further so that a group cut by the length is still seen.
+    """
+    stream = list(itertools.islice(raw_crossings(start, direction), length + 2))
+    ties = sum(
+        1
+        for i in range(min(length, len(stream) - 1))
+        if stream[i][0] > 0
+        and stream[i][0] == stream[i + 1][0]
+        and (i == 0 or stream[i - 1][0] != stream[i][0])
+    )
+    head = stream[:length]
+    return "".join(letter for _, letter in head), tuple(time for time, _ in head), ties
+
+
+def engine_starts(rng, count):
+    """Seeded random starts plus wall, corner and tied starts."""
+    starts = [random_start(rng) for _ in range(count)]
+    starts += [StartPoint(*corner) for corner in itertools.product((0, 1), repeat=3)]
+    starts += [
+        StartPoint(0, HALF, Fraction(1, 3)),
+        StartPoint(HALF, 0, 2 - PHI),
+        StartPoint(HALF, SQRT2 - 1, 1),
+        StartPoint(1, 0, 2 - PHI),
+        StartPoint(0, HALF, (3 - PHI) / 2),  # b and c tie at phi/2
+        StartPoint(0, 4 - 2 * PHI, Fraction(1, 3)),  # b and a tie at 2
+        StartPoint(0, 4 - 2 * PHI, 2 * PHI - 3),  # a, b and c tie at 2
+    ]
+    return starts
+
+
+def assert_engine_matches_oracle(start, direction, length):
+    word, times, ties = oracle(start, direction, length)
+    timed = trace(start, direction, length)
+    assert timed.word == word, (start, direction, length)
+    assert timed.times == times
+    assert timed.tie_count == ties
+    assert trace_letters(start, direction, length) == word
+
+
+def test_engine_matches_raw_crossings():
+    starts = engine_starts(random.Random(8117), 24)
+    for direction in DIRECTIONS:
+        for start in starts:
+            for length in (0, 1, 2, 3, 40):
+                assert_engine_matches_oracle(start, direction, length)
+    for start in starts[:3] + starts[-2:]:
+        assert_engine_matches_oracle(start, GOLDEN_DIRECTION, 1000)
+
+
+def test_engine_across_chunk_boundaries(monkeypatch):
+    # A chunk of a few crossings puts many chunk boundaries, and the tied
+    # pairs, inside short words.
+    starts = engine_starts(random.Random(3301), 10)
+    for chunk in (1, 2, 7):
+        monkeypatch.setattr(billiard, "_CHUNK", chunk)
+        for direction in DIRECTIONS:
+            for start in starts:
+                for length in (1, 3, 8, 30):
+                    assert_engine_matches_oracle(start, direction, length)
+    monkeypatch.undo()
+    start = StartPoint(0, 4 - 2 * PHI, Fraction(1, 3))
+    assert_engine_matches_oracle(start, GOLDEN_DIRECTION, 2 * billiard._CHUNK + 5)
+
+
+def fibonacci(k):
+    a, b = 0, 1
+    for _ in range(k):
+        a, b = b, a + b
+    return a
+
+
+def near_tie_start(k, n=5, side=1):
+    """x = 0 and y = frac(-2n(phi - 1)) shifted by the unit F(k+1) - F(k)*phi.
+
+    Unshifted, the b crossing of plane 7 meets the a crossing at t = 2n;
+    the shift moves it by the unit times phi, about phi**-k.
+    """
+    unit = fibonacci(k + 1) - fibonacci(k) * PHI
+    return StartPoint(0, reduce_mod1(-2 * n * (PHI - 1)) + side * unit, Fraction(1, 3))
+
+
+def dyadic_gap(start, length):
+    """Exact gap and 64-bit dyadic estimate of the gap between the near-tied crossings."""
+    stream = list(itertools.islice(raw_crossings(start), length))
+    near = [time for time, _ in stream if abs(time - 10) < Fraction(1, 10**6)]
+    assert len(near) == 2
+    gap = near[1] - near[0]
+    scaled = gap.scaled_coeffs(gap._den)
+    return gap.sign(), sum(a * e for a, e in zip(scaled, basis_approx(64)))
+
+
+def counting_int_sign(monkeypatch):
+    calls = []
+    real = billiard._int_sign
+    monkeypatch.setattr(billiard, "_int_sign", lambda vector: calls.append(vector) or real(vector))
+    return calls
+
+
+def test_near_tie_runs_the_exact_resort(monkeypatch):
+    calls = counting_int_sign(monkeypatch)
+    assert trace_letters(StartPoint(0, HALF, Fraction(1, 3)), length=60)
+    assert calls == []  # a start far from ties never leaves the dyadic sort
+    for side in (1, -1):
+        start = near_tie_start(47, side=side)
+        sign, estimate = dyadic_gap(start, 60)
+        assert sign > 0 and estimate > 0  # close, yet estimated in order
+        del calls[:]
+        assert_engine_matches_oracle(start, GOLDEN_DIRECTION, 60)
+        assert calls
+        assert trace(start, length=60).tie_count == 0
+
+
+def test_misordered_dyadic_keys_are_resorted(monkeypatch):
+    # Like F(48) - F(47)*phi in test_exactnum, the unit of k = 48 is
+    # smaller than phi's rounding error times F(48): the 64-bit estimates
+    # of the two crossing times come out in the wrong order.
+    calls = counting_int_sign(monkeypatch)
+    for k in (48, 50):
+        for side in (1, -1):
+            start = near_tie_start(k, side=side)
+            sign, estimate = dyadic_gap(start, 60)
+            assert sign > 0 and estimate < 0
+            del calls[:]
+            assert_engine_matches_oracle(start, GOLDEN_DIRECTION, 60)
+            assert calls
+
+
+def sorted_progressions(specs, count):
+    """Spec indices and tie count of the first ``count`` crossings, by sorting.
+
+    Each axis contributes count + 1 planes, more than the first count
+    crossings can use; (time, index) pairs sort in exact time order with
+    the spec index breaking ties.
+    """
+    events = sorted(
+        ((n - spec.offset) * spec.inverse_speed, index)
+        for index, spec in enumerate(specs)
+        for n in range(1, count + 2)
+    )
+    ties = sum(
+        1
+        for i in range(count)
+        if events[i][0] == events[i + 1][0] and (i == 0 or events[i - 1][0] != events[i][0])
+    )
+    return bytes(index for _, index in events[:count]), ties
+
+
+def test_merge_of_crafted_progressions(monkeypatch):
+    # Equal speeds put a near-tie at every plane, and with two axes of one
+    # speed each chunk ends between a pair: the offsets differ by
+    # F(49) - F(48)*phi, whose 64-bit estimate has the wrong sign, so the
+    # cut must leave a margin to the first missing plane.
+    unit = fibonacci(49) - fibonacci(48) * PHI
+    offset = reduce_mod1(FieldNumber(Fraction(2, 7), 3))
+    cases = [
+        [(offset, PHI), (offset + unit, PHI)],
+        [(offset + unit, PHI), (offset, PHI)],
+        [(offset, PHI), (offset + unit, PHI), (offset - unit, PHI)],
+        [(offset, PHI), (offset, PHI)],  # a tie at every plane
+        [(FieldNumber(0), FieldNumber(2)), (offset, PHI), (offset, PHI)],
+        [(FieldNumber(Fraction(1, 3)), FieldNumber(3))],
+    ]
+    rng = random.Random(2719)
+    for _ in range(6):
+        start = random_start(rng)
+        cases.append([(start.coords[i], speed) for i, speed in enumerate((FieldNumber(2), PHI, PHI + 1))])
+    for chunk in range(1, 10):
+        monkeypatch.setattr(billiard, "_CHUNK", chunk)
+        for case in cases:
+            specs = [_AxisSpec("abc"[i], o, v, False, None) for i, (o, v) in enumerate(case)]
+            for count in (0, 1, 2, 5, 24):
+                assert _merged_axes(specs, count) == sorted_progressions(specs, count)
+
+
+def test_large_coordinates_raise_the_precision(monkeypatch):
+    # Coordinates with 20-digit coefficients put the 64-bit error margin
+    # near the spacing of the crossings; 64 bits once looped without end
+    # on such starts.  The merge doubles its precision instead.
+    precisions = []
+    real = billiard.basis_approx
+    monkeypatch.setattr(billiard, "basis_approx", lambda p: precisions.append(p) or real(p))
+    big = 10**20
+    starts = [
+        StartPoint(
+            Fraction(1, 3),
+            reduce_mod1(FieldNumber(3 * big + 1, -7 * big // 3)),
+            reduce_mod1(FieldNumber(-5 * big - 3, 11 * big // 7)),
+        )
+    ]
+    for k in (90, 300):
+        unit = fibonacci(k + 1) - fibonacci(k) * PHI
+        starts.append(StartPoint(Fraction(1, 3), HALF + unit, Fraction(1, 3) - unit * (SQRT2 - 1)))
+    for start in starts:
+        del precisions[:]
+        assert_engine_matches_oracle(start, GOLDEN_DIRECTION, 300)
+        assert max(precisions) > 64
+    monkeypatch.setattr(billiard, "_CHUNK", 3)
+    assert_engine_matches_oracle(starts[0], GOLDEN_DIRECTION, 40)
+
+
+def test_close_run_across_the_cut(monkeypatch):
+    # With 18-digit coefficients the margin is a few percent of a step;
+    # at two crossings per chunk these starts put a run of close keys
+    # across the cut, which then moves back to the start of the run.
+    monkeypatch.setattr(billiard, "_CHUNK", 2)
+    for y, z in (
+        ((1424573006152855226, -880434537258077611), (230898118047886747, -142702884891979530)),
+        ((1274514560379939783, -787693317471432882), (475730430364433921, -294017575447835188)),
+    ):
+        start = StartPoint(Fraction(1, 3), FieldNumber(*y), FieldNumber(*z))
+        assert_engine_matches_oracle(start, GOLDEN_DIRECTION, 60)

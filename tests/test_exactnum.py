@@ -308,6 +308,33 @@ def test_hash_consistency():
     assert FieldNumber(Fraction(1, 2)) in {Fraction(1, 2)}
 
 
+def test_rational_operands_match_field_numbers():
+    # int and Fraction operands act exactly as the field numbers they equal.
+    rng = random.Random(6043)
+    values = [random_field_number(rng) for _ in range(12)]
+    values += [FieldNumber(Fraction(-5, 3)), FieldNumber(0), FieldNumber(2), PHI - 1]
+    rationals = [0, 1, -2, 7, True, Fraction(1, 2), Fraction(-6, 4), Fraction(10, 5)]
+    for q in rationals:
+        f = FieldNumber(q)
+        assert (f._num, f._den) == (FieldNumber._coerce(q)._num, FieldNumber._coerce(q)._den)
+        assert hash(f) == hash(q) and f == q and q == f
+        for x in values:
+            assert (x == q) == (x == f) and (q == x) == (f == x)
+            assert (x < q) == (x < f) and (q < x) == (f < x)
+            assert (x <= q) == (x <= f) and (x > q) == (x > f)
+            results = [x + q, q + x, x - q, q - x, x * q, q * x]
+            expected = [x + f, f + x, x - f, f - x, x * f, f * x]
+            if q:
+                results.append(x / q)
+                expected.append(x / f)
+            if x:
+                results.append(q / x)
+                expected.append(f / x)
+            for got, want in zip(results, expected):
+                assert (got._num, got._den) == (want._num, want._den)
+                assert hash(got) == hash(want)
+
+
 def test_immutability():
     with pytest.raises(AttributeError):
         PHI._num = (5, 0, 0, 0)
