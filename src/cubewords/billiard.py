@@ -41,7 +41,6 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
 from itertools import accumulate, chain, compress, groupby, islice, repeat
 from operator import sub
 from typing import Iterator, NamedTuple, Optional, Sequence
@@ -49,10 +48,10 @@ from typing import Iterator, NamedTuple, Optional, Sequence
 from .exactnum import (
     FieldNumber,
     PHI,
+    _sorted_merged,
     basis_approx,
     common_denominator,
 )
-from .exactnum import _int_sign
 
 LETTERS = "abc"
 
@@ -237,9 +236,9 @@ def _merged_axes(specs: Sequence[_AxisSpec], count: int) -> tuple[bytes, int]:
     list.sort; the runs are already sorted, so timsort only merges them.
     Keys whose estimates differ by more than the margin, which bounds the
     error of any two estimates in the chunk, are in exact order.  Runs of
-    closer keys are re-sorted with _int_sign on the integer vectors, equal
-    times falling back to the tie rank; each group of equal times is one
-    tie.  Only keys below every axis's first missing plane, less the
+    closer keys are re-sorted by exactnum._sorted_merged on the integer
+    vectors, equal times keeping the tie rank; each group of equal times
+    is one tie.  Only keys below every axis's first missing plane, less the
     margin, are emitted, and the cut never splits a close run; the next
     chunk starts at the first plane of each axis not emitted.
 
@@ -268,16 +267,10 @@ def _merged_axes(specs: Sequence[_AxisSpec], count: int) -> tuple[bytes, int]:
     precision = 64
     dyadic_steps, dyadic_shifts = estimates(precision)
 
-    def relation(p: int, q: int) -> int:
-        """Exact sign of time(p) - time(q) for two keys."""
-        i, j = p % k, q % k
-        n = (p // k + dyadic_shifts[i]) // dyadic_steps[i]
-        m = (q // k + dyadic_shifts[j]) // dyadic_steps[j]
-        u, b, v, c = steps[i], shifts[i], steps[j], shifts[j]
-        return _int_sign(tuple(n * u[t] - b[t] - m * v[t] + c[t] for t in range(4)))
-
-    def exact_order(p: int, q: int) -> int:
-        return relation(p, q) or p % k - q % k
+    def time_vector(key: int) -> tuple[int, ...]:  # n*step_i - shift_i
+        i = key % k
+        n = (key // k + dyadic_shifts[i]) // dyadic_steps[i]
+        return tuple(n * a - b for a, b in zip(steps[i], shifts[i]))
 
     out = bytearray()
     ties = 0
@@ -320,14 +313,14 @@ def _merged_axes(specs: Sequence[_AxisSpec], count: int) -> tuple[bytes, int]:
         for _, run in groupby(enumerate(close), lambda pair: pair[1] - pair[0]):
             run = [j for _, j in run]
             lo, hi = run[0], run[-1] + 2
-            block = sorted(keys[lo:hi], key=cmp_to_key(exact_order))
-            keys[lo:hi] = block
-            tied_before = False
-            for t in range(len(block) - 1):
-                tied = relation(block[t], block[t + 1]) == 0
-                if tied and not tied_before and lo + t < limit:
+            # Equal times have equal vectors, so equal estimates S: the keys
+            # S*k + i list them in tie rank order, which the stable sorts keep.
+            position = lo
+            for _, group in _sorted_merged([(time_vector(key), key) for key in keys[lo:hi]]):
+                keys[position : position + len(group)] = group
+                if len(group) > 1 and position < limit:
                     ties += 1
-                tied_before = tied
+                position += len(group)
         axes = bytes(map(k.__rmod__, islice(keys, limit)))
         out += axes
         for i in range(k):
@@ -414,8 +407,8 @@ def raw_crossings(
     """Reference crossing stream: (time, letter) pairs in exact order.
 
     Merges the three progressions with direct field-number comparisons
-    and no dyadic shortcut; kept deliberately independent of the
-    progressive engine so the two routes can cross-check each other.
+    and no dyadic shortcut; kept deliberately independent of the sorted
+    merge of _merged_axes so the two routes can cross-check each other.
     """
     specs = _cube_axes(start, direction)
     zero = FieldNumber(0)

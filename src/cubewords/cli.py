@@ -35,7 +35,7 @@ from .returns import (
     InsufficientOccurrences,
     OnBoundary,
     circle_partition,
-    predict_return_word,
+    predict_return_words,
     return_words,
     translation_step,
 )
@@ -243,6 +243,10 @@ def _cmd_complexity(config: RunConfig) -> tuple[int, list[str], dict]:
     return 0, lines, payload
 
 
+def _orbit_hits_cut(exc: HitsCut) -> InputError:
+    return InputError(f"orbit_hits_cut: step {exc.step} lands on the cut at {exc.position}")
+
+
 def _cmd_returns(config: RunConfig) -> tuple[int, list[str], dict]:
     start = _parse_start(config)
     ratio = _parse_ratio(config)
@@ -256,16 +260,15 @@ def _cmd_returns(config: RunConfig) -> tuple[int, list[str], dict]:
         blocks = return_words(word).blocks
     except InsufficientOccurrences as exc:
         raise InputError(str(exc)) from exc
-    rows = []
-    mismatches = 0
-    for k, observed in enumerate(blocks):
-        try:
-            predicted = predict_return_word(start, k, ratio)
-        except (OnBoundary, HitsCut) as exc:
-            raise InputError(str(exc)) from exc
-        match = int(observed == predicted)
-        mismatches += 1 - match
-        rows.append({"k": k, "observed": observed, "predicted": predicted, "match": match})
+    try:
+        predictions = predict_return_words(start, len(blocks), ratio)
+    except HitsCut as exc:
+        raise _orbit_hits_cut(exc) from exc
+    rows = [
+        {"k": k, "observed": observed, "predicted": predicted, "match": int(observed == predicted)}
+        for k, (observed, predicted) in enumerate(zip(blocks, predictions))
+    ]
+    mismatches = sum(1 - row["match"] for row in rows)
     lines = [
         "# command\treturns",
         f"# blocks\t{len(blocks)}",
@@ -299,9 +302,7 @@ def _cmd_rotation(config: RunConfig) -> tuple[int, list[str], dict]:
     try:
         coding = rotation_coding(reduce_mod1(start.y), partition, angle, config.n_letters)
     except HitsCut as exc:
-        raise InputError(
-            f"orbit_hits_cut: step {exc.step} lands on the cut at {exc.position}"
-        ) from exc
+        raise _orbit_hits_cut(exc) from exc
     try:
         report = coding_complexity(coding, config.n_max)
     except ValueError as exc:

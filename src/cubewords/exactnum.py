@@ -368,15 +368,25 @@ class FieldNumber:
 
     # -- integer part ------------------------------------------------
 
+    def _estimate(self, precision: int, scale: int = 1) -> tuple[int, int]:
+        """Dyadic estimate E of value * (D << p), and p, within (D << p) / scale.
+
+        p doubles from ``precision`` until E's error bound times scale is below D << p.
+        """
+        (a0, a1, a2, a3), denom = self._num, self._den
+        error = (2 * (abs(a1) + abs(a2) + abs(a3)) + 2) * scale
+        while error >= denom << precision:
+            precision *= 2
+        e0, e1, e2, e3 = basis_approx(precision)
+        return a0 * e0 + a1 * e1 + a2 * e2 + a3 * e3, precision
+
     def floor(self) -> int:
-        """Exact floor, certified by sign tests on the residual."""
+        """Exact floor: a guess off by at most one, settled by at most three sign tests."""
         (a0, a1, a2, a3), denom = self._num, self._den
         if self.is_rational:
             return a0 // denom
-        precision = 64
-        e0, e1, e2, e3 = basis_approx(precision)
-        estimate = (a0 * e0 + a1 * e1 + a2 * e2 + a3 * e3) // denom
-        guess = estimate >> precision
+        estimate, precision = self._estimate(64)
+        guess = (estimate // denom) >> precision
         # self - g has integer coordinates (a0 - g*D, a1, a2, a3) over D > 0
         while _int_sign((a0 - guess * denom, a1, a2, a3)) < 0:
             guess -= 1
@@ -418,14 +428,11 @@ class FieldNumber:
         """Fixed-point decimal rendering, advisory only.
 
         The value itself stays exact; this string is rounded at the
-        requested number of places from a 192-bit enclosure.
+        requested number of places from an enclosure within half a unit.
         """
-        precision = 192
-        (a0, a1, a2, a3), denom = self._num, self._den
-        e0, e1, e2, e3 = basis_approx(precision)
-        scaled = a0 * e0 + a1 * e1 + a2 * e2 + a3 * e3
+        scaled, precision = self._estimate(192, 2 * 10**places)
         shifted = scaled * 10**places
-        total = denom << precision
+        total = self._den << precision
         quotient = (2 * abs(shifted) + total) // (2 * total)
         digits = str(quotient).rjust(places + 1, "0")
         sign = "-" if scaled < 0 and quotient != 0 else ""

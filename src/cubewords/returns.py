@@ -206,28 +206,33 @@ def kth_return_prediction(m: StartPoint, k: int) -> CellLabel:
     """Cell predicted to emit the (k+1)-th return word of the trace of m, r = 1/2.
 
     Consecutive face hits translate (Y, Z) by (theta_2 / r, theta_3 / r),
-    so the prediction is the cell at the k-fold translate.  The cell
-    table is the r = 1/2 one; predict_return_word covers other r.
+    so the prediction is the cell at the k-fold translate.  This is the
+    single-point reference for predict_return_words: it rebuilds the
+    translate from k = 0 and asks cell_of, with no rotation orbit.
     """
     return cell_of(*_translated_face_point(m, k, Fraction(1, 2)))
 
 
-def predict_return_word(m: StartPoint, k: int, r: Fraction = Fraction(1, 2)) -> str:
-    """The predicted (k+1)-th return word itself, for any family member.
+def predict_return_words(m: StartPoint, count: int, r: Fraction = Fraction(1, 2)) -> list[str]:
+    """The first ``count`` predicted return words of the trace of m.
 
-    With r = 1/2 this is the block table applied to the predicted cell.
-    For other r the cells are not hard-coded; the prediction falls back
-    to tracing a short word from the translated face point, which is
-    exactly the translation property read forwards.  At most
-    floor(1/r) + 2 crossings of Y and Z faces lie between two of X, so
-    floor(1/r) + 6 letters close the first return.
+    For r = 1/2 the k-th translate is (y + k*alpha, z - k*alpha) mod 1,
+    alpha = 2*phi - 3, on the circle s = y + z mod 1: the predictions are
+    the block words of one rotation orbit of y, and an orbit point on a
+    cut raises HitsCut.  For other r each prediction traces floor(1/r) + 6
+    letters from the translated face point, as at most floor(1/r) + 2
+    crossings of Y and Z faces lie between two of X.
     """
+    from .rotation import TRANSLATION_ANGLE, code_orbit
+
+    if m.x != 0:
+        raise ValueError("return prediction starts from the face X = 0")
     if r == Fraction(1, 2):
-        return kth_return_prediction(m, k).word
-    y, z = _translated_face_point(m, k, r)
+        partition = circle_partition(reduce_mod1(m.y + m.z))
+        return [label.word for label in code_orbit(m.y, partition, TRANSLATION_ANGLE, count)]
     length = int(1 / Fraction(r)) + 6
-    probe = trace_letters(StartPoint(0, y, z), Direction(r), length=length)
-    return return_words(probe).blocks[0]
+    probes = (StartPoint(0, *_translated_face_point(m, k, r)) for k in range(count))
+    return [return_words(trace_letters(p, Direction(r), length)).blocks[0] for p in probes]
 
 
 @dataclass(frozen=True)
@@ -351,22 +356,13 @@ def circle_partition(s: FieldNumber) -> CirclePartition:
 def reconstruct(m: StartPoint, n_letters: int) -> str:
     """Billiard word rebuilt from the circle coding instead of tracing.
 
-    Builds the partition of the circle s = y + z mod 1, codes the
-    rotation orbit of y(m), maps each interval label to its block and
-    concatenates.  Independent of the crossing engine end to end, which
-    is the point: the two pipelines must produce identical words.
+    Joins the first n_letters // 2 + 2 predicted return words, the codes
+    of one rotation orbit.  Independent of the crossing engine end to
+    end, which is the point: the two pipelines must produce identical words.
     """
-    from .rotation import TRANSLATION_ANGLE, code_orbit
-
     if n_letters < 0:
         raise ValueError("n_letters must be nonnegative")
-    if m.x != 0:
-        raise ValueError("reconstruction starts from the face X = 0")
-    s = reduce_mod1(m.y + m.z)
-    partition = circle_partition(s)
-    blocks_needed = n_letters // 2 + 2
-    labels = code_orbit(m.y, partition, TRANSLATION_ANGLE, blocks_needed)
-    return "".join(label.word for label in labels)[:n_letters]
+    return "".join(predict_return_words(m, n_letters // 2 + 2))[:n_letters]
 
 
 def empirical_cells(

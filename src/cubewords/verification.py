@@ -33,7 +33,7 @@ from .returns import (
     OnBoundary,
     cell_of,
     circle_partition,
-    kth_return_prediction,
+    predict_return_words,
     reconstruct,
     return_words,
 )
@@ -273,7 +273,11 @@ def _random_face_start(rng: random.Random) -> Optional[StartPoint]:
 
 
 def criterion_5(ctx: VerificationContext) -> CriterionResult:
-    """Cells predict first return words; translation predicts the k-th."""
+    """Cells predict first return words; one rotation orbit predicts the k-th.
+
+    Blocks k <= 500 of 100 traces are checked against predict_return_words,
+    the rotation orbit of y on the circle s = y + z mod 1 of each start.
+    """
 
     def body() -> tuple[bool, str]:
         rng = random.Random(20260815)
@@ -296,8 +300,7 @@ def criterion_5(ctx: VerificationContext) -> CriterionResult:
             if start is None:
                 continue
             blocks = return_words(trace_letters(start, length=2600)).blocks
-            for k in range(501):
-                predicted = kth_return_prediction(start, k).word
+            for k, predicted in enumerate(predict_return_words(start, 501)):
                 if blocks[k] != predicted:
                     return False, (
                         f"start (0, {start.y}, {start.z}): block {k} is "

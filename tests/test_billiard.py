@@ -343,15 +343,20 @@ def dyadic_gap(start, length):
     return gap.sign(), sum(a * e for a, e in zip(scaled, basis_approx(64)))
 
 
-def counting_int_sign(monkeypatch):
+def counting_exact_resorts(monkeypatch):
     calls = []
-    real = billiard._int_sign
-    monkeypatch.setattr(billiard, "_int_sign", lambda vector: calls.append(vector) or real(vector))
+    real = billiard._sorted_merged
+
+    def spy(points):
+        calls.append(list(points))
+        return real(calls[-1])
+
+    monkeypatch.setattr(billiard, "_sorted_merged", spy)
     return calls
 
 
 def test_near_tie_runs_the_exact_resort(monkeypatch):
-    calls = counting_int_sign(monkeypatch)
+    calls = counting_exact_resorts(monkeypatch)
     assert trace_letters(StartPoint(0, HALF, Fraction(1, 3)), length=60)
     assert calls == []  # a start far from ties never leaves the dyadic sort
     for side in (1, -1):
@@ -368,7 +373,7 @@ def test_misordered_dyadic_keys_are_resorted(monkeypatch):
     # Like F(48) - F(47)*phi in test_exactnum, the unit of k = 48 is
     # smaller than phi's rounding error times F(48): the 64-bit estimates
     # of the two crossing times come out in the wrong order.
-    calls = counting_int_sign(monkeypatch)
+    calls = counting_exact_resorts(monkeypatch)
     for k in (48, 50):
         for side in (1, -1):
             start = near_tie_start(k, side=side)

@@ -137,6 +137,13 @@ class TestReturns:
         assert status == 1
         assert err.startswith("invalid input: not_on_face")
 
+    def test_orbit_on_cut_rejected(self, capsys):
+        # 13 - 8*phi + 3*(2*phi - 3) is the vertical cut 4 - 2*phi
+        status, out, err = invoke(capsys, "returns", "--m", "0,13-8*phi,1/3")
+        assert status == 1
+        assert out == ""
+        assert err == "invalid input: orbit_hits_cut: step 3 lands on the cut at 4-2*phi\n"
+
 
 class TestRotation:
     def test_golden_special_circle(self, capsys):

@@ -421,3 +421,103 @@ def test_sorted_merged_near_ties_fall_back(monkeypatch):
         (above, ["above"]),
         ((1, 0, 0, 0), ["one"]),
     ]
+
+
+ORACLE_BITS = 2000
+
+
+def oracle_bounds(value):
+    """Integers lo, hi and a scale M with lo < value * M < hi and hi - lo = 6.
+
+    Independent of basis_approx: with D the denominator,
+    2*D*value = (2*a0 + a1) + a1*sqrt5 + (2*a2 + a3)*sqrt2 + a3*sqrt10,
+    and each surd term is rounded down with math.isqrt at 2000 bits.
+    """
+    denom = common_denominator([value])
+    a0, a1, a2, a3 = value.scaled_coeffs(denom)
+    one = 1 << ORACLE_BITS
+    total = (2 * a0 + a1) * one
+    for t, n in ((a1, 5), (2 * a2 + a3, 2), (a3, 10)):
+        root = math.isqrt(n * t * t * one * one)
+        total += root if t >= 0 else -root - 1
+    return total - 3, total + 3, 2 * denom * one
+
+
+def oracle_floor(value, factor=1, offset=Fraction(0)):
+    """floor(value * factor + offset), certified from the oracle bounds."""
+    lo, hi, scale = oracle_bounds(value)
+    low = math.floor(Fraction(lo * factor, scale) + offset)
+    assert low == math.floor(Fraction(hi * factor, scale) + offset), "oracle too coarse"
+    return low
+
+
+def oracle_decimal(value, places):
+    negative = oracle_floor(value, offset=Fraction(0)) < 0
+    magnitude = -value if negative else value
+    quotient = oracle_floor(magnitude, 10**places, Fraction(1, 2))
+    digits = str(quotient).rjust(places + 1, "0")
+    return f"{'-' if negative and quotient else ''}{digits[:-places]}.{digits[-places:]}"
+
+
+def golden_unit(k):
+    """F(k+1) - F(k)*phi for the Fibonacci numbers F, about (-1/phi)**k."""
+    a, b = 0, 1
+    for _ in range(k):
+        a, b = b, a + b
+    return b - a * PHI
+
+
+def long_coefficient_values():
+    """40- and 80-digit values, random and nearly cancelling, and golden near-integers."""
+    rng = random.Random(4080)
+    values = []
+    for digits in (40, 80):
+        for _ in range(40):
+            coeffs = [rng.randrange(-(10**digits), 10**digits) for _ in range(4)]
+            values.append(FieldNumber(*coeffs) / rng.randrange(1, 10**6))
+            unit = golden_unit(rng.randrange(150, 390))
+            values.append(unit * rng.randrange(1, 10**6) + Fraction(rng.randrange(-99, 99), 7))
+    for k in (120, 121, 140, 200, 201):
+        values += [golden_unit(k), golden_unit(k) + Fraction(1, 2), -golden_unit(k)]
+    values.append(FieldNumber(3 * 10**40 + 1, -(7 * 10**40) // 3))
+    return values
+
+
+def test_long_coefficients_match_the_isqrt_oracle(bounded):
+    bounded(60, check_against_the_oracle, long_coefficient_values())
+
+
+def check_against_the_oracle(values):
+    for value in values:
+        floor = value.floor()
+        assert floor == oracle_floor(value), value
+        assert reduce_mod1(value) == value - floor
+        lo, hi, _ = oracle_bounds(value)
+        assert value.sign() == (1 if lo > 0 else -1), value
+        assert (value - floor).sign() == 1 and (floor + 1 - value).sign() == 1
+        for places in (1, 20, 45):
+            assert value.decimal(places) == oracle_decimal(value, places), (value, places)
+
+
+def test_golden_near_integers(bounded):
+    for k in (120, 140, 200):
+        half = golden_unit(k) + Fraction(1, 2)
+        assert bounded(10, half.floor) == 0 and reduce_mod1(half) == half
+        assert half.decimal(20) == "0.50000000000000000000"
+    assert golden_unit(121).floor() == -1
+    assert FieldNumber(3 * 10**40 + 1, -(7 * 10**40) // 3).decimal(20) == (
+        "-7754126404164213124773692801864889413473.95955146030004639260"
+    )
+    assert FieldNumber(3 * 10**60 + 1, -(7 * 10**60) // 3).decimal(2) == (
+        "-775412640416421312477369280186488941347388086213446678316046.87"
+    )
+
+
+def test_floor_takes_at_most_three_sign_tests(monkeypatch, bounded):
+    calls = []
+    real = exactnum._int_sign
+    monkeypatch.setattr(exactnum, "_int_sign", lambda vector: calls.append(vector) or real(vector))
+    for value in long_coefficient_values():
+        del calls[:]
+        bounded(10, value.floor)
+        assert len(calls) <= 3, value

@@ -22,15 +22,17 @@ from cubewords.returns import (
     HitsCut,
     InsufficientOccurrences,
     OnBoundary,
+    _circle_cut_candidates,
     cell_of,
     circle_partition,
     empirical_cells,
     kth_return_prediction,
-    predict_return_word,
+    predict_return_words,
     reconstruct,
     return_words,
     translation_step,
 )
+from cubewords.rotation import TRANSLATION_ANGLE
 
 F = FieldNumber
 A1, A2, A3, A4, A5, A6, A7 = CellLabel
@@ -89,6 +91,14 @@ def random_face_point(rng):
     if kind == 1:
         return reduce_mod1(F(y) + Fraction(rng.randrange(1, 7), 7) * PHI), F(z)
     return F(y), reduce_mod1(F(z) + Fraction(rng.randrange(1, 5), 5) * SQRT2)
+
+
+def golden_unit(k):
+    """F(k+1) - F(k)*phi for the Fibonacci numbers F, about phi**-k in size."""
+    a, b = 0, 1
+    for _ in range(k):
+        a, b = b, a + b
+    return b - a * PHI
 
 
 class TestCellLabel:
@@ -236,7 +246,7 @@ class TestPredictions:
             kth_return_prediction(m, 0)
         for r in (Fraction(1, 2), Fraction(1, 3)):
             with pytest.raises(ValueError, match="face X = 0"):
-                predict_return_word(m, 0, r)
+                predict_return_words(m, 1, r)
 
     def test_predictions_match_trace(self):
         rng = random.Random(77)
@@ -275,9 +285,47 @@ class TestPredictions:
                 continue
             word = trace_letters(start, Direction(r), length=100)
             blocks = return_words(word).blocks
-            for k in range(min(12, len(blocks) - 1)):
-                assert predict_return_word(start, k, r) == blocks[k], (y, z, k)
+            count = min(12, len(blocks) - 1)
+            assert predict_return_words(start, count, r) == list(blocks[:count]), (y, z)
             starts += 1
+
+    def test_one_orbit_equals_the_single_point_reference(self):
+        rng = random.Random(1105)
+        strata = set()
+        for _ in range(51):
+            y, z = random_face_point(rng)
+            start = StartPoint(0, y, z)
+            reference = [kth_return_prediction(start, k).word for k in range(501)]
+            assert predict_return_words(start, 501) == reference, (y, z)
+            strata.add(reduce_mod1(y + z).tag)
+        assert strata == {"rational", "golden", "quartic"}
+
+    @pytest.mark.parametrize("family", ["seam", "horizontal", "vertical", "red", "blue"])
+    def test_one_orbit_near_each_cut(self, family):
+        # On s = (2 + sqrt2)/3 - 1 all five cut families cut the circle.  The
+        # start is steered so that step j lands within the golden unit
+        # F(49) - F(48)*phi (about 1e-10) of the family's cut, on either side.
+        s = reduce_mod1((2 + SQRT2) / 3)
+        cuts = dict(_circle_cut_candidates(s))
+        assert len(cuts) == 5
+        unit = golden_unit(48)
+        j = 60 + 110 * ["seam", "horizontal", "vertical", "red", "blue"].index(family)
+        for side in (1, -1):
+            y = reduce_mod1(cuts[family] - j * TRANSLATION_ANGLE + side * unit)
+            start = StartPoint(0, y, reduce_mod1(s - y))
+            reference = [kth_return_prediction(start, k).word for k in range(501)]
+            assert predict_return_words(start, 501) == reference, (family, side)
+
+    def test_orbit_on_a_cut(self):
+        # 13 - 8*phi + 3*(2*phi - 3) = 4 - 2*phi, the vertical cut
+        start = StartPoint(0, 13 - 8 * PHI, Fraction(1, 3))
+        with pytest.raises(HitsCut) as hit:
+            predict_return_words(start, 4)
+        assert hit.value.step == 3
+        assert hit.value.position == 4 - 2 * PHI
+        assert len(predict_return_words(start, 3)) == 3
+        with pytest.raises(OnBoundary, match="vertical"):
+            kth_return_prediction(start, 3)
 
 
 class TestCirclePartition:

@@ -99,7 +99,7 @@ def test_degenerate_quartic_profile():
 
 
 def test_quartic_word_refutes_4n_minus_1():
-    # Independent of the progressive engine and the automaton: the
+    # Independent of billiard._merged_axes and the automaton: the
     # reference crossing stream gives the letters and slice sets count
     # them.  Every factor of a prefix is a factor of the whole word, so
     # these counts are lower bounds that already exceed 4n-1.
