@@ -368,24 +368,24 @@ class FieldNumber:
 
     # -- integer part ------------------------------------------------
 
-    def _estimate(self, precision: int, scale: int = 1) -> tuple[int, int]:
-        """Dyadic estimate E of value * (D << p), and p, within (D << p) / scale.
+    def _estimate(self, precision: int, scale: int = 1) -> tuple[int, int, int]:
+        """Dyadic estimate E of value * (D << p), p, and a bound on |E - value * (D << p)|.
 
-        p doubles from ``precision`` until E's error bound times scale is below D << p.
+        p doubles from ``precision`` until the bound times scale is below D << p.
         """
         (a0, a1, a2, a3), denom = self._num, self._den
-        error = (2 * (abs(a1) + abs(a2) + abs(a3)) + 2) * scale
-        while error >= denom << precision:
+        error = 2 * (abs(a1) + abs(a2) + abs(a3)) + 2
+        while error * scale >= denom << precision:
             precision *= 2
         e0, e1, e2, e3 = basis_approx(precision)
-        return a0 * e0 + a1 * e1 + a2 * e2 + a3 * e3, precision
+        return a0 * e0 + a1 * e1 + a2 * e2 + a3 * e3, precision, error
 
     def floor(self) -> int:
         """Exact floor: a guess off by at most one, settled by at most three sign tests."""
         (a0, a1, a2, a3), denom = self._num, self._den
         if self.is_rational:
             return a0 // denom
-        estimate, precision = self._estimate(64)
+        estimate, precision, _ = self._estimate(64)
         guess = (estimate // denom) >> precision
         # self - g has integer coordinates (a0 - g*D, a1, a2, a3) over D > 0
         while _int_sign((a0 - guess * denom, a1, a2, a3)) < 0:
@@ -427,16 +427,25 @@ class FieldNumber:
     def decimal(self, places: int = 20) -> str:
         """Fixed-point decimal rendering, advisory only.
 
-        The value itself stays exact; this string is rounded at the
-        requested number of places from an enclosure within half a unit.
+        The value itself stays exact; this string is its magnitude
+        rounded half up at the requested number of places, the sign
+        kept unless the digits are all zero.  At 0 places it is the
+        rounded integer, with no decimal point.
         """
-        scaled, precision = self._estimate(192, 2 * 10**places)
-        shifted = scaled * 10**places
+        if places < 0:
+            raise ValueError(f"decimal places must be nonnegative, got {places}")
+        unit = 10**places
+        scaled, precision, error = self._estimate(192, 2 * unit)
         total = self._den << precision
-        quotient = (2 * abs(shifted) + total) // (2 * total)
-        digits = str(quotient).rjust(places + 1, "0")
-        sign = "-" if scaled < 0 and quotient != 0 else ""
-        return f"{sign}{digits[:-places]}.{digits[-places:]}"
+        # 2|E|*unit + total is off by at most margin; when that is too
+        # close to a multiple of 2*total, a tie decides, so settle it exactly
+        quotient, rest = divmod(2 * abs(scaled) * unit + total, 2 * total)
+        margin = 2 * error * unit
+        if not margin <= rest < 2 * total - margin:
+            quotient = (abs(self) * unit + Fraction(1, 2)).floor()
+        whole, fraction = divmod(quotient, unit)
+        text = f"{'-' if scaled < 0 and quotient != 0 else ''}{whole}"
+        return f"{text}.{fraction:0{places}d}" if places else text
 
 
 def sign(value: FieldNumber) -> int:

@@ -218,10 +218,12 @@ def predict_return_words(m: StartPoint, count: int, r: Fraction = Fraction(1, 2)
 
     For r = 1/2 the k-th translate is (y + k*alpha, z - k*alpha) mod 1,
     alpha = 2*phi - 3, on the circle s = y + z mod 1: the predictions are
-    the block words of one rotation orbit of y, and an orbit point on a
-    cut raises HitsCut.  For other r each prediction traces floor(1/r) + 6
-    letters from the translated face point, as at most floor(1/r) + 2
-    crossings of Y and Z faces lie between two of X.
+    the block words of one rotation orbit of y mod 1, so the wall start
+    y = 1 codes as y = 0, and an orbit point on a cut raises HitsCut.
+    A start with z = 0 or 1 and 0 < y < 1 sits on the seam cut s = y,
+    so it raises HitsCut at step 0.  For other r each prediction traces
+    floor(1/r) + 6 letters from the translated face point, as at most
+    floor(1/r) + 2 crossings of Y and Z faces lie between two of X.
     """
     from .rotation import TRANSLATION_ANGLE, code_orbit
 
@@ -229,7 +231,8 @@ def predict_return_words(m: StartPoint, count: int, r: Fraction = Fraction(1, 2)
         raise ValueError("return prediction starts from the face X = 0")
     if r == Fraction(1, 2):
         partition = circle_partition(reduce_mod1(m.y + m.z))
-        return [label.word for label in code_orbit(m.y, partition, TRANSLATION_ANGLE, count)]
+        orbit = code_orbit(reduce_mod1(m.y), partition, TRANSLATION_ANGLE, count)
+        return [label.word for label in orbit]
     length = int(1 / Fraction(r)) + 6
     probes = (StartPoint(0, *_translated_face_point(m, k, r)) for k in range(count))
     return [return_words(trace_letters(p, Direction(r), length)).blocks[0] for p in probes]
@@ -359,6 +362,8 @@ def reconstruct(m: StartPoint, n_letters: int) -> str:
     Joins the first n_letters // 2 + 2 predicted return words, the codes
     of one rotation orbit.  Independent of the crossing engine end to
     end, which is the point: the two pipelines must produce identical words.
+    The starts predict_return_words rejects with HitsCut, such as those
+    with z = 0 or 1 and 0 < y < 1, raise it here too.
     """
     if n_letters < 0:
         raise ValueError("n_letters must be nonnegative")

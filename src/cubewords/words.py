@@ -17,10 +17,18 @@ shorter than 2n + 3 letters carries no right letter: a right extension
 is only believed when a further n + 2 letters follow it, which removes
 the bias a truncated final occurrence would otherwise inject into
 special-factor counts.
+
+Cassaigne's identity needs only one integer per length from that
+census, the summed bilateral multiplicity of the bispecial factors, so
+cassaigne_check reads it from the same windows and trust rules as
+plain sets of distinct contexts, with no census objects: a bispecial
+factor is left special, so only the factors with two or more left
+letters are examined.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Collection, Iterable, Optional
@@ -236,29 +244,74 @@ def special_factors(word: str, n: int) -> tuple[list[str], list[str], list[str]]
     return left, right, sorted(set(left).intersection(right))
 
 
+def _bispecial_sums(word: str, n_max: int) -> tuple[int, ...]:
+    """Summed bilateral multiplicity of the bispecial factors of each length 1..n_max.
+
+    Entry n - 1 equals the sum over extension_censuses(word, n_max)[n - 1],
+    for 1 <= n_max <= len(word), from the same windows and trust rules
+    but without census objects.  Length n reads two sets: the left
+    contexts t[: n + 1] of the windows longer than n and the trusted
+    contexts t[: n + 2] of the windows of 2n + 3 letters or more.  Going
+    down from n_max, each length's sets are the last ones with their
+    final letter dropped, plus the prefixes of the cut-short windows
+    that first count at this length: one left, at most two trusted.
+    Each factor v with k >= 2 left letters has its pairs (l, r) read by
+    membership of l + v + r among the trusted contexts, over the word's
+    own letters; the occurrence at position 0 adds the right letter
+    word[n] to v = word[:n] when the word has 2n + 2 letters or more.
+    """
+    total = len(word)
+    alphabet = sorted(set(word))
+    windows = _windows(word, 2 * n_max + 3)
+    lefts = {t[: n_max + 1] for t in windows if len(t) > n_max}
+    trusted = {t[: n_max + 2] for t in windows if len(t) >= 2 * n_max + 3}
+    sums = []
+    for n in range(n_max, 0, -1):
+        if n < n_max:
+            lefts = {context[:-1] for context in lefts}
+            lefts.add(word[total - n - 1 :])
+            trusted = {context[:-1] for context in trusted}
+            for width in (2 * n + 3, 2 * n + 4):
+                if width <= total:
+                    trusted.add(word[total - width : total - width + n + 2])
+        head = word[:n] if total >= 2 * n + 2 else None
+        found = 0
+        for v, k in Counter(context[1:] for context in lefts).items():
+            if k < 2:
+                continue
+            pairs = [(l, r) for l in alphabet for r in alphabet if l + v + r in trusted]
+            right = {r for _, r in pairs}
+            if v == head:
+                right.add(word[n])
+            if len(right) >= 2:
+                found += len(pairs) - len(right) - k + 1
+        sums.append(found)
+    return tuple(reversed(sums))
+
+
 def cassaigne_check(word: str, n_max: int) -> list[tuple[int, int, int]]:
-    """Second-difference identity against the bispecial census.
+    """Second-difference identity against the bispecial factors.
 
     For each checkable n, the increment s(n+1) - s(n) must equal the sum
-    of bilateral multiplicities over bispecial factors of length n.
-    Returns the list of (n, increment, census_sum) mismatches, empty
-    when the window passes; lengths whose counts are unstable are not
-    checked, since the identity only holds for honest windows.  One
-    window pass builds the censuses up to the largest length checked.
+    of bilateral multiplicities m(v) = #pairs - #right - #left + 1 over
+    the bispecial factors v of length n (Cassaigne 1997).  Returns the
+    list of (n, increment, census_sum) mismatches, empty when the window
+    passes; lengths whose counts are unstable are not checked, since the
+    identity only holds for honest windows.  The increments come from
+    the suffix automaton and the sums from one window pass over the
+    distinct contexts, so the two sides are independent.  Only left
+    special factors can be bispecial, so only they are examined; the
+    sums follow the trust rules of extension_censuses without building
+    its census objects.
     """
     profile = complexity(word, n_max)
     checked = [n for n in range(1, n_max - 1) if all(map(profile.stable, (n, n + 1, n + 2)))]
-    censuses = extension_censuses(word, checked[-1]) if checked else ()
+    sums = _bispecial_sums(word, checked[-1]) if checked else ()
     failures = []
     for n in checked:
         increment = profile.s(n + 1) - profile.s(n)
-        census = sum(
-            e.bilateral_multiplicity
-            for e in censuses[n - 1].values()
-            if len(e.left) >= 2 and len(e.right) >= 2
-        )
-        if increment != census:
-            failures.append((n, increment, census))
+        if increment != sums[n - 1]:
+            failures.append((n, increment, sums[n - 1]))
     return failures
 
 

@@ -176,6 +176,16 @@ def test_decimal_rendering():
     assert (-(2 - PHI)).decimal(4) == "-0.3820"
 
 
+def test_decimal_at_zero_places():
+    assert FieldNumber(Fraction(3, 2)).decimal(0) == "2"
+    assert FieldNumber(Fraction(-7, 3)).decimal(0) == "-2"
+    assert FieldNumber(Fraction(-1, 3)).decimal(0) == "0"
+    assert PHI.decimal(0) == "2"
+    assert (-SQRT2).decimal(0) == "-1"
+    with pytest.raises(ValueError):
+        PHI.decimal(-1)
+
+
 def test_tags():
     assert FieldNumber(Fraction(1, 2)).tag == "rational"
     assert (2 - PHI).tag == "golden"
@@ -456,7 +466,9 @@ def oracle_decimal(value, places):
     magnitude = -value if negative else value
     quotient = oracle_floor(magnitude, 10**places, Fraction(1, 2))
     digits = str(quotient).rjust(places + 1, "0")
-    return f"{'-' if negative and quotient else ''}{digits[:-places]}.{digits[-places:]}"
+    point = len(digits) - places
+    text = f"{'-' if negative and quotient else ''}{digits[:point]}"
+    return f"{text}.{digits[point:]}" if places else text
 
 
 def golden_unit(k):
@@ -495,7 +507,7 @@ def check_against_the_oracle(values):
         lo, hi, _ = oracle_bounds(value)
         assert value.sign() == (1 if lo > 0 else -1), value
         assert (value - floor).sign() == 1 and (floor + 1 - value).sign() == 1
-        for places in (1, 20, 45):
+        for places in (0, 1, 20, 45):
             assert value.decimal(places) == oracle_decimal(value, places), (value, places)
 
 
@@ -505,6 +517,10 @@ def test_golden_near_integers(bounded):
         assert bounded(10, half.floor) == 0 and reduce_mod1(half) == half
         assert half.decimal(20) == "0.50000000000000000000"
     assert golden_unit(121).floor() == -1
+    # within 10**-41 of a tie at 0 places, far inside the dyadic estimate's error
+    assert (golden_unit(200) + Fraction(1, 2)).decimal(0) == "1"
+    assert (golden_unit(201) + Fraction(1, 2)).decimal(0) == "0"
+    assert (-(golden_unit(200) + Fraction(1, 2))).decimal(0) == "-1"
     assert FieldNumber(3 * 10**40 + 1, -(7 * 10**40) // 3).decimal(20) == (
         "-7754126404164213124773692801864889413473.95955146030004639260"
     )

@@ -448,6 +448,23 @@ class TestReconstruct:
         with pytest.raises(HitsCut):
             reconstruct(start, 40)
 
+    @pytest.mark.parametrize("y,z", [(0, fr(1, 3)), (0, fr(2, 3)), (1, fr(1, 3))])
+    def test_wall_starts_match_trace(self, y, z):
+        # y = 1 is the same circle point as y = 0, and traces the same word
+        start = StartPoint(0, y, z)
+        word = trace_letters(start, length=400)
+        assert reconstruct(start, 400) == word
+        blocks = return_words(word).blocks
+        assert predict_return_words(start, len(blocks)) == list(blocks)
+
+    @pytest.mark.parametrize("z", [0, 1])
+    def test_wall_starts_on_the_seam_raise(self, z):
+        start = StartPoint(0, fr(1, 3), z)
+        for route in (lambda: reconstruct(start, 40), lambda: predict_return_words(start, 1)):
+            with pytest.raises(HitsCut) as hit:
+                route()
+            assert hit.value.step == 0 and hit.value.position == fr(1, 3)
+
 
 class TestEmpiricalCells:
     def test_half_recovers_block_table(self):

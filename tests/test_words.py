@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from cubewords import words
 from cubewords.billiard import StartPoint, raw_crossings, trace_letters
 from cubewords.exactnum import PHI, SQRT2
 from cubewords.words import (
@@ -46,6 +47,18 @@ def scanned_extensions(word, n):
         piece: ExtensionCensus(frozenset(l), frozenset(r), frozenset(p))
         for piece, (l, r, p) in raw.items()
     }
+
+
+def census_bispecial_sums(word, n_max):
+    """The Cassaigne sums read off the census objects, one per length."""
+    return tuple(
+        sum(
+            e.bilateral_multiplicity
+            for e in census.values()
+            if len(e.left) >= 2 and len(e.right) >= 2
+        )
+        for census in extension_censuses(word, n_max)
+    )
 
 
 def right_special(census):
@@ -183,6 +196,39 @@ def test_cassaigne_on_traced_words():
     ]:
         word = trace_letters(start, length=20000)
         assert cassaigne_check(word, 14) == []
+
+
+def test_bispecial_sums_match_the_censuses_on_random_words():
+    rng = random.Random(1997)
+    for i in range(330):
+        length = rng.randint(1, 90)
+        # the sums must take their letters from the word, not from "abc"
+        alphabet = ("a", "ab", "abc", "xyz", "wxyz")[i % 5]
+        word = "".join(rng.choice(alphabet) for _ in range(length))
+        # a length's census does not depend on n_max, so one serves all three
+        expected = census_bispecial_sums(word, length)
+        for n_max in {length, rng.randint(1, length), min(length, 4)}:
+            assert words._bispecial_sums(word, n_max) == expected[:n_max], (word, n_max)
+
+
+def test_bispecial_sums_match_the_censuses_on_reference_words():
+    for start in [
+        StartPoint(0, Fraction(1, 2), Fraction(1, 2)),
+        StartPoint(0, 0, 2 - PHI),
+        StartPoint(0, 0, SQRT2 - 1),
+    ]:
+        word = trace_letters(start, length=8000)
+        assert words._bispecial_sums(word, 52) == census_bispecial_sums(word, 52)
+
+
+def test_cassaigne_check_builds_no_census(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("cassaigne_check built a census")
+
+    monkeypatch.setattr(words, "ExtensionCensus", refuse)
+    monkeypatch.setattr(words, "extension_censuses", refuse)
+    word = trace_letters(StartPoint(0, 0, SQRT2 - 1), length=8000)
+    assert cassaigne_check(word, 52) == []
 
 
 def test_cassaigne_on_fibonacci():
