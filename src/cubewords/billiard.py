@@ -41,7 +41,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, chain, compress, groupby, islice, repeat
+from itertools import accumulate, chain, combinations, compress, groupby, islice, repeat
 from operator import sub
 from typing import Iterator, NamedTuple, Optional, Sequence
 
@@ -220,14 +220,33 @@ def _wall_letters(specs: Sequence[_AxisSpec]) -> str:
 
 _CHUNK = 4096  # crossings merged per sort, which bounds the memory of long traces
 
+_Vector = tuple[int, int, int, int]
+
+
+def _scaled_progressions(specs: Sequence[_AxisSpec]) -> tuple[list[_Vector], list[_Vector]]:
+    """Integer steps and shifts of the axes' crossing times.
+
+    Axis i crosses plane n at time (n - offset_i) * inverse_speed_i.  With
+    D the common denominator of every inverse speed and every product
+    offset_i * inverse_speed_i, D times that time has the integer
+    coordinates n*step_i - shift_i over the basis (1, phi, sqrt2,
+    phi*sqrt2); this returns the lists of step_i and shift_i.
+    """
+    inverse_speeds = [spec.inverse_speed for spec in specs]
+    shifts = [spec.offset * spec.inverse_speed for spec in specs]
+    denominator = common_denominator(inverse_speeds + shifts)
+    return (
+        [value.scaled_coeffs(denominator) for value in inverse_speeds],
+        [value.scaled_coeffs(denominator) for value in shifts],
+    )
+
 
 def _merged_axes(specs: Sequence[_AxisSpec], count: int) -> tuple[bytes, int]:
     """Spec indices of the first ``count`` crossings in exact order, and the ties.
 
-    Axis i crosses plane n at time (n - offset_i) * inverse_speed_i.  With
-    D a common denominator, D times that time has integer coordinates
-    n*step_i - shift_i over the basis (1, phi, sqrt2, phi*sqrt2), and its
-    p-bit dyadic estimate S_i(n) = n*s_i - h_i (s_i and h_i the estimates
+    D times the time of plane n on axis i has the integer coordinates
+    n*step_i - shift_i of _scaled_progressions, and its p-bit dyadic
+    estimate S_i(n) = n*s_i - h_i (s_i and h_i the estimates
     of step_i and shift_i) lies within 2*(n*|step_i| + |shift_i|) of the
     value times 2**p, |.| summing the three irrational coordinates.
 
@@ -249,11 +268,7 @@ def _merged_axes(specs: Sequence[_AxisSpec], count: int) -> tuple[bytes, int]:
     more than k of them below the cut, so every chunk emits crossings.
     """
     k = len(specs)
-    inverse_speeds = [spec.inverse_speed for spec in specs]
-    shifts = [spec.offset * spec.inverse_speed for spec in specs]
-    denominator = common_denominator(inverse_speeds + shifts)
-    steps = [value.scaled_coeffs(denominator) for value in inverse_speeds]
-    shifts = [value.scaled_coeffs(denominator) for value in shifts]
+    steps, shifts = _scaled_progressions(specs)
     slopes = [2 * (abs(a1) + abs(a2) + abs(a3)) for _, a1, a2, a3 in steps]
     intercepts = [2 * (abs(b1) + abs(b2) + abs(b3)) for _, b1, b2, b3 in shifts]
 
@@ -490,36 +505,37 @@ class Validation:
 
 
 def _pair_ties(
-    first: _AxisSpec, second: _AxisSpec, time_bound: FieldNumber
+    first: _AxisSpec,
+    second: _AxisSpec,
+    p: _Vector,
+    q: _Vector,
+    r: _Vector,
+    time_bound: FieldNumber,
 ) -> list[SimultaneousCrossing]:
     """All common crossing times of two progressions within the bound.
 
-    Solves n*iota_i - m*iota_j = offset_i*iota_i - offset_j*iota_j over
+    Solves n*p - m*q = r, with p and q the two axes' integer steps and r
+    the difference of their integer shifts (_scaled_progressions), over
     the four basis coordinates.  The inverse speeds of the family are
     1/r, phi and phi + 1, so on the coordinates (1, phi) the pairs (b, a),
-    (b, c) and (a, c) have determinants 1/r, 1 and -1/r, never zero: the
-    pair of planes (n, m) is the single solution of that 2x2 system, and
-    it counts only if it also satisfies the sqrt2 coordinates.  One
-    candidate per pair makes the cost independent of the horizon.
+    (b, c) and (a, c) have nonzero determinants: the pair of planes
+    (n, m) is the single solution of that 2x2 system, found in integers
+    by divmod, and it counts only if it is integral with n, m >= 1 and
+    also satisfies the sqrt2 coordinates.  Only such a candidate has its
+    exact time built for the bound test.  One candidate per pair makes
+    the cost independent of the horizon.
     """
-    p = first.inverse_speed.coeffs
-    q = second.inverse_speed.coeffs
-    target = first.offset * first.inverse_speed - second.offset * second.inverse_speed
-    r = target.coeffs
     det = q[0] * p[1] - p[0] * q[1]
-    n = (q[0] * r[1] - q[1] * r[0]) / det
-    m = (p[0] * r[1] - p[1] * r[0]) / det
-    out: list[SimultaneousCrossing] = []
-    if all(n * p[i] - m * q[i] == r[i] for i in range(4)):
-        if n.denominator == 1 and m.denominator == 1 and n >= 1 and m >= 1:
-            time = (FieldNumber(n) - first.offset) * first.inverse_speed
-            if time <= time_bound:
-                out.append(
-                    SimultaneousCrossing(
-                        time, first.letter + second.letter, (int(n), int(m))
-                    )
-                )
-    return out
+    n, n_rest = divmod(q[0] * r[1] - q[1] * r[0], det)
+    m, m_rest = divmod(p[0] * r[1] - p[1] * r[0], det)
+    if n_rest or m_rest or n < 1 or m < 1:
+        return []
+    if any(n * a - m * b != c for a, b, c in zip(p, q, r)):
+        return []
+    time = (FieldNumber(n) - first.offset) * first.inverse_speed
+    if time > time_bound:
+        return []
+    return [SimultaneousCrossing(time, first.letter + second.letter, (n, m))]
 
 
 def validate(
@@ -532,16 +548,19 @@ def validate(
     A start passes when at most one coordinate is integral and no two
     axes cross planes simultaneously before the time that covers the
     requested number of letters.  The simultaneity equations are solved
-    exactly, never scanned numerically.
+    exactly, never scanned numerically: each pair of axes is one 2x2
+    integer system on the common-denominator coordinates of
+    _scaled_progressions.
     """
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
     time_bound = FieldNumber(horizon + 3) / direction.speed_sum
     specs = _cube_axes(start, direction)
+    steps, shifts = _scaled_progressions(specs)
     ties: list[SimultaneousCrossing] = []
-    for i in range(len(specs)):
-        for j in range(i + 1, len(specs)):
-            ties.extend(_pair_ties(specs[i], specs[j], time_bound))
+    for i, j in combinations(range(len(specs)), 2):
+        r = tuple(map(sub, shifts[i], shifts[j]))
+        ties.extend(_pair_ties(specs[i], specs[j], steps[i], steps[j], r, time_bound))
     ties.sort(key=lambda event: event.time)
     degenerate = start.is_degenerate
     return Validation(

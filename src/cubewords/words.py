@@ -16,7 +16,12 @@ machineries able to cross-check each other.  At length n, a window
 shorter than 2n + 3 letters carries no right letter: a right extension
 is only believed when a further n + 2 letters follow it, which removes
 the bias a truncated final occurrence would otherwise inject into
-special-factor counts.
+special-factor counts.  Those distinct windows cost about one slice per
+distinct window, not one per position: the occurrences of the word's
+own short prefix cut it into spans, and equal spans of equal length
+start equal windows, so only the distinct spans are expanded.  Counts
+of distinct prefixes, as of these windows or of a language, come from
+one sorted pass with longest-common-prefix lengths.
 
 Cassaigne's identity needs only one integer per length from that
 census, the summed bilateral multiplicity of the bispecial factors, so
@@ -31,6 +36,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, compress, count
+from operator import ne
 from typing import Collection, Iterable, Optional
 
 
@@ -130,9 +137,29 @@ class ExtensionCensus:
         return len(self.pairs) - len(self.right) - len(self.left) + 1
 
 
+_ANCHOR = 6  # letters of the word's own prefix that mark window anchors
+
+
 def _windows(word: str, width: int) -> set[str]:
-    """Distinct windows of the word, cut short at its end."""
-    return {word[i : i + width] for i in range(len(word))}
+    """Distinct windows of the word, cut short at its end.
+
+    The anchors are position 0 and every later non-overlapping occurrence
+    of the word's prefix of _ANCHOR letters, read from one str.split.
+    Every window starting at i with p <= i < q, for consecutive anchors
+    p and q (q = len(word) after the last), is span[i - p : i - p + width]
+    with span = word[p : q + width - 1].  Equal (span, q - p) pairs give
+    equal windows, so only the distinct spans are sliced window by
+    window.  Any anchor set containing 0 gives the same result; the
+    prefix length sets only the speed.
+    """
+    if not word:
+        return set()
+    separator = word[:_ANCHOR]
+    step = len(separator)
+    pieces = word.split(separator)[1:]
+    anchors = list(accumulate(map(step.__add__, map(len, pieces)), initial=0))
+    spans = {(word[p : q + width - 1], q - p) for p, q in zip(anchors, anchors[1:])}
+    return {span[i : i + width] for span, size in spans for i in range(size)}
 
 
 def _prefix_counts(texts: Collection[str], n_max: int) -> tuple[int, ...]:
@@ -140,10 +167,21 @@ def _prefix_counts(texts: Collection[str], n_max: int) -> tuple[int, ...]:
 
     Applied to the cut-short windows of a word, these are its factor
     counts: every length-n factor starts some window of n letters or more.
+    The texts are cut to n_max letters and sorted without repeats.  The
+    texts sharing a length-n prefix are then contiguous, so that prefix
+    is counted once, by the first of them: the text w with
+    lcp(w, predecessor) < n <= len(w).  One pass builds the counts as an
+    interval histogram, as SuffixAutomaton.factor_counts does.
     """
-    return tuple(
-        len({text[:n] for text in texts if len(text) >= n}) for n in range(1, n_max + 1)
-    )
+    deltas = [0] * (n_max + 2)
+    previous = ""
+    for text in sorted({text[:n_max] for text in texts}):
+        shared = next(compress(count(), map(ne, text, previous)), min(len(text), len(previous)))
+        if shared < len(text):
+            deltas[shared + 1] += 1
+            deltas[len(text) + 1] -= 1
+        previous = text
+    return tuple(accumulate(deltas[1 : n_max + 1]))
 
 
 def extension_censuses(word: str, n_max: int) -> tuple[dict[str, ExtensionCensus], ...]:

@@ -10,9 +10,12 @@ from cubewords import billiard
 from cubewords.billiard import (
     Direction,
     _AxisSpec,
+    _cube_axes,
     _merged_axes,
     GOLDEN_DIRECTION,
+    SimultaneousCrossing,
     StartPoint,
+    Validation,
     delete_letter,
     letter_frequencies,
     raw_crossings,
@@ -468,3 +471,150 @@ def test_close_run_across_the_cut(monkeypatch):
     ):
         start = StartPoint(Fraction(1, 3), FieldNumber(*y), FieldNumber(*z))
         assert_engine_matches_oracle(start, GOLDEN_DIRECTION, 60)
+
+
+def fraction_pair_ties(first, second, time_bound):
+    """The Fraction route to _pair_ties: Cramer's rule on the coefficients."""
+    p = first.inverse_speed.coeffs
+    q = second.inverse_speed.coeffs
+    r = (first.offset * first.inverse_speed - second.offset * second.inverse_speed).coeffs
+    det = q[0] * p[1] - p[0] * q[1]
+    n = (q[0] * r[1] - q[1] * r[0]) / det
+    m = (p[0] * r[1] - p[1] * r[0]) / det
+    if not all(n * p[i] - m * q[i] == r[i] for i in range(4)):
+        return []
+    if n.denominator != 1 or m.denominator != 1 or n < 1 or m < 1:
+        return []
+    time = (FieldNumber(n) - first.offset) * first.inverse_speed
+    if time > time_bound:
+        return []
+    return [SimultaneousCrossing(time, first.letter + second.letter, (int(n), int(m)))]
+
+
+def fraction_validate(start, direction=GOLDEN_DIRECTION, horizon=1000):
+    """The Fraction route to validate, pair by pair over the cube axes."""
+    time_bound = FieldNumber(horizon + 3) / direction.speed_sum
+    specs = _cube_axes(start, direction)
+    ties = [
+        tie
+        for first, second in itertools.combinations(specs, 2)
+        for tie in fraction_pair_ties(first, second, time_bound)
+    ]
+    ties.sort(key=lambda event: event.time)
+    degenerate = start.is_degenerate
+    return Validation(
+        ok=not degenerate and not ties,
+        degenerate_start=degenerate,
+        ties=tuple(ties),
+        horizon=horizon,
+        time_bound=time_bound,
+    )
+
+
+def assert_validate_matches_fractions(start, direction=GOLDEN_DIRECTION, horizon=1000):
+    report = validate(start, direction, horizon)
+    assert report == fraction_validate(start, direction, horizon), (start, direction, horizon)
+    return report
+
+
+def test_validate_matches_fractions_on_random_starts():
+    rng = random.Random(6502)
+    for start in engine_starts(rng, 120):
+        for direction in DIRECTIONS:
+            for horizon in (0, 7, 1000):
+                assert_validate_matches_fractions(start, direction, horizon)
+
+
+# One tie per axis pair, each at planes (1, 1): x = 3/10 and y = 1 - (7/5)(phi - 1)
+# meet at t = 7/5, y = 1 - phi/2 and z = 1/2 at t = phi/2, and x = 3/10 and
+# z = 1.4*phi - 1.8 at t = 7/5.
+CONSTRUCTED_TIES = [
+    (StartPoint(Fraction(3, 10), 1 - Fraction(7, 5) * (PHI - 1), Fraction(1, 3)), "ba"),
+    (StartPoint(Fraction(1, 3), 1 - PHI / 2, HALF), "bc"),
+    (StartPoint(Fraction(3, 10), Fraction(1, 3), Fraction(7, 5) * PHI - Fraction(9, 5)), "ac"),
+]
+
+
+@pytest.mark.parametrize("start, letters", CONSTRUCTED_TIES)
+def test_validate_flags_one_tie_per_axis_pair(start, letters):
+    report = assert_validate_matches_fractions(start, horizon=20)
+    assert not report.ok
+    assert [(tie.letters, tie.planes) for tie in report.ties] == [(letters, (1, 1))]
+
+
+def late_tie_start(n):
+    """x = 3/10 crosses plane n together with y, which crosses plane m; (start, time, m)."""
+    time = 2 * (n - Fraction(3, 10))
+    m = (time * (PHI - 1)).floor() + 1
+    return StartPoint(Fraction(3, 10), m - time * (PHI - 1), Fraction(1, 3)), time, m
+
+
+@pytest.mark.parametrize("n", [1, 2, 50, 700])
+def test_validate_at_the_time_bound(n):
+    # time_bound = (horizon + 3) / speed_sum, so the tie first counts at
+    # the smallest horizon whose bound reaches its time.
+    start, time, m = late_tie_start(n)
+    speed_sum = GOLDEN_DIRECTION.speed_sum
+    inside = -((-time * speed_sum).floor()) - 3
+    report = assert_validate_matches_fractions(start, horizon=inside)
+    assert [tie.time for tie in report.ties] == [time]
+    assert report.ties[0].planes == (m, n)
+    assert report.time_bound >= time
+    if inside >= 1:
+        beyond = assert_validate_matches_fractions(start, horizon=inside - 1)
+        assert beyond.ok
+        assert beyond.time_bound < time
+    assert_validate_matches_fractions(start, horizon=inside + 1)
+
+
+@pytest.mark.parametrize(
+    "coords",
+    [
+        *itertools.product((0, 1), repeat=3),
+        (0, 0, 2 - PHI),
+        (0, 0, SQRT2 - 1),
+        (1, HALF, 0),
+        (HALF, 1, 1),
+        (0, 4 - 2 * PHI, 1),
+    ],
+)
+def test_validate_matches_fractions_on_degenerate_starts(coords):
+    for direction in DIRECTIONS:
+        report = assert_validate_matches_fractions(StartPoint(*coords), direction, 50)
+        assert report.degenerate_start
+        assert report.reason == "degenerate_start"
+
+
+def large_start(digits, rng):
+    """A face start whose y and z have coefficients of about ``digits`` digits."""
+    low = 10 ** (digits - 1)
+
+    def coefficient():
+        return rng.choice((1, -1)) * rng.randrange(low, 10 * low)
+
+    y = reduce_mod1(FieldNumber(coefficient(), Fraction(coefficient(), 7)))
+    z = reduce_mod1(
+        FieldNumber(coefficient(), Fraction(coefficient(), 3), coefficient(), coefficient())
+    )
+    return StartPoint(0, y, z)
+
+
+LARGE_STARTS = [large_start(digits, random.Random(digits)) for digits in (40, 40, 80, 80)]
+
+
+@pytest.mark.parametrize("start", LARGE_STARTS)
+def test_large_starts_trace_like_raw_crossings(start):
+    letters = "".join(letter for _, letter in itertools.islice(raw_crossings(start), 2000))
+    assert trace_letters(start, length=2000) == letters
+
+
+@pytest.mark.parametrize("start", LARGE_STARTS)
+def test_large_starts_validate_like_fractions(start):
+    for horizon in (10, 2000):
+        assert assert_validate_matches_fractions(start, horizon=horizon).ok
+    # x placed to cross plane n when y crosses plane 3: a tie with large coefficients
+    time = (3 - start.y) * PHI
+    n = (time / 2).floor() + 1
+    tied = StartPoint(n - time / 2, start.y, start.z)
+    report = assert_validate_matches_fractions(tied, horizon=50)
+    assert [(tie.time, tie.letters, tie.planes) for tie in report.ties] == [(time, "ba", (3, n))]

@@ -1,11 +1,14 @@
 """Command-line reports: content, formats, exit statuses, output routing."""
 
 import json
+import random
+import time
+from fractions import Fraction
 
 import pytest
 
 from cubewords.cli import RunConfig, main, parse_args, run
-from cubewords.exactnum import FieldNumber
+from cubewords.exactnum import FieldNumber, reduce_mod1
 from cubewords.verification import CriterionResult
 
 
@@ -176,6 +179,25 @@ class TestRotation:
         status, _, err = invoke(capsys, "rotation", "--m", "0,2-1*phi,0")
         assert status == 1
         assert err.startswith("invalid input: orbit_hits_cut: step 0")
+
+    @pytest.mark.parametrize("digits", [40, 80])
+    def test_large_coefficients_finish(self, capsys, digits):
+        # the exact core raises its precision with the coefficients; at
+        # the default sizes such a run takes a fraction of a second
+        rng = random.Random(digits)
+        low = 10 ** (digits - 1)
+
+        def coefficient():
+            return rng.choice((1, -1)) * rng.randrange(low, 10 * low)
+
+        y = reduce_mod1(FieldNumber(coefficient(), Fraction(coefficient(), 7)))
+        z = reduce_mod1(FieldNumber(coefficient(), coefficient(), coefficient(), coefficient()))
+        assert len(str(y.coeffs[0].numerator)) >= digits - 1
+        clock = time.process_time()
+        status, out, err = invoke(capsys, "rotation", "--m", f"0,{y},{z}")
+        assert time.process_time() - clock < 20
+        assert (status, err) == (0, "")
+        assert out.splitlines()[-1].startswith("orbit\t")
 
     @pytest.mark.parametrize("ratio", ["0", "-1/2"])
     def test_nonpositive_ratio_rejected(self, capsys, ratio):

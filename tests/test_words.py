@@ -278,3 +278,110 @@ def test_half_counts_are_the_half_prefix_counts():
         profile = complexity(word, n_max)
         assert list(profile.half_counts) == naive_counts(word[: length // 2], n_max)
         assert list(profile.full_counts) == naive_counts(word, n_max)
+
+
+def sliced_windows(word, width):
+    """The plain route to _windows: one slice per starting position."""
+    return {word[i : i + width] for i in range(len(word))}
+
+
+def sliced_prefix_counts(texts, n_max):
+    """The plain route to _prefix_counts: one set of slices per length."""
+    return tuple(
+        len({text[:n] for text in texts if len(text) >= n}) for n in range(1, n_max + 1)
+    )
+
+
+REFERENCE_STARTS = [
+    StartPoint(0, Fraction(1, 2), Fraction(1, 2)),  # s = 0
+    StartPoint(0, 0, 2 - PHI),  # a golden special circle
+    StartPoint(0, 0, SQRT2 - 1),  # a generic quartic circle
+]
+
+
+def test_windows_match_the_slices_on_random_words():
+    rng = random.Random(3133)
+    for length in range(61):
+        for _ in range(4):
+            word = "".join(rng.choice("abc") for _ in range(length))
+            for width in range(1, 21):
+                assert words._windows(word, width) == sliced_windows(word, width), (word, width)
+
+
+@pytest.mark.parametrize(
+    "word",
+    [
+        "",
+        "a",
+        "abc",  # shorter than the separator
+        "abcab",
+        "a" * 40,
+        "ab" * 30,
+        "abcabcabcabc",
+        "abcdef" + "xy" * 20,  # the prefix never recurs: one span, the whole word
+        "aaaaaab" + "aaaaaa" * 3 + "aaaaaaab",
+    ],
+)
+def test_windows_of_periodic_and_short_words(word):
+    for width in (1, 2, 3, 5, 6, 7, 12, 50, 100):
+        assert words._windows(word, width) == sliced_windows(word, width), width
+
+
+def test_windows_of_traced_words():
+    for start in REFERENCE_STARTS:
+        word = trace_letters(start, length=3000)
+        for width in (1, 16, 107):
+            assert words._windows(word, width) == sliced_windows(word, width), width
+
+
+def test_windows_do_not_depend_on_the_anchor(monkeypatch):
+    # any anchor set containing position 0 is correct; the separator
+    # length only sets how many spans are expanded
+    rng = random.Random(88)
+    texts = ["".join(rng.choice("ab") for _ in range(rng.randint(0, 50))) for _ in range(40)]
+    texts.append(trace_letters(REFERENCE_STARTS[2], length=500))
+    for anchor in (1, 2, 3, 9, 40):
+        monkeypatch.setattr(words, "_ANCHOR", anchor)
+        for word in texts:
+            for width in (1, 4, 11):
+                assert words._windows(word, width) == sliced_windows(word, width)
+
+
+def test_prefix_counts_match_the_slices():
+    rng = random.Random(4242)
+    for _ in range(200):
+        alphabet = rng.choice(("a", "ab", "abc"))
+        texts = [
+            "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 14)))
+            for _ in range(rng.randint(0, 30))
+        ]
+        texts += rng.sample(texts, len(texts) // 3)  # duplicates
+        n_max = rng.randint(1, 16)
+        assert words._prefix_counts(texts, n_max) == sliced_prefix_counts(texts, n_max)
+
+
+@pytest.mark.parametrize(
+    "texts",
+    [
+        [],
+        [""],
+        ["", "a", ""],
+        ["abc", "abd", "ab", "a", "abcd", "b"],  # shared prefixes, texts shorter than n
+        ["abc", "abc", "abc"],
+        ["ba", "ab", "ba", "b", "abab"],
+        ["xyz" * 5, "xyz" * 4 + "xy", "xy"],
+    ],
+)
+def test_prefix_counts_on_hand_cases(texts):
+    for n_max in (1, 3, 6, 20):
+        assert words._prefix_counts(texts, n_max) == sliced_prefix_counts(texts, n_max)
+    assert words._prefix_counts(set(texts), 6) == sliced_prefix_counts(set(texts), 6)
+
+
+def test_prefix_counts_of_traced_windows():
+    # the cut-short windows of a word carry its factor counts
+    for start in REFERENCE_STARTS:
+        word = trace_letters(start, length=3000)
+        windows = sliced_windows(word, 40)
+        counts = words._prefix_counts(windows, 40)
+        assert counts == sliced_prefix_counts(windows, 40) == tuple(naive_counts(word, 40))
