@@ -48,6 +48,7 @@ from typing import Iterator, NamedTuple, Optional, Sequence
 from .exactnum import (
     FieldNumber,
     PHI,
+    _field,
     _sorted_merged,
     basis_approx,
     common_denominator,
@@ -59,11 +60,14 @@ NumberLike = FieldNumber | Fraction | int | str
 
 
 def _as_number(value: NumberLike) -> FieldNumber:
-    if isinstance(value, FieldNumber):
-        return value
     if isinstance(value, str):
         return FieldNumber.parse(value)
-    return FieldNumber(value)
+    return _field(value)
+
+
+def _on_wall(value: FieldNumber) -> bool:
+    """Whether the coordinate is an integer, that is, lies on a wall."""
+    return value.is_rational and value.as_fraction().denominator == 1
 
 
 class Direction:
@@ -148,7 +152,7 @@ class StartPoint:
         """Letters of the coordinates lying on a wall, in a, b, c order."""
         out = []
         for axis, value in zip(LETTERS, self._coords):
-            if value.is_rational and value.as_fraction().denominator == 1:
+            if _on_wall(value):
                 out.append(axis)
         return "".join(out)
 
@@ -186,7 +190,7 @@ def _axis_specs(
     specs = []
     for index in tie_order:
         value = coords[index]
-        on_wall = value.is_rational and value.as_fraction().denominator == 1
+        on_wall = _on_wall(value)
         offset = FieldNumber(0) if on_wall else value
         specs.append(
             _AxisSpec(letters[index], offset, inverse_speeds[index], on_wall, wall_ranks[index])
@@ -443,12 +447,7 @@ def raw_crossings(
             current[i] = (FieldNumber(plane[i]) - specs[i].offset) * specs[i].inverse_speed
 
 
-def square_trace(
-    y: NumberLike,
-    z: NumberLike,
-    length: int,
-    direction: Direction = GOLDEN_DIRECTION,
-) -> str:
+def square_trace(y: NumberLike, z: NumberLike, length: int) -> str:
     """Billiard word of the unit square in direction (phi - 1, 2 - phi).
 
     Same limit convention as the cube, restricted to the last two axes:
@@ -456,7 +455,7 @@ def square_trace(
     crossing at t = 0 is dropped, and ties resolve b before c.
     """
     coords = StartPoint(0, y, z).coords[1:]  # checks y and z as axes b and c
-    inverse = direction.inverse_speeds[1:]
+    inverse = GOLDEN_DIRECTION.inverse_speeds[1:]
     specs = _axis_specs(coords, inverse, "bc", wall_ranks=(None, 0), tie_order=(0, 1))
     return _emit(specs, length, with_times=False)[0]
 
@@ -519,16 +518,18 @@ def _pair_ties(
     the four basis coordinates.  The inverse speeds of the family are
     1/r, phi and phi + 1, so on the coordinates (1, phi) the pairs (b, a),
     (b, c) and (a, c) have nonzero determinants: the pair of planes
-    (n, m) is the single solution of that 2x2 system, found in integers
-    by divmod, and it counts only if it is integral with n, m >= 1 and
-    also satisfies the sqrt2 coordinates.  Only such a candidate has its
-    exact time built for the bound test.  One candidate per pair makes
-    the cost independent of the horizon.
+    (n, m) is the single solution of that 2x2 system.  It is floored to
+    integers and counts only if n >= 1 and it satisfies all four
+    coordinates: a non-integral solution floors to a pair that fails the
+    (1, phi) system, and since the common time is positive, n >= 1
+    forces m >= 1.  Only such a candidate has its exact time built for
+    the bound test.  One candidate per pair makes the cost independent
+    of the horizon.
     """
     det = q[0] * p[1] - p[0] * q[1]
-    n, n_rest = divmod(q[0] * r[1] - q[1] * r[0], det)
-    m, m_rest = divmod(p[0] * r[1] - p[1] * r[0], det)
-    if n_rest or m_rest or n < 1 or m < 1:
+    n = (q[0] * r[1] - q[1] * r[0]) // det
+    m = (p[0] * r[1] - p[1] * r[0]) // det
+    if n < 1:
         return []
     if any(n * a - m * b != c for a, b, c in zip(p, q, r)):
         return []

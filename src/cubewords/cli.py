@@ -8,6 +8,9 @@ with its coded orbit and the rank-versus-slope comparison,
 ``directional`` a sampled census with the union table, and ``verify``
 the acceptance suite.
 
+run takes the namespace of parse_args, so argparse holds the only
+defaults, and each TSV table is one _table over the JSON rows.
+
 Exact values cross the boundary as grammar strings, each next to a
 20-digit decimal column that is advisory only and never parsed back.
 TSV and JSON reports carry the same numeric content; reports are
@@ -22,7 +25,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Sequence
@@ -39,14 +41,9 @@ from .returns import (
     return_words,
     translation_step,
 )
-from .rotation import (
-    coding_complexity,
-    fit_complexity_tail,
-    rotation_coding,
-    zmodule_rank,
-)
+from .rotation import coding_complexity, rotation_coding, zmodule_rank
 from .verification import run_all
-from .words import cassaigne_check, complexity
+from .words import cassaigne_check, complexity, fit_complexity_tail
 
 DECIMAL_PLACES = 20
 OUTDIR_VARIABLE = "CUBEWORDS_OUTDIR"
@@ -56,22 +53,6 @@ class InputError(ValueError):
     """Invalid configuration or start data; maps to exit status 1."""
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """One CLI invocation, fully parsed but not yet validated."""
-
-    command: str
-    start: tuple[str, str, str] = ("0", "1/2", "1/2")
-    r: str = "1/2"
-    n_letters: int = 64
-    n_max: int = 24
-    samples: int = 8
-    format: str = "tsv"
-    output: Optional[str] = None
-    seed: int = 0
-    suite: str = "all"
-
-
 def _positive(text: str) -> int:
     value = int(text)
     if value <= 0:
@@ -79,7 +60,8 @@ def _positive(text: str) -> int:
     return value
 
 
-def parse_args(argv: Optional[Sequence[str]] = None) -> RunConfig:
+def parse_args(argv: Optional[Sequence[str]] = None) -> argparse.Namespace:
+    """One CLI invocation, parsed but not yet validated; --m becomes ``start``."""
     parser = argparse.ArgumentParser(
         prog="cubewords",
         description="exact symbolic dynamics of cube billiard words",
@@ -131,22 +113,14 @@ def parse_args(argv: Optional[Sequence[str]] = None) -> RunConfig:
     common(p, point=False)
 
     args = parser.parse_args(argv)
-    fields = {"command": args.command, "format": args.format}
-    if args.output is not None:
-        fields["output"] = args.output
     if hasattr(args, "m"):
-        pieces = tuple(piece.strip() for piece in args.m.split(","))
-        if len(pieces) != 3:
+        args.start = tuple(piece.strip() for piece in args.m.split(","))
+        if len(args.start) != 3:
             parser.error("--m needs exactly three comma-separated coordinates")
-        fields["start"] = pieces
-        fields["r"] = args.r
-    for name in ("n_letters", "n_max", "samples", "seed", "suite"):
-        if hasattr(args, name):
-            fields[name] = getattr(args, name)
-    return RunConfig(**fields)
+    return args
 
 
-def _parse_start(config: RunConfig) -> StartPoint:
+def _parse_start(config: argparse.Namespace) -> StartPoint:
     coords = []
     for label, text in zip("xyz", config.start):
         try:
@@ -159,14 +133,11 @@ def _parse_start(config: RunConfig) -> StartPoint:
         raise InputError(str(exc)) from exc
 
 
-def _parse_ratio(config: RunConfig) -> Fraction:
+def _direction(config: argparse.Namespace) -> Direction:
     try:
-        return Fraction(config.r)
+        r = Fraction(config.r)
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"direction component r: {exc}") from exc
-
-
-def _direction(r: Fraction) -> Direction:
     try:
         return Direction(r)
     except ValueError as exc:
@@ -186,9 +157,16 @@ def _law_text(meta: Optional[dict]) -> str:
     return f"{meta['slope']}\t{meta['intercept']}\t{meta['threshold']}"
 
 
-def _cmd_trace(config: RunConfig) -> tuple[int, list[str], dict]:
+def _table(columns: Sequence[str], rows: Sequence[dict]) -> list[str]:
+    """A TSV header line and one line per row; a None field prints empty."""
+    lines = ["\t".join(columns)]
+    lines += ["\t".join("" if row[c] is None else str(row[c]) for c in columns) for row in rows]
+    return lines
+
+
+def _cmd_trace(config: argparse.Namespace) -> tuple[int, list[str], dict]:
     start = _parse_start(config)
-    direction = _direction(_parse_ratio(config))
+    direction = _direction(config)
     billiard_word = trace(start, direction, length=config.n_letters, with_times=True)
     assert billiard_word.times is not None
     crossings = [
@@ -200,15 +178,14 @@ def _cmd_trace(config: RunConfig) -> tuple[int, list[str], dict]:
         }
         for i, (letter, moment) in enumerate(zip(billiard_word.word, billiard_word.times))
     ]
-    lines = [billiard_word.word, "i\tletter\ttime\ttime_decimal"]
-    lines += [f"{c['i']}\t{c['letter']}\t{c['time']}\t{c['time_decimal']}" for c in crossings]
+    lines = [billiard_word.word] + _table(("i", "letter", "time", "time_decimal"), crossings)
     payload = {"command": "trace", "word": billiard_word.word, "crossings": crossings}
     return 0, lines, payload
 
 
-def _cmd_complexity(config: RunConfig) -> tuple[int, list[str], dict]:
+def _cmd_complexity(config: argparse.Namespace) -> tuple[int, list[str], dict]:
     start = _parse_start(config)
-    direction = _direction(_parse_ratio(config))
+    direction = _direction(config)
     word = trace_letters(start, direction, length=config.n_letters)
     try:
         profile = complexity(word, config.n_max)
@@ -226,14 +203,8 @@ def _cmd_complexity(config: RunConfig) -> tuple[int, list[str], dict]:
         "# command\tcomplexity",
         f"# law\t{_law_text(law)}",
         f"# cassaigne_mismatches\t{len(mismatches)}",
-        "n\tp\ts\tstable",
     ]
-    lines += [
-        "\t".join(
-            (str(r["n"]), str(r["p"]), "" if r["s"] is None else str(r["s"]), str(r["stable"]))
-        )
-        for r in rows
-    ]
+    lines += _table(("n", "p", "s", "stable"), rows)
     payload = {
         "command": "complexity",
         "law": law,
@@ -247,10 +218,9 @@ def _orbit_hits_cut(exc: HitsCut) -> InputError:
     return InputError(f"orbit_hits_cut: step {exc.step} lands on the cut at {exc.position}")
 
 
-def _cmd_returns(config: RunConfig) -> tuple[int, list[str], dict]:
+def _cmd_returns(config: argparse.Namespace) -> tuple[int, list[str], dict]:
     start = _parse_start(config)
-    ratio = _parse_ratio(config)
-    direction = _direction(ratio)
+    direction = _direction(config)
     if start.x != 0:
         raise InputError("not_on_face: return analysis starts on the face x = 0")
     if start.is_degenerate:
@@ -261,7 +231,7 @@ def _cmd_returns(config: RunConfig) -> tuple[int, list[str], dict]:
     except InsufficientOccurrences as exc:
         raise InputError(str(exc)) from exc
     try:
-        predictions = predict_return_words(start, len(blocks), ratio)
+        predictions = predict_return_words(start, len(blocks), direction.r)
     except HitsCut as exc:
         raise _orbit_hits_cut(exc) from exc
     rows = [
@@ -273,11 +243,8 @@ def _cmd_returns(config: RunConfig) -> tuple[int, list[str], dict]:
         "# command\treturns",
         f"# blocks\t{len(blocks)}",
         f"# mismatches\t{mismatches}",
-        "k\tobserved\tpredicted\tmatch",
     ]
-    lines += [
-        f"{r['k']}\t{r['observed']}\t{r['predicted']}\t{r['match']}" for r in rows
-    ]
+    lines += _table(("k", "observed", "predicted", "match"), rows)
     payload = {
         "command": "returns",
         "blocks": len(blocks),
@@ -287,10 +254,9 @@ def _cmd_returns(config: RunConfig) -> tuple[int, list[str], dict]:
     return 0, lines, payload
 
 
-def _cmd_rotation(config: RunConfig) -> tuple[int, list[str], dict]:
+def _cmd_rotation(config: argparse.Namespace) -> tuple[int, list[str], dict]:
     start = _parse_start(config)
-    ratio = _parse_ratio(config)
-    _direction(ratio)
+    ratio = _direction(config).r
     if start.x != 0:
         raise InputError("not_on_face: the coded circle lives on the face x = 0")
     invariant = reduce_mod1(start.y + start.z)
@@ -330,9 +296,8 @@ def _cmd_rotation(config: RunConfig) -> tuple[int, list[str], dict]:
         f"# law\t{_law_text(law)}",
         f"# match\t{int(match)}",
         f"# wrap_label\t{trailing}",
-        "i\tcut\tcut_decimal\tlabel",
     ]
-    lines += [f"{c['i']}\t{c['cut']}\t{c['cut_decimal']}\t{c['label']}" for c in cuts]
+    lines += _table(("i", "cut", "cut_decimal", "label"), cuts)
     lines.append(f"orbit\t{coding.symbols}")
     payload = {
         "command": "rotation",
@@ -349,7 +314,7 @@ def _cmd_rotation(config: RunConfig) -> tuple[int, list[str], dict]:
     return 0, lines, payload
 
 
-def _cmd_directional(config: RunConfig) -> tuple[int, list[str], dict]:
+def _cmd_directional(config: argparse.Namespace) -> tuple[int, list[str], dict]:
     try:
         schedule = sample_schedule(config.samples, seed=config.seed)
         result = census(schedule, n_max=config.n_max)
@@ -381,13 +346,7 @@ def _cmd_directional(config: RunConfig) -> tuple[int, list[str], dict]:
         f"# class\t{m['label']}\tk\t{m['k']}\tmembers\t{m['members']}\tlaw\t{_law_text(m['law'])}"
         for m in class_meta
     ]
-    lines.append("n\tp\ts\tratio")
-    lines += [
-        "\t".join(
-            (str(r["n"]), str(r["p"]), "" if r["s"] is None else str(r["s"]), r["ratio"])
-        )
-        for r in rows
-    ]
+    lines += _table(("n", "p", "s", "ratio"), rows)
     payload = {
         "command": "directional",
         "samples": result.sample_count,
@@ -397,7 +356,7 @@ def _cmd_directional(config: RunConfig) -> tuple[int, list[str], dict]:
     return 0, lines, payload
 
 
-def _cmd_verify(config: RunConfig) -> tuple[int, list[str], dict]:
+def _cmd_verify(config: argparse.Namespace) -> tuple[int, list[str], dict]:
     if config.suite == "all":
         numbers = None
     else:
@@ -423,9 +382,8 @@ def _cmd_verify(config: RunConfig) -> tuple[int, list[str], dict]:
     lines = [
         "# command\tverify",
         f"# failures\t{failures}",
-        "criterion\tverdict\tname\tdetail",
     ]
-    lines += [f"{r['criterion']}\t{r['verdict']}\t{r['name']}\t{r['detail']}" for r in rows]
+    lines += _table(("criterion", "verdict", "name", "detail"), rows)
     payload = {"command": "verify", "failures": failures, "results": rows}
     return (2 if failures else 0), lines, payload
 
@@ -440,7 +398,7 @@ _COMMANDS = {
 }
 
 
-def run(config: RunConfig) -> tuple[int, str]:
+def run(config: argparse.Namespace) -> tuple[int, str]:
     """Execute one configuration; returns (exit status, report text)."""
     status, lines, payload = _COMMANDS[config.command](config)
     if config.format == "json":

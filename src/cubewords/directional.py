@@ -29,14 +29,14 @@ from .exactnum import (
     PHI,
     SQRT2,
     FieldNumber,
+    _field,
     _int_sign,
     _sorted_merged,
     common_denominator,
     reduce_mod1,
 )
-from .returns import CirclePartition, circle_partition
-from .rotation import TRANSLATION_ANGLE, code_orbit, fit_complexity_tail
-from .words import _prefix_counts, _windows
+from .returns import TRANSLATION_ANGLE, CirclePartition, circle_partition, code_orbit
+from .words import _prefix_counts, _windows, fit_complexity_tail
 
 DIRECTIONAL_CONSTANT = (4 + PHI) / 6
 """Target constant for p(n)/n^2 of the full directional language."""
@@ -56,8 +56,7 @@ _LAW = tuple[Fraction, Fraction, int]
 
 def classify_s(s: FieldNumber) -> str:
     """Class label of a circle invariant: zero, one of four, or generic."""
-    if not isinstance(s, FieldNumber):
-        s = FieldNumber(s)
+    s = _field(s)
     if s.is_zero:
         return ZERO_CLASS
     for value, label in SPECIAL_INVARIANTS:
@@ -119,9 +118,7 @@ _Y_CANDIDATES = tuple(Fraction(k, 23) for k in range(1, 23))
 
 
 def _coerce_invariant(s) -> FieldNumber:
-    if not isinstance(s, FieldNumber):
-        s = FieldNumber(s)
-    return reduce_mod1(s)
+    return reduce_mod1(_field(s))
 
 
 def representative_start(s: FieldNumber) -> StartPoint:

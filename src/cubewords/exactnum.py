@@ -461,6 +461,11 @@ def common_denominator(values: Iterable[FieldNumber]) -> int:
     return math.lcm(*(value._den for value in values))
 
 
+def _field(value: FieldNumber | RationalLike) -> FieldNumber:
+    """A FieldNumber unchanged; an int or Fraction converted; else TypeError."""
+    return value if isinstance(value, FieldNumber) else FieldNumber(value)
+
+
 PHI = FieldNumber(0, 1)
 SQRT2 = FieldNumber(0, 0, 1)
 PHI_SQRT2 = FieldNumber(0, 0, 0, 1)

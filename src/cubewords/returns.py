@@ -24,6 +24,12 @@ seam where Z wraps past 0) gives an interval partition with k pieces,
 k in {3, 5, 6}; coding the rotation orbit of Y against it and mapping
 each interval label through the block table reconstructs the billiard
 word letter for letter.
+
+code_orbit codes that orbit on integers: each point is four integer
+coordinates over the common denominator of the start, the angle and
+the cuts, and each comparison is one exactnum._int_sign call.
+CirclePartition.label_of is the single-point route on FieldNumbers
+that the tests compare it against.
 """
 
 from __future__ import annotations
@@ -35,7 +41,15 @@ from fractions import Fraction
 from typing import Iterator, Optional
 
 from .billiard import Direction, StartPoint, trace_letters
-from .exactnum import PHI, FieldNumber, _sorted_merged, common_denominator, reduce_mod1
+from .exactnum import (
+    PHI,
+    FieldNumber,
+    _field,
+    _int_sign,
+    _sorted_merged,
+    common_denominator,
+    reduce_mod1,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -179,10 +193,11 @@ def return_words(word: str) -> ReturnWords:
 
 def translation_step(r: Fraction) -> FieldNumber:
     """The rotation step theta_2 / r reduced mod 1; 2*phi - 3 for r = 1/2."""
-    r = Fraction(r)
-    if r <= 0:
-        raise ValueError("the rational speed r must be positive")
-    return reduce_mod1((PHI - 1) * (1 / r))
+    return reduce_mod1((PHI - 1) * (1 / Direction(r).r))
+
+
+TRANSLATION_ANGLE = translation_step(Fraction(1, 2))
+"""Rotation angle 2*phi - 3 driving returns for the r = 1/2 direction."""
 
 
 def _translated_face_point(
@@ -225,8 +240,6 @@ def predict_return_words(m: StartPoint, count: int, r: Fraction = Fraction(1, 2)
     floor(1/r) + 6 letters from the translated face point, as at most
     floor(1/r) + 2 crossings of Y and Z faces lie between two of X.
     """
-    from .rotation import TRANSLATION_ANGLE, code_orbit
-
     if m.x != 0:
         raise ValueError("return prediction starts from the face X = 0")
     if r == Fraction(1, 2):
@@ -282,6 +295,49 @@ class CirclePartition:
         return y, reduce_mod1(self.s - y)
 
 
+def code_orbit(
+    y0: FieldNumber, partition: CirclePartition, angle: FieldNumber, n: int
+) -> tuple[CellLabel, ...]:
+    """Labels of y0, y0 + angle, ... against the partition, n steps.
+
+    Any orbit point landing exactly on a cut raises HitsCut carrying
+    the step index; the coding of such an orbit is ambiguous and the
+    caller must pick a different start rather than get a silent choice.
+
+    The angle is reduced mod 1 once; the orbit is then stepped on
+    integer coordinates over the common denominator of the start, the
+    angle and the cuts, with every order and zero decision taken by
+    exactnum._int_sign on integer differences, so no float and no
+    uncertified margin decides a label.
+    """
+    if n < 0:
+        raise ValueError("orbit length must be nonnegative")
+    y0 = _field(y0)
+    if y0 < 0 or y0 >= 1:
+        raise ValueError(f"orbit start {y0} outside [0, 1)")
+    angle = reduce_mod1(_field(angle))
+    denom = common_denominator((y0, angle) + partition.cuts)
+    a0, a1, a2, a3 = y0.scaled_coeffs(denom)
+    d0, d1, d2, d3 = angle.scaled_coeffs(denom)
+    cuts = [(cut, cut.scaled_coeffs(denom)) for cut in partition.cuts]
+    labels = []
+    for step in range(n):
+        index = 0
+        for cut, (c0, c1, c2, c3) in cuts:
+            relation = _int_sign((a0 - c0, a1 - c1, a2 - c2, a3 - c3))
+            if relation == 0:
+                raise HitsCut(cut, step)
+            if relation < 0:
+                break
+            index += 1
+        labels.append(partition.labels[index])
+        a0, a1, a2, a3 = a0 + d0, a1 + d1, a2 + d2, a3 + d3
+        # the angle lies in [0, 1), so one comparison with 1 = D/D wraps y
+        if _int_sign((a0 - denom, a1, a2, a3)) >= 0:
+            a0 -= denom
+    return tuple(labels)
+
+
 def _circle_cut_candidates(s: FieldNumber) -> Iterator[tuple[str, FieldNumber]]:
     """Exact intersections of the circle with the seam and the four curves.
 
@@ -322,8 +378,7 @@ def circle_partition(s: FieldNumber) -> CirclePartition:
     multiple-curve intersection points) would bound zero-length
     intervals; they are merged and logged rather than kept.
     """
-    if not isinstance(s, FieldNumber):
-        s = FieldNumber(s)
+    s = _field(s)
     if s < 0 or s >= 1:
         raise ValueError(f"circle invariant {s} outside [0, 1)")
     candidates = list(_circle_cut_candidates(s))
@@ -370,9 +425,7 @@ def reconstruct(m: StartPoint, n_letters: int) -> str:
     return "".join(predict_return_words(m, n_letters // 2 + 2))[:n_letters]
 
 
-def empirical_cells(
-    r: Fraction, grid: int = 20, word_length: int = 32
-) -> dict[str, list[tuple[Fraction, Fraction]]]:
+def empirical_cells(r: Fraction, grid: int = 20) -> dict[str, list[tuple[Fraction, Fraction]]]:
     """First-return words observed on a rational grid of face points.
 
     This is the supported route to the cell structure for family
@@ -388,7 +441,7 @@ def empirical_cells(
         for j in range(1, grid):
             y = Fraction(i, grid)
             z = Fraction(j, grid)
-            word = trace_letters(StartPoint(0, y, z), direction, length=word_length)
+            word = trace_letters(StartPoint(0, y, z), direction, length=32)
             try:
                 block = return_words(word).blocks[0]
             except InsufficientOccurrences:

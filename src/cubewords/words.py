@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, compress, count
 from operator import ne
-from typing import Collection, Iterable, Optional
+from typing import Collection, Iterable, Optional, Sequence
 
 
 class UnstableLength(Exception):
@@ -378,3 +378,18 @@ def fit_affine(points: Iterable[tuple[int, int]]) -> Optional[tuple[Fraction, Fr
         if slope * n + intercept != p:
             return None
     return slope, intercept
+
+
+def fit_complexity_tail(
+    counts: Sequence[int],
+) -> Optional[tuple[Fraction, Fraction, int]]:
+    """Smallest n0 from which the counts p(1..top) are exactly affine."""
+    top = len(counts)
+    if top < 3:
+        return None
+    for n0 in range(1, top - 1):
+        points = [(n, counts[n - 1]) for n in range(n0, top + 1)]
+        law = fit_affine(points)
+        if law is not None:
+            return law[0], law[1], n0
+    return None

@@ -1,5 +1,6 @@
 """Command-line reports: content, formats, exit statuses, output routing."""
 
+import argparse
 import json
 import random
 import time
@@ -7,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from cubewords.cli import RunConfig, main, parse_args, run
+from cubewords.cli import main, parse_args, run
 from cubewords.exactnum import FieldNumber, reduce_mod1
 from cubewords.verification import CriterionResult
 
@@ -21,7 +22,15 @@ def invoke(capsys, *argv):
 class TestParse:
     def test_defaults(self):
         config = parse_args(["trace"])
-        assert config == RunConfig(command="trace")
+        assert config == argparse.Namespace(
+            command="trace",
+            m="0,1/2,1/2",
+            start=("0", "1/2", "1/2"),
+            r="1/2",
+            n_letters=64,
+            format="tsv",
+            output=None,
+        )
 
     def test_point_and_counts(self):
         config = parse_args(
@@ -326,13 +335,29 @@ class TestOutput:
         assert "cannot write" in err
 
 
-class TestRunConfig:
+class TestRun:
     def test_run_returns_report_string(self):
-        status, report = run(RunConfig(command="trace", n_letters=4))
+        status, report = run(parse_args(["trace", "--letters", "4"]))
         assert status == 0
         assert report.endswith("\n")
         assert report.splitlines()[0] == "abca"
 
     def test_unknown_command_is_a_bug(self):
         with pytest.raises(KeyError):
-            run(RunConfig(command="plot"))
+            run(argparse.Namespace(command="plot"))
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["trace"],
+            ["complexity"],
+            ["returns"],
+            ["rotation"],
+            ["directional"],
+            ["verify", "--suite", "6"],
+        ],
+        ids=" ".join,
+    )
+    def test_run_uses_the_command_line_defaults(self, capsys, argv):
+        status, out, _ = invoke(capsys, *argv)
+        assert run(parse_args(argv)) == (status, out)

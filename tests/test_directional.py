@@ -20,8 +20,7 @@ from cubewords.directional import (
     union_complexity,
 )
 from cubewords.exactnum import PHI, SQRT2, FieldNumber, reduce_mod1
-from cubewords.returns import circle_partition
-from cubewords.rotation import TRANSLATION_ANGLE, code_orbit
+from cubewords.returns import TRANSLATION_ANGLE, circle_partition, code_orbit
 from cubewords.words import complexity
 
 F = FieldNumber

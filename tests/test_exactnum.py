@@ -433,6 +433,30 @@ def test_sorted_merged_near_ties_fall_back(monkeypatch):
     ]
 
 
+def test_sorted_merged_when_every_key_ties(bounded):
+    # t*(e1, -e0, 0, 0) has the 64-bit key t*(e1*e0 - e0*e1) = 0 for every t,
+    # so the exact comparator alone orders these distinct values
+    e0, e1, _, _ = basis_approx(64)
+    unit = (e1, -e0, 0, 0)
+    rising = FieldNumber(*unit).sign()
+    rng = random.Random(2208)
+    ts = list(range(1, 2001))
+    rng.shuffle(ts)
+    points = [(tuple(t * a for a in unit), t) for t in ts]
+    assert {v[0] * e0 + v[1] * e1 for v, _ in points} == {0}
+    order = sorted(ts, key=lambda t: rising * t)
+    merged = bounded(10, _sorted_merged, points)
+    assert merged == [(tuple(t * a for a in unit), [t]) for t in order]
+    doubled = [(vector, (t, copy)) for copy in (0, 1) for vector, t in points]
+    rng.shuffle(doubled)
+    merged = bounded(10, _sorted_merged, doubled)
+    assert [vector for vector, _ in merged] == [tuple(t * a for a in unit) for t in order]
+    copies = {}
+    for _, tag in doubled:
+        copies.setdefault(tag[0], []).append(tag)
+    assert [tags for _, tags in merged] == [copies[t] for t in order]
+
+
 ORACLE_BITS = 2000
 
 

@@ -17,6 +17,7 @@ import pytest
 from cubewords.billiard import GOLDEN_DIRECTION, Direction, StartPoint, trace_letters, validate
 from cubewords.exactnum import PHI, SQRT2, FieldNumber, reduce_mod1
 from cubewords.returns import (
+    TRANSLATION_ANGLE,
     CellLabel,
     FacePartition,
     HitsCut,
@@ -32,7 +33,6 @@ from cubewords.returns import (
     return_words,
     translation_step,
 )
-from cubewords.rotation import TRANSLATION_ANGLE
 
 F = FieldNumber
 A1, A2, A3, A4, A5, A6, A7 = CellLabel

@@ -6,12 +6,18 @@ from fractions import Fraction
 import pytest
 
 from cubewords.billiard import StartPoint, trace_letters
+from cubewords.directional import circle_language, classify_s
 from cubewords.exactnum import PHI, SQRT2, FieldNumber, reduce_mod1
-from cubewords.returns import CellLabel, HitsCut, circle_partition, translation_step
-from cubewords.rotation import (
+from cubewords.returns import (
     TRANSLATION_ANGLE,
-    RotationCoding,
+    CellLabel,
+    HitsCut,
+    circle_partition,
     code_orbit,
+    translation_step,
+)
+from cubewords.rotation import (
+    RotationCoding,
     coding_complexity,
     rotation_coding,
     saddle_connection,
@@ -328,3 +334,37 @@ class TestCodingComplexity:
         report = coding_complexity(rc, 10)
         assert report.slope is None
         assert report.law is None
+
+
+ZERO_CIRCLE = circle_partition(F(0))
+
+EXACT_INPUT_CALLS = {
+    "circle_partition": lambda v: circle_partition(v),
+    "code_orbit": lambda v: code_orbit(v, ZERO_CIRCLE, TRANSLATION_ANGLE, 40),
+    "rotation_coding": lambda v: rotation_coding(v, ZERO_CIRCLE, TRANSLATION_ANGLE, 40),
+    "saddle_connection": lambda v: saddle_connection(v, F(0), TRANSLATION_ANGLE),
+    "zmodule_rank": lambda v: zmodule_rank((v, TRANSLATION_ANGLE)),
+    "classify_s": lambda v: classify_s(v),
+    "circle_language": lambda v: circle_language(v, 6),
+}
+
+
+class TestExactInputs:
+    """Each entry point takes an int or Fraction as the equal FieldNumber."""
+
+    @pytest.mark.parametrize("name", sorted(EXACT_INPUT_CALLS))
+    def test_rationals_match_field_numbers(self, name):
+        call = EXACT_INPUT_CALLS[name]
+        for value in (0, Fraction(1, 3)):
+            assert call(value) == call(F(value)), value
+
+    @pytest.mark.parametrize("name", sorted(EXACT_INPUT_CALLS))
+    @pytest.mark.parametrize("value", [0.5, "1/3"])
+    def test_floats_and_strings_rejected(self, name, value):
+        with pytest.raises(TypeError, match="must be int or Fraction"):
+            EXACT_INPUT_CALLS[name](value)
+
+    def test_start_points_still_parse_grammar_strings(self):
+        assert StartPoint("0", "1/3", "2-1*phi") == StartPoint(0, Fraction(1, 3), 2 - PHI)
+        with pytest.raises(TypeError, match="must be int or Fraction"):
+            StartPoint(0, 0.5, Fraction(1, 3))
