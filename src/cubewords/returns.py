@@ -425,22 +425,20 @@ def reconstruct(m: StartPoint, n_letters: int) -> str:
     return "".join(predict_return_words(m, n_letters // 2 + 2))[:n_letters]
 
 
-def empirical_cells(r: Fraction, grid: int = 20) -> dict[str, list[tuple[Fraction, Fraction]]]:
-    """First-return words observed on a rational grid of face points.
+def empirical_cells(r: Fraction) -> dict[str, list[tuple[Fraction, Fraction]]]:
+    """First-return words observed on the interior points (i/20, j/20) of the face.
 
     This is the supported route to the cell structure for family
     members other than r = 1/2: the cells are whatever regions the
     observed first return words cut out.  Grid points whose traces are
     invalid or too short to close a return are skipped.
     """
-    if grid < 2:
-        raise ValueError("grid must be at least 2")
     direction = Direction(r)
     found: dict[str, list[tuple[Fraction, Fraction]]] = {}
-    for i in range(1, grid):
-        for j in range(1, grid):
-            y = Fraction(i, grid)
-            z = Fraction(j, grid)
+    for i in range(1, 20):
+        for j in range(1, 20):
+            y = Fraction(i, 20)
+            z = Fraction(j, 20)
             word = trace_letters(StartPoint(0, y, z), direction, length=32)
             try:
                 block = return_words(word).blocks[0]

@@ -7,12 +7,12 @@ count on the half-length prefix; a count that agrees between the half
 and the full window is reported stable, anything else is suspect and
 can be made fatal through require_stable.
 
-Factor counting runs on a suffix automaton, so profiles of words with
-10**5 letters or more stay cheap.  Extension censuses (left, right and
-two-sided special factors) are read instead from one pass over the
-distinct windows of the word, cut short at its end, for every length
-at once; they are independent of the automaton, which keeps the two
-machineries able to cross-check each other.  At length n, a window
+Factor counts and extension censuses (left, right and two-sided
+special factors) are both read from the distinct windows of the word,
+cut short at its end, for every length at once: a length-n factor is
+the length-n prefix of the window that starts where it does.  The
+SuffixAutomaton stays as the independent reference route for the
+counts, against which the tests check them.  At length n, a window
 shorter than 2n + 3 letters carries no right letter: a right extension
 is only believed when a further n + 2 letters follow it, which removes
 the bias a truncated final occurrence would otherwise inject into
@@ -21,14 +21,17 @@ distinct window, not one per position: the occurrences of the word's
 own short prefix cut it into spans, and equal spans of equal length
 start equal windows, so only the distinct spans are expanded.  Counts
 of distinct prefixes, as of these windows or of a language, come from
-one sorted pass with longest-common-prefix lengths.
+one sorted pass with longest-common-prefix lengths, each found by a
+binary search on slice equality.
 
 Cassaigne's identity needs only one integer per length from that
 census, the summed bilateral multiplicity of the bispecial factors, so
 cassaigne_check reads it from the same windows and trust rules as
 plain sets of distinct contexts, with no census objects: a bispecial
 factor is left special, so only the factors with two or more left
-letters are examined.
+letters are examined.  The identity still compares two different
+computations over those windows: prefix counts against sums over
+bispecial contexts.
 """
 
 from __future__ import annotations
@@ -36,8 +39,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, compress, count
-from operator import ne
+from itertools import accumulate
 from typing import Collection, Iterable, Optional, Sequence
 
 
@@ -53,7 +55,11 @@ class UnstableLength(Exception):
 
 
 class SuffixAutomaton:
-    """Standard online suffix automaton over a fixed word."""
+    """Standard online suffix automaton over a fixed word.
+
+    The independent reference route to factor counts: complexity reads
+    them from windows instead, and the tests check the two agree.
+    """
 
     __slots__ = ("length", "link", "transitions", "_last")
 
@@ -162,6 +168,23 @@ def _windows(word: str, width: int) -> set[str]:
     return {span[i : i + width] for span, size in spans for i in range(size)}
 
 
+def _common_prefix(a: str, b: str) -> int:
+    """Length of the longest common prefix of a and b.
+
+    A binary search on slice equality: O(log n) comparisons at memcmp
+    speed, where a scan letter by letter costs one Python step per
+    shared letter, which dominates for wide windows.
+    """
+    low, high = 0, min(len(a), len(b))
+    while low < high:
+        middle = (low + high + 1) // 2
+        if a[:middle] == b[:middle]:
+            low = middle
+        else:
+            high = middle - 1
+    return low
+
+
 def _prefix_counts(texts: Collection[str], n_max: int) -> tuple[int, ...]:
     """Distinct length-n prefixes among texts of at least n letters, n = 1..n_max.
 
@@ -170,13 +193,14 @@ def _prefix_counts(texts: Collection[str], n_max: int) -> tuple[int, ...]:
     The texts are cut to n_max letters and sorted without repeats.  The
     texts sharing a length-n prefix are then contiguous, so that prefix
     is counted once, by the first of them: the text w with
-    lcp(w, predecessor) < n <= len(w).  One pass builds the counts as an
-    interval histogram, as SuffixAutomaton.factor_counts does.
+    lcp(w, predecessor) < n <= len(w), the lcp read by _common_prefix.
+    One pass builds the counts as an interval histogram, as
+    SuffixAutomaton.factor_counts does.
     """
     deltas = [0] * (n_max + 2)
     previous = ""
     for text in sorted({text[:n_max] for text in texts}):
-        shared = next(compress(count(), map(ne, text, previous)), min(len(text), len(previous)))
+        shared = _common_prefix(text, previous)
         if shared < len(text):
             deltas[shared + 1] += 1
             deltas[len(text) + 1] -= 1
@@ -251,26 +275,23 @@ class ComplexityProfile:
 
 
 def complexity(word: str, n_max: int) -> ComplexityProfile:
-    """Complexity profile of the window, cross-checked on its half prefix."""
+    """Complexity profile of the window, cross-checked on its half prefix.
+
+    Both count lists are prefix counts of cut-short windows of n_max
+    letters, of the word and of its half prefix.
+    """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     if len(word) < 2 * n_max:
         raise ValueError(
             f"window of {len(word)} letters is too short to profile up to {n_max}"
         )
-    # The construction is online, so the automaton part-built over the
-    # half prefix is exactly that prefix's automaton.
     half = len(word) // 2
-    automaton = SuffixAutomaton(word[:half])
-    half_counts = automaton.factor_counts(n_max)
-    for letter in word[half:]:
-        automaton.extend(letter)
-    full_counts = automaton.factor_counts(n_max)
     return ComplexityProfile(
         word_length=len(word),
         n_max=n_max,
-        full_counts=tuple(full_counts),
-        half_counts=tuple(half_counts),
+        full_counts=_prefix_counts(_windows(word, n_max), n_max),
+        half_counts=_prefix_counts(_windows(word[:half], n_max), n_max),
     )
 
 
@@ -336,11 +357,11 @@ def cassaigne_check(word: str, n_max: int) -> list[tuple[int, int, int]]:
     list of (n, increment, census_sum) mismatches, empty when the window
     passes; lengths whose counts are unstable are not checked, since the
     identity only holds for honest windows.  The increments come from
-    the suffix automaton and the sums from one window pass over the
-    distinct contexts, so the two sides are independent.  Only left
-    special factors can be bispecial, so only they are examined; the
-    sums follow the trust rules of extension_censuses without building
-    its census objects.
+    the prefix counts of the distinct windows and the sums from the
+    distinct bispecial contexts of those windows, so the two sides are
+    different computations.  Only left special factors can be
+    bispecial, so only they are examined; the sums follow the trust
+    rules of extension_censuses without building its census objects.
     """
     profile = complexity(word, n_max)
     checked = [n for n in range(1, n_max - 1) if all(map(profile.stable, (n, n + 1, n + 2)))]

@@ -468,7 +468,7 @@ class TestReconstruct:
 
 class TestEmpiricalCells:
     def test_half_recovers_block_table(self):
-        cells = empirical_cells(Fraction(1, 2), grid=12)
+        cells = empirical_cells(Fraction(1, 2))
         assert set(cells) == {label.word for label in CellLabel}
         for block, points in cells.items():
             expected = CellLabel.from_word(block)
@@ -476,7 +476,7 @@ class TestEmpiricalCells:
                 assert cell_of(F(y), F(z)) is expected
 
     def test_third_produces_blocks(self):
-        cells = empirical_cells(Fraction(1, 3), grid=8)
+        cells = empirical_cells(Fraction(1, 3))
         assert cells
         for block in cells:
             assert block[0] == "a"

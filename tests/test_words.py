@@ -9,6 +9,8 @@ import pytest
 from cubewords import words
 from cubewords.billiard import StartPoint, raw_crossings, trace_letters
 from cubewords.exactnum import PHI, SQRT2
+from cubewords.returns import TRANSLATION_ANGLE, circle_partition
+from cubewords.rotation import rotation_coding
 from cubewords.words import (
     ComplexityProfile,
     ExtensionCensus,
@@ -385,3 +387,101 @@ def test_prefix_counts_of_traced_windows():
         windows = sliced_windows(word, 40)
         counts = words._prefix_counts(windows, 40)
         assert counts == sliced_prefix_counts(windows, 40) == tuple(naive_counts(word, 40))
+
+
+def assert_automaton_counts(word, n_max):
+    """complexity's full and half counts are the automaton's, word and half prefix."""
+    profile = complexity(word, n_max)
+    half = word[: len(word) // 2]
+    assert list(profile.full_counts) == SuffixAutomaton(word).factor_counts(n_max)
+    assert list(profile.half_counts) == SuffixAutomaton(half).factor_counts(n_max)
+
+
+def test_complexity_matches_the_automaton_on_random_words():
+    rng = random.Random(1515)
+    for i in range(400):
+        alphabet = "abcd"[: 1 + i % 4]
+        length = rng.randint(2, 160)
+        word = "".join(rng.choice(alphabet) for _ in range(length))
+        for n_max in {1, length // 2, rng.randint(1, length // 2)}:
+            assert_automaton_counts(word, n_max)
+
+
+@pytest.mark.parametrize("word", ["abc" * 400, fibonacci_word(5000)], ids=["abc", "fibonacci"])
+def test_complexity_matches_the_automaton_on_periodic_and_sturmian_words(word):
+    for n_max in (1, 40, 100, len(word) // 2):
+        assert_automaton_counts(word, n_max)
+
+
+def test_complexity_matches_the_automaton_on_traced_words():
+    for start in REFERENCE_STARTS:
+        assert_automaton_counts(trace_letters(start, length=8000), 100)
+
+
+def test_complexity_matches_the_automaton_on_a_rotation_coding():
+    partition = circle_partition(SQRT2 - 1)
+    coding = rotation_coding(Fraction(1, 11), partition, TRANSLATION_ANGLE, 6000)
+    assert_automaton_counts(coding.symbols, 60)
+
+
+def scanned_common_prefix(a, b):
+    """The plain route to _common_prefix: one comparison per letter."""
+    return next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        ("", ""),
+        ("", "abc"),
+        ("abc", "abc"),  # equal texts
+        ("ab", "abcab"),  # one a prefix of the other
+        ("abcab", "ab"),
+        ("xbcab", "abcab"),  # a difference at index 0
+        ("abcab", "abcaa"),  # a difference at the last index
+        ("a", "b"),
+        ("a" * 1000, "a" * 999 + "b"),
+    ],
+    ids=["empty", "one-empty", "equal", "prefix", "extension", "first", "last", "one", "long"],
+)
+def test_common_prefix_on_hand_cases(a, b, bounded):
+    expected = scanned_common_prefix(a, b)
+    assert bounded(2, words._common_prefix, a, b) == expected
+    assert bounded(2, words._common_prefix, b, a) == expected
+
+
+def test_common_prefix_matches_the_scan_on_random_texts(bounded):
+    rng = random.Random(977)
+    pairs = []
+    for _ in range(500):
+        shared = "".join(rng.choice("ab") for _ in range(rng.randint(0, 40)))
+        pairs.append(
+            tuple(shared + "".join(rng.choice("ab") for _ in range(rng.randint(0, 5))) for _ in "ab")
+        )
+
+    def check():
+        for a, b in pairs:
+            assert words._common_prefix(a, b) == scanned_common_prefix(a, b), (a, b)
+
+    bounded(5, check)
+
+
+def test_prefix_counts_of_wide_windows():
+    # the slices are checked at every 50th length: at all 2000 lengths
+    # the plain route would copy billions of letters
+    word = trace_letters(REFERENCE_STARTS[2], length=4000)
+    windows = words._windows(word, 2000)
+    counts = words._prefix_counts(windows, 2000)
+    assert list(counts) == SuffixAutomaton(word).factor_counts(2000)
+    for n in [*range(1, 2001, 50), 1999, 2000]:
+        assert counts[n - 1] == len({t[:n] for t in windows if len(t) >= n}), n
+
+
+def test_complexity_of_long_and_wide_windows_is_bounded(bounded):
+    long_word = trace_letters(REFERENCE_STARTS[0], length=100_000)
+    profile = bounded(5, complexity, long_word, 200)
+    assert profile.stable_through == 200
+    assert list(profile.full_counts) == [3] + [2 * n + 3 for n in range(2, 201)]
+    wide_word = trace_letters(REFERENCE_STARTS[2], length=4000)
+    profile = bounded(5, complexity, wide_word, 2000)
+    assert profile.full_counts[-1] == 4000 - 2000 + 1
