@@ -28,20 +28,40 @@ two-dimensional analogue used as an oracle for projected words.
 Two independent evaluation routes are provided.  raw_crossings merges
 the three progressions with field-number comparisons and is the
 reference; the crossing merge behind trace, trace_letters and
-square_trace sorts 64-bit dyadic keys of the crossing times in one
-list.sort per chunk, certifies the order with a proven error margin
-and re-sorts only runs of keys closer than that margin with exact
-vector comparisons, which makes it fast enough for words of 10**5
-letters and beyond.
+square_trace (_merged_axes) sorts bounded integer keys of the crossing
+times in one list.sort per chunk of about _CHUNK crossings, which
+makes it fast enough for words of 10**5 letters and beyond:
+
+* Keys.  The p-bit dyadic estimates of a chunk's crossing times are
+  rebased at the smallest and shifted right by q bits.  Two keys'
+  errors then differ by less than (M >> q) + 1 from the estimates, M
+  the error bound of two p-bit estimates, plus less than 1 + max j
+  from the floors of their starts and of the j steps added to them;
+  keys farther apart than the margin (M >> q) + 2 + max j are in
+  exact order.
+* Word size.  q leaves the smallest step 60 - bitlen(W) bits, W the
+  chunk's window of crossings, and every key is below W such steps,
+  so below 2**60: the tagged key 4*key + axis fits a 64-bit word, and
+  one array pass reads the letters off the sorted keys' low bytes.
+* Gate.  For each pair of axes an exact floor sum (_floor_sum) counts
+  the planes of one axis within the margin of the other's progression.
+  A zero count proves that no two keys are close; only a nonzero count
+  looks for runs of close keys, which are re-sorted with exact vector
+  comparisons.
+* Termination.  p doubles while the margin is not small against every
+  shifted step; M >> q falls to 0 as p grows and the floor term stays
+  at most W + 3, far below a step, so the doubling ends.
 """
 
 from __future__ import annotations
 
 import math
+import sys
+from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, chain, combinations, compress, groupby, islice, repeat
+from itertools import chain, combinations, compress, groupby, islice
 from operator import sub
 from typing import Iterator, NamedTuple, Optional, Sequence
 
@@ -226,6 +246,11 @@ _CHUNK = 4096  # crossings merged per sort, which bounds the memory of long trac
 
 _Vector = tuple[int, int, int, int]
 
+# _merged_axes reads its tagged keys 4*K + i back as the low byte of each
+# 8-byte array("Q") item, whose low two bits are the axis i.
+_LOW_BYTE = 0 if sys.byteorder == "little" else 7
+_AXIS_OF_BYTE = bytes(byte & 3 for byte in range(256))
+
 
 def _scaled_progressions(specs: Sequence[_AxisSpec]) -> tuple[list[_Vector], list[_Vector]]:
     """Integer steps and shifts of the axes' crossing times.
@@ -245,31 +270,75 @@ def _scaled_progressions(specs: Sequence[_AxisSpec]) -> tuple[list[_Vector], lis
     )
 
 
+def _floor_sum(n: int, m: int, a: int, b: int) -> int:
+    """The sum of floor((a*j + b) / m) over j = 0, ..., n - 1, for m >= 1.
+
+    Once a and b are reduced modulo m, the sum counts the lattice points
+    under a line, which is the same kind of sum with a and m swapped; so
+    the loop takes the steps of Euclid's algorithm on (m, a).  a and b may
+    be any integers.
+    """
+    total = 0
+    while n:
+        carry_a, a = divmod(a, m)
+        carry_b, b = divmod(b, m)
+        total += carry_a * (n * (n - 1) // 2) + carry_b * n
+        n, b = divmod(a * n + b, m)
+        m, a = a, m
+    return total
+
+
 def _merged_axes(specs: Sequence[_AxisSpec], count: int) -> tuple[bytes, int]:
     """Spec indices of the first ``count`` crossings in exact order, and the ties.
 
     D times the time of plane n on axis i has the integer coordinates
     n*step_i - shift_i of _scaled_progressions, and its p-bit dyadic
-    estimate S_i(n) = n*s_i - h_i (s_i and h_i the estimates
-    of step_i and shift_i) lies within 2*(n*|step_i| + |shift_i|) of the
-    value times 2**p, |.| summing the three irrational coordinates.
+    estimate S_i(n) = n*s_i - h_i (s_i and h_i the estimates of step_i
+    and shift_i) lies within 2*(n*|step_i| + |shift_i|) of the value
+    times 2**p, |.| summing the three irrational coordinates; so two
+    estimates of planes n < N differ from their values' difference by
+    less than M, twice the largest such bound at N, plus 2.
 
-    Each chunk lays out the keys S_i(n)*k + i (k axes, i the tie rank) of a
-    window of planes per axis as arithmetic runs and sorts them in one
-    list.sort; the runs are already sorted, so timsort only merges them.
-    Keys whose estimates differ by more than the margin, which bounds the
-    error of any two estimates in the chunk, are in exact order.  Runs of
-    closer keys are re-sorted by exactnum._sorted_merged on the integer
-    vectors, equal times keeping the tie rank; each group of equal times
-    is one tie.  Only keys below every axis's first missing plane, less the
-    margin, are emitted, and the cut never splits a close run; the next
-    chunk starts at the first plane of each axis not emitted.
+    Keys.  Each chunk lays out a window of W crossings, W = min(_CHUNK,
+    needed) + 2k + 1 for k axes: the planes of axis i whose estimates
+    lie at most W / sum(1 / s_i) above the lowest first estimate S_0.
+    It rebases them at S_0 and shifts them right by q bits, q chosen so
+    that the smallest step u_i = s_i >> q has 60 - bitlen(W) bits.  The
+    j-th plane of axis i gets K = ((S_i(n_i) - S_0) >> q) + j*u_i, which
+    falls short of (S_i(n_i + j) - S_0) / 2**q by less than 1 + j.  So
+    two keys with j <= J differ from their values' difference, in units
+    of 2**q, by less than the margin m = (M >> q) + 2 + J, and keys more
+    than m apart are in exact order.  Every K is at most
+    W / sum(1 / u_i) <= W * min(u_i) < 2**60, so the tagged key 4*K + i
+    (i the tie rank) is below 2**62 and fits a machine word: the one
+    list.sort per chunk merges small ints (the runs of each axis are
+    already sorted), and one array("Q") pass reads the axes back from
+    the keys' low bytes.  _CHUNK sets W and so the unit width.
 
-    p starts at 64.  The margin grows with the coordinates, not with p,
-    so p doubles while the margin is not small against every step.  Then
-    a close run holds at most one crossing per axis, and each window of
-    planes, sized for 2k + 1 more crossings than the chunk needs, keeps
-    more than k of them below the cut, so every chunk emits crossings.
+    Gate.  For axes i < l and g = m + 1, plane j of axis i lies within g
+    of some term of axis l's progression exactly when (K - K_l + g) mod
+    u_l <= 2g, K_l the first key of axis l; with 2g < u_l that indicator
+    is floor(x / u_l) - floor((x - 2g - 1) / u_l), x = K - K_l + g, and
+    summed over j it is two _floor_sum calls.  A zero count for every
+    pair proves no two keys of different axes within g, and keys of one
+    axis lie u_i > 4g apart, so no neighbours of the sorted keys are
+    close.  Only a nonzero count looks for the runs of close keys, and
+    those are re-sorted by exactnum._sorted_merged on the integer
+    vectors.  Equal times have equal vectors, but the floors may give
+    them different keys, so each group of equal times is put back in
+    tie rank order; each such group is one tie.  Only keys below every
+    axis's first missing plane, less the margin, are emitted, and the
+    cut never splits a close run; the next chunk starts at the first
+    plane of each axis not emitted.
+
+    p starts at 64 and doubles while 4k(m + 2) exceeds the smallest
+    u_i.  That ends: M grows with the coordinates, not with p, so M >> q
+    falls to 0 as p, and with it q, grows; J is at most W + 1, and
+    u_i has at least 59 - bitlen(W) bits, which leaves 4k(W + 5) far
+    below u_i for any _CHUNK up to 2**25.  Then a close run holds at
+    most one crossing per axis, and each window, sized for 2k + 1 more
+    crossings than the chunk needs, keeps more than k of them below the
+    cut, so every chunk emits crossings.
     """
     k = len(specs)
     steps, shifts = _scaled_progressions(specs)
@@ -287,8 +356,8 @@ def _merged_axes(specs: Sequence[_AxisSpec], count: int) -> tuple[bytes, int]:
     dyadic_steps, dyadic_shifts = estimates(precision)
 
     def time_vector(key: int) -> tuple[int, ...]:  # n*step_i - shift_i
-        i = key % k
-        n = (key // k + dyadic_shifts[i]) // dyadic_steps[i]
+        i = key & 3
+        n = planes[i] + ((key >> 2) - starts[i]) // units[i]
         return tuple(n * a - b for a, b in zip(steps[i], shifts[i]))
 
     out = bytearray()
@@ -296,33 +365,43 @@ def _merged_axes(specs: Sequence[_AxisSpec], count: int) -> tuple[bytes, int]:
     planes = [1] * k
     while len(out) < count:
         need = count - len(out)
+        window = min(_CHUNK, need) + 2 * k + 1
         firsts = [n * s - h for n, s, h in zip(planes, dyadic_steps, dyadic_shifts)]
-        # S-units per crossing of the merged stream: 1 / sum(1 / s_i)
-        product = math.prod(dyadic_steps)
-        span = (min(_CHUNK, need) + 2 * k + 1) * product // sum(product // s for s in dyadic_steps)
-        sizes = [max(0, (min(firsts) + span - f) // s + 1) for f, s in zip(firsts, dyadic_steps)]
-        margin = 2 + 2 * max(
+        base = min(firsts)
+        q = max(0, min(dyadic_steps).bit_length() - 60 + window.bit_length())
+        units = [s >> q for s in dyadic_steps]
+        starts = [(f - base) >> q for f in firsts]
+        # units per crossing of the merged stream: 1 / sum(1 / u_i)
+        product = math.prod(units)
+        span = window * product // sum(product // u for u in units)
+        sizes = [max(0, (span - f) // u + 1) for f, u in zip(starts, units)]
+        error = 2 + 2 * max(
             slope * (n + size) + intercept
             for slope, intercept, n, size in zip(slopes, intercepts, planes, sizes)
         )
-        if 4 * k * (margin + 2) > min(dyadic_steps):
+        margin = (error >> q) + 2 + max(sizes)
+        if 4 * k * (margin + 2) > min(units):
             precision *= 2
             dyadic_steps, dyadic_shifts = estimates(precision)
             continue
+        nexts = [f + size * u for f, u, size in zip(starts, units, sizes)]
         keys = list(
             chain.from_iterable(
-                accumulate(repeat(s * k, size - 1), initial=f * k + i)
-                for i, (f, s, size) in enumerate(zip(firsts, dyadic_steps, sizes))
-                if size
+                range(4 * f + i, 4 * nxt, 4 * u)
+                for i, (f, u, nxt) in enumerate(zip(starts, units, nexts))
             )
         )
         keys.sort()
-        nexts = [f + size * s for f, s, size in zip(firsts, dyadic_steps, sizes)]
-        cut = bisect_left(keys, (min(nexts) - margin) * k)
-        gap = (margin + 1) * k
+        cut = bisect_left(keys, 4 * (min(nexts) - margin))
+        g = margin + 1
         close = []
-        # Close keys are rare, so one pass of min rules them out first.
-        if min(map(sub, islice(keys, 1, cut + 1), keys), default=gap + 1) <= gap:
+        # Close keys are rare, so an exact count of near planes rules them out first.
+        if any(
+            _floor_sum(sizes[i], units[l], units[i], starts[i] - starts[l] + g)
+            != _floor_sum(sizes[i], units[l], units[i], starts[i] - starts[l] - g - 1)
+            for i, l in combinations(range(k), 2)
+        ):
+            gap = 4 * g
             close = list(compress(range(cut), map(gap.__ge__, map(sub, islice(keys, 1, None), keys))))
         while close and close[-1] == cut - 1:
             close.pop()
@@ -332,15 +411,14 @@ def _merged_axes(specs: Sequence[_AxisSpec], count: int) -> tuple[bytes, int]:
         for _, run in groupby(enumerate(close), lambda pair: pair[1] - pair[0]):
             run = [j for _, j in run]
             lo, hi = run[0], run[-1] + 2
-            # Equal times have equal vectors, so equal estimates S: the keys
-            # S*k + i list them in tie rank order, which the stable sorts keep.
             position = lo
             for _, group in _sorted_merged([(time_vector(key), key) for key in keys[lo:hi]]):
+                group.sort(key=(3).__and__)  # equal times in tie rank order
                 keys[position : position + len(group)] = group
                 if len(group) > 1 and position < limit:
                     ties += 1
                 position += len(group)
-        axes = bytes(map(k.__rmod__, islice(keys, limit)))
+        axes = array("Q", keys).tobytes()[_LOW_BYTE : 8 * limit : 8].translate(_AXIS_OF_BYTE)
         out += axes
         for i in range(k):
             planes[i] += axes.count(i)

@@ -43,7 +43,7 @@ from .returns import (
 )
 from .rotation import coding_complexity, rotation_coding, zmodule_rank
 from .verification import run_all
-from .words import cassaigne_check, complexity, fit_complexity_tail
+from .words import _cassaigne_failures, complexity, fit_complexity_tail
 
 DECIMAL_PLACES = 20
 OUTDIR_VARIABLE = "CUBEWORDS_OUTDIR"
@@ -192,7 +192,7 @@ def _cmd_complexity(config: argparse.Namespace) -> tuple[int, list[str], dict]:
     except ValueError as exc:
         raise InputError(str(exc)) from exc
     law = _fit_meta(fit_complexity_tail(profile.full_counts[: profile.stable_through]))
-    mismatches = cassaigne_check(word, config.n_max)
+    mismatches = _cassaigne_failures(word, profile)
     rows = []
     for n in range(1, config.n_max + 1):
         s_value = profile.s(n) if n < config.n_max else None

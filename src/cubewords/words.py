@@ -363,8 +363,14 @@ def cassaigne_check(word: str, n_max: int) -> list[tuple[int, int, int]]:
     bispecial, so only they are examined; the sums follow the trust
     rules of extension_censuses without building its census objects.
     """
-    profile = complexity(word, n_max)
-    checked = [n for n in range(1, n_max - 1) if all(map(profile.stable, (n, n + 1, n + 2)))]
+    return _cassaigne_failures(word, complexity(word, n_max))
+
+
+def _cassaigne_failures(word: str, profile: ComplexityProfile) -> list[tuple[int, int, int]]:
+    """The mismatches of cassaigne_check, given the word's complexity profile."""
+    checked = [
+        n for n in range(1, profile.n_max - 1) if all(map(profile.stable, (n, n + 1, n + 2)))
+    ]
     sums = _bispecial_sums(word, checked[-1]) if checked else ()
     failures = []
     for n in checked:

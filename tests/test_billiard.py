@@ -11,7 +11,9 @@ from cubewords.billiard import (
     Direction,
     _AxisSpec,
     _cube_axes,
+    _floor_sum,
     _merged_axes,
+    _scaled_progressions,
     GOLDEN_DIRECTION,
     SimultaneousCrossing,
     StartPoint,
@@ -434,6 +436,29 @@ def test_merge_of_crafted_progressions(monkeypatch):
                 assert _merged_axes(specs, count) == sorted_progressions(specs, count)
 
 
+def test_ties_of_commensurate_speeds(monkeypatch):
+    # An axis of inverse speed 2v or 3v ties with one of speed v at every
+    # second or third plane.  The shifted steps are floored, so such ties
+    # get keys up to one per plane apart, which the margin must cover,
+    # and the faster axis may get the smaller key of a tie, which must
+    # still come out in tie rank order.
+    third = FieldNumber(Fraction(1, 3))
+    zero = FieldNumber(0)
+    cases = [
+        [(zero, 2 * PHI), (zero, PHI)],
+        [(third, 2 * PHI), (2 * third, PHI)],
+        [(zero, 2 * (PHI + 1)), (zero, PHI + 1)],
+        [(zero, 2 * SQRT2 * PHI), (zero, SQRT2 * PHI), (third, PHI)],
+        [(zero, 3 * PHI), (zero, PHI)],
+    ]
+    for chunk in (5, 4096):
+        monkeypatch.setattr(billiard, "_CHUNK", chunk)
+        for case in cases:
+            specs = [_AxisSpec("abc"[i], o, v, False, None) for i, (o, v) in enumerate(case)]
+            for count in (5, 24, 100):
+                assert _merged_axes(specs, count) == sorted_progressions(specs, count)
+
+
 def test_large_coordinates_raise_the_precision(monkeypatch):
     # Coordinates with 20-digit coefficients put the 64-bit error margin
     # near the spacing of the crossings; 64 bits once looped without end
@@ -471,6 +496,82 @@ def test_close_run_across_the_cut(monkeypatch):
     ):
         start = StartPoint(Fraction(1, 3), FieldNumber(*y), FieldNumber(*z))
         assert_engine_matches_oracle(start, GOLDEN_DIRECTION, 60)
+
+
+def test_floor_sum_matches_brute_force():
+    rng = random.Random(6151)
+    cases = [(0, 7, 3, 2), (0, 1, -(10**30), 10**30), (5, 1, 0, 0)]
+    for scale in (60, 2**47):
+        for _ in range(300):
+            m = rng.randint(1, scale)
+            n = rng.randint(0, 40)
+            cases.append((n, m, rng.randint(-3 * m, 3 * m), rng.randint(-3 * m, 3 * m)))
+    assert any(a >= m for _, m, a, _ in cases) and any(b >= m for _, m, _, b in cases)
+    for n, m, a, b in cases:
+        assert _floor_sum(n, m, a, b) == sum((a * j + b) // m for j in range(n)), (n, m, a, b)
+
+
+def large_denominator_start(rng):
+    """A start whose crossing times share a denominator above 2**41."""
+    def fraction():
+        denominator = 2**41 + rng.randrange(1, 2**20)
+        return Fraction(rng.randrange(1, denominator), denominator)
+
+    y = reduce_mod1(FieldNumber(fraction(), Fraction(rng.randint(-8, 8), 3)))
+    z = reduce_mod1(FieldNumber(fraction(), fraction(), Fraction(rng.randint(-8, 8), 5)))
+    return StartPoint(fraction(), y, z)
+
+
+LARGE_DENOMINATOR_STARTS = [large_denominator_start(random.Random(seed)) for seed in (41, 42, 43)]
+
+
+def test_large_denominators_merge_like_the_oracles(monkeypatch):
+    for start in LARGE_DENOMINATOR_STARTS:
+        steps, _ = _scaled_progressions(_cube_axes(start, GOLDEN_DIRECTION))
+        assert steps[0][1] > 2**40  # D * phi, the step of axis b
+    # more crossings than one chunk holds
+    start = LARGE_DENOMINATOR_STARTS[0]
+    assert_engine_matches_oracle(start, GOLDEN_DIRECTION, billiard._CHUNK + 300)
+    for chunk in (1, 2, 7):
+        monkeypatch.setattr(billiard, "_CHUNK", chunk)
+        for start in LARGE_DENOMINATOR_STARTS:
+            for direction in DIRECTIONS:
+                assert_engine_matches_oracle(start, direction, 30)
+                specs = _cube_axes(start, direction)
+                assert _merged_axes(specs, 40) == sorted_progressions(specs, 40)
+
+
+def test_precision_doubles_on_large_denominators_and_coefficients(monkeypatch):
+    # 30-digit coefficients over a 2**41 denominator: at 64 bits the
+    # margin is far above the shifted step, so the merge doubles p.
+    precisions = []
+    real = billiard.basis_approx
+    monkeypatch.setattr(billiard, "basis_approx", lambda p: precisions.append(p) or real(p))
+    big = 10**30
+    start = LARGE_DENOMINATOR_STARTS[1]
+    start = StartPoint(
+        start.x,
+        reduce_mod1(start.y + FieldNumber(0, big) + FieldNumber(-big * 1618034 // 10**6)),
+        start.z,
+    )
+    for chunk in (2, 4096):
+        monkeypatch.setattr(billiard, "_CHUNK", chunk)
+        del precisions[:]
+        assert_engine_matches_oracle(start, GOLDEN_DIRECTION, 200)
+        assert precisions[0] == 64 and max(precisions) > 64
+
+
+def test_near_tie_in_the_second_chunk_runs_the_exact_resort(monkeypatch):
+    # The a crossing at t = 3000 and a b crossing about phi**-50 from it
+    # are near crossing 4500, past the first chunk of 4096.
+    calls = counting_exact_resorts(monkeypatch)
+    for side in (1, -1):
+        start = near_tie_start(50, n=1500, side=side)
+        del calls[:]
+        assert trace_letters(start, length=4000)
+        assert calls == []
+        assert_engine_matches_oracle(start, GOLDEN_DIRECTION, 4700)
+        assert calls
 
 
 def fraction_pair_ties(first, second, time_bound):

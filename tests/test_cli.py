@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from cubewords import cli, words
 from cubewords.cli import main, parse_args, run
 from cubewords.exactnum import FieldNumber, reduce_mod1
 from cubewords.verification import CriterionResult
@@ -120,6 +121,20 @@ class TestComplexity:
         assert first == ["1", "3", "4", "1"]
         last = lines[-1].split("\t")
         assert last[0] == "20" and last[2] == ""
+
+    def test_profile_is_built_once(self, capsys, monkeypatch):
+        calls = []
+        real = words.complexity
+
+        def spy(word, n_max):
+            calls.append(n_max)
+            return real(word, n_max)
+
+        monkeypatch.setattr(cli, "complexity", spy)
+        monkeypatch.setattr(words, "complexity", spy)
+        status, _, _ = invoke(capsys, "complexity", "--letters", "2000", "--n-max", "20")
+        assert status == 0
+        assert calls == [20]
 
 
 class TestReturns:
