@@ -69,6 +69,21 @@ _RATIONAL_CADENCE = 16
 _SCHEDULE_LIMIT = 1 + 4 + 50 + 97 * 88
 
 
+def _farey_interior(n: int) -> list[tuple[int, int]]:
+    """The Farey sequence F_n without 0/1 and 1/1: (p, q), coprime, in increasing order.
+
+    The next-term recurrence: after consecutive terms a/b and c/d comes
+    (k*c - a)/(k*d - b) with k = (n + b) // d, starting from 0/1, 1/n.
+    """
+    terms = []
+    a, b, c, d = 0, 1, 1, n
+    while d > 1:
+        terms.append((c, d))
+        k = (n + b) // d
+        a, b, c, d = c, d, k * c - a, k * d - b
+    return terms
+
+
 def sample_schedule(total: int, seed: int = 0) -> list[FieldNumber]:
     """Stratified, deterministic list of circle invariants.
 
@@ -82,20 +97,23 @@ def sample_schedule(total: int, seed: int = 0) -> list[FieldNumber]:
     generated in one fixed order, so a longer schedule with the same
     seed extends a shorter one prefix-for-prefix.  The strata hold
     _SCHEDULE_LIMIT distinct values; a longer schedule is rejected.
+
+    The rationals are drawn from the 1259 fractions p/q in (0, 1) with
+    q <= 64, in increasing order: the Farey sequence F_64 without its
+    ends, generated on integers by _farey_interior.  random.sample picks
+    by index, so drawing 50 indices of the pool takes the same choices
+    and leaves the same generator state as sampling the sorted list of
+    Fractions; only the 50 drawn become FieldNumbers.
     """
     if not 0 <= total <= _SCHEDULE_LIMIT:
         raise ValueError(f"total {total} outside 0..{_SCHEDULE_LIMIT} distinct invariants")
     rng = random.Random(seed)
     stream: list[FieldNumber] = [FieldNumber(0)]
     stream.extend(value for value, _ in SPECIAL_INVARIANTS)
-    pool = sorted(
-        {
-            Fraction(p, q)
-            for q in range(2, 65)
-            for p in range(1, q)
-        }
-    )
-    rationals = [FieldNumber(f) for f in rng.sample(pool, 50)]
+    pool = _farey_interior(64)
+    rationals = [
+        FieldNumber(Fraction(*pool[i])) for i in rng.sample(range(len(pool)), 50)
+    ]
     emitted = 0
     seen = set(stream)
     while len(stream) < total:

@@ -49,21 +49,47 @@ def basis_approx(precision: int) -> tuple[int, int, int, int]:
     return approx
 
 
+_BASIS_64 = basis_approx(64)
+
+
+def _dyadic(
+    vector: tuple[int, int, int, int], basis: tuple[int, int, int, int] = _BASIS_64
+) -> tuple[int, int]:
+    """Dyadic estimate E of a0 + a1*phi + a2*sqrt2 + a3*phi*sqrt2 times 2**p, and its error bound.
+
+    E is the vector dotted with basis = basis_approx(p), p = 64 unless
+    the caller passes a finer basis.  The estimate of 1 is exact and the
+    other three are within 2 of their values, so
+    |E - value * 2**p| < B = 2*(|a1| + |a2| + |a3|) + 2; the constant
+    keeps B positive, so a value certified by |E| > B is never zero.
+    E is linear in the vector, and B is subadditive and blind to a0:
+    B(u + v) <= B(u) + B(v) and B(u + m*(D, 0, 0, 0)) = B(u).  A caller
+    can therefore step an estimate by integer adds and bound its error
+    by the matching sum of bounds.
+    """
+    a0, a1, a2, a3 = vector
+    e0, e1, e2, e3 = basis
+    return a0 * e0 + a1 * e1 + a2 * e2 + a3 * e3, 2 * (abs(a1) + abs(a2) + abs(a3)) + 2
+
+
 def _int_sign(scaled: tuple[int, int, int, int]) -> int:
-    """Sign of a0 + a1*phi + a2*sqrt2 + a3*phi*sqrt2 for integer ai."""
+    """Sign of a0 + a1*phi + a2*sqrt2 + a3*phi*sqrt2 for integer ai.
+
+    Zero iff all four coordinates are zero; otherwise the _dyadic
+    estimate at 64 bits, doubling the precision until it clears its bound.
+    """
     a0, a1, a2, a3 = scaled
     if a0 == 0 and a1 == 0 and a2 == 0 and a3 == 0:
         return 0
+    estimate, error = _dyadic(scaled)
     precision = 64
     while True:
-        e0, e1, e2, e3 = basis_approx(precision)
-        estimate = a0 * e0 + a1 * e1 + a2 * e2 + a3 * e3
-        error = 2 * (abs(a1) + abs(a2) + abs(a3)) + 2
         if estimate > error:
             return 1
         if estimate < -error:
             return -1
         precision *= 2
+        estimate, error = _dyadic(scaled, basis_approx(precision))
 
 
 def _sorted_merged(points: Iterable[tuple[tuple[int, int, int, int], object]]) -> list:
@@ -71,7 +97,7 @@ def _sorted_merged(points: Iterable[tuple[tuple[int, int, int, int], object]]) -
 
     Each vector (a0, a1, a2, a3) stands for a0 + a1*phi + a2*sqrt2 +
     a3*phi*sqrt2 over one denominator shared by all points.  The points
-    are sorted by their 64-bit dyadic estimate, the first round of
+    are sorted by their 64-bit _dyadic estimate, the first round of
     _int_sign, and the order is then certified pair by pair with
     _int_sign: a sign of 0 merges two points into one entry, and a
     negative sign (estimates closer than their error bounds, in the
@@ -79,10 +105,7 @@ def _sorted_merged(points: Iterable[tuple[tuple[int, int, int, int], object]]) -
     equal vectors, since the basis is linearly independent over Q.
     Returns a list of (vector, tags) pairs.
     """
-    e0, e1, e2, e3 = basis_approx(64)
-    points = sorted(
-        points, key=lambda p: p[0][0] * e0 + p[0][1] * e1 + p[0][2] * e2 + p[0][3] * e3
-    )
+    points = sorted(points, key=lambda p: _dyadic(p[0])[0])
 
     def relation(p: tuple, q: tuple) -> int:
         (u0, u1, u2, u3), (v0, v1, v2, v3) = p[0], q[0]
@@ -373,12 +396,11 @@ class FieldNumber:
 
         p doubles from ``precision`` until the bound times scale is below D << p.
         """
-        (a0, a1, a2, a3), denom = self._num, self._den
-        error = 2 * (abs(a1) + abs(a2) + abs(a3)) + 2
-        while error * scale >= denom << precision:
+        while True:
+            estimate, error = _dyadic(self._num, basis_approx(precision))
+            if error * scale < self._den << precision:
+                return estimate, precision, error
             precision *= 2
-        e0, e1, e2, e3 = basis_approx(precision)
-        return a0 * e0 + a1 * e1 + a2 * e2 + a3 * e3, precision, error
 
     def floor(self) -> int:
         """Exact floor: a guess off by at most one, settled by at most three sign tests."""

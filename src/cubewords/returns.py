@@ -27,7 +27,10 @@ word letter for letter.
 
 code_orbit codes that orbit on integers: each point is four integer
 coordinates over the common denominator of the start, the angle and
-the cuts, and each comparison is one exactnum._int_sign call.
+the cuts.  A certified dyadic filter steps a 64-bit estimate of the
+point with its error bound and places it among the cuts' estimates by
+bisection; only a step whose estimate is too close to a cut or to the
+wrap point to certify falls back to exactnum._int_sign.
 CirclePartition.label_of is the single-point route on FieldNumbers
 that the tests compare it against.
 """
@@ -35,6 +38,7 @@ that the tests compare it against.
 from __future__ import annotations
 
 import logging
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -44,6 +48,7 @@ from .billiard import Direction, StartPoint, trace_letters
 from .exactnum import (
     PHI,
     FieldNumber,
+    _dyadic,
     _field,
     _int_sign,
     _sorted_merged,
@@ -304,11 +309,34 @@ def code_orbit(
     the step index; the coding of such an orbit is ambiguous and the
     caller must pick a different start rather than get a silent choice.
 
-    The angle is reduced mod 1 once; the orbit is then stepped on
-    integer coordinates over the common denominator of the start, the
-    angle and the cuts, with every order and zero decision taken by
-    exactnum._int_sign on integer differences, so no float and no
-    uncertified margin decides a label.
+    The angle is reduced mod 1 once.  Over the common denominator D of
+    the start, the angle and the cuts, step j sits at the integer vector
+    y_j = a + j*d - w*D, a and d the start's and the angle's, w the
+    wraps so far.  A certified dyadic filter decides almost every step:
+
+    * exactnum._dyadic gives 64-bit estimates E(v) of a vector's value
+      times 2**64, off by less than B(v).  E is linear and
+      E(D, 0, 0, 0) = D << 64 exactly, so
+      E(y_j) = E(a) + j*E(d) - w*(D << 64) costs one add per step and
+      one subtraction per wrap.  B ignores the rational coordinate and
+      is subadditive, so B(y_j) <= B(a) + j*B(d): the error bound grows
+      by one add per step, linearly in j.
+    * bisect locates E(y_j) among the cuts' estimates at index i.  The
+      label is interval i's when E(y_j) - E(c_{i-1}) > B(y_j) + B(c_{i-1})
+      and E(c_i) - E(y_j) > B(y_j) + B(c_i), for then
+      c_{i-1} < y_j < c_i exactly, whatever the order of the other
+      estimates.  The wrap point bounds interval 0 below and the last
+      interval above; y_j in [0, 1) is exact, so their sentinels -1
+      and 2 can only send a step to the fallback.
+    * y_j + angle wraps when its estimate clears D << 64 by more than
+      its bound, and does not when it falls short by more.
+
+    Every other step, and every wrap too close to call, takes the exact
+    route: exactnum._int_sign on the integer vector y_j - c against the
+    cuts in order, or y_j + d - D against 0.  A point on a cut is never
+    certified off it, so it reaches the exact route, which raises
+    HitsCut with the same (cut, step) as an all-exact coding would.  No
+    float and no uncertified margin decides a label.
     """
     if n < 0:
         raise ValueError("orbit length must be nonnegative")
@@ -320,21 +348,44 @@ def code_orbit(
     a0, a1, a2, a3 = y0.scaled_coeffs(denom)
     d0, d1, d2, d3 = angle.scaled_coeffs(denom)
     cuts = [(cut, cut.scaled_coeffs(denom)) for cut in partition.cuts]
-    labels = []
-    for step in range(n):
+    estimates = [_dyadic(vector) for _, vector in cuts]
+    keys = [key for key, _ in estimates]
+    one = denom << 64
+    lows = [-one] + [key + bound for key, bound in estimates]
+    highs = [key - bound for key, bound in estimates] + [2 * one]
+    estimate, error = _dyadic((a0, a1, a2, a3))
+    step_estimate, step_error = _dyadic((d0, d1, d2, d3))
+
+    def exact_point(step: int, wraps: int) -> tuple[int, int, int, int]:
+        return (a0 + step * d0 - wraps * denom, a1 + step * d1, a2 + step * d2, a3 + step * d3)
+
+    def exact_index(step: int, wraps: int) -> int:
+        v0, v1, v2, v3 = exact_point(step, wraps)
         index = 0
         for cut, (c0, c1, c2, c3) in cuts:
-            relation = _int_sign((a0 - c0, a1 - c1, a2 - c2, a3 - c3))
+            relation = _int_sign((v0 - c0, v1 - c1, v2 - c2, v3 - c3))
             if relation == 0:
                 raise HitsCut(cut, step)
             if relation < 0:
                 break
             index += 1
+        return index
+
+    labels = []
+    wraps = 0
+    for step in range(n):
+        index = bisect_right(keys, estimate)
+        if not lows[index] < estimate - error or not estimate + error < highs[index]:
+            index = exact_index(step, wraps)
         labels.append(partition.labels[index])
-        a0, a1, a2, a3 = a0 + d0, a1 + d1, a2 + d2, a3 + d3
+        estimate += step_estimate
+        error += step_error
         # the angle lies in [0, 1), so one comparison with 1 = D/D wraps y
-        if _int_sign((a0 - denom, a1, a2, a3)) >= 0:
-            a0 -= denom
+        if estimate + error >= one and (
+            estimate - error > one or _int_sign(exact_point(step + 1, wraps + 1)) >= 0
+        ):
+            estimate -= one
+            wraps += 1
     return tuple(labels)
 
 

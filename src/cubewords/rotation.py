@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Sequence
 
 from .exactnum import FieldNumber, _field
@@ -29,10 +30,11 @@ class RotationCoding:
     start: FieldNumber
     word: tuple[CellLabel, ...]
 
-    @property
+    @cached_property
     def symbols(self) -> str:
-        """The word as a plain string, one digit 1..7 per step."""
-        return "".join(str(label.value) for label in self.word)
+        """The word as a plain string, one digit 1..7 per step, built once per coding."""
+        # label._value_ is the stored value; .value and hashing an Enum run Python code
+        return bytes([ord("0") + label._value_ for label in self.word]).decode()
 
     def __len__(self) -> int:
         return len(self.word)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Optional
 
-from .billiard import StartPoint, delete_letter, trace_letters, validate
+from .billiard import StartPoint, delete_letter, letter_frequencies, trace_letters, validate
 from .directional import circle_language, representative_start, sample_schedule
 from .exactnum import PHI, SQRT2, FieldNumber, reduce_mod1
 from .returns import (
@@ -367,16 +367,32 @@ def criterion_8(ctx: VerificationContext) -> CriterionResult:
 
 
 def criterion_9(ctx: VerificationContext) -> CriterionResult:
-    """Deleting a leaves a Sturmian word; a has frequency 1/3; no aa or cc."""
+    """Deleting a leaves a Sturmian word; a has frequency 1/3; no aa or cc.
+
+    The frequency is exact: letter_frequencies gives theta_a over the
+    sum of the speeds, which must equal 1/3.  Each word is held to it by
+    an integer bound.  Unfold the billiard to the line x + t*theta and
+    let T be the time of the word's last letter.  Axis i is crossed at
+    times in (0, T] exactly floor(x_i + theta_i*T) - floor(x_i) times,
+    strictly between theta_i*T - 1 and theta_i*T + 1.  The limit
+    convention may add a wall letter at t = 0, and the word's end may
+    cut one letter of a tie at T, so the count N_i of letter i is
+    theta_i*T + delta_i with |delta_i| < 2.  Since 3*theta_a is the sum
+    of the speeds, 3*N_a - len(word) = 2*delta_a - delta_b - delta_c,
+    whose magnitude is below 8: so |3*N_a - len(word)| <= 7.
+    """
 
     def body() -> tuple[bool, str]:
+        freq = letter_frequencies()["a"]
+        if freq != FieldNumber(Fraction(1, 3)):
+            return False, f"freq(a)={freq}, expected 1/3"
         for key in ("interior", "golden", "quartic"):
             word = ctx.word(key)
             if "aa" in word or "cc" in word:
                 return False, f"{key} word contains aa or cc"
-            freq = word.count("a") / len(word)
-            if abs(freq - 1 / 3) > 1e-3:
-                return False, f"{key} word: freq(a)={freq:.6f}, expected 1/3 +- 1e-3"
+            excess = 3 * word.count("a") - len(word)
+            if abs(excess) > 7:
+                return False, f"{key} word: 3*#a - length = {excess}, outside -7..7"
             projected = delete_letter(word, "a")
             profile = complexity(projected, 50)
             if profile.stable_through < 50:

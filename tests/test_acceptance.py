@@ -12,8 +12,12 @@ bound p(n) from below; the circle-language test after them bounds it
 from above, so the three laws are certified through n = 100.
 """
 
+import random
+from fractions import Fraction
+
 import pytest
 
+from cubewords.billiard import StartPoint, trace_letters
 from cubewords.directional import circle_language
 from cubewords.exactnum import PHI, SQRT2, FieldNumber
 from cubewords.verification import (
@@ -94,6 +98,25 @@ def test_criterion_08_second_difference_identity(ctx):
 
 def test_criterion_09_projection_and_frequency(ctx):
     _report(criterion_9(ctx))
+
+
+def test_criterion_09_count_bound_holds_and_decides(ctx):
+    # |3*#a - len(word)| <= 7, derived in criterion_9, on random starts and lengths
+    rng = random.Random(909)
+    for _ in range(60):
+        start = StartPoint(*(Fraction(rng.randrange(0, 41), 40) for _ in range(3)))
+        word = trace_letters(start, length=rng.randrange(1, 3000))
+        assert abs(3 * word.count("a") - len(word)) <= 7, start
+
+    class Skewed(VerificationContext):
+        def word(self, key):
+            # "ba" adds one a per two letters, raising 3*#a - length by one
+            base = ctx.word(key)
+            return base + "ba" * (8 - (3 * base.count("a") - len(base)))
+
+    result = criterion_9(Skewed())
+    assert not result.passed
+    assert result.detail == "interior word: 3*#a - length = 8, outside -7..7"
 
 
 def test_criterion_10_union_growth_trend(ctx):

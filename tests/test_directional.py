@@ -89,6 +89,29 @@ class TestClassify:
         assert classify_s(Fraction(1, 3)) == GENERIC_CLASS
 
 
+def sorted_fraction_schedule(total, seed):
+    """sample_schedule drawing its rationals from the sorted set of Fractions."""
+    rng = random.Random(seed)
+    stream = [F(0), 2 * PHI - 3, 2 - PHI, PHI - 1, 4 - 2 * PHI]
+    pool = sorted({Fraction(p, q) for q in range(2, 65) for p in range(1, q)})
+    rationals = [F(f) for f in rng.sample(pool, 50)]
+    emitted = 0
+    seen = set(stream)
+    while len(stream) < total:
+        if emitted < len(rationals) and (len(stream) - 5) % 16 == 0:
+            stream.append(rationals[emitted])
+            emitted += 1
+            continue
+        u = Fraction(rng.randrange(0, 97), 97)
+        v = Fraction(rng.randrange(1, 89), 89)
+        s = reduce_mod1(F(u) + F(v) * SQRT2)
+        if s in seen:
+            continue
+        seen.add(s)
+        stream.append(s)
+    return stream[:total]
+
+
 class TestSchedule:
     def test_composition(self):
         schedule = sample_schedule(70, seed=11)
@@ -138,6 +161,18 @@ class TestSchedule:
     def test_deterministic_and_seed_sensitive(self):
         assert sample_schedule(60, seed=3) == sample_schedule(60, seed=3)
         assert sample_schedule(60, seed=3) != sample_schedule(60, seed=4)
+
+    def test_farey_pool_is_the_sorted_fractions(self):
+        pool = [Fraction(p, q) for p, q in directional._farey_interior(64)]
+        assert pool == sorted({Fraction(p, q) for q in range(2, 65) for p in range(1, q)})
+        assert len(pool) == 1259
+
+    def test_matches_the_sorted_fraction_route(self):
+        # the oracle extends prefix for prefix, like the schedule
+        for seed in range(21):
+            expected = sorted_fraction_schedule(806, seed)
+            for total in (8, 24, 806):
+                assert sample_schedule(total, seed) == expected[:total], (total, seed)
 
     def test_beyond_the_pool_rejected(self, bounded):
         # 1 zero + 4 golden + 50 rationals + 97*88 quartic values

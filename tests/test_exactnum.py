@@ -13,6 +13,7 @@ from cubewords.exactnum import (
     PHI_SQRT2,
     SQRT2,
     FieldNumber,
+    _dyadic,
     _sorted_merged,
     basis_approx,
     common_denominator,
@@ -533,6 +534,34 @@ def check_against_the_oracle(values):
         assert (value - floor).sign() == 1 and (floor + 1 - value).sign() == 1
         for places in (0, 1, 20, 45):
             assert value.decimal(places) == oracle_decimal(value, places), (value, places)
+
+
+def test_dyadic_bound_encloses_the_oracle():
+    rng = random.Random(6464)
+    values = long_coefficient_values() + [random_field_number(rng, span=500) for _ in range(200)]
+    for value in values:
+        vector = value.scaled_coeffs(common_denominator([value]))
+        lo, hi, _ = oracle_bounds(value)
+        # lo < value * D * 2**2001 < hi, and E estimates value * D * 2**p
+        for p in (64, 128):
+            estimate, bound = _dyadic(vector, basis_approx(p))
+            shift = ORACLE_BITS + 1 - p
+            assert (estimate - bound) << shift <= lo and hi <= (estimate + bound) << shift, value
+        assert _dyadic(vector) == _dyadic(vector, basis_approx(64))
+
+
+def test_dyadic_estimate_is_linear_and_bound_subadditive():
+    rng = random.Random(6565)
+    for _ in range(300):
+        u = tuple(rng.randrange(-(10**12), 10**12) for _ in range(4))
+        v = tuple(rng.randrange(-(10**12), 10**12) for _ in range(4))
+        m = rng.randrange(-(10**6), 10**6)
+        (eu, bu), (ev, bv) = _dyadic(u), _dyadic(v)
+        e, b = _dyadic(tuple(x + m * y for x, y in zip(u, v)))
+        assert e == eu + m * ev
+        assert b <= bu + abs(m) * bv
+        shifted = _dyadic((u[0] + m, u[1], u[2], u[3]))
+        assert shifted == (eu + (m << 64), bu)
 
 
 def test_golden_near_integers(bounded):

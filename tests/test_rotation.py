@@ -7,10 +7,12 @@ import pytest
 
 from cubewords.billiard import StartPoint, trace_letters
 from cubewords.directional import circle_language, classify_s
-from cubewords.exactnum import PHI, SQRT2, FieldNumber, reduce_mod1
+from cubewords import returns
+from cubewords.exactnum import PHI, SQRT2, FieldNumber, _int_sign, common_denominator, reduce_mod1
 from cubewords.returns import (
     TRANSLATION_ANGLE,
     CellLabel,
+    CirclePartition,
     HitsCut,
     circle_partition,
     code_orbit,
@@ -98,6 +100,8 @@ class TestCodeOrbit:
         rc = rotation_coding(fr(1, 2), part, TRANSLATION_ANGLE, 6)
         assert rc.word[:4] == (A2, A2, A4, A1)
         assert rc.symbols[:4] == "2241"
+        assert rc.symbols == "".join(str(label.value) for label in rc.word)
+        assert rc.symbols is rc.symbols
         assert len(rc) == 6
         assert rc.partition is part
         assert rc.start == fr(1, 2)
@@ -142,6 +146,158 @@ class TestCodeOrbit:
                     outcome = engine(y0, part, TRANSLATION_ANGLE, 40)
                     assert outcome == reference(y0, part, TRANSLATION_ANGLE, 40)
                     assert outcome[0] == "hits" and outcome[1] <= step
+
+
+def exact_code_orbit(y0, partition, angle, n):
+    """code_orbit with every decision exact: the per-step loop the dyadic filter replaced.
+
+    Each step compares the integer vector of y against the cuts in order
+    with _int_sign and wraps y by one exact comparison with 1 = D/D.
+    """
+    angle = reduce_mod1(angle)
+    denom = common_denominator((y0, angle) + partition.cuts)
+    a0, a1, a2, a3 = y0.scaled_coeffs(denom)
+    d0, d1, d2, d3 = angle.scaled_coeffs(denom)
+    cuts = [(cut, cut.scaled_coeffs(denom)) for cut in partition.cuts]
+    labels = []
+    for step in range(n):
+        index = 0
+        for cut, (c0, c1, c2, c3) in cuts:
+            relation = _int_sign((a0 - c0, a1 - c1, a2 - c2, a3 - c3))
+            if relation == 0:
+                raise HitsCut(cut, step)
+            if relation < 0:
+                break
+            index += 1
+        labels.append(partition.labels[index])
+        a0, a1, a2, a3 = a0 + d0, a1 + d1, a2 + d2, a3 + d3
+        if _int_sign((a0 - denom, a1, a2, a3)) >= 0:
+            a0 -= denom
+    return tuple(labels)
+
+
+def coded(route, y0, partition, angle, n):
+    """A route's labels, or ("hits", step, cut) when it raises HitsCut."""
+    try:
+        return route(y0, partition, angle, n)
+    except HitsCut as exc:
+        return ("hits", exc.step, exc.position)
+
+
+FILTER_CIRCLES = (F(0), 2 - PHI, reduce_mod1(fr(4, 13) + SQRT2 / 3))
+
+
+@pytest.fixture
+def exact_calls(monkeypatch):
+    """Count code_orbit's exact fallbacks: its own calls of _int_sign."""
+    calls = []
+    monkeypatch.setattr(
+        returns, "_int_sign", lambda vector: calls.append(vector) or _int_sign(vector)
+    )
+    return calls
+
+
+class TestCodeOrbitFilter:
+    """The dyadic filter against the all-exact per-step oracle."""
+
+    def test_random_starts_match_the_oracle(self):
+        rng = random.Random(4099)
+        for s in FILTER_CIRCLES:
+            part = circle_partition(s)
+            starts = [
+                fr(rng.randrange(1, 997), 997),
+                reduce_mod1(fr(rng.randrange(1, 997), 997) + rng.randrange(-5, 6) * SQRT2),
+                reduce_mod1(rng.randrange(-9, 10) * PHI + fr(rng.randrange(1, 89), 89) * SQRT2),
+            ]
+            for y0 in starts:
+                assert coded(code_orbit, y0, part, TRANSLATION_ANGLE, 20_000) == coded(
+                    exact_code_orbit, y0, part, TRANSLATION_ANGLE, 20_000
+                ), (s, y0)
+
+    def test_other_angles_match_the_oracle(self):
+        # 8/13 + 5/13 lands exactly on 1, which must wrap to 0
+        for s in FILTER_CIRCLES:
+            part = circle_partition(s)
+            for y0, angle in (
+                (fr(8, 13), F(Fraction(5, 13))),
+                (fr(3, 101), TRANSLATION_ANGLE + 3),
+                (fr(3, 101), -TRANSLATION_ANGLE),
+                (fr(1, 5), SQRT2 - 1),
+            ):
+                assert coded(code_orbit, y0, part, angle, 500) == coded(
+                    exact_code_orbit, y0, part, angle, 500
+                ), (s, y0, angle)
+
+    @pytest.mark.parametrize("exponent", [40, 62, 80])
+    def test_near_cut_and_near_wrap_starts(self, exponent, exact_calls):
+        # step j lands 2**-exponent above or below a cut or the wrap point;
+        # at 2**-40 the filter decides, at 2**-80 only the fallback can
+        offsets = (fr(1, 2**exponent), fr(-1, 2**exponent), fr(3, 2**(exponent + 1)))
+        for s in FILTER_CIRCLES:
+            part = circle_partition(s)
+            for target in (F(0),) + part.cuts:
+                for step in (0, 1, 250, 1999):
+                    for offset in offsets:
+                        y0 = reduce_mod1(target - step * TRANSLATION_ANGLE + offset)
+                        got = coded(code_orbit, y0, part, TRANSLATION_ANGLE, step + 2)
+                        assert got == exact_code_orbit(y0, part, TRANSLATION_ANGLE, step + 2)
+        if exponent == 80:
+            assert exact_calls
+
+    def test_exact_hits_raise_like_the_oracle(self):
+        for s in FILTER_CIRCLES:
+            part = circle_partition(s)
+            for cut in part.cuts:
+                for step in (0, 1, 250, 1999):
+                    y0 = reduce_mod1(cut - step * TRANSLATION_ANGLE)
+                    got = coded(code_orbit, y0, part, TRANSLATION_ANGLE, 2000)
+                    assert got == coded(exact_code_orbit, y0, part, TRANSLATION_ANGLE, 2000)
+                    assert got[0] == "hits" and got[1] <= step
+            # the wrap point is interval 0, not a hit; the step before a
+            # later landing there sits on the cut 4 - 2*phi = -angle mod 1
+            got = code_orbit(F(0), part, TRANSLATION_ANGLE, 2000)
+            assert got == exact_code_orbit(F(0), part, TRANSLATION_ANGLE, 2000)
+            assert got[0] == part.labels[0]
+            y0 = reduce_mod1(-250 * TRANSLATION_ANGLE)
+            got = coded(code_orbit, y0, part, TRANSLATION_ANGLE, 2000)
+            assert got == coded(exact_code_orbit, y0, part, TRANSLATION_ANGLE, 2000)
+            assert got[:2] == ("hits", 249)
+
+    def test_large_coordinate_near_ties(self, exact_calls):
+        # g = 1/phi**58 is about 2**-40 with coordinates near 2**40, so
+        # estimates of points involving g are off by far more than their
+        # distances to a cut or to 1, which are below 2**-100.  Each
+        # case is built with both roundings of g; an estimate trusted
+        # without its bound gets one of the two wrong.
+        g = F(1)
+        for _ in range(58):
+            g = g * (PHI - 1)
+        part = CirclePartition(s=F(0), cuts=(fr(1, 3), fr(1, 2) + g), labels=(A1, A2, A3))
+        angle = fr(1, 2) + g
+
+        def roundings(x):
+            low = (x * 2**100).floor()
+            return fr(low, 2**100), fr(low + 1, 2**100)
+
+        starts = []
+        for q in roundings(g):
+            # step 0 near the cut with large coordinates
+            starts.append(fr(1, 2) + q)
+            # y0 + angle near 1, the wrap point
+            starts.append(fr(1, 2) - q)
+        for q in roundings(2 * g):
+            # step 2 near the cut 1/3, reached by adding 2*g twice
+            starts.append(fr(1, 3) - q)
+        for y0 in starts:
+            assert code_orbit(y0, part, angle, 6) == exact_code_orbit(y0, part, angle, 6), y0
+        assert exact_calls
+
+    def test_generic_orbit_makes_no_exact_call(self, exact_calls):
+        for s in FILTER_CIRCLES:
+            part = circle_partition(s)
+            for y0 in (fr(3, 7), reduce_mod1(fr(2, 11) + SQRT2)):
+                assert len(code_orbit(y0, part, TRANSLATION_ANGLE, 20_000)) == 20_000
+        assert exact_calls == []
 
 
 class TestRecodingMatchesBilliard:
