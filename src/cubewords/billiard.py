@@ -68,6 +68,7 @@ from typing import Iterator, NamedTuple, Optional, Sequence
 from .exactnum import (
     FieldNumber,
     PHI,
+    _dyadic,
     _field,
     _sorted_merged,
     basis_approx,
@@ -293,11 +294,11 @@ def _merged_axes(specs: Sequence[_AxisSpec], count: int) -> tuple[bytes, int]:
 
     D times the time of plane n on axis i has the integer coordinates
     n*step_i - shift_i of _scaled_progressions, and its p-bit dyadic
-    estimate S_i(n) = n*s_i - h_i (s_i and h_i the estimates of step_i
-    and shift_i) lies within 2*(n*|step_i| + |shift_i|) of the value
-    times 2**p, |.| summing the three irrational coordinates; so two
-    estimates of planes n < N differ from their values' difference by
-    less than M, twice the largest such bound at N, plus 2.
+    estimate S_i(n) = n*s_i - h_i (s_i and h_i the exactnum._dyadic
+    estimates of step_i and shift_i) lies within n*B(step_i) + B(shift_i)
+    of the value times 2**p, B the _dyadic bound, which is the same at
+    every p; so two estimates of planes n < N differ from their values'
+    difference by less than M, twice the largest such bound at N.
 
     Keys.  Each chunk lays out a window of W crossings, W = min(_CHUNK,
     needed) + 2k + 1 for k axes: the planes of axis i whose estimates
@@ -342,14 +343,15 @@ def _merged_axes(specs: Sequence[_AxisSpec], count: int) -> tuple[bytes, int]:
     """
     k = len(specs)
     steps, shifts = _scaled_progressions(specs)
-    slopes = [2 * (abs(a1) + abs(a2) + abs(a3)) for _, a1, a2, a3 in steps]
-    intercepts = [2 * (abs(b1) + abs(b2) + abs(b3)) for _, b1, b2, b3 in shifts]
+    # _dyadic's bound does not depend on the precision
+    slopes = [_dyadic(step)[1] for step in steps]
+    intercepts = [_dyadic(shift)[1] for shift in shifts]
 
     def estimates(precision: int) -> tuple[list[int], list[int]]:
         basis = basis_approx(precision)
         return (
-            [sum(a * e for a, e in zip(step, basis)) for step in steps],
-            [sum(b * e for b, e in zip(shift, basis)) for shift in shifts],
+            [_dyadic(step, basis)[0] for step in steps],
+            [_dyadic(shift, basis)[0] for shift in shifts],
         )
 
     precision = 64
@@ -375,7 +377,7 @@ def _merged_axes(specs: Sequence[_AxisSpec], count: int) -> tuple[bytes, int]:
         product = math.prod(units)
         span = window * product // sum(product // u for u in units)
         sizes = [max(0, (span - f) // u + 1) for f, u in zip(starts, units)]
-        error = 2 + 2 * max(
+        error = 2 * max(
             slope * (n + size) + intercept
             for slope, intercept, n, size in zip(slopes, intercepts, planes, sizes)
         )

@@ -29,6 +29,7 @@ from .exactnum import (
     PHI,
     SQRT2,
     FieldNumber,
+    _dyadic,
     _field,
     _int_sign,
     _sorted_merged,
@@ -173,10 +174,13 @@ def circle_language(s, n: int) -> frozenset[str]:
     coding is the one before it with the steps tagged at its left end
     moved (at 0 those moves agree with code_orbit's labels).  The
     points are integer 4-vectors over one denominator, stepped by
-    -alpha with one exact wrap test each; exactnum._sorted_merged
-    certifies their order and merges coinciding ones (saddle
-    connections), whose steps all move at once.  No float decides
-    anything.
+    -alpha.  A point wraps when it falls below 0; as in code_orbit, a
+    64-bit exactnum._dyadic estimate stepped by integer adds, with an
+    error bound growing by the angle's bound per step, decides that
+    test, and only a point within its bound of 0 calls _int_sign.
+    exactnum._sorted_merged certifies their order and merges coinciding
+    ones (saddle connections), whose steps all move at once.  No float
+    decides anything.
     """
     return _partition_language(circle_partition(_coerce_invariant(s)), n)
 
@@ -188,15 +192,22 @@ def _partition_language(partition: CirclePartition, n: int) -> frozenset[str]:
     steps = n // 2 + 3
     denom = common_denominator((TRANSLATION_ANGLE,) + partition.cuts)
     d0, d1, d2, d3 = TRANSLATION_ANGLE.scaled_coeffs(denom)
+    step_estimate, step_error = _dyadic((d0, d1, d2, d3))
+    one = denom << 64
     seeds = [(0, 0, 0, 0)] + [cut.scaled_coeffs(denom) for cut in partition.cuts]
     points = []
     # a point of seed index `new` at step j moves step j into interval new
     for new, (a0, a1, a2, a3) in enumerate(seeds):
+        estimate, error = _dyadic((a0, a1, a2, a3))
         for j in range(steps):
             points.append(((a0, a1, a2, a3), (j, new)))
             a0, a1, a2, a3 = a0 - d0, a1 - d1, a2 - d2, a3 - d3
-            if _int_sign((a0, a1, a2, a3)) < 0:
+            estimate -= step_estimate
+            error += step_error
+            # the point wraps when negative; the estimate decides unless within its error of 0
+            if estimate < error and (estimate < -error or _int_sign((a0, a1, a2, a3)) < 0):
                 a0 += denom
+                estimate += one
     arcs = _sorted_merged(points)
     # arcs[0] is the wrap point 0; the first arc ends at arcs[1]
     middle = FieldNumber(*(Fraction(a, 2 * denom) for a in arcs[1][0]))

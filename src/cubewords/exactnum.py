@@ -17,6 +17,7 @@ import math
 import re
 from fractions import Fraction
 from functools import cmp_to_key, total_ordering
+from operator import itemgetter
 from typing import Iterable, Optional, Union
 
 RationalLike = Union[int, Fraction]
@@ -98,36 +99,80 @@ def _sorted_merged(points: Iterable[tuple[tuple[int, int, int, int], object]]) -
     Each vector (a0, a1, a2, a3) stands for a0 + a1*phi + a2*sqrt2 +
     a3*phi*sqrt2 over one denominator shared by all points.  The points
     are sorted by their 64-bit _dyadic estimate, the first round of
-    _int_sign, and the order is then certified pair by pair with
-    _int_sign: a sign of 0 merges two points into one entry, and a
+    _int_sign, and the order is then certified pair by pair.  A pair
+    whose estimates differ by more than the sum of their bounds is in
+    order: E is linear and B subadditive, so the gap estimates the
+    difference within B(p - q) <= B(p) + B(q).  Only the other pairs
+    call _int_sign: a sign of 0 merges two points into one entry, and a
     negative sign (estimates closer than their error bounds, in the
     wrong order) re-sorts with the exact comparator.  Equal values have
     equal vectors, since the basis is linearly independent over Q.
     Returns a list of (vector, tags) pairs.
     """
-    points = sorted(points, key=lambda p: _dyadic(p[0])[0])
+    rows = [(*_dyadic(vector), vector, tag) for vector, tag in points]
+    rows.sort(key=itemgetter(0))
 
     def relation(p: tuple, q: tuple) -> int:
-        (u0, u1, u2, u3), (v0, v1, v2, v3) = p[0], q[0]
+        (u0, u1, u2, u3), (v0, v1, v2, v3) = p[2], q[2]
         return _int_sign((u0 - v0, u1 - v1, u2 - v2, u3 - v3))
 
     def merged_runs() -> Optional[list]:
         merged: list = []
-        for point in points:
-            order = relation(point, merged[-1]) if merged else 1
+        previous = None
+        for row in rows:
+            if previous is None or row[0] - previous[0] > row[1] + previous[1]:
+                order = 1
+            else:
+                order = relation(row, previous)
             if order < 0:
                 return None
             if order == 0:
-                merged[-1][1].append(point[1])
+                merged[-1][1].append(row[3])
             else:
-                merged.append((point[0], [point[1]]))
+                merged.append((row[2], [row[3]]))
+                previous = row
         return merged
 
     merged = merged_runs()
     if merged is None:
-        points.sort(key=cmp_to_key(relation))
+        rows.sort(key=cmp_to_key(relation))
         merged = merged_runs()
     return merged
+
+
+def _estimate(
+    vector: tuple[int, int, int, int], denom: int, precision: int, scale: int = 1
+) -> tuple[int, int, int]:
+    """Dyadic estimate E of value * (D << p), p, and a bound on |E - value * (D << p)|.
+
+    The value is vector / denom, D = denom > 0.  p doubles from
+    ``precision`` until the bound times scale is below D << p.
+    """
+    while True:
+        estimate, error = _dyadic(vector, basis_approx(precision))
+        if error * scale < denom << precision:
+            return estimate, precision, error
+        precision *= 2
+
+
+def _floor(vector: tuple[int, int, int, int], denom: int) -> int:
+    """Exact floor of vector / denom, for denom > 0.
+
+    The estimate's precision rises with the coordinates, so the guess is
+    off by at most one and at most three sign tests settle it.
+    FieldNumber.floor and the face-point reductions of returns share it.
+    """
+    a0, a1, a2, a3 = vector
+    if not (a1 or a2 or a3):
+        return a0 // denom
+    estimate, precision, _ = _estimate(vector, denom, 64)
+    guess = (estimate // denom) >> precision
+    # value - g has integer coordinates (a0 - g*D, a1, a2, a3) over D > 0
+    while _int_sign((a0 - guess * denom, a1, a2, a3)) < 0:
+        guess -= 1
+    while _int_sign((a0 - (guess + 1) * denom, a1, a2, a3)) >= 0:
+        guess += 1
+    return guess
 
 
 def _gmul(a: int, b: int, c: int, d: int) -> tuple[int, int]:
@@ -259,7 +304,10 @@ class FieldNumber:
         factor, rest = divmod(denominator, self._den)
         if rest:
             raise ValueError(f"{denominator} does not clear denominators of {self}")
-        return tuple(c * factor for c in self._num)
+        if factor == 1:
+            return self._num
+        n0, n1, n2, n3 = self._num
+        return n0 * factor, n1 * factor, n2 * factor, n3 * factor
 
     # -- arithmetic --------------------------------------------------
 
@@ -391,30 +439,9 @@ class FieldNumber:
 
     # -- integer part ------------------------------------------------
 
-    def _estimate(self, precision: int, scale: int = 1) -> tuple[int, int, int]:
-        """Dyadic estimate E of value * (D << p), p, and a bound on |E - value * (D << p)|.
-
-        p doubles from ``precision`` until the bound times scale is below D << p.
-        """
-        while True:
-            estimate, error = _dyadic(self._num, basis_approx(precision))
-            if error * scale < self._den << precision:
-                return estimate, precision, error
-            precision *= 2
-
     def floor(self) -> int:
-        """Exact floor: a guess off by at most one, settled by at most three sign tests."""
-        (a0, a1, a2, a3), denom = self._num, self._den
-        if self.is_rational:
-            return a0 // denom
-        estimate, precision, _ = self._estimate(64)
-        guess = (estimate // denom) >> precision
-        # self - g has integer coordinates (a0 - g*D, a1, a2, a3) over D > 0
-        while _int_sign((a0 - guess * denom, a1, a2, a3)) < 0:
-            guess -= 1
-        while _int_sign((a0 - (guess + 1) * denom, a1, a2, a3)) >= 0:
-            guess += 1
-        return guess
+        """Exact floor, by _floor on the stored coordinates."""
+        return _floor(self._num, self._den)
 
     __floor__ = floor
 
@@ -457,7 +484,7 @@ class FieldNumber:
         if places < 0:
             raise ValueError(f"decimal places must be nonnegative, got {places}")
         unit = 10**places
-        scaled, precision, error = self._estimate(192, 2 * unit)
+        scaled, precision, error = _estimate(self._num, self._den, 192, 2 * unit)
         total = self._den << precision
         # 2|E|*unit + total is off by at most margin; when that is too
         # close to a multiple of 2*total, a tie decides, so settle it exactly

@@ -25,6 +25,13 @@ k in {3, 5, 6}; coding the rotation orbit of Y against it and mapping
 each interval label through the block table reconstructs the billiard
 word letter for letter.
 
+The face partition decides on integers too.  _cell_label takes a face
+point as two integer vectors over one denominator and settles the open
+square and each curve by the sign of one integer vector
+(exactnum._int_sign).  cell_of, kth_return_prediction and the interval
+labels of circle_partition all call it, so no cell is decided by
+FieldNumber arithmetic.
+
 code_orbit codes that orbit on integers: each point is four integer
 coordinates over the common denominator of the start, the angle and
 the cuts.  A certified dyadic filter steps a 64-bit estimate of the
@@ -50,6 +57,7 @@ from .exactnum import (
     FieldNumber,
     _dyadic,
     _field,
+    _floor,
     _int_sign,
     _sorted_merged,
     common_denominator,
@@ -127,8 +135,11 @@ class FacePartition:
 
     cell_of assigns the cells.  They are open: points on any of the four
     dividing curves are rejected, since trajectories from there may run
-    into cube edges.  Constants are hard-coded exactly and the whole
-    table is cross-validated against traced return words in the tests.
+    into cube edges.  Constants are hard-coded exactly, here only: the
+    integer classifier _cell_label reads its vectors from them, and the
+    whole table is cross-validated against traced return words in the
+    tests.  red_z and blue_z evaluate the two sloped lines on
+    FieldNumbers.
     """
 
     HORIZONTAL_Z = 2 * PHI - 3
@@ -146,29 +157,85 @@ class FacePartition:
         return cls.LINE_SLOPE * y + cls.BLUE_INTERCEPT
 
 
-def cell_of(y: FieldNumber, z: FieldNumber) -> CellLabel:
-    """Label of the open cell containing (y, z); OnBoundary on a curve."""
-    if not (FieldNumber(0) < y < 1 and FieldNumber(0) < z < 1):
-        raise ValueError(f"point ({y}, {z}) outside the open unit square")
-    horizontal = (z - FacePartition.HORIZONTAL_Z).sign()
-    vertical = (y - FacePartition.VERTICAL_Y).sign()
+_Vector = tuple[int, int, int, int]
+
+# The curve constants as integer vectors over the denominator 1.
+_HORIZONTAL = FacePartition.HORIZONTAL_Z.scaled_coeffs(1)
+_VERTICAL = FacePartition.VERTICAL_Y.scaled_coeffs(1)
+_RED = FacePartition.RED_INTERCEPT.scaled_coeffs(1)
+_BLUE = FacePartition.BLUE_INTERCEPT.scaled_coeffs(1)
+
+
+def _face_point(y: _Vector, z: _Vector, denom: int) -> tuple[FieldNumber, FieldNumber]:
+    return tuple(FieldNumber(*(Fraction(a, denom) for a in v)) for v in (y, z))
+
+
+def _cell_label(y: _Vector, z: _Vector, denom: int) -> CellLabel:
+    """cell_of for the point (y, z) / denom, with y and z integer vectors over denom > 0.
+
+    Every test is the sign of an integer vector, decided by
+    exactnum._int_sign: v / denom < c for a constant c over 1 iff
+    v - denom*c < 0.  The vertical and horizontal lines lie inside the
+    square, 0 < 4 - 2*phi < 1 and 0 < 2*phi - 3 < 1, so each of their
+    signs leaves one edge to test: y < 4 - 2*phi already puts y below
+    1, y > 4 - 2*phi already puts it above 0, and on the line y is
+    inside; likewise z.  The curves Z = (phi - 1)*Y + b need the
+    product (phi - 1)*y on vectors.  With phi**2 = 1 + phi,
+    (phi - 1)*(a0 + a1*phi) = a0*phi + a1 + a1*phi - a0 - a1*phi
+    = (a1 - a0) + a0*phi, and sqrt2 multiplies through, so
+    (phi - 1)*(a0, a1, a2, a3) = (a1 - a0, a0, a3 - a2, a2).  The
+    outcomes are cell_of's: a point outside the open square raises
+    ValueError before any curve is reported, then the vertical line,
+    the horizontal one, the red and the blue are tested in that order.
+    """
+    y0, y1, y2, y3 = y
+    z0, z1, z2, z3 = z
+    v0, v1, v2, v3 = _VERTICAL
+    vertical = _int_sign((y0 - denom * v0, y1 - denom * v1, y2 - denom * v2, y3 - denom * v3))
+    h0, h1, h2, h3 = _HORIZONTAL
+    horizontal = _int_sign((z0 - denom * h0, z1 - denom * h1, z2 - denom * h2, z3 - denom * h3))
+    if (
+        vertical < 0 and _int_sign(y) <= 0
+        or vertical > 0 and _int_sign((y0 - denom, y1, y2, y3)) >= 0
+        or horizontal < 0 and _int_sign(z) <= 0
+        or horizontal > 0 and _int_sign((z0 - denom, z1, z2, z3)) >= 0
+    ):
+        point = _face_point(y, z, denom)
+        raise ValueError(f"point ({point[0]}, {point[1]}) outside the open unit square")
     if vertical == 0:
-        raise OnBoundary("vertical", (y, z))
+        raise OnBoundary("vertical", _face_point(y, z, denom))
     if horizontal == 0:
-        raise OnBoundary("horizontal", (y, z))
+        raise OnBoundary("horizontal", _face_point(y, z, denom))
     if horizontal < 0:
         return CellLabel.A7 if vertical < 0 else CellLabel.A4
-    red = (z - FacePartition.red_z(y)).sign()
+    # z - (phi - 1)*y, then less the red or the blue intercept
+    w0, w1, w2, w3 = z0 - y1 + y0, z1 - y0, z2 - y3 + y2, z3 - y2
+    r0, r1, r2, r3 = _RED
+    red = _int_sign((w0 - denom * r0, w1 - denom * r1, w2 - denom * r2, w3 - denom * r3))
     if red == 0:
-        raise OnBoundary("red", (y, z))
+        raise OnBoundary("red", _face_point(y, z, denom))
     if vertical < 0:
         return CellLabel.A2 if red < 0 else CellLabel.A1
     if red > 0:
         return CellLabel.A6
-    blue = (z - FacePartition.blue_z(y)).sign()
+    b0, b1, b2, b3 = _BLUE
+    blue = _int_sign((w0 - denom * b0, w1 - denom * b1, w2 - denom * b2, w3 - denom * b3))
     if blue == 0:
-        raise OnBoundary("blue", (y, z))
+        raise OnBoundary("blue", _face_point(y, z, denom))
     return CellLabel.A3 if blue > 0 else CellLabel.A5
+
+
+def cell_of(y: FieldNumber, z: FieldNumber) -> CellLabel:
+    """Label of the open cell containing (y, z); OnBoundary on a curve.
+
+    ValueError outside the open unit square, and TypeError for input
+    that is not an int, a Fraction or a FieldNumber.  Both coordinates
+    go over their common denominator and _cell_label decides on the
+    integer vectors.
+    """
+    y, z = _field(y), _field(z)
+    denom = common_denominator((y, z))
+    return _cell_label(y.scaled_coeffs(denom), z.scaled_coeffs(denom), denom)
 
 
 @dataclass(frozen=True)
@@ -222,15 +289,34 @@ def _translated_face_point(
     return reduce_mod1(m.y + k * step), reduce_mod1(m.z + k * z_step)
 
 
+_ANGLE = TRANSLATION_ANGLE.scaled_coeffs(1)
+
+
 def kth_return_prediction(m: StartPoint, k: int) -> CellLabel:
     """Cell predicted to emit the (k+1)-th return word of the trace of m, r = 1/2.
 
     Consecutive face hits translate (Y, Z) by (theta_2 / r, theta_3 / r),
     so the prediction is the cell at the k-fold translate.  This is the
     single-point reference for predict_return_words: it rebuilds the
-    translate from k = 0 and asks cell_of, with no rotation orbit.
+    translate from k = 0 and asks the cell classifier, with no rotation
+    orbit and no circle partition.  For r = 1/2 the translate is
+    (y + k*alpha, z + k*(2 - alpha)) mod 1 with alpha = 2*phi - 3, and
+    z + k*(2 - alpha) = z - k*alpha mod 1.  alpha has denominator 1, so
+    over the common denominator D of y and z both coordinates are the
+    integer vectors y + k*D*alpha and z - k*D*alpha; each is reduced
+    mod 1 by exactnum._floor and _cell_label classifies the pair.
     """
-    return cell_of(*_translated_face_point(m, k, Fraction(1, 2)))
+    if k < 0:
+        raise ValueError("k must be nonnegative")
+    if m.x != 0:
+        raise ValueError("return prediction starts from the face X = 0")
+    denom = common_denominator((m.y, m.z))
+    shift = [k * denom * a for a in _ANGLE]
+    y0, y1, y2, y3 = (a + b for a, b in zip(m.y.scaled_coeffs(denom), shift))
+    z0, z1, z2, z3 = (a - b for a, b in zip(m.z.scaled_coeffs(denom), shift))
+    y0 -= _floor((y0, y1, y2, y3), denom) * denom
+    z0 -= _floor((z0, z1, z2, z3), denom) * denom
+    return _cell_label((y0, y1, y2, y3), (z0, z1, z2, z3), denom)
 
 
 def predict_return_words(m: StartPoint, count: int, r: Fraction = Fraction(1, 2)) -> list[str]:
@@ -427,15 +513,20 @@ def circle_partition(s: FieldNumber) -> CirclePartition:
 
     Cut candidates that coincide exactly (special circles run through
     multiple-curve intersection points) would bound zero-length
-    intervals; they are merged and logged rather than kept.
+    intervals; they are merged and logged rather than kept.  Each
+    interval is labeled by the cell of its midpoint: with the cuts as
+    integer vectors over a denominator D, the midpoint and
+    s - midpoint mod 1 are integer vectors over 2*D, and _cell_label
+    classifies them.
     """
     s = _field(s)
     if s < 0 or s >= 1:
         raise ValueError(f"circle invariant {s} outside [0, 1)")
     candidates = list(_circle_cut_candidates(s))
-    denom = common_denominator(y for _, y in candidates)
+    denom = common_denominator([s] + [y for _, y in candidates])
     points = ((y.scaled_coeffs(denom), i) for i, (_, y) in enumerate(candidates))
     cuts: list[FieldNumber] = []
+    vectors: list[_Vector] = []
     # the sorts are stable, so each value lists its candidates in order
     for vector, tags in _sorted_merged(points):
         curves = [candidates[i][0] for i in tags]
@@ -444,6 +535,7 @@ def circle_partition(s: FieldNumber) -> CirclePartition:
                 logger.info("circle s=%s: %s cut sits on the wrap point, dropped", s, curve)
             continue
         cuts.append(candidates[tags[0]][1])
+        vectors.append(vector)
         for curve in curves[1:]:
             logger.info(
                 "circle s=%s: %s cut coincides with %s, zero-length interval dropped",
@@ -451,11 +543,17 @@ def circle_partition(s: FieldNumber) -> CirclePartition:
                 curve,
                 cuts[-1],
             )
-    bounds = [FieldNumber(0)] + cuts + [FieldNumber(1)]
+    # midpoints (lo + hi) / 2 and s - mid mod 1 as integer vectors over 2*denom
+    s0, s1, s2, s3 = (2 * a for a in s.scaled_coeffs(denom))
+    bounds = [(0, 0, 0, 0)] + vectors + [(denom, 0, 0, 0)]
     labels = []
     for lo, hi in zip(bounds, bounds[1:]):
-        mid = (lo + hi) / 2
-        labels.append(cell_of(mid, reduce_mod1(s - mid)))
+        mid = tuple(a + b for a, b in zip(lo, hi))
+        z = (s0 - mid[0], s1 - mid[1], s2 - mid[2], s3 - mid[3])
+        # s and the midpoint lie in [0, 1), so s - mid wraps at most once
+        if _int_sign(z) < 0:
+            z = (z[0] + 2 * denom,) + z[1:]
+        labels.append(_cell_label(mid, z, 2 * denom))
     partition = CirclePartition(s=s, cuts=tuple(cuts), labels=tuple(labels))
     if partition.k not in (3, 5, 6):
         raise ValueError(f"circle s={s} produced k={partition.k}, expected 3, 5 or 6")

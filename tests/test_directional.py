@@ -6,7 +6,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from cubewords import directional
+from cubewords import directional, exactnum
 from cubewords.billiard import StartPoint, trace_letters, validate
 from cubewords.directional import (
     DIRECTIONAL_CONSTANT,
@@ -233,6 +233,47 @@ class TestCircleLanguage:
                 assert circle_language(s, n) == arc_midpoint_language(s, n), (str(s), n)
         # coinciding points (saddle connections) took the merge path
         assert min(merges) > 0
+
+    def test_estimates_decide_the_generic_sweep(self, monkeypatch):
+        # An exact wrap test per point and an exact sign per neighbouring
+        # pair cost about two _int_sign calls per point; the stepped
+        # estimates and the sort's estimate gaps decide nearly all of them.
+        s = reduce_mod1(fr(4, 13) + SQRT2 / 3)
+        part = circle_partition(s)
+        calls = []
+        real = exactnum._int_sign
+
+        def counting(vector):
+            calls.append(vector)
+            return real(vector)
+
+        monkeypatch.setattr(exactnum, "_int_sign", counting)
+        monkeypatch.setattr(directional, "_int_sign", counting)
+        n = 40
+        language = directional._partition_language(part, n)
+        monkeypatch.undo()
+        points = part.k * (n // 2 + 3)
+        # coinciding points (saddle connections) merge on a zero sign
+        merges = sum(not any(vector) for vector in calls)
+        assert merges > 0
+        assert len(calls) - merges < points // 10
+        assert language == arc_midpoint_language(s, n)
+
+    @pytest.mark.parametrize("k", [40, 41, 100, 101])
+    def test_sweep_near_the_wrap_point(self, k):
+        # The seam cut s lies g = F(k+1) - F(k)*phi, about (-1/phi)**k, from
+        # j*alpha, so the point s - j*alpha is g (or g*sqrt2) from the wrap
+        # point 0, on the side of g's sign.  Its coordinates are near
+        # phi**k: at k = 100 the estimate's error dwarfs g * 2**64, and only
+        # the exact test can tell whether the point wraps.
+        a, b = 0, 1
+        for _ in range(k):
+            a, b = b, a + b
+        g = b - a * PHI
+        for j in (1, 4, 9):
+            for offset in (g, g * SQRT2):
+                s = reduce_mod1(j * TRANSLATION_ANGLE + offset)
+                assert circle_language(s, 20) == arc_midpoint_language(s, 20), (j, str(offset))
 
     def test_sweep_matches_arc_midpoints_at_100(self):
         for s in (F(0), 2 - PHI, fr(3, 7)) + tuple(seeded_quartics(2, 83)):

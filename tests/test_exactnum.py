@@ -396,6 +396,21 @@ def test_sorted_merged_matches_field_order_random():
         assert as_values(_sorted_merged(points)) == field_sorted_merged(points)
 
 
+def test_sorted_merged_certifies_separated_pairs_by_estimates(monkeypatch):
+    # distinct values here lie far more than their bounds apart, so only
+    # the equal neighbours, which merge, call _int_sign
+    calls = []
+    real = exactnum._int_sign
+    monkeypatch.setattr(exactnum, "_int_sign", lambda vector: calls.append(vector) or real(vector))
+    rng = random.Random(1818)
+    pool = [tuple(rng.randint(-40, 40) for _ in range(4)) for _ in range(60)]
+    points = [(rng.choice(pool), tag) for tag in range(200)]
+    merged = _sorted_merged(points)
+    assert len(calls) == len(points) - len(merged) > 0
+    assert not any(any(vector) for vector in calls)
+    assert as_values(merged) == field_sorted_merged(points)
+
+
 def test_sorted_merged_exact_duplicates():
     points = [((3, 1, 0, 0), "a"), ((0, 0, 1, 0), "b"), ((3, 1, 0, 0), "c"), ((0, 0, 1, 0), "d")]
     assert _sorted_merged(points) == [((0, 0, 1, 0), ["b", "d"]), ((3, 1, 0, 0), ["a", "c"])]

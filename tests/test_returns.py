@@ -24,6 +24,7 @@ from cubewords.returns import (
     InsufficientOccurrences,
     OnBoundary,
     _circle_cut_candidates,
+    _translated_face_point,
     cell_of,
     circle_partition,
     empirical_cells,
@@ -99,6 +100,50 @@ def golden_unit(k):
     for _ in range(k):
         a, b = b, a + b
     return b - a * PHI
+
+
+def field_cell_of(y, z):
+    """cell_of on FieldNumber arithmetic, the route the integer classifier replaced: the oracle.
+
+    The open square is four FieldNumber comparisons and each curve the
+    sign of a FieldNumber difference with FacePartition's constants.
+    """
+    if not (FieldNumber(0) < y < 1 and FieldNumber(0) < z < 1):
+        raise ValueError(f"point ({y}, {z}) outside the open unit square")
+    horizontal = (z - FacePartition.HORIZONTAL_Z).sign()
+    vertical = (y - FacePartition.VERTICAL_Y).sign()
+    if vertical == 0:
+        raise OnBoundary("vertical", (y, z))
+    if horizontal == 0:
+        raise OnBoundary("horizontal", (y, z))
+    if horizontal < 0:
+        return A7 if vertical < 0 else A4
+    red = (z - FacePartition.red_z(y)).sign()
+    if red == 0:
+        raise OnBoundary("red", (y, z))
+    if vertical < 0:
+        return A2 if red < 0 else A1
+    if red > 0:
+        return A6
+    blue = (z - FacePartition.blue_z(y)).sign()
+    if blue == 0:
+        raise OnBoundary("blue", (y, z))
+    return A3 if blue > 0 else A5
+
+
+def field_kth_return_prediction(m, k):
+    """kth_return_prediction on FieldNumbers: the translate, reduced mod 1, then the oracle."""
+    return field_cell_of(*_translated_face_point(m, k, Fraction(1, 2)))
+
+
+def outcome(route, *args):
+    """A route's label, or what it raised: the curve and point of OnBoundary, the text of ValueError."""
+    try:
+        return route(*args)
+    except OnBoundary as exc:
+        return ("boundary", exc.curve, exc.point, str(exc))
+    except ValueError as exc:
+        return ("error", str(exc))
 
 
 class TestCellLabel:
@@ -194,6 +239,149 @@ class TestCellOf:
             word = trace_letters(start, length=16)
             assert return_words(word).blocks[0] == label.word, (y, z)
             checked += 1
+
+
+V = FacePartition.VERTICAL_Y
+H = FacePartition.HORIZONTAL_Z
+NEAR = (golden_unit(58), -golden_unit(58), golden_unit(60) * SQRT2, -golden_unit(57) * SQRT2)
+
+
+def curve_points():
+    """Points on each curve, on their crossings, and within 2**-40 of each curve."""
+    quartic = SQRT2 - 1
+    on = [(V, fr(1, 2)), (V, fr(1, 10)), (V, H), (V, FacePartition.red_z(V))]
+    on += [(fr(1, 3), H), (fr(9, 10), H), (quartic, H)]
+    right = (fr(9, 10), fr(22, 25), reduce_mod1(SQRT2 / 2 + fr(1, 5)))
+    on += [(y, FacePartition.red_z(y)) for y in (fr(1, 2), quartic) + right]
+    # the blue segment lies right of the vertical line
+    on += [(y, FacePartition.blue_z(y)) for y in right]
+    near = []
+    for u in NEAR:
+        near += [(V + u, fr(1, 2)), (V + u, fr(1, 10)), (V + u, H), (V + u, H - u)]
+        near += [(fr(1, 3), H + u), (fr(9, 10), H + u), (quartic, H + u)]
+        for y in (fr(1, 2), fr(9, 10), V + u, V - u, reduce_mod1(SQRT2 / 2 + fr(1, 5))):
+            near += [(y, FacePartition.red_z(y) + u), (y, FacePartition.blue_z(y) + u)]
+    return on, near
+
+
+class TestCellOfAgainstFieldOracle:
+    """The integer classifier against the FieldNumber cell_of it replaced."""
+
+    def test_random_face_points(self):
+        rng = random.Random(18)
+        for _ in range(3000):
+            y, z = random_face_point(rng)
+            assert outcome(cell_of, y, z) == outcome(field_cell_of, y, z), (y, z)
+
+    def test_points_on_each_curve(self):
+        on, _ = curve_points()
+        curves = set()
+        for y, z in on:
+            got = outcome(cell_of, y, z)
+            assert got == outcome(field_cell_of, y, z), (y, z)
+            assert got[0] == "boundary", (y, z)
+            curves.add(got[1])
+        assert curves == {"vertical", "horizontal", "red", "blue"}
+        # vertical, horizontal and blue meet at (4 - 2*phi, 2*phi - 3)
+        assert FacePartition.blue_z(V) == H
+        with pytest.raises(OnBoundary) as exc:
+            cell_of(V, H)
+        assert exc.value.curve == "vertical" and exc.value.point == (V, H)
+
+    def test_points_near_each_curve(self):
+        _, near = curve_points()
+        labels = set()
+        for y, z in near:
+            got = outcome(cell_of, y, z)
+            assert got == outcome(field_cell_of, y, z), (y, z)
+            labels.add(got if isinstance(got, CellLabel) else got[:2])
+        # every cell is met, and the near points on another curve raise for it
+        assert set(CellLabel) < labels
+
+    def test_points_on_and_outside_the_edges(self):
+        # the classifier tests one edge per coordinate, the side away from its line
+        assert 0 < V < 1 and 0 < H < 1
+        unit = golden_unit(58)
+        edges = (F(0), F(1), fr(-1, 3), fr(4, 3), -unit, 1 - unit, 1 + unit, unit, 1 + SQRT2)
+        inner = (fr(1, 2), fr(9, 10), SQRT2 - 1)
+        points = [(e, i) for e in edges for i in inner] + [(i, e) for e in edges for i in inner]
+        points += [(a, b) for a in edges for b in edges]
+        for y, z in points:
+            assert outcome(cell_of, y, z) == outcome(field_cell_of, y, z), (y, z)
+        with pytest.raises(ValueError, match=r"^point \(0, 1/2\) outside the open unit square$"):
+            cell_of(0, Fraction(1, 2))
+
+    def test_rationals_classify_like_field_numbers(self):
+        for y, z in ((Fraction(1, 2), Fraction(1, 2)), (Fraction(9, 10), 0), (1, Fraction(1, 3))):
+            assert outcome(cell_of, y, z) == outcome(cell_of, F(y), F(z))
+
+    @pytest.mark.parametrize("slot", [0, 1])
+    @pytest.mark.parametrize("value", [0.5, "1/2"])
+    def test_floats_and_strings_rejected(self, slot, value):
+        point = [fr(1, 2), fr(1, 4)]
+        point[slot] = value
+        with pytest.raises(TypeError, match="must be int or Fraction"):
+            cell_of(*point)
+
+    def test_partition_labels_match_the_oracle_at_midpoints(self):
+        rng = random.Random(1818)
+        circles = [s for s, _, _ in KNOWN_PARTITIONS] + [fr(1, 3)]
+        circles += [
+            reduce_mod1(fr(rng.randrange(0, 61), 61) + fr(rng.randrange(1, 5), 5) * SQRT2)
+            for _ in range(20)
+        ]
+        for s in circles:
+            part = circle_partition(s)
+            bounds = (F(0),) + part.cuts + (F(1),)
+            for i, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+                mid = (lo + hi) / 2
+                assert field_cell_of(mid, reduce_mod1(s - mid)) is part.labels[i], (s, i)
+
+
+def prediction_starts():
+    """Zero, golden and quartic circles, and a start whose orbit lands on the vertical curve."""
+    y = fr(3, 97)
+    return [
+        StartPoint(0, y, 1 - y),
+        StartPoint(0, y, reduce_mod1(2 - PHI - y)),
+        StartPoint(0, y, reduce_mod1(fr(4, 13) + SQRT2 / 3 - y)),
+        StartPoint(0, reduce_mod1(golden_unit(20) * SQRT2), fr(5, 11)),
+        StartPoint(0, 13 - 8 * PHI, fr(1, 3)),
+    ]
+
+
+def long_coefficient_starts():
+    """Starts whose coordinates have 40- and 80-digit coefficients."""
+    rng = random.Random(4080)
+    starts = []
+    for digits in (40, 80):
+        for _ in range(2):
+            y, z = (
+                reduce_mod1(
+                    FieldNumber(*(rng.randrange(-(10**digits), 10**digits) for _ in range(4)))
+                    / rng.randrange(1, 10**6)
+                )
+                for _ in range(2)
+            )
+            starts.append(StartPoint(0, y, z))
+    return starts
+
+
+class TestPredictionAgainstFieldOracle:
+    def test_first_600_returns(self):
+        for start in prediction_starts():
+            for k in range(601):
+                got = outcome(kth_return_prediction, start, k)
+                assert got == outcome(field_kth_return_prediction, start, k), (start, k)
+
+    def test_long_coefficient_starts(self, bounded):
+        def check():
+            for start in long_coefficient_starts():
+                for k in range(601):
+                    got = outcome(kth_return_prediction, start, k)
+                    assert got == outcome(field_kth_return_prediction, start, k), (start, k)
+
+        bounded(60, check)
 
 
 class TestReturnWords:
