@@ -7,7 +7,6 @@ from .billiard import (
     StartPoint,
     delete_letter,
     letter_frequencies,
-    square_trace,
     trace,
     trace_letters,
     validate,
@@ -43,7 +42,6 @@ from .rotation import (
     RotationCoding,
     coding_complexity,
     rotation_coding,
-    saddle_connection,
     zmodule_rank,
 )
 from .verification import CriterionResult, VerificationContext, run_all
@@ -54,7 +52,6 @@ from .words import (
     complexity,
     extension_censuses,
     is_sturmian,
-    special_factors,
 )
 
 __all__ = [
@@ -94,11 +91,8 @@ __all__ = [
     "return_words",
     "rotation_coding",
     "run_all",
-    "saddle_connection",
     "sample_schedule",
     "sign",
-    "special_factors",
-    "square_trace",
     "trace",
     "trace_letters",
     "union_complexity",

@@ -22,15 +22,12 @@ on, are read as limits of trajectories shifted by ``epsilon * (0, +1, -1)``:
 * simultaneous crossings at t > 0 resolve in the order b, a, c, because
   the same shift makes the y crossing earlier and the z crossing later.
 
-The same convention restricted to (y, z) drives square_trace, the
-two-dimensional analogue used as an oracle for projected words.
-
 Two independent evaluation routes are provided.  raw_crossings merges
 the three progressions with field-number comparisons and is the
-reference; the crossing merge behind trace, trace_letters and
-square_trace (_merged_axes) sorts bounded integer keys of the crossing
-times in one list.sort per chunk of about _CHUNK crossings, which
-makes it fast enough for words of 10**5 letters and beyond:
+reference; the crossing merge behind trace and trace_letters
+(_merged_axes) sorts bounded integer keys of the crossing times in one
+list.sort per chunk of about _CHUNK crossings, which makes it fast
+enough for words of 10**5 letters and beyond:
 
 * Keys.  The p-bit dyadic estimates of a chunk's crossing times are
   rebased at the smallest and shifted right by q bits.  Two keys'
@@ -201,33 +198,18 @@ class _AxisSpec(NamedTuple):
     wall_rank: Optional[int]  # emission slot at t = 0; None drops the crossing
 
 
-def _axis_specs(
-    coords: Sequence[FieldNumber],
-    inverse_speeds: Sequence[FieldNumber],
-    letters: str,
-    wall_ranks: Sequence[Optional[int]],
-    tie_order: Sequence[int],
-) -> list[_AxisSpec]:
+def _cube_axes(start: StartPoint, direction: Direction) -> list[_AxisSpec]:
+    inverse_speeds = direction.inverse_speeds
     specs = []
-    for index in tie_order:
-        value = coords[index]
+    # tie order b, a, c; wall emission a at rank 0, then c; b is dropped
+    for index, wall_rank in ((1, None), (0, 0), (2, 1)):
+        value = start.coords[index]
         on_wall = _on_wall(value)
         offset = FieldNumber(0) if on_wall else value
         specs.append(
-            _AxisSpec(letters[index], offset, inverse_speeds[index], on_wall, wall_ranks[index])
+            _AxisSpec(LETTERS[index], offset, inverse_speeds[index], on_wall, wall_rank)
         )
     return specs
-
-
-def _cube_axes(start: StartPoint, direction: Direction) -> list[_AxisSpec]:
-    # tie order b, a, c; wall emission a at rank 0, then c; b is dropped
-    return _axis_specs(
-        start.coords,
-        direction.inverse_speeds,
-        LETTERS,
-        wall_ranks=(0, None, 1),
-        tie_order=(1, 0, 2),
-    )
 
 
 def _wall_letters(specs: Sequence[_AxisSpec]) -> str:
@@ -525,19 +507,6 @@ def raw_crossings(
             yield current[i], specs[i].letter
             plane[i] += 1
             current[i] = (FieldNumber(plane[i]) - specs[i].offset) * specs[i].inverse_speed
-
-
-def square_trace(y: NumberLike, z: NumberLike, length: int) -> str:
-    """Billiard word of the unit square in direction (phi - 1, 2 - phi).
-
-    Same limit convention as the cube, restricted to the last two axes:
-    the word is over b and c, a z wall emits its c at t = 0, a y wall
-    crossing at t = 0 is dropped, and ties resolve b before c.
-    """
-    coords = StartPoint(0, y, z).coords[1:]  # checks y and z as axes b and c
-    inverse = GOLDEN_DIRECTION.inverse_speeds[1:]
-    specs = _axis_specs(coords, inverse, "bc", wall_ranks=(None, 0), tie_order=(0, 1))
-    return _emit(specs, length, with_times=False)[0]
 
 
 def delete_letter(word: str, letter: str) -> str:

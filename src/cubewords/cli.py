@@ -35,7 +35,6 @@ from .exactnum import FieldNumber, reduce_mod1
 from .returns import (
     HitsCut,
     InsufficientOccurrences,
-    OnBoundary,
     circle_partition,
     predict_return_words,
     return_words,
@@ -260,10 +259,7 @@ def _cmd_rotation(config: argparse.Namespace) -> tuple[int, list[str], dict]:
     if start.x != 0:
         raise InputError("not_on_face: the coded circle lives on the face x = 0")
     invariant = reduce_mod1(start.y + start.z)
-    try:
-        partition = circle_partition(invariant)
-    except OnBoundary as exc:  # pragma: no cover - no boundary cases exist
-        raise InputError(str(exc)) from exc
+    partition = circle_partition(invariant)
     angle = translation_step(ratio)
     try:
         coding = rotation_coding(reduce_mod1(start.y), partition, angle, config.n_letters)

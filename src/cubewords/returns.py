@@ -38,8 +38,6 @@ the cuts.  A certified dyadic filter steps a 64-bit estimate of the
 point with its error bound and places it among the cuts' estimates by
 bisection; only a step whose estimate is too close to a cut or to the
 wrap point to certify falls back to exactnum._int_sign.
-CirclePartition.label_of is the single-point route on FieldNumbers
-that the tests compare it against.
 """
 
 from __future__ import annotations
@@ -106,13 +104,6 @@ class CellLabel(Enum):
         """The return word emitted from this cell."""
         return _CELL_WORDS[self]
 
-    @classmethod
-    def from_word(cls, word: str) -> "CellLabel":
-        try:
-            return _WORD_CELLS[word]
-        except KeyError:
-            raise ValueError(f"{word!r} is not a return word of any cell") from None
-
     def __str__(self) -> str:
         return f"a{self.value}"
 
@@ -127,8 +118,6 @@ _CELL_WORDS = {
     CellLabel.A7: "ab",
 }
 
-_WORD_CELLS = {word: cell for cell, word in _CELL_WORDS.items()}
-
 
 class FacePartition:
     """The curves of the seven-cell partition of the face X = 0 for r = 1/2.
@@ -138,8 +127,7 @@ class FacePartition:
     into cube edges.  Constants are hard-coded exactly, here only: the
     integer classifier _cell_label reads its vectors from them, and the
     whole table is cross-validated against traced return words in the
-    tests.  red_z and blue_z evaluate the two sloped lines on
-    FieldNumbers.
+    tests.
     """
 
     HORIZONTAL_Z = 2 * PHI - 3
@@ -147,14 +135,6 @@ class FacePartition:
     LINE_SLOPE = PHI - 1
     RED_INTERCEPT = 2 - PHI
     BLUE_INTERCEPT = 3 - 2 * PHI
-
-    @classmethod
-    def red_z(cls, y: FieldNumber) -> FieldNumber:
-        return cls.LINE_SLOPE * y + cls.RED_INTERCEPT
-
-    @classmethod
-    def blue_z(cls, y: FieldNumber) -> FieldNumber:
-        return cls.LINE_SLOPE * y + cls.BLUE_INTERCEPT
 
 
 _Vector = tuple[int, int, int, int]
@@ -361,30 +341,6 @@ class CirclePartition:
     def k(self) -> int:
         return len(self.labels)
 
-    def interval_of(self, y: FieldNumber) -> int:
-        """Index of the interval containing y; HitsCut on a cut point."""
-        if y < 0 or y >= 1:
-            raise ValueError(f"circle position {y} outside [0, 1)")
-        index = 0
-        for cut in self.cuts:
-            relation = (y - cut).sign()
-            if relation == 0:
-                raise HitsCut(cut)
-            if relation < 0:
-                break
-            index += 1
-        return index
-
-    def label_of(self, y: FieldNumber) -> CellLabel:
-        return self.labels[self.interval_of(y)]
-
-    def lengths(self) -> tuple[FieldNumber, ...]:
-        bounds = (FieldNumber(0),) + self.cuts + (FieldNumber(1),)
-        return tuple(hi - lo for lo, hi in zip(bounds, bounds[1:]))
-
-    def point_on_circle(self, y: FieldNumber) -> tuple[FieldNumber, FieldNumber]:
-        return y, reduce_mod1(self.s - y)
-
 
 def code_orbit(
     y0: FieldNumber, partition: CirclePartition, angle: FieldNumber, n: int
@@ -517,7 +473,10 @@ def circle_partition(s: FieldNumber) -> CirclePartition:
     interval is labeled by the cell of its midpoint: with the cuts as
     integer vectors over a denominator D, the midpoint and
     s - midpoint mod 1 are integer vectors over 2*D, and _cell_label
-    classifies them.
+    classifies them.  No label raises OnBoundary: every point where the
+    circle meets one of the four curves, and the seam where Z wraps, is
+    a cut, and each midpoint lies strictly between two consecutive cuts
+    or the wrap point.
     """
     s = _field(s)
     if s < 0 or s >= 1:
@@ -572,26 +531,3 @@ def reconstruct(m: StartPoint, n_letters: int) -> str:
     if n_letters < 0:
         raise ValueError("n_letters must be nonnegative")
     return "".join(predict_return_words(m, n_letters // 2 + 2))[:n_letters]
-
-
-def empirical_cells(r: Fraction) -> dict[str, list[tuple[Fraction, Fraction]]]:
-    """First-return words observed on the interior points (i/20, j/20) of the face.
-
-    This is the supported route to the cell structure for family
-    members other than r = 1/2: the cells are whatever regions the
-    observed first return words cut out.  Grid points whose traces are
-    invalid or too short to close a return are skipped.
-    """
-    direction = Direction(r)
-    found: dict[str, list[tuple[Fraction, Fraction]]] = {}
-    for i in range(1, 20):
-        for j in range(1, 20):
-            y = Fraction(i, 20)
-            z = Fraction(j, 20)
-            word = trace_letters(StartPoint(0, y, z), direction, length=32)
-            try:
-                block = return_words(word).blocks[0]
-            except InsufficientOccurrences:
-                continue
-            found.setdefault(block, []).append((y, z))
-    return found

@@ -4,9 +4,9 @@ Consecutive returns to the face X = 0 add the same exact angle to the
 Y coordinate, so everything about return words reduces to coding an
 irrational rotation against an interval partition, which
 returns.code_orbit does exactly.  This module records a coding with its
-angle, partition and start, decides saddle connections between cuts
-algebraically, and computes the Z-module rank of the numbers steering
-a coding, which predicts the slope of its complexity.
+angle, partition and start, measures the complexity of its word, and
+computes the Z-module rank of the numbers steering a coding, which
+predicts the slope of that complexity.
 """
 
 from __future__ import annotations
@@ -48,38 +48,6 @@ def rotation_coding(
 ) -> RotationCoding:
     word = code_orbit(y0, partition, angle, n)
     return RotationCoding(angle=angle, partition=partition, start=_field(y0), word=word)
-
-
-def saddle_connection(a_i: FieldNumber, a_j: FieldNumber, alpha: FieldNumber) -> Optional[int]:
-    """Integer n with a_i - a_j = n*alpha (mod 1), or None.
-
-    Two cuts connected this way merge under the orbit equivalence that
-    controls coding complexity.  The candidate n is read off the
-    irrational coordinates (the shift by n*alpha moves them linearly and
-    nothing else can), then verified.  Rational alpha is rejected: its
-    orbit is finite and connection-counting degenerates.
-    """
-    alpha = _field(alpha)
-    if alpha.is_rational:
-        raise ValueError("rotation angle is rational; saddle connections degenerate")
-    difference = _field(a_i) - _field(a_j)
-    d_coeffs = difference.coeffs
-    a_coeffs = alpha.coeffs
-    candidate: Optional[Fraction] = None
-    for i in (1, 2, 3):
-        if a_coeffs[i] != 0:
-            candidate = d_coeffs[i] / a_coeffs[i]
-            break
-    assert candidate is not None
-    if candidate.denominator != 1:
-        return None
-    n = int(candidate)
-    shifted = difference - n * alpha
-    if not shifted.is_rational:
-        return None
-    if shifted.as_fraction().denominator != 1:
-        return None
-    return n
 
 
 def zmodule_rank(generators: Sequence[FieldNumber]) -> int:

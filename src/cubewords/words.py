@@ -120,14 +120,6 @@ class SuffixAutomaton:
             counts.append(running)
         return counts
 
-    def __contains__(self, factor: str) -> bool:
-        state = 0
-        for letter in factor:
-            state = self.transitions[state].get(letter, -1)
-            if state == -1:
-                return False
-        return True
-
 
 @dataclass(frozen=True)
 class ExtensionCensus:
@@ -293,14 +285,6 @@ def complexity(word: str, n_max: int) -> ComplexityProfile:
         full_counts=_prefix_counts(_windows(word, n_max), n_max),
         half_counts=_prefix_counts(_windows(word[:half], n_max), n_max),
     )
-
-
-def special_factors(word: str, n: int) -> tuple[list[str], list[str], list[str]]:
-    """(left-special, right-special, bispecial) factors of one length."""
-    census = extension_censuses(word, n)[n - 1]
-    left = sorted(piece for piece, e in census.items() if len(e.left) >= 2)
-    right = sorted(piece for piece, e in census.items() if len(e.right) >= 2)
-    return left, right, sorted(set(left).intersection(right))
 
 
 def _bispecial_sums(word: str, n_max: int) -> tuple[int, ...]:

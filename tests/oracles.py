@@ -1,0 +1,135 @@
+"""Reference routes that only the tests call.
+
+Each one is an independent way to reach something the package computes
+faster or by another road, kept here beside the tests that compare the
+two; nothing in the package or the benchmark calls them.
+"""
+
+from fractions import Fraction
+from typing import Optional
+
+from cubewords.billiard import (
+    GOLDEN_DIRECTION,
+    Direction,
+    StartPoint,
+    _AxisSpec,
+    _emit,
+    _on_wall,
+    trace_letters,
+)
+from cubewords.exactnum import FieldNumber, _field
+from cubewords.returns import (
+    CellLabel,
+    CirclePartition,
+    FacePartition,
+    HitsCut,
+    InsufficientOccurrences,
+    return_words,
+)
+
+
+def square_trace(y, z, length: int) -> str:
+    """Billiard word of the unit square in direction (phi - 1, 2 - phi).
+
+    Same limit convention as the cube, restricted to the last two axes:
+    the word is over b and c, a z wall emits its c at t = 0, a y wall
+    crossing at t = 0 is dropped, and ties resolve b before c.  The two
+    axes go through the cube's crossing merge, billiard._emit.
+    """
+    _, y, z = StartPoint(0, y, z).coords  # checks y and z as axes b and c
+    _, b_speed, c_speed = GOLDEN_DIRECTION.inverse_speeds
+    specs = [
+        _AxisSpec("b", FieldNumber(0) if _on_wall(y) else y, b_speed, _on_wall(y), None),
+        _AxisSpec("c", FieldNumber(0) if _on_wall(z) else z, c_speed, _on_wall(z), 0),
+    ]
+    return _emit(specs, length, with_times=False)[0]
+
+
+def saddle_connection(a_i, a_j, alpha) -> Optional[int]:
+    """Integer n with a_i - a_j = n*alpha (mod 1), or None.
+
+    Two cuts connected this way merge under the orbit equivalence that
+    controls coding complexity.  The candidate n is read off the
+    irrational coordinates (the shift by n*alpha moves them linearly and
+    nothing else can), then verified.  Rational alpha is rejected: its
+    orbit is finite and connection-counting degenerates.
+    """
+    alpha = _field(alpha)
+    if alpha.is_rational:
+        raise ValueError("rotation angle is rational; saddle connections degenerate")
+    difference = _field(a_i) - _field(a_j)
+    d_coeffs = difference.coeffs
+    a_coeffs = alpha.coeffs
+    candidate: Optional[Fraction] = None
+    for i in (1, 2, 3):
+        if a_coeffs[i] != 0:
+            candidate = d_coeffs[i] / a_coeffs[i]
+            break
+    assert candidate is not None
+    if candidate.denominator != 1:
+        return None
+    n = int(candidate)
+    shifted = difference - n * alpha
+    if not shifted.is_rational:
+        return None
+    if shifted.as_fraction().denominator != 1:
+        return None
+    return n
+
+
+def empirical_cells(r: Fraction) -> dict[str, list[tuple[Fraction, Fraction]]]:
+    """First-return words observed on the interior points (i/20, j/20) of the face.
+
+    The cells for any member of the family are whatever regions the
+    observed first return words cut out.  Grid points whose traces are
+    too short to close a return are skipped.
+    """
+    direction = Direction(r)
+    found: dict[str, list[tuple[Fraction, Fraction]]] = {}
+    for i in range(1, 20):
+        for j in range(1, 20):
+            y = Fraction(i, 20)
+            z = Fraction(j, 20)
+            word = trace_letters(StartPoint(0, y, z), direction, length=32)
+            try:
+                block = return_words(word).blocks[0]
+            except InsufficientOccurrences:
+                continue
+            found.setdefault(block, []).append((y, z))
+    return found
+
+
+def red_z(y: FieldNumber) -> FieldNumber:
+    """Z on the red line at Y = y, in FieldNumber arithmetic."""
+    return FacePartition.LINE_SLOPE * y + FacePartition.RED_INTERCEPT
+
+
+def blue_z(y: FieldNumber) -> FieldNumber:
+    """Z on the blue line at Y = y, in FieldNumber arithmetic."""
+    return FacePartition.LINE_SLOPE * y + FacePartition.BLUE_INTERCEPT
+
+
+def interval_of(partition: CirclePartition, y: FieldNumber) -> int:
+    """Index of the partition's interval containing y; HitsCut on a cut point."""
+    if y < 0 or y >= 1:
+        raise ValueError(f"circle position {y} outside [0, 1)")
+    index = 0
+    for cut in partition.cuts:
+        relation = (y - cut).sign()
+        if relation == 0:
+            raise HitsCut(cut)
+        if relation < 0:
+            break
+        index += 1
+    return index
+
+
+def label_of(partition: CirclePartition, y: FieldNumber) -> CellLabel:
+    """Label of one circle point on FieldNumbers, the single-point route code_orbit replaces."""
+    return partition.labels[interval_of(partition, y)]
+
+
+def lengths(partition: CirclePartition) -> tuple[FieldNumber, ...]:
+    """Exact length of each interval of the partition."""
+    bounds = (FieldNumber(0),) + partition.cuts + (FieldNumber(1),)
+    return tuple(hi - lo for lo, hi in zip(bounds, bounds[1:]))

@@ -21,12 +21,12 @@ from cubewords.billiard import (
     delete_letter,
     letter_frequencies,
     raw_crossings,
-    square_trace,
     trace,
     trace_letters,
     validate,
 )
 from cubewords.exactnum import PHI, SQRT2, FieldNumber, basis_approx, reduce_mod1
+from oracles import square_trace
 
 HALF = Fraction(1, 2)
 

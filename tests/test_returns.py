@@ -8,6 +8,7 @@ ran.  The sweep tests then compare every cell assignment against
 return words observed in actual traces.
 """
 
+import itertools
 import logging
 import random
 from fractions import Fraction
@@ -27,13 +28,13 @@ from cubewords.returns import (
     _translated_face_point,
     cell_of,
     circle_partition,
-    empirical_cells,
     kth_return_prediction,
     predict_return_words,
     reconstruct,
     return_words,
     translation_step,
 )
+from oracles import blue_z, empirical_cells, interval_of, label_of, lengths, red_z
 
 F = FieldNumber
 A1, A2, A3, A4, A5, A6, A7 = CellLabel
@@ -118,14 +119,14 @@ def field_cell_of(y, z):
         raise OnBoundary("horizontal", (y, z))
     if horizontal < 0:
         return A7 if vertical < 0 else A4
-    red = (z - FacePartition.red_z(y)).sign()
+    red = (z - red_z(y)).sign()
     if red == 0:
         raise OnBoundary("red", (y, z))
     if vertical < 0:
         return A2 if red < 0 else A1
     if red > 0:
         return A6
-    blue = (z - FacePartition.blue_z(y)).sign()
+    blue = (z - blue_z(y)).sign()
     if blue == 0:
         raise OnBoundary("blue", (y, z))
     return A3 if blue > 0 else A5
@@ -160,11 +161,6 @@ class TestCellLabel:
         for label in CellLabel:
             assert label.word[0] == "a"
             assert label.word.count("a") == 1
-            assert CellLabel.from_word(label.word) is label
-
-    def test_unknown_block_rejected(self):
-        with pytest.raises(ValueError):
-            CellLabel.from_word("abcc")
 
     def test_str(self):
         assert str(A4) == "a4"
@@ -203,13 +199,13 @@ class TestCellOf:
     def test_red_boundary(self):
         y = fr(1, 2)
         with pytest.raises(OnBoundary) as exc:
-            cell_of(y, FacePartition.red_z(y))
+            cell_of(y, red_z(y))
         assert exc.value.curve == "red"
 
     def test_blue_boundary(self):
         y = fr(9, 10)
         with pytest.raises(OnBoundary) as exc:
-            cell_of(y, FacePartition.blue_z(y))
+            cell_of(y, blue_z(y))
         assert exc.value.curve == "blue"
 
     def test_anti_diagonal_does_not_reject(self):
@@ -249,18 +245,18 @@ NEAR = (golden_unit(58), -golden_unit(58), golden_unit(60) * SQRT2, -golden_unit
 def curve_points():
     """Points on each curve, on their crossings, and within 2**-40 of each curve."""
     quartic = SQRT2 - 1
-    on = [(V, fr(1, 2)), (V, fr(1, 10)), (V, H), (V, FacePartition.red_z(V))]
+    on = [(V, fr(1, 2)), (V, fr(1, 10)), (V, H), (V, red_z(V))]
     on += [(fr(1, 3), H), (fr(9, 10), H), (quartic, H)]
     right = (fr(9, 10), fr(22, 25), reduce_mod1(SQRT2 / 2 + fr(1, 5)))
-    on += [(y, FacePartition.red_z(y)) for y in (fr(1, 2), quartic) + right]
+    on += [(y, red_z(y)) for y in (fr(1, 2), quartic) + right]
     # the blue segment lies right of the vertical line
-    on += [(y, FacePartition.blue_z(y)) for y in right]
+    on += [(y, blue_z(y)) for y in right]
     near = []
     for u in NEAR:
         near += [(V + u, fr(1, 2)), (V + u, fr(1, 10)), (V + u, H), (V + u, H - u)]
         near += [(fr(1, 3), H + u), (fr(9, 10), H + u), (quartic, H + u)]
         for y in (fr(1, 2), fr(9, 10), V + u, V - u, reduce_mod1(SQRT2 / 2 + fr(1, 5))):
-            near += [(y, FacePartition.red_z(y) + u), (y, FacePartition.blue_z(y) + u)]
+            near += [(y, red_z(y) + u), (y, blue_z(y) + u)]
     return on, near
 
 
@@ -283,7 +279,7 @@ class TestCellOfAgainstFieldOracle:
             curves.add(got[1])
         assert curves == {"vertical", "horizontal", "red", "blue"}
         # vertical, horizontal and blue meet at (4 - 2*phi, 2*phi - 3)
-        assert FacePartition.blue_z(V) == H
+        assert blue_z(V) == H
         with pytest.raises(OnBoundary) as exc:
             cell_of(V, H)
         assert exc.value.curve == "vertical" and exc.value.point == (V, H)
@@ -516,6 +512,14 @@ class TestPredictions:
             kth_return_prediction(start, 3)
 
 
+def assert_labels_match_cells(part):
+    """Each interval's label is the cell of the point a third of the way into it."""
+    bounds = (F(0),) + part.cuts + (F(1),)
+    for i, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+        probe = lo + (hi - lo) / 3
+        assert cell_of(probe, reduce_mod1(part.s - probe)) is part.labels[i]
+
+
 class TestCirclePartition:
     @pytest.mark.parametrize("s,cuts,labels", KNOWN_PARTITIONS)
     def test_known_partitions(self, s, cuts, labels):
@@ -539,35 +543,28 @@ class TestCirclePartition:
 
     def test_lengths_sum_to_one(self):
         for s, _, _ in KNOWN_PARTITIONS:
-            lengths = circle_partition(s).lengths()
-            assert sum(lengths, F(0)) == 1
-            assert all(length > 0 for length in lengths)
+            pieces = lengths(circle_partition(s))
+            assert sum(pieces, F(0)) == 1
+            assert all(piece > 0 for piece in pieces)
 
     def test_golden_interval_lengths(self):
-        lengths = circle_partition(2 - PHI).lengths()
-        assert lengths == (5 - 3 * PHI, 2 * PHI - 3, 2 * PHI - 3, 5 - 3 * PHI, 2 * PHI - 3)
+        pieces = lengths(circle_partition(2 - PHI))
+        assert pieces == (5 - 3 * PHI, 2 * PHI - 3, 2 * PHI - 3, 5 - 3 * PHI, 2 * PHI - 3)
 
     def test_interval_of(self):
         part = circle_partition(F(0))
-        assert part.interval_of(F(0)) == 0
-        assert part.interval_of(fr(3, 10)) == 0
-        assert part.interval_of(fr(1, 2)) == 1
-        assert part.interval_of(fr(9, 10)) == 2
-        assert part.label_of(fr(1, 2)) is A2
+        assert interval_of(part, F(0)) == 0
+        assert interval_of(part, fr(3, 10)) == 0
+        assert interval_of(part, fr(1, 2)) == 1
+        assert interval_of(part, fr(9, 10)) == 2
+        assert label_of(part, fr(1, 2)) is A2
 
     def test_interval_of_hits_cut(self):
         part = circle_partition(F(0))
         with pytest.raises(HitsCut):
-            part.interval_of(2 - PHI)
+            interval_of(part, 2 - PHI)
         with pytest.raises(ValueError):
-            part.interval_of(F(1))
-
-    def test_point_on_circle(self):
-        part = circle_partition(2 - PHI)
-        y, z = part.point_on_circle(fr(1, 2))
-        assert y == fr(1, 2)
-        assert z == reduce_mod1(2 - PHI - fr(1, 2))
-        assert reduce_mod1(y + z) == part.s
+            interval_of(part, F(1))
 
     def test_midpoint_labels_match_cells(self):
         rng = random.Random(5)
@@ -575,11 +572,31 @@ class TestCirclePartition:
             s = reduce_mod1(fr(rng.randrange(0, 61), 61) + fr(rng.randrange(0, 5), 5) * SQRT2)
             part = circle_partition(s)
             assert part.k in (3, 5, 6)
-            bounds = (F(0),) + part.cuts + (F(1),)
-            for i, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
-                probe = lo + (hi - lo) / 3
-                y, z = part.point_on_circle(probe)
-                assert cell_of(y, z) is part.labels[i]
+            assert_labels_match_cells(part)
+
+    def test_circles_through_curve_crossings_label_without_raising(self):
+        # each line a*y + b*z = c: the four curves, then the square's edges
+        lines = [
+            (F(1), F(0), V),
+            (F(0), F(1), H),
+            (-FacePartition.LINE_SLOPE, F(1), FacePartition.RED_INTERCEPT),
+            (-FacePartition.LINE_SLOPE, F(1), FacePartition.BLUE_INTERCEPT),
+            (F(1), F(0), F(0)),
+            (F(1), F(0), F(1)),
+            (F(0), F(1), F(0)),
+            (F(0), F(1), F(1)),
+        ]
+        circles = set()
+        for (a1, b1, c1), (a2, b2, c2) in itertools.combinations(lines, 2):
+            det = a1 * b2 - a2 * b1
+            if det == 0:
+                continue
+            y, z = (c1 * b2 - c2 * b1) / det, (a1 * c2 - a2 * c1) / det
+            if 0 <= y <= 1 and 0 <= z <= 1:
+                circles.add(reduce_mod1(y + z))
+        assert circles == {F(0), 2 * PHI - 3, 2 - PHI, PHI - 1, 4 - 2 * PHI}
+        for s in circles:
+            assert_labels_match_cells(circle_partition(s))
 
     def test_invalid_invariant(self):
         with pytest.raises(ValueError):
@@ -658,8 +675,9 @@ class TestEmpiricalCells:
     def test_half_recovers_block_table(self):
         cells = empirical_cells(Fraction(1, 2))
         assert set(cells) == {label.word for label in CellLabel}
+        cell_of_word = {label.word: label for label in CellLabel}
         for block, points in cells.items():
-            expected = CellLabel.from_word(block)
+            expected = cell_of_word[block]
             for y, z in points:
                 assert cell_of(F(y), F(z)) is expected
 

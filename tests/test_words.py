@@ -21,7 +21,6 @@ from cubewords.words import (
     extension_censuses,
     fit_affine,
     is_sturmian,
-    special_factors,
 )
 
 
@@ -82,14 +81,6 @@ def test_automaton_matches_naive_on_random_words():
         assert SuffixAutomaton(word).factor_counts(n_max) == naive_counts(word, n_max)
 
 
-def test_automaton_membership():
-    sam = SuffixAutomaton("abcabbacb")
-    assert "cab" in sam
-    assert "bba" in sam
-    assert "aa" not in sam
-    assert "" in sam
-
-
 def test_interior_word_profile():
     word = trace_letters(StartPoint(0, Fraction(1, 2), Fraction(1, 2)), length=20000)
     profile = complexity(word, 16)
@@ -148,11 +139,6 @@ def test_hand_censused_extensions():
     assert right_special(census) == ["a"]
     bispecial = [p for p, e in census.items() if len(e.left) >= 2 and len(e.right) >= 2]
     assert bispecial == ["a"]
-
-
-def test_special_factors_wrapper():
-    left, right, bispecial = special_factors("aabab", 1)
-    assert (left, right, bispecial) == (["a"], ["a"], ["a"])
 
 
 def test_censuses_match_the_scan_on_random_words():
