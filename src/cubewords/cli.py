@@ -26,6 +26,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -59,8 +60,9 @@ def _positive(text: str) -> int:
     return value
 
 
-def parse_args(argv: Optional[Sequence[str]] = None) -> argparse.Namespace:
-    """One CLI invocation, parsed but not yet validated; --m becomes ``start``."""
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first call and shared by every later one."""
     parser = argparse.ArgumentParser(
         prog="cubewords",
         description="exact symbolic dynamics of cube billiard words",
@@ -110,7 +112,16 @@ def parse_args(argv: Optional[Sequence[str]] = None) -> argparse.Namespace:
     p = sub.add_parser("verify", help="acceptance suite; exit 2 on any failure")
     p.add_argument("--suite", default="all", help='"all" or criteria like "1,6,7"')
     common(p, point=False)
+    return parser
 
+
+def parse_args(argv: Optional[Sequence[str]] = None) -> argparse.Namespace:
+    """One CLI invocation, parsed but not yet validated; --m becomes ``start``.
+
+    Every call parses into a fresh namespace, so no value carries over
+    from an earlier call to the shared parser.
+    """
+    parser = _parser()
     args = parser.parse_args(argv)
     if hasattr(args, "m"):
         args.start = tuple(piece.strip() for piece in args.m.split(","))

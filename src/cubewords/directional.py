@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cache
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -70,11 +71,13 @@ _RATIONAL_CADENCE = 16
 _SCHEDULE_LIMIT = 1 + 4 + 50 + 97 * 88
 
 
-def _farey_interior(n: int) -> list[tuple[int, int]]:
+@cache
+def _farey_interior(n: int) -> tuple[tuple[int, int], ...]:
     """The Farey sequence F_n without 0/1 and 1/1: (p, q), coprime, in increasing order.
 
     The next-term recurrence: after consecutive terms a/b and c/d comes
     (k*c - a)/(k*d - b) with k = (n + b) // d, starting from 0/1, 1/n.
+    Built on the first call for each n and shared by every later one.
     """
     terms = []
     a, b, c, d = 0, 1, 1, n
@@ -82,7 +85,7 @@ def _farey_interior(n: int) -> list[tuple[int, int]]:
         terms.append((c, d))
         k = (n + b) // d
         a, b, c, d = c, d, k * c - a, k * d - b
-    return terms
+    return tuple(terms)
 
 
 def sample_schedule(total: int, seed: int = 0) -> list[FieldNumber]:

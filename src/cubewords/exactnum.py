@@ -158,20 +158,25 @@ def _estimate(
 def _floor(vector: tuple[int, int, int, int], denom: int) -> int:
     """Exact floor of vector / denom, for denom > 0.
 
-    The estimate's precision rises with the coordinates, so the guess is
-    off by at most one and at most three sign tests settle it.
-    FieldNumber.floor and the face-point reductions of returns share it.
+    The estimate E of value * M, M = D << p, lies within B < M of it, so
+    the value is below g + 1 for g = floor((E + B) / M).  When E - B is
+    at least g*M too, the value lies inside (g, g + 1) and g is the
+    floor, with no sign test.  Only an estimate within its bound of an
+    integer multiple of M needs sign tests, of value - g and at most two
+    lower integers.  FieldNumber.floor and the face-point reductions of
+    returns share it.
     """
     a0, a1, a2, a3 = vector
     if not (a1 or a2 or a3):
         return a0 // denom
-    estimate, precision, _ = _estimate(vector, denom, 64)
-    guess = (estimate // denom) >> precision
+    estimate, precision, error = _estimate(vector, denom, 64)
+    unit = denom << precision
+    guess = (estimate + error) // unit
+    if estimate - error >= guess * unit:
+        return guess
     # value - g has integer coordinates (a0 - g*D, a1, a2, a3) over D > 0
     while _int_sign((a0 - guess * denom, a1, a2, a3)) < 0:
         guess -= 1
-    while _int_sign((a0 - (guess + 1) * denom, a1, a2, a3)) >= 0:
-        guess += 1
     return guess
 
 

@@ -40,7 +40,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from typing import Collection, Iterable, Optional, Sequence
+from typing import Collection, Optional, Sequence
 
 
 class UnstableLength(Exception):
@@ -373,34 +373,27 @@ def is_sturmian(word: str, n_max: int) -> bool:
     return all(profile.p(n) == n + 1 for n in range(1, top + 1))
 
 
-def fit_affine(points: Iterable[tuple[int, int]]) -> Optional[tuple[Fraction, Fraction]]:
-    """Exact affine law through integer points, or None.
-
-    Returns (slope, intercept) with p = slope*n + intercept satisfied by
-    every point; at least two distinct n are required.
-    """
-    rows = sorted(points)
-    if len(rows) < 2 or rows[0][0] == rows[-1][0]:
-        return None
-    (n0, p0), (n1, p1) = rows[0], rows[-1]
-    slope = Fraction(p1 - p0, n1 - n0)
-    intercept = p0 - slope * n0
-    for n, p in rows:
-        if slope * n + intercept != p:
-            return None
-    return slope, intercept
-
-
 def fit_complexity_tail(
     counts: Sequence[int],
 ) -> Optional[tuple[Fraction, Fraction, int]]:
-    """Smallest n0 from which the counts p(1..top) are exactly affine."""
+    """Smallest n0 from which the counts p(1..top) are exactly affine, with the law.
+
+    Returns (slope, intercept, n0) with p(n) = slope*n + intercept for
+    every n in n0..top, or None when no n0 <= top - 2 qualifies, so the
+    tail holds at least three points.  The counts sit at consecutive
+    integers, so they are affine from n0 on exactly when every first
+    difference p(n + 1) - p(n) with n >= n0 is the same integer: the
+    slope must be the last difference, and n0 is where the run of
+    differences equal to it begins, read in one backward pass.  The
+    intercept is then p(n0) - slope*n0.
+    """
     top = len(counts)
     if top < 3:
         return None
-    for n0 in range(1, top - 1):
-        points = [(n, counts[n - 1]) for n in range(n0, top + 1)]
-        law = fit_affine(points)
-        if law is not None:
-            return law[0], law[1], n0
-    return None
+    slope = counts[-1] - counts[-2]
+    n0 = top - 1
+    while n0 > 1 and counts[n0 - 1] - counts[n0 - 2] == slope:
+        n0 -= 1
+    if n0 > top - 2:
+        return None
+    return Fraction(slope), Fraction(counts[n0 - 1] - slope * n0), n0

@@ -6,7 +6,7 @@ two; nothing in the package or the benchmark calls them.
 """
 
 from fractions import Fraction
-from typing import Optional
+from typing import Iterable, Optional, Sequence
 
 from cubewords.billiard import (
     GOLDEN_DIRECTION,
@@ -133,3 +133,35 @@ def lengths(partition: CirclePartition) -> tuple[FieldNumber, ...]:
     """Exact length of each interval of the partition."""
     bounds = (FieldNumber(0),) + partition.cuts + (FieldNumber(1),)
     return tuple(hi - lo for lo, hi in zip(bounds, bounds[1:]))
+
+
+def fit_affine(points: Iterable[tuple[int, int]]) -> Optional[tuple[Fraction, Fraction]]:
+    """Exact affine law through integer points, or None.
+
+    Returns (slope, intercept) with p = slope*n + intercept satisfied by
+    every point; at least two distinct n are required.
+    """
+    rows = sorted(points)
+    if len(rows) < 2 or rows[0][0] == rows[-1][0]:
+        return None
+    (n0, p0), (n1, p1) = rows[0], rows[-1]
+    slope = Fraction(p1 - p0, n1 - n0)
+    intercept = p0 - slope * n0
+    for n, p in rows:
+        if slope * n + intercept != p:
+            return None
+    return slope, intercept
+
+
+def fitted_tail(counts: Sequence[int]) -> Optional[tuple[Fraction, Fraction, int]]:
+    """The affine tail of p(1..top) by one fit_affine per candidate n0, smallest first.
+
+    The route words.fit_complexity_tail replaces with one backward pass
+    over the first differences; a tail needs at least three points.
+    """
+    top = len(counts)
+    for n0 in range(1, top - 1):
+        law = fit_affine((n, counts[n - 1]) for n in range(n0, top + 1))
+        if law is not None:
+            return law[0], law[1], n0
+    return None

@@ -2,7 +2,10 @@
 
 import argparse
 import json
+import os
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
 
@@ -57,6 +60,70 @@ class TestParse:
         assert err.startswith("usage: cubewords")
         assert "unrecognized arguments: --seed 1" in err
         assert parse_args(["directional", "--seed", "3"]).seed == 3
+
+
+class TestSharedParser:
+    def test_omitted_options_fall_back_to_defaults(self):
+        given = parse_args(
+            ["rotation", "--m", "0,1/3,1/7", "--letters", "500", "--format", "json"]
+        )
+        assert (given.start, given.n_letters, given.format) == (("0", "1/3", "1/7"), 500, "json")
+        again = parse_args(["rotation"])
+        assert (again.m, again.start, again.n_letters, again.n_max, again.format) == (
+            "0,1/2,1/2",
+            ("0", "1/2", "1/2"),
+            4000,
+            40,
+            "tsv",
+        )
+        assert parse_args(["directional", "--seed", "5"]).seed == 5
+        assert parse_args(["directional"]).seed == 0
+
+    def test_subcommands_share_no_attributes(self):
+        trace = parse_args(["trace", "--letters", "9"])
+        directional = parse_args(["directional", "--samples", "3"])
+        verify = parse_args(["verify", "--suite", "6"])
+        assert not hasattr(directional, "n_letters") and not hasattr(directional, "start")
+        assert not hasattr(trace, "seed") and not hasattr(trace, "suite")
+        assert not hasattr(verify, "samples") and not hasattr(verify, "m")
+        assert parse_args(["trace"]) == argparse.Namespace(
+            command="trace",
+            m="0,1/2,1/2",
+            start=("0", "1/2", "1/2"),
+            r="1/2",
+            n_letters=64,
+            format="tsv",
+            output=None,
+        )
+        assert trace is not parse_args(["trace", "--letters", "9"])
+
+    def test_bad_argv_between_good_ones(self):
+        assert parse_args(["trace", "--letters", "7"]).n_letters == 7
+        with pytest.raises(SystemExit):
+            parse_args(["trace", "--letters", "0"])
+        with pytest.raises(SystemExit):
+            parse_args(["complexity", "--m", "0,1/2"])
+        assert main(["returns", "--bogus"]) == 1
+        assert parse_args(["trace"]).n_letters == 64
+        assert parse_args(["complexity"]).start == ("0", "1/2", "1/2")
+
+    def test_one_build_per_process(self):
+        for argv in (["trace"], ["directional"], ["verify"], ["trace", "--letters", "3"]):
+            parse_args(argv)
+        info = cli._parser.cache_info()
+        assert (info.misses, info.currsize) == (1, 1)
+        assert info.hits >= 3
+
+    def test_import_builds_no_parser(self):
+        code = "import cubewords.cli as c; print(c._parser.cache_info().misses)"
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+            check=True,
+        )
+        assert done.stdout.strip() == "0"
 
 
 class TestTrace:

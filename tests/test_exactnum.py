@@ -605,3 +605,60 @@ def test_floor_takes_at_most_three_sign_tests(monkeypatch, bounded):
         del calls[:]
         bounded(10, value.floor)
         assert len(calls) <= 3, value
+
+
+def sqrt2_unit(k):
+    """p - q*sqrt2 for the k-th convergent p/q of sqrt2, about (1 - sqrt2)**k."""
+    p, q = 1, 0
+    for _ in range(k):
+        p, q = p + 2 * q, p + q
+    return p - q * SQRT2
+
+
+def test_floor_matches_the_oracle_on_seeded_vectors():
+    rng = random.Random(2020)
+    for _ in range(300):
+        digits = rng.choice((2, 12, 40))
+        vector = tuple(rng.randrange(-(10**digits), 10**digits) for _ in range(4))
+        denom = rng.randrange(1, 10**rng.choice((1, 6, 20)))
+        value = FieldNumber(*(Fraction(a, denom) for a in vector))
+        assert exactnum._floor(vector, denom) == oracle_floor(value), (vector, denom)
+        negated = tuple(-a for a in vector)
+        assert exactnum._floor(negated, denom) == oracle_floor(-value), (vector, denom)
+
+
+def test_floor_of_near_integers_matches_the_oracle(monkeypatch):
+    calls = []
+    real = exactnum._int_sign
+    monkeypatch.setattr(exactnum, "_int_sign", lambda vector: calls.append(vector) or real(vector))
+    rng = random.Random(2021)
+    for k in list(range(1, 60)) + [80, 81, 120, 121, 200, 201]:
+        # both units are below 10**-25 from these k on: phi**-120 and (sqrt2 - 1)**66
+        for unit, tiny in ((golden_unit(k), k >= 120), (sqrt2_unit(k), k >= 66)):
+            for shift in (0, 1, -1, rng.randrange(-(10**9), 10**9)):
+                for value in (unit + shift, -unit + shift):
+                    denom = rng.randrange(1, 50)
+                    vector = value.scaled_coeffs(value._den)
+                    scaled = tuple(a * denom for a in vector)
+                    # the same number over a larger denominator
+                    for args in ((vector, value._den), (scaled, value._den * denom)):
+                        del calls[:]
+                        assert exactnum._floor(*args) == oracle_floor(value), (k, value)
+                        assert len(calls) <= 3, value
+                        if tiny:
+                            # far inside the 64-bit estimate's bound of an integer
+                            assert calls, value
+
+
+def test_floor_far_from_an_integer_takes_no_sign_test(monkeypatch):
+    calls = []
+    real = exactnum._int_sign
+    monkeypatch.setattr(exactnum, "_int_sign", lambda vector: calls.append(vector) or real(vector))
+    rng = random.Random(2022)
+    for _ in range(200):
+        value = random_field_number(rng, span=10**6, max_denominator=10**4)
+        if value.is_rational or abs(float(value) - round(float(value))) < 1e-6:
+            continue
+        del calls[:]
+        assert value.floor() == oracle_floor(value), value
+        assert calls == [], value

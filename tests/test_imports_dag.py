@@ -60,7 +60,7 @@ def find_cycle(graph: dict[str, set[str]]) -> list[str]:
 
 
 def test_imports_inside_functions_count():
-    source = "from .words import fit_affine\n\ndef f():\n    from . import rotation\n"
+    source = "from .words import complexity\n\ndef f():\n    from . import rotation\n"
     assert module_imports(source) == {"words", "rotation"}
     assert find_cycle({"a": {"b"}, "b": {"a"}, "c": set()}) == ["a", "b", "a"]
     # a reader that found nothing would pass vacuously

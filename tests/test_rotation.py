@@ -24,8 +24,8 @@ from cubewords.rotation import (
     rotation_coding,
     zmodule_rank,
 )
-from cubewords.words import complexity, fit_affine
-from oracles import interval_of, label_of, lengths, saddle_connection
+from cubewords.words import complexity
+from oracles import fit_affine, interval_of, label_of, lengths, saddle_connection
 
 F = FieldNumber
 A1, A2, A3, A4, A5, A6, A7 = CellLabel

@@ -19,9 +19,10 @@ from cubewords.words import (
     cassaigne_check,
     complexity,
     extension_censuses,
-    fit_affine,
+    fit_complexity_tail,
     is_sturmian,
 )
+from oracles import fit_affine, fitted_tail
 
 
 def naive_counts(word, n_max):
@@ -256,6 +257,50 @@ def test_fit_affine():
     assert fit_affine([(2, 7)]) is None
     assert fit_affine([]) is None
     assert fit_affine([(3, 5), (5, 6)]) == (Fraction(1, 2), Fraction(7, 2))
+
+
+def assert_same_tail(counts):
+    law = fit_complexity_tail(counts)
+    assert law == fitted_tail(counts), counts
+    if law is not None:
+        assert all(type(value) is Fraction for value in law[:2])
+        assert type(law[2]) is int
+
+
+def test_fit_complexity_tail_matches_the_fit_loop():
+    rng = random.Random(2031)
+    for _ in range(400):
+        prefix = [rng.randrange(0, 30) for _ in range(rng.randrange(0, 8))]
+        slope = rng.randrange(-3, 6)
+        start = rng.randrange(-5, 40)
+        tail = [start + slope * i for i in range(rng.randrange(1, 10))]
+        assert_same_tail(prefix + tail)
+
+
+def test_fit_complexity_tail_on_constant_and_short_lists():
+    for length in range(0, 7):
+        assert_same_tail([5] * length)
+    for length in range(0, 4):
+        for counts in itertools.product(range(3), repeat=length):
+            assert_same_tail(list(counts))
+    assert fit_complexity_tail([5, 5, 5]) == (Fraction(0), Fraction(5), 1)
+    assert fit_complexity_tail([1, 2]) is None
+
+
+def test_fit_complexity_tail_without_an_affine_tail():
+    rng = random.Random(2032)
+    for _ in range(200):
+        counts = [rng.randrange(0, 50) for _ in range(rng.randrange(3, 12))]
+        # the last three points are not collinear
+        counts[-1] = 2 * counts[-2] - counts[-3] + rng.choice((-2, -1, 1, 2))
+        assert fit_complexity_tail(counts) is None
+        assert_same_tail(counts)
+
+
+def test_fit_complexity_tail_pins_the_corrected_law():
+    counts = [3, 6, 9, 14, 19, 25, 31, 36, 40, 44]
+    assert fit_complexity_tail(counts) == (Fraction(4), Fraction(4), 8)
+    assert_same_tail(counts)
 
 
 def test_half_counts_are_the_half_prefix_counts():
