@@ -21,25 +21,34 @@ distinct window, not one per position: the occurrences of the word's
 own short prefix cut it into spans, and equal spans of equal length
 start equal windows, so only the distinct spans are expanded.  Counts
 of distinct prefixes, as of these windows or of a language, come from
-one sorted pass with longest-common-prefix lengths, each found by a
-binary search on slice equality.
+one sorted pass with longest-common-prefix lengths, all read from
+integer keys: each text becomes a left-aligned integer with one
+fixed-width code per letter, one byte when every text is ASCII and a
+UTF-32 code unit otherwise, and the bit length of the exclusive or of
+two adjacent keys locates their first unequal letter.
 
 Cassaigne's identity needs only one integer per length from that
 census, the summed bilateral multiplicity of the bispecial factors, so
-cassaigne_check reads it from the same windows and trust rules as
-plain sets of distinct contexts, with no census objects: a bispecial
-factor is left special, so only the factors with two or more left
-letters are examined.  The identity still compares two different
-computations over those windows: prefix counts against sums over
-bispecial contexts.
+cassaigne_check reads it from one sorted table of distinct windows per
+side, with no census objects.  In a sorted table the texts sharing a
+prefix v are contiguous, and the adjacent pairs whose common prefix is
+exactly v, both going on past it, are where the letter after v changes:
+its branch points.  The branch points of the reversed word's windows
+give every left special factor with its left letters, and those of the
+forward windows a superset of the right special ones; for a factor in
+both, each pair of extensions is read exactly, by bisection, under the
+census's trust rules.  The identity still compares two different
+computations over those windows: prefix counts against sums over branch
+points and pair lookups.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
+from operator import xor
 from typing import Collection, Optional, Sequence
 
 
@@ -160,21 +169,29 @@ def _windows(word: str, width: int) -> set[str]:
     return {span[i : i + width] for span, size in spans for i in range(size)}
 
 
-def _common_prefix(a: str, b: str) -> int:
-    """Length of the longest common prefix of a and b.
+def _common_prefixes(texts: Sequence[str]) -> list[int]:
+    """Length of the longest common prefix of each text with the next one.
 
-    A binary search on slice equality: O(log n) comparisons at memcmp
-    speed, where a scan letter by letter costs one Python step per
-    shared letter, which dominates for wide windows.
+    Every text becomes a left-aligned integer key, one fixed-width code
+    per letter, padded with zero codes to the longest text, so the bit
+    length of the exclusive or of two keys locates their first unequal
+    code.  Letters are one byte when every text is ASCII and UTF-32
+    code units otherwise: either way equal codes mean equal letters, for
+    any str.  Padding can only lengthen the shared run where one text
+    ends, and a NUL letter is a zero code too, so each length is capped
+    at the shorter text.
     """
-    low, high = 0, min(len(a), len(b))
-    while low < high:
-        middle = (low + high + 1) // 2
-        if a[:middle] == b[:middle]:
-            low = middle
-        else:
-            high = middle - 1
-    return low
+    width = max(map(len, texts), default=0)
+    codec, bits = ("ascii", 8) if all(map(str.isascii, texts)) else ("utf-32-be", 32)
+    keys = [
+        int.from_bytes(text.ljust(width, "\0").encode(codec, "surrogatepass"), "big")
+        for text in texts
+    ]
+    top = width * bits
+    return [
+        min((top - difference.bit_length()) // bits, len(a), len(b))
+        for difference, a, b in zip(map(xor, keys, keys[1:]), texts, texts[1:])
+    ]
 
 
 def _prefix_counts(texts: Collection[str], n_max: int) -> tuple[int, ...]:
@@ -185,19 +202,18 @@ def _prefix_counts(texts: Collection[str], n_max: int) -> tuple[int, ...]:
     The texts are cut to n_max letters and sorted without repeats.  The
     texts sharing a length-n prefix are then contiguous, so that prefix
     is counted once, by the first of them: the text w with
-    lcp(w, predecessor) < n <= len(w), the lcp read by _common_prefix.
-    One pass builds the counts as an interval histogram, as
-    SuffixAutomaton.factor_counts does.
+    lcp(w, predecessor) < n <= len(w).  _common_prefixes reads every lcp
+    from integer keys of one byte per letter when all texts are ASCII and
+    four otherwise, in C-level passes.  The counts are an interval
+    histogram, as in SuffixAutomaton.factor_counts.
     """
-    deltas = [0] * (n_max + 2)
-    previous = ""
-    for text in sorted({text[:n_max] for text in texts}):
-        shared = _common_prefix(text, previous)
-        if shared < len(text):
-            deltas[shared + 1] += 1
-            deltas[len(text) + 1] -= 1
-        previous = text
-    return tuple(accumulate(deltas[1 : n_max + 1]))
+    texts = sorted({text[:n_max] for text in texts})
+    deltas = [0] * (n_max + 1)
+    for shared in _common_prefixes(["", *texts]):
+        deltas[shared] += 1
+    for size in map(len, texts):
+        deltas[size] -= 1
+    return tuple(accumulate(deltas[:n_max]))
 
 
 def extension_censuses(word: str, n_max: int) -> tuple[dict[str, ExtensionCensus], ...]:
@@ -287,49 +303,77 @@ def complexity(word: str, n_max: int) -> ComplexityProfile:
     )
 
 
+def _branch_letters(texts: list[str], n_max: int) -> dict[str, set[str]]:
+    """The prefixes of at most n_max letters at which the sorted, distinct texts branch.
+
+    Texts sharing a prefix v are contiguous, and among those longer than
+    v the letters after v change exactly between adjacent texts a, b with
+    lcp(a, b) = len(v) < len(a); b always goes on past v, as it sorts
+    after a and is not its prefix.  Each such v maps to the letters after
+    it, two or more.
+    """
+    letters: dict[str, set[str]] = {}
+    for shared, a, b in zip(_common_prefixes(texts), texts, texts[1:]):
+        if 0 < shared <= n_max and shared < len(a):
+            letters.setdefault(a[:shared], {a[shared]}).add(b[shared])
+    return letters
+
+
+def _starts_long_window(windows: list[str], context: str, width: int) -> bool:
+    """Whether a window of at least width letters starts with context.
+
+    The sorted windows starting with context follow bisect_left's index.
+    The windows shorter than width are suffixes of the word, at most one
+    per length, so the walk past them to a long one is short.
+    """
+    index = bisect_left(windows, context)
+    while index < len(windows) and windows[index].startswith(context):
+        if len(windows[index]) >= width:
+            return True
+        index += 1
+    return False
+
+
 def _bispecial_sums(word: str, n_max: int) -> tuple[int, ...]:
     """Summed bilateral multiplicity of the bispecial factors of each length 1..n_max.
 
     Entry n - 1 equals the sum over extension_censuses(word, n_max)[n - 1],
     for 1 <= n_max <= len(word), from the same windows and trust rules
-    but without census objects.  Length n reads two sets: the left
-    contexts t[: n + 1] of the windows longer than n and the trusted
-    contexts t[: n + 2] of the windows of 2n + 3 letters or more.  Going
-    down from n_max, each length's sets are the last ones with their
-    final letter dropped, plus the prefixes of the cut-short windows
-    that first count at this length: one left, at most two trusted.
-    Each factor v with k >= 2 left letters has its pairs (l, r) read by
-    membership of l + v + r among the trusted contexts, over the word's
-    own letters; the occurrence at position 0 adds the right letter
-    word[n] to v = word[:n] when the word has 2n + 2 letters or more.
+    but without census objects, in one sorted pass per side.  The left
+    letters of v are the letters after v's reverse in the reversed word,
+    so v is left special exactly where the sorted windows of the
+    reversed word, n_max + 1 letters wide, branch after v's reverse.
+    Those windows are the reversed factors of n_max + 1 letters, read
+    off the forward windows, and the reversed prefixes of the word.  The
+    forward windows, 2 * n_max + 3 letters wide, branch after every right
+    special factor, counting untrusted right letters and the head's too,
+    so only the factors branching on both sides are examined.  For those,
+    each pair (l, r) is read exactly: it is trusted when a window of
+    2n + 3 letters or more starts with l + v + r, found by bisection.
+    The occurrence at position 0 adds the right letter word[n] to
+    v = word[:n] when the word has 2n + 2 letters or more.
     """
     total = len(word)
-    alphabet = sorted(set(word))
-    windows = _windows(word, 2 * n_max + 3)
-    lefts = {t[: n_max + 1] for t in windows if len(t) > n_max}
-    trusted = {t[: n_max + 2] for t in windows if len(t) >= 2 * n_max + 3}
-    sums = []
-    for n in range(n_max, 0, -1):
-        if n < n_max:
-            lefts = {context[:-1] for context in lefts}
-            lefts.add(word[total - n - 1 :])
-            trusted = {context[:-1] for context in trusted}
-            for width in (2 * n + 3, 2 * n + 4):
-                if width <= total:
-                    trusted.add(word[total - width : total - width + n + 2])
-        head = word[:n] if total >= 2 * n + 2 else None
-        found = 0
-        for v, k in Counter(context[1:] for context in lefts).items():
-            if k < 2:
-                continue
-            pairs = [(l, r) for l in alphabet for r in alphabet if l + v + r in trusted]
-            right = {r for _, r in pairs}
-            if v == head:
-                right.add(word[n])
-            if len(right) >= 2:
-                found += len(pairs) - len(right) - k + 1
-        sums.append(found)
-    return tuple(reversed(sums))
+    forward = sorted(_windows(word, 2 * n_max + 3))
+    backward = {t[n_max::-1] for t in forward if len(t) > n_max}
+    backward.update(word[m - 1 :: -1] for m in range(1, min(n_max, total) + 1))
+    lefts = {u[::-1]: letters for u, letters in _branch_letters(sorted(backward), n_max).items()}
+    rights = _branch_letters(forward, n_max)
+    sums = [0] * n_max
+    for v in lefts.keys() & rights.keys():
+        n = len(v)
+        pairs = [
+            (l, r)
+            for l in lefts[v]
+            for r in rights[v]
+            if _starts_long_window(forward, l + v + r, 2 * n + 3)
+        ]
+        right = {r for _, r in pairs}
+        if total >= 2 * n + 2 and word.startswith(v):
+            right.add(word[n])
+        if len(right) >= 2:
+            sums[n - 1] += len(pairs) - len(right) - len(lefts[v]) + 1
+    return tuple(sums)
 
 
 def cassaigne_check(word: str, n_max: int) -> list[tuple[int, int, int]]:
@@ -342,10 +386,11 @@ def cassaigne_check(word: str, n_max: int) -> list[tuple[int, int, int]]:
     passes; lengths whose counts are unstable are not checked, since the
     identity only holds for honest windows.  The increments come from
     the prefix counts of the distinct windows and the sums from the
-    distinct bispecial contexts of those windows, so the two sides are
-    different computations.  Only left special factors can be
-    bispecial, so only they are examined; the sums follow the trust
-    rules of extension_censuses without building its census objects.
+    branch points of the sorted windows and exact pair lookups, so the
+    two sides are different computations.  Only factors that branch on
+    both sides can be bispecial, so only they are examined; the sums
+    follow the trust rules of extension_censuses without building its
+    census objects.
     """
     return _cassaigne_failures(word, complexity(word, n_max))
 

@@ -189,10 +189,12 @@ def test_cassaigne_on_traced_words():
 
 def test_bispecial_sums_match_the_censuses_on_random_words():
     rng = random.Random(1997)
-    for i in range(330):
+    alphabets = ("a", "ab", "abc", "xyz", "wxyz", "a\0b", "a\u0101\u4e00", "\0\U0010ffff")
+    for i in range(440):
         length = rng.randint(1, 90)
-        # the sums must take their letters from the word, not from "abc"
-        alphabet = ("a", "ab", "abc", "xyz", "wxyz")[i % 5]
+        # the sums must take their letters from the word, not from "abc",
+        # and NUL or letters past Latin-1 must not change them
+        alphabet = alphabets[i % len(alphabets)]
         word = "".join(rng.choice(alphabet) for _ in range(length))
         # a length's census does not depend on n_max, so one serves all three
         expected = census_bispecial_sums(word, length)
@@ -208,6 +210,81 @@ def test_bispecial_sums_match_the_censuses_on_reference_words():
     ]:
         word = trace_letters(start, length=8000)
         assert words._bispecial_sums(word, 52) == census_bispecial_sums(word, 52)
+
+
+def assert_census_sums(word):
+    """_bispecial_sums agrees with the censuses at every n_max the word allows."""
+    expected = census_bispecial_sums(word, len(word))
+    for n_max in range(1, len(word) + 1):
+        assert words._bispecial_sums(word, n_max) == expected[:n_max], (word, n_max)
+
+
+def test_bispecial_sums_around_the_trust_boundary():
+    # at length n a window needs 2n + 3 letters to trust its right letter,
+    # and the word needs 2n + 2 for the head's
+    rng = random.Random(2121)
+    for n in range(1, 13):
+        for length in range(2 * n + 1, 2 * n + 5):
+            for alphabet in ("ab", "abc", "abc", "abcd"):
+                assert_census_sums("".join(rng.choice(alphabet) for _ in range(length)))
+
+
+@pytest.mark.parametrize("period", ["ab", "aab", "a", "abc", "aabab"])
+def test_bispecial_sums_of_periodic_words(period):
+    for k in range(1, 16):
+        assert_census_sums(period * k)
+        assert_census_sums(period * k + period[0])
+
+
+def right_letter_sources(word, v):
+    """Right letters of v by source: trusted occurrences after position 0,
+    the head occurrence, and every occurrence with a letter after it."""
+    n, total = len(v), len(word)
+    trusted, every = set(), set()
+    for i in range(1, total - n):
+        if word.startswith(v, i):
+            every.add(word[i + n])
+            if i + 2 * n + 2 <= total:
+                trusted.add(word[i + n])
+    head = {word[n]} if total >= 2 * n + 2 and word.startswith(v) else set()
+    return trusted, head, every
+
+
+def test_bispecial_sums_where_a_right_letter_has_one_source():
+    # a left special v whose second right letter comes only from the head
+    # occurrence, or whose extra right letter comes only from a window cut
+    # short of the trust length: the branch filter admits both, and only
+    # the exact pair lookups and the head rule settle them
+    rng = random.Random(2122)
+    head_only = cut_short_only = 0
+    while head_only < 40 or cut_short_only < 40:
+        word = "".join(rng.choice("abc"[: rng.randint(2, 3)]) for _ in range(rng.randint(4, 40)))
+        kinds = set()
+        for n, census in enumerate(extension_censuses(word, len(word)), start=1):
+            for v, e in census.items():
+                if len(e.left) < 2:
+                    continue
+                trusted, head, every = right_letter_sources(word, v)
+                assert e.right == trusted | head
+                if len(trusted) == 1 and head - trusted:
+                    kinds.add("head")
+                if every - trusted - head:
+                    kinds.add("cut")
+        if kinds:
+            head_only += "head" in kinds
+            cut_short_only += "cut" in kinds
+            assert_census_sums(word)
+    for word in ("ab" + "ac" * 8, "ac" * 8 + "ab", "ac" * 8 + "abc", "ac" * 8 + "abcc"):
+        assert_census_sums(word)
+
+
+def test_bispecial_sums_of_the_wide_request():
+    # complexity --letters 4000 --n-max 2000 at the default start checks
+    # the identity up to the last length whose next two are stable
+    word = trace_letters(REFERENCE_STARTS[0], length=4000)
+    top = complexity(word, 2000).stable_through - 2
+    assert top > 300
+    assert words._bispecial_sums(word, top) == census_bispecial_sums(word, top)
 
 
 def test_cassaigne_check_builds_no_census(monkeypatch):
@@ -382,13 +459,17 @@ def test_windows_do_not_depend_on_the_anchor(monkeypatch):
 
 def test_prefix_counts_match_the_slices():
     rng = random.Random(4242)
-    for _ in range(200):
-        alphabet = rng.choice(("a", "ab", "abc"))
+    for _ in range(400):
+        # NUL and letters past Latin-1 reach both key widths and the padding
+        alphabet = rng.choice(
+            ("a", "ab", "abc", "a\0", "ab\0", "a\u00ffb", "a\u0101", "\0\U0010ffff")
+        )
         texts = [
             "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 14)))
             for _ in range(rng.randint(0, 30))
         ]
         texts += rng.sample(texts, len(texts) // 3)  # duplicates
+        texts += [text[: rng.randint(0, len(text))] for text in rng.sample(texts, len(texts) // 4)]
         n_max = rng.randint(1, 16)
         assert words._prefix_counts(texts, n_max) == sliced_prefix_counts(texts, n_max)
 
@@ -403,10 +484,15 @@ def test_prefix_counts_match_the_slices():
         ["abc", "abc", "abc"],
         ["ba", "ab", "ba", "b", "abab"],
         ["xyz" * 5, "xyz" * 4 + "xy", "xy"],
+        ["a\0", "a", "a\0\0b", "\0", "", "\0\0"],  # NUL letters where padding sits
+        ["\u0101", "\u0101\u0102", "a\u0101", "a", "\u4e00\0", "\U0001f600b"],
+        ["a", "ab", "abc", "abcd", "abcde"],  # each a prefix of the next
+        ["abcde", "abcd", "abc", "ab", "a"],
+        ["ab\0", "ab\u00ff", "ab\u0100", "ab"],  # both sides of the Latin-1 edge
     ],
 )
 def test_prefix_counts_on_hand_cases(texts):
-    for n_max in (1, 3, 6, 20):
+    for n_max in (1, 2, 3, 6, 20, 2000):
         assert words._prefix_counts(texts, n_max) == sliced_prefix_counts(texts, n_max)
     assert words._prefix_counts(set(texts), 6) == sliced_prefix_counts(set(texts), 6)
 
@@ -456,7 +542,7 @@ def test_complexity_matches_the_automaton_on_a_rotation_coding():
 
 
 def scanned_common_prefix(a, b):
-    """The plain route to _common_prefix: one comparison per letter."""
+    """The plain route to _common_prefixes: one comparison per letter."""
     return next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
 
 
@@ -472,29 +558,56 @@ def scanned_common_prefix(a, b):
         ("abcab", "abcaa"),  # a difference at the last index
         ("a", "b"),
         ("a" * 1000, "a" * 999 + "b"),
+        ("a", "a\0"),  # a NUL letter where the shorter text's padding sits
+        ("a\0\0", "a\0"),
+        ("ab\0c", "ab\0d"),
+        ("\u0101b", "\u0101c"),  # letters outside Latin-1 take the wide codes
+        ("\U0010ffff", "\U0010ffff\0"),
+        ("\ud800a", "\ud800b"),  # a lone surrogate is a letter like any other
     ],
-    ids=["empty", "one-empty", "equal", "prefix", "extension", "first", "last", "one", "long"],
+    ids=[
+        "empty", "one-empty", "equal", "prefix", "extension", "first", "last", "one", "long",
+        "nul-pad", "nul-run", "nul-inside", "wide", "wide-nul", "surrogate",
+    ],
 )
 def test_common_prefix_on_hand_cases(a, b, bounded):
     expected = scanned_common_prefix(a, b)
-    assert bounded(2, words._common_prefix, a, b) == expected
-    assert bounded(2, words._common_prefix, b, a) == expected
+    assert bounded(2, words._common_prefixes, [a, b]) == [expected]
+    assert bounded(2, words._common_prefixes, [b, a]) == [expected]
 
 
 def test_common_prefix_matches_the_scan_on_random_texts(bounded):
     rng = random.Random(977)
     pairs = []
-    for _ in range(500):
-        shared = "".join(rng.choice("ab") for _ in range(rng.randint(0, 40)))
+    for i in range(500):
+        alphabet = ("ab", "a\0", "a\u00ff\0", "a\u4e00")[i % 4]
+        shared = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 40)))
         pairs.append(
-            tuple(shared + "".join(rng.choice("ab") for _ in range(rng.randint(0, 5))) for _ in "ab")
+            tuple(
+                shared + "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 5)))
+                for _ in "ab"
+            )
         )
 
     def check():
         for a, b in pairs:
-            assert words._common_prefix(a, b) == scanned_common_prefix(a, b), (a, b)
+            assert words._common_prefixes([a, b]) == [scanned_common_prefix(a, b)], (a, b)
 
     bounded(5, check)
+
+
+def test_common_prefixes_of_a_list_are_the_adjacent_pairs():
+    rng = random.Random(978)
+    for alphabet in ("ab", "ab\0", "a\u0101\0"):
+        texts = [
+            "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 12))) for _ in range(300)
+        ]
+        for ordered in (texts, sorted(texts)):
+            assert words._common_prefixes(ordered) == [
+                scanned_common_prefix(a, b) for a, b in zip(ordered, ordered[1:])
+            ]
+    assert words._common_prefixes([]) == []
+    assert words._common_prefixes(["abc"]) == []
 
 
 def test_prefix_counts_of_wide_windows():
