@@ -9,7 +9,9 @@ with its coded orbit and the rank-versus-slope comparison,
 the acceptance suite.
 
 run takes the namespace of parse_args, so argparse holds the only
-defaults, and each TSV table is one _table over the JSON rows.
+defaults.  Each command builds its JSON payload first; each TSV table
+is one _table over its rows, and each ``# key`` header line one _headers
+over its fields.
 
 Exact values cross the boundary as grammar strings, each next to a
 20-digit decimal column that is advisory only and never parsed back.
@@ -161,10 +163,18 @@ def _fit_meta(law: Optional[tuple]) -> Optional[dict]:
     return {"slope": str(slope), "intercept": str(intercept), "threshold": threshold}
 
 
-def _law_text(meta: Optional[dict]) -> str:
-    if meta is None:
+def _text(value) -> str:
+    """A payload field as TSV: None prints none, a dict its values joined by tabs."""
+    if value is None:
         return "none"
-    return f"{meta['slope']}\t{meta['intercept']}\t{meta['threshold']}"
+    if isinstance(value, dict):
+        return "\t".join(str(v) for v in value.values())
+    return str(value)
+
+
+def _headers(payload: dict, *keys: str) -> list[str]:
+    """One ``# key<TAB>value`` line per payload field, so the TSV restates no value."""
+    return [f"# {key}\t{_text(payload[key])}" for key in keys]
 
 
 def _table(columns: Sequence[str], rows: Sequence[dict]) -> list[str]:
@@ -209,18 +219,16 @@ def _cmd_complexity(config: argparse.Namespace) -> tuple[int, list[str], dict]:
         rows.append(
             {"n": n, "p": profile.p(n), "s": s_value, "stable": int(profile.stable(n))}
         )
-    lines = [
-        "# command\tcomplexity",
-        f"# law\t{_law_text(law)}",
-        f"# cassaigne_mismatches\t{len(mismatches)}",
-    ]
-    lines += _table(("n", "p", "s", "stable"), rows)
     payload = {
         "command": "complexity",
         "law": law,
         "cassaigne_mismatches": [list(m) for m in mismatches],
         "rows": rows,
     }
+    # the JSON lists the mismatches, the TSV counts them
+    lines = _headers(payload, "command", "law")
+    lines.append(f"# cassaigne_mismatches\t{len(mismatches)}")
+    lines += _table(("n", "p", "s", "stable"), rows)
     return 0, lines, payload
 
 
@@ -249,18 +257,14 @@ def _cmd_returns(config: argparse.Namespace) -> tuple[int, list[str], dict]:
         for k, (observed, predicted) in enumerate(zip(blocks, predictions))
     ]
     mismatches = sum(1 - row["match"] for row in rows)
-    lines = [
-        "# command\treturns",
-        f"# blocks\t{len(blocks)}",
-        f"# mismatches\t{mismatches}",
-    ]
-    lines += _table(("k", "observed", "predicted", "match"), rows)
     payload = {
         "command": "returns",
         "blocks": len(blocks),
         "mismatches": mismatches,
         "rows": rows,
     }
+    lines = _headers(payload, "command", "blocks", "mismatches")
+    lines += _table(("k", "observed", "predicted", "match"), rows)
     return 0, lines, payload
 
 
@@ -292,20 +296,6 @@ def _cmd_rotation(config: argparse.Namespace) -> tuple[int, list[str], dict]:
         }
         for i, (cut, label) in enumerate(zip(partition.cuts, partition.labels))
     ]
-    # the final label covers the wrap interval behind the last cut
-    trailing = str(partition.labels[-1])
-    lines = [
-        "# command\trotation",
-        f"# s\t{invariant}\t{invariant.decimal(DECIMAL_PLACES)}",
-        f"# angle\t{angle}\t{angle.decimal(DECIMAL_PLACES)}",
-        f"# k\t{partition.k}",
-        f"# rank\t{rank}",
-        f"# law\t{_law_text(law)}",
-        f"# match\t{int(match)}",
-        f"# wrap_label\t{trailing}",
-    ]
-    lines += _table(("i", "cut", "cut_decimal", "label"), cuts)
-    lines.append(f"orbit\t{coding.symbols}")
     payload = {
         "command": "rotation",
         "s": {"exact": str(invariant), "decimal": invariant.decimal(DECIMAL_PLACES)},
@@ -314,10 +304,14 @@ def _cmd_rotation(config: argparse.Namespace) -> tuple[int, list[str], dict]:
         "rank": rank,
         "law": law,
         "match": int(match),
-        "wrap_label": trailing,
+        # the final label covers the wrap interval behind the last cut
+        "wrap_label": str(partition.labels[-1]),
         "cuts": cuts,
         "orbit": coding.symbols,
     }
+    lines = _headers(payload, "command", "s", "angle", "k", "rank", "law", "match", "wrap_label")
+    lines += _table(("i", "cut", "cut_decimal", "label"), cuts)
+    lines.append(f"orbit\t{coding.symbols}")
     return 0, lines, payload
 
 
@@ -345,21 +339,18 @@ def _cmd_directional(config: argparse.Namespace) -> tuple[int, list[str], dict]:
         rows.append(
             {"n": n, "p": p_n, "s": s_value, "ratio": f"{p_n / (n * n):.6f}"}
         )
-    lines = [
-        "# command\tdirectional",
-        f"# samples\t{result.sample_count}",
-    ]
-    lines += [
-        f"# class\t{m['label']}\tk\t{m['k']}\tmembers\t{m['members']}\tlaw\t{_law_text(m['law'])}"
-        for m in class_meta
-    ]
-    lines += _table(("n", "p", "s", "ratio"), rows)
     payload = {
         "command": "directional",
         "samples": result.sample_count,
         "classes": class_meta,
         "rows": rows,
     }
+    lines = _headers(payload, "command", "samples")
+    # a class line names each field before its value
+    for meta in class_meta:
+        fields = [f"{key}\t{_text(meta[key])}" for key in ("k", "members", "law")]
+        lines.append("\t".join(["# class", meta["label"], *fields]))
+    lines += _table(("n", "p", "s", "ratio"), rows)
     return 0, lines, payload
 
 
@@ -386,12 +377,9 @@ def _cmd_verify(config: argparse.Namespace) -> tuple[int, list[str], dict]:
         for r in results
     ]
     # wall-clock seconds stay off the report to keep it byte-stable
-    lines = [
-        "# command\tverify",
-        f"# failures\t{failures}",
-    ]
-    lines += _table(("criterion", "verdict", "name", "detail"), rows)
     payload = {"command": "verify", "failures": failures, "results": rows}
+    lines = _headers(payload, "command", "failures")
+    lines += _table(("criterion", "verdict", "name", "detail"), rows)
     return (2 if failures else 0), lines, payload
 
 

@@ -37,7 +37,7 @@ from .exactnum import (
     common_denominator,
     reduce_mod1,
 )
-from .returns import TRANSLATION_ANGLE, CirclePartition, circle_partition, code_orbit
+from .returns import TRANSLATION_ANGLE, CirclePartition, circle_partition
 from .words import _prefix_counts, _windows, fit_complexity_tail
 
 DIRECTIONAL_CONSTANT = (4 + PHI) / 6
@@ -170,13 +170,15 @@ def circle_language(s, n: int) -> frozenset[str]:
     exactly when y = c_k - j*alpha and the wrap point when
     y = -j*alpha, so between two consecutive points no step's label
     changes.  Crossing c_k - j*alpha upward moves step j into interval
-    k + 1; crossing -j*alpha wraps step j to interval 0.  Two crossings
-    of one step never coincide, since the cuts and 0 are distinct.  So
-    the first arc, which starts at 0, is coded once with code_orbit at
-    its midpoint, which meets no cut and no wrap point, and each arc's
-    coding is the one before it with the steps tagged at its left end
-    moved (at 0 those moves agree with code_orbit's labels).  The
-    points are integer 4-vectors over one denominator, stepped by
+    k + 1; crossing -j*alpha wraps step j to interval 0.  Each step has
+    exactly one point per seed (0 and each cut), and no two coincide,
+    since the cuts and 0 are distinct.  So on any arc, step j's label
+    is the interval of the last of its points at or below the arc's
+    start, read cyclically.  One lap over the sorted points therefore
+    leaves every step in the interval it holds just below 0, and a
+    second lap reads each arc's coding as the one before it with the
+    steps tagged at its left end moved; no arc is coded on its own.
+    The points are integer 4-vectors over one denominator, stepped by
     -alpha.  A point wraps when it falls below 0; as in code_orbit, a
     64-bit exactnum._dyadic estimate stepped by integer adds, with an
     error bound growing by the angle's bound per step, decides that
@@ -212,11 +214,12 @@ def _partition_language(partition: CirclePartition, n: int) -> frozenset[str]:
                 a0 += denom
                 estimate += one
     arcs = _sorted_merged(points)
-    # arcs[0] is the wrap point 0; the first arc ends at arcs[1]
-    middle = FieldNumber(*(Fraction(a, 2 * denom) for a in arcs[1][0]))
-    orbit = code_orbit(middle, partition, TRANSLATION_ANGLE, steps)
-    blocks = [label.word for label in orbit]
     words = [label.word for label in partition.labels]
+    # one lap leaves each step in the interval it holds just below 0
+    blocks = [""] * steps
+    for _, tags in arcs:
+        for j, new in tags:
+            blocks[j] = words[new]
     language = set()
     for _, tags in arcs:
         for j, new in tags:

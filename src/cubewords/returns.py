@@ -454,12 +454,14 @@ def _circle_cut_candidates(s: FieldNumber) -> Iterator[tuple[str, FieldNumber]]:
     horizontal = reduce_mod1(s - FacePartition.HORIZONTAL_Z)
     yield "horizontal", horizontal
     yield "vertical", FacePartition.VERTICAL_Y
+    # z = (phi - 1)*y + b meets z = s - y + e where phi*y = s + e - b, so
+    # y = (s + e - b)/phi, and 1/phi = phi - 1 is the lines' own slope
     slope = FacePartition.LINE_SLOPE
     for e in (0, 1):
-        red = (s + e - 2 + PHI) * slope
+        red = (s + e - FacePartition.RED_INTERCEPT) * slope
         if branch_holds(red, e):
             yield "red", red
-        blue = (s + e - 3 + 2 * PHI) * slope
+        blue = (s + e - FacePartition.BLUE_INTERCEPT) * slope
         if branch_holds(blue, e) and FacePartition.VERTICAL_Y < blue < one:
             yield "blue", blue
 

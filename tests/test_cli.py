@@ -443,3 +443,41 @@ class TestRun:
     def test_run_uses_the_command_line_defaults(self, capsys, argv):
         status, out, _ = invoke(capsys, *argv)
         assert run(parse_args(argv)) == (status, out)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["complexity"], ["returns"], ["rotation"], ["directional"], ["verify", "--suite", "6"]],
+        ids=" ".join,
+    )
+    def test_tsv_headers_mirror_the_json(self, argv):
+        def rendered(value):
+            if value is None:
+                return "none"
+            if isinstance(value, dict):
+                return "\t".join(str(v) for v in value.values())
+            return str(value)
+
+        _, tsv = run(parse_args(argv))
+        _, raw = run(parse_args(argv + ["--format", "json"]))
+        payload = json.loads(raw)
+        headers = [line[2:].split("\t", 1) for line in tsv.splitlines() if line.startswith("# ")]
+        keys = [key for key, _ in headers if key != "class"]
+        # every field but the tables, the mismatch list aside, and rotation's orbit line
+        assert keys == [
+            key
+            for key, value in payload.items()
+            if key != "orbit" and (key == "cassaigne_mismatches" or not isinstance(value, list))
+        ]
+        classes = iter(payload.get("classes", ()))
+        for key, value in headers:
+            if key == "cassaigne_mismatches":
+                assert value == str(len(payload[key]))
+            elif key == "class":
+                meta = next(classes)
+                fields = [f"{name}\t{rendered(meta[name])}" for name in ("k", "members", "law")]
+                assert value == "\t".join([meta["label"], *fields])
+            else:
+                assert value == rendered(payload[key]), key
+        assert next(classes, None) is None
+        if argv == ["rotation"]:
+            assert tsv.splitlines()[-1] == f"orbit\t{payload['orbit']}"

@@ -6,7 +6,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from cubewords import directional, exactnum
+from cubewords import directional, exactnum, returns
 from cubewords.billiard import StartPoint, trace_letters, validate
 from cubewords.directional import (
     DIRECTIONAL_CONSTANT,
@@ -274,6 +274,42 @@ class TestCircleLanguage:
             for offset in (g, g * SQRT2):
                 s = reduce_mod1(j * TRANSLATION_ANGLE + offset)
                 assert circle_language(s, 20) == arc_midpoint_language(s, 20), (j, str(offset))
+
+    @pytest.mark.parametrize("l", [1, 2, 3, 4, 5])
+    def test_sweep_on_exact_wrap_merges(self, l, monkeypatch):
+        # On s = (l + 1)*alpha, alpha = 2*phi - 3, the horizontal cut is
+        # s - alpha = l*alpha, so its point at step l is exactly the wrap
+        # point 0, and the first sorted point carries the tags of several steps.
+        s = reduce_mod1((l + 1) * TRANSLATION_ANGLE)
+        assert reduce_mod1(l * TRANSLATION_ANGLE) in circle_partition(s).cuts
+        firsts = []
+        sort_and_merge = directional._sorted_merged
+
+        def recording(points):
+            merged = sort_and_merge(points)
+            firsts.append(merged[0])
+            return merged
+
+        monkeypatch.setattr(directional, "_sorted_merged", recording)
+        for n in (1, 2, 7, 20, 40):
+            assert circle_language(s, n) == arc_midpoint_language(s, n), (l, n)
+        vector, tags = firsts[-1]
+        assert not any(vector)
+        # the seam cut s = (l + 1)*alpha lands there too, at step l + 1
+        assert sorted(j for j, _ in tags) == [0, l, l + 1]
+
+    def test_sweep_codes_no_orbit(self, monkeypatch):
+        samples = [F(0), 2 - PHI, SQRT2 - 1, fr(1, 3), reduce_mod1(3 * TRANSLATION_ANGLE)]
+        languages = [circle_language(s, 20) for s in samples]
+        summary = census(samples, n_max=20)
+
+        def refuse(*args):
+            raise AssertionError("the sweep coded an orbit")
+
+        monkeypatch.setattr(returns, "code_orbit", refuse)
+        monkeypatch.setattr(directional, "code_orbit", refuse, raising=False)
+        assert [circle_language(s, 20) for s in samples] == languages
+        assert census(samples, n_max=20) == summary
 
     def test_sweep_matches_arc_midpoints_at_100(self):
         for s in (F(0), 2 - PHI, fr(3, 7)) + tuple(seeded_quartics(2, 83)):
