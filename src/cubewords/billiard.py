@@ -65,6 +65,7 @@ from typing import Iterator, NamedTuple, Optional, Sequence
 from .exactnum import (
     FieldNumber,
     PHI,
+    _PRECISION,
     _dyadic,
     _field,
     _sorted_merged,
@@ -88,88 +89,62 @@ def _on_wall(value: FieldNumber) -> bool:
     return value.is_rational and value.as_fraction().denominator == 1
 
 
+@dataclass(frozen=True, repr=False)
 class Direction:
-    """A member of the direction family (r, phi - 1, 2 - phi)."""
+    """A member of the direction family (r, phi - 1, 2 - phi); r is coerced to a Fraction."""
 
-    __slots__ = ("_r",)
+    r: Fraction = Fraction(1, 2)
 
-    def __init__(self, r: Fraction | int | str = Fraction(1, 2)) -> None:
-        r = Fraction(r)
+    def __post_init__(self) -> None:
+        r = Fraction(self.r)
         if r <= 0:
             raise ValueError("the rational speed r must be positive")
-        object.__setattr__(self, "_r", r)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("Direction is immutable")
-
-    @property
-    def r(self) -> Fraction:
-        return self._r
+        object.__setattr__(self, "r", r)
 
     @property
     def speeds(self) -> tuple[FieldNumber, FieldNumber, FieldNumber]:
-        return (FieldNumber(self._r), PHI - 1, 2 - PHI)
+        return (FieldNumber(self.r), PHI - 1, 2 - PHI)
 
     @property
     def inverse_speeds(self) -> tuple[FieldNumber, FieldNumber, FieldNumber]:
         # 1/(phi - 1) = phi and 1/(2 - phi) = phi + 1
-        return (FieldNumber(1 / self._r), PHI, PHI + 1)
+        return (FieldNumber(1 / self.r), PHI, PHI + 1)
 
     @property
     def speed_sum(self) -> FieldNumber:
-        return FieldNumber(self._r) + 1
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Direction):
-            return NotImplemented
-        return self._r == other._r
-
-    def __hash__(self) -> int:
-        return hash(("Direction", self._r))
+        return FieldNumber(self.r) + 1
 
     def __repr__(self) -> str:
-        return f"Direction({self._r!r})"
+        return f"Direction({self.r!r})"
 
 
 GOLDEN_DIRECTION = Direction(Fraction(1, 2))
 
 
+@dataclass(frozen=True, repr=False)
 class StartPoint:
-    """An exact point of the closed unit cube."""
+    """An exact point of the closed unit cube; each coordinate is coerced to a FieldNumber."""
 
-    __slots__ = ("_coords",)
+    x: FieldNumber
+    y: FieldNumber
+    z: FieldNumber
 
-    def __init__(self, x: NumberLike, y: NumberLike, z: NumberLike) -> None:
-        coords = tuple(_as_number(v) for v in (x, y, z))
-        for axis, value in zip(LETTERS, coords):
+    def __post_init__(self) -> None:
+        coords = tuple(map(_as_number, (self.x, self.y, self.z)))
+        for name, axis, value in zip("xyz", LETTERS, coords):
             if value < 0 or value > 1:
                 raise ValueError(f"coordinate {axis}={value} outside [0, 1]")
-        object.__setattr__(self, "_coords", coords)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("StartPoint is immutable")
+            object.__setattr__(self, name, value)
 
     @property
     def coords(self) -> tuple[FieldNumber, FieldNumber, FieldNumber]:
-        return self._coords
-
-    @property
-    def x(self) -> FieldNumber:
-        return self._coords[0]
-
-    @property
-    def y(self) -> FieldNumber:
-        return self._coords[1]
-
-    @property
-    def z(self) -> FieldNumber:
-        return self._coords[2]
+        return (self.x, self.y, self.z)
 
     @property
     def integral_axes(self) -> str:
         """Letters of the coordinates lying on a wall, in a, b, c order."""
         out = []
-        for axis, value in zip(LETTERS, self._coords):
+        for axis, value in zip(LETTERS, self.coords):
             if _on_wall(value):
                 out.append(axis)
         return "".join(out)
@@ -177,14 +152,6 @@ class StartPoint:
     @property
     def is_degenerate(self) -> bool:
         return len(self.integral_axes) >= 2
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, StartPoint):
-            return NotImplemented
-        return self._coords == other._coords
-
-    def __hash__(self) -> int:
-        return hash(self._coords)
 
     def __repr__(self) -> str:
         return f"StartPoint({self.x}, {self.y}, {self.z})"
@@ -314,14 +281,14 @@ def _merged_axes(specs: Sequence[_AxisSpec], count: int) -> tuple[bytes, int]:
     cut never splits a close run; the next chunk starts at the first
     plane of each axis not emitted.
 
-    p starts at 64 and doubles while 4k(m + 2) exceeds the smallest
-    u_i.  That ends: M grows with the coordinates, not with p, so M >> q
-    falls to 0 as p, and with it q, grows; J is at most W + 1, and
-    u_i has at least 59 - bitlen(W) bits, which leaves 4k(W + 5) far
-    below u_i for any _CHUNK up to 2**25.  Then a close run holds at
-    most one crossing per axis, and each window, sized for 2k + 1 more
-    crossings than the chunk needs, keeps more than k of them below the
-    cut, so every chunk emits crossings.
+    p starts at exactnum._PRECISION and doubles while 4k(m + 2) exceeds
+    the smallest u_i.  That ends: M grows with the coordinates, not with
+    p, so M >> q falls to 0 as p, and with it q, grows; J is at most
+    W + 1, and u_i has at least 59 - bitlen(W) bits, which leaves
+    4k(W + 5) far below u_i for any _CHUNK up to 2**25.  Then a close
+    run holds at most one crossing per axis, and each window, sized for
+    2k + 1 more crossings than the chunk needs, keeps more than k of
+    them below the cut, so every chunk emits crossings.
     """
     k = len(specs)
     steps, shifts = _scaled_progressions(specs)
@@ -336,7 +303,7 @@ def _merged_axes(specs: Sequence[_AxisSpec], count: int) -> tuple[bytes, int]:
             [_dyadic(shift, basis)[0] for shift in shifts],
         )
 
-    precision = 64
+    precision = _PRECISION
     dyadic_steps, dyadic_shifts = estimates(precision)
 
     def time_vector(key: int) -> tuple[int, ...]:  # n*step_i - shift_i
@@ -415,8 +382,6 @@ class BilliardWord:
 
     word: str
     times: Optional[tuple[FieldNumber, ...]]
-    start: StartPoint
-    direction: Direction
     tie_count: int
 
     def __str__(self) -> str:
@@ -467,10 +432,7 @@ def trace(
     word; callers that need a start free of degeneracy and simultaneous
     crossings check it first with validate.
     """
-    word, times, tie_count = _emit(_cube_axes(start, direction), length, with_times)
-    return BilliardWord(
-        word=word, times=times, start=start, direction=direction, tie_count=tie_count
-    )
+    return BilliardWord(*_emit(_cube_axes(start, direction), length, with_times))
 
 
 def trace_letters(
@@ -537,11 +499,14 @@ class SimultaneousCrossing:
 class Validation:
     """Outcome of checking a start for degeneracy and simultaneous crossings."""
 
-    ok: bool
     degenerate_start: bool
     ties: tuple[SimultaneousCrossing, ...]
     horizon: int
     time_bound: FieldNumber
+
+    @property
+    def ok(self) -> bool:
+        return self.reason is None
 
     @property
     def reason(self) -> Optional[str]:
@@ -612,10 +577,8 @@ def validate(
         r = tuple(map(sub, shifts[i], shifts[j]))
         ties.extend(_pair_ties(specs[i], specs[j], steps[i], steps[j], r, time_bound))
     ties.sort(key=lambda event: event.time)
-    degenerate = start.is_degenerate
     return Validation(
-        ok=not degenerate and not ties,
-        degenerate_start=degenerate,
+        degenerate_start=start.is_degenerate,
         ties=tuple(ties),
         horizon=horizon,
         time_bound=time_bound,

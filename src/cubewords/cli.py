@@ -45,7 +45,7 @@ from .returns import (
 )
 from .rotation import coding_complexity, rotation_coding, zmodule_rank
 from .verification import run_all
-from .words import _cassaigne_failures, complexity, fit_complexity_tail
+from .words import _cassaigne_failures, complexity
 
 DECIMAL_PLACES = 20
 OUTDIR_VARIABLE = "CUBEWORDS_OUTDIR"
@@ -211,7 +211,7 @@ def _cmd_complexity(config: argparse.Namespace) -> tuple[int, list[str], dict]:
         profile = complexity(word, config.n_max)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
-    law = _fit_meta(fit_complexity_tail(profile.full_counts[: profile.stable_through]))
+    law = _fit_meta(profile.law)
     mismatches = _cassaigne_failures(word, profile)
     rows = []
     for n in range(1, config.n_max + 1):
@@ -281,12 +281,12 @@ def _cmd_rotation(config: argparse.Namespace) -> tuple[int, list[str], dict]:
     except HitsCut as exc:
         raise _orbit_hits_cut(exc) from exc
     try:
-        report = coding_complexity(coding, config.n_max)
+        profile = coding_complexity(coding, config.n_max)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
     rank = zmodule_rank((angle,) + partition.cuts)
-    law = _fit_meta(report.law)
-    match = report.slope == rank
+    law = _fit_meta(profile.law)
+    match = profile.slope == rank
     cuts = [
         {
             "i": i,

@@ -179,8 +179,8 @@ def circle_language(s, n: int) -> frozenset[str]:
     second lap reads each arc's coding as the one before it with the
     steps tagged at its left end moved; no arc is coded on its own.
     The points are integer 4-vectors over one denominator, stepped by
-    -alpha.  A point wraps when it falls below 0; as in code_orbit, a
-    64-bit exactnum._dyadic estimate stepped by integer adds, with an
+    -alpha.  A point wraps when it falls below 0; as in code_orbit, an
+    exactnum._dyadic estimate stepped by integer adds, with an
     error bound growing by the angle's bound per step, decides that
     test, and only a point within its bound of 0 calls _int_sign.
     exactnum._sorted_merged certifies their order and merges coinciding
@@ -198,7 +198,7 @@ def _partition_language(partition: CirclePartition, n: int) -> frozenset[str]:
     denom = common_denominator((TRANSLATION_ANGLE,) + partition.cuts)
     d0, d1, d2, d3 = TRANSLATION_ANGLE.scaled_coeffs(denom)
     step_estimate, step_error = _dyadic((d0, d1, d2, d3))
-    one = denom << 64
+    one, _ = _dyadic((denom, 0, 0, 0))  # denom * 2**p, exactly
     seeds = [(0, 0, 0, 0)] + [cut.scaled_coeffs(denom) for cut in partition.cuts]
     points = []
     # a point of seed index `new` at step j moves step j into interval new
@@ -233,14 +233,12 @@ def _partition_language(partition: CirclePartition, n: int) -> frozenset[str]:
 class UnionComplexity:
     """Factor counts of the union of sampled languages."""
 
-    n_max: int
-    prefix: int
     sample_count: int
     counts: tuple[int, ...]
 
     def p(self, n: int) -> int:
-        if not 1 <= n <= self.n_max:
-            raise ValueError(f"length {n} outside table range 1..{self.n_max}")
+        if not 1 <= n <= len(self.counts):
+            raise ValueError(f"length {n} outside table range 1..{len(self.counts)}")
         return self.counts[n - 1]
 
 
@@ -261,12 +259,11 @@ class DirectionalCensus:
 
     classes: dict[str, ClassSummary]
     union_counts: tuple[int, ...]
-    n_max: int
     sample_count: int
 
     def union_p(self, n: int) -> int:
-        if not 1 <= n <= self.n_max:
-            raise ValueError(f"length {n} outside table range 1..{self.n_max}")
+        if not 1 <= n <= len(self.union_counts):
+            raise ValueError(f"length {n} outside table range 1..{len(self.union_counts)}")
         return self.union_counts[n - 1]
 
 
@@ -307,7 +304,6 @@ def census(samples: Sequence, n_max: int) -> DirectionalCensus:
     return DirectionalCensus(
         classes=classes,
         union_counts=_prefix_counts(languages, n_max),
-        n_max=n_max,
         sample_count=len(samples),
     )
 
@@ -334,6 +330,4 @@ def union_complexity(samples: Sequence, n_max: int, prefix: int) -> UnionComplex
             continue
         windows |= _windows(trace_letters(start, length=prefix), n_max)
         used += 1
-    return UnionComplexity(
-        n_max=n_max, prefix=prefix, sample_count=used, counts=_prefix_counts(windows, n_max)
-    )
+    return UnionComplexity(sample_count=used, counts=_prefix_counts(windows, n_max))

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from functools import cmp_to_key, total_ordering
+from functools import cache, cmp_to_key, total_ordering
 from operator import itemgetter
 from typing import Iterable, Optional, Union
 
@@ -30,36 +30,31 @@ _TERM_RE = re.compile(
     r"|(?P<barebase>phi\*sqrt2|phi|sqrt2))$"
 )
 
-# Dyadic enclosures of the basis, cached per precision.  basis_approx(p)
-# returns integers within 2 of (1, phi, sqrt2, phi*sqrt2) * 2**p.
-_BASIS_CACHE: dict[int, tuple[int, int, int, int]] = {}
+_PRECISION = 64  # bits of the first dyadic estimate; finer ones double it
 
 
+@cache
 def basis_approx(precision: int) -> tuple[int, int, int, int]:
-    cached = _BASIS_CACHE.get(precision)
-    if cached is not None:
-        return cached
+    """Integers within 2 of (1, phi, sqrt2, phi*sqrt2) * 2**precision, cached per precision."""
     one = 1 << precision
     root5 = math.isqrt(5 << (2 * precision))
     root2 = math.isqrt(2 << (2 * precision))
     root10 = math.isqrt(10 << (2 * precision))
     phi = (one + root5) >> 1
     phi_sqrt2 = (root2 + root10) >> 1  # phi*sqrt2 == (sqrt2 + sqrt10)/2
-    approx = (one, phi, root2, phi_sqrt2)
-    _BASIS_CACHE[precision] = approx
-    return approx
+    return (one, phi, root2, phi_sqrt2)
 
 
-_BASIS_64 = basis_approx(64)
+_BASIS = basis_approx(_PRECISION)
 
 
 def _dyadic(
-    vector: tuple[int, int, int, int], basis: tuple[int, int, int, int] = _BASIS_64
+    vector: tuple[int, int, int, int], basis: tuple[int, int, int, int] = _BASIS
 ) -> tuple[int, int]:
     """Dyadic estimate E of a0 + a1*phi + a2*sqrt2 + a3*phi*sqrt2 times 2**p, and its error bound.
 
-    E is the vector dotted with basis = basis_approx(p), p = 64 unless
-    the caller passes a finer basis.  The estimate of 1 is exact and the
+    E is the vector dotted with basis = basis_approx(p), p = _PRECISION
+    unless the caller passes a finer basis.  The estimate of 1 is exact and the
     other three are within 2 of their values, so
     |E - value * 2**p| < B = 2*(|a1| + |a2| + |a3|) + 2; the constant
     keeps B positive, so a value certified by |E| > B is never zero.
@@ -77,13 +72,14 @@ def _int_sign(scaled: tuple[int, int, int, int]) -> int:
     """Sign of a0 + a1*phi + a2*sqrt2 + a3*phi*sqrt2 for integer ai.
 
     Zero iff all four coordinates are zero; otherwise the _dyadic
-    estimate at 64 bits, doubling the precision until it clears its bound.
+    estimate at _PRECISION bits, doubling the precision until it clears
+    its bound.
     """
     a0, a1, a2, a3 = scaled
     if a0 == 0 and a1 == 0 and a2 == 0 and a3 == 0:
         return 0
     estimate, error = _dyadic(scaled)
-    precision = 64
+    precision = _PRECISION
     while True:
         if estimate > error:
             return 1
@@ -98,7 +94,7 @@ def _sorted_merged(points: Iterable[tuple[tuple[int, int, int, int], object]]) -
 
     Each vector (a0, a1, a2, a3) stands for a0 + a1*phi + a2*sqrt2 +
     a3*phi*sqrt2 over one denominator shared by all points.  The points
-    are sorted by their 64-bit _dyadic estimate, the first round of
+    are sorted by their first _dyadic estimate, the first round of
     _int_sign, and the order is then certified pair by pair.  A pair
     whose estimates differ by more than the sum of their bounds is in
     order: E is linear and B subadditive, so the gap estimates the
@@ -169,7 +165,7 @@ def _floor(vector: tuple[int, int, int, int], denom: int) -> int:
     a0, a1, a2, a3 = vector
     if not (a1 or a2 or a3):
         return a0 // denom
-    estimate, precision, error = _estimate(vector, denom, 64)
+    estimate, precision, error = _estimate(vector, denom, _PRECISION)
     unit = denom << precision
     guess = (estimate + error) // unit
     if estimate - error >= guess * unit:

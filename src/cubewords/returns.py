@@ -34,7 +34,7 @@ FieldNumber arithmetic.
 
 code_orbit codes that orbit on integers: each point is four integer
 coordinates over the common denominator of the start, the angle and
-the cuts.  A certified dyadic filter steps a 64-bit estimate of the
+the cuts.  A certified dyadic filter steps a dyadic estimate of the
 point with its error bound and places it among the cuts' estimates by
 bisection; only a step whose estimate is too close to a cut or to the
 wrap point to certify falls back to exactnum._int_sign.
@@ -356,10 +356,10 @@ def code_orbit(
     y_j = a + j*d - w*D, a and d the start's and the angle's, w the
     wraps so far.  A certified dyadic filter decides almost every step:
 
-    * exactnum._dyadic gives 64-bit estimates E(v) of a vector's value
-      times 2**64, off by less than B(v).  E is linear and
-      E(D, 0, 0, 0) = D << 64 exactly, so
-      E(y_j) = E(a) + j*E(d) - w*(D << 64) costs one add per step and
+    * exactnum._dyadic gives p-bit estimates E(v) of a vector's value
+      times 2**p, off by less than B(v), p = exactnum._PRECISION.  E is
+      linear and E(D, 0, 0, 0) = D << p exactly, so
+      E(y_j) = E(a) + j*E(d) - w*(D << p) costs one add per step and
       one subtraction per wrap.  B ignores the rational coordinate and
       is subadditive, so B(y_j) <= B(a) + j*B(d): the error bound grows
       by one add per step, linearly in j.
@@ -370,7 +370,7 @@ def code_orbit(
       estimates.  The wrap point bounds interval 0 below and the last
       interval above; y_j in [0, 1) is exact, so their sentinels -1
       and 2 can only send a step to the fallback.
-    * y_j + angle wraps when its estimate clears D << 64 by more than
+    * y_j + angle wraps when its estimate clears D << p by more than
       its bound, and does not when it falls short by more.
 
     Every other step, and every wrap too close to call, takes the exact
@@ -392,7 +392,7 @@ def code_orbit(
     cuts = [(cut, cut.scaled_coeffs(denom)) for cut in partition.cuts]
     estimates = [_dyadic(vector) for _, vector in cuts]
     keys = [key for key, _ in estimates]
-    one = denom << 64
+    one, _ = _dyadic((denom, 0, 0, 0))  # denom * 2**p, exactly
     lows = [-one] + [key + bound for key, bound in estimates]
     highs = [key - bound for key, bound in estimates] + [2 * one]
     estimate, error = _dyadic((a0, a1, a2, a3))

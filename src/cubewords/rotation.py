@@ -4,9 +4,10 @@ Consecutive returns to the face X = 0 add the same exact angle to the
 Y coordinate, so everything about return words reduces to coding an
 irrational rotation against an interval partition, which
 returns.code_orbit does exactly.  This module records a coding with its
-angle, partition and start, measures the complexity of its word, and
-computes the Z-module rank of the numbers steering a coding, which
-predicts the slope of that complexity.
+angle, partition and start, measures the complexity profile of its
+word, whose law is the affine tail of the stable counts, and computes
+the Z-module rank of the numbers steering a coding, which predicts the
+slope of that law.
 """
 
 from __future__ import annotations
@@ -14,11 +15,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .exactnum import FieldNumber, _field
 from .returns import CellLabel, CirclePartition, code_orbit
-from .words import ComplexityProfile, complexity, fit_complexity_tail
+from .words import ComplexityProfile, complexity
 
 
 @dataclass(frozen=True)
@@ -82,33 +83,12 @@ def zmodule_rank(generators: Sequence[FieldNumber]) -> int:
     return rank
 
 
-@dataclass(frozen=True)
-class CodingComplexity:
-    """Complexity profile of a coded orbit plus its fitted affine tail."""
-
-    profile: ComplexityProfile
-    slope: Optional[Fraction]
-    intercept: Optional[Fraction]
-    threshold: Optional[int]
-
-    @property
-    def law(self) -> Optional[tuple[Fraction, Fraction, int]]:
-        if self.slope is None:
-            return None
-        return self.slope, self.intercept, self.threshold
-
-
-def coding_complexity(rc: RotationCoding, n_max: int) -> CodingComplexity:
-    """Measured factor counts of the coded word and their affine tail.
+def coding_complexity(rc: RotationCoding, n_max: int) -> ComplexityProfile:
+    """Measured factor counts of the coded word; the profile's law is their affine tail.
 
     The law is reported from the data, never assumed: the profile is
-    computed on the word as given and the tail fit starts at the first
+    computed on the word as given and its tail fit starts at the first
     n0 from which every stabilized count lies on one line.  Callers
     compare the slope against zmodule_rank predictions themselves.
     """
-    profile = complexity(rc.symbols, n_max)
-    law = fit_complexity_tail(profile.full_counts[: profile.stable_through])
-    slope, intercept, threshold = law or (None, None, None)
-    return CodingComplexity(
-        profile=profile, slope=slope, intercept=intercept, threshold=threshold
-    )
+    return complexity(rc.symbols, n_max)

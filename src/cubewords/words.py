@@ -250,9 +250,12 @@ class ComplexityProfile:
     """Factor counts of a window together with their stability record."""
 
     word_length: int
-    n_max: int
     full_counts: tuple[int, ...]
     half_counts: tuple[int, ...]
+
+    @property
+    def n_max(self) -> int:
+        return len(self.full_counts)
 
     def p(self, n: int) -> int:
         if not 1 <= n <= self.n_max:
@@ -264,9 +267,7 @@ class ComplexityProfile:
 
     def stable(self, n: int) -> bool:
         """True when the half window already saw every factor of length n."""
-        if not 1 <= n <= self.n_max:
-            raise ValueError(f"length {n} outside profile range 1..{self.n_max}")
-        return self.full_counts[n - 1] == self.half_counts[n - 1]
+        return self.p(n) == self.half_counts[n - 1]
 
     def require_stable(self, n: int) -> int:
         if not self.stable(n):
@@ -280,6 +281,17 @@ class ComplexityProfile:
             if not self.stable(n):
                 return n - 1
         return self.n_max
+
+    @property
+    def law(self) -> Optional[tuple[Fraction, Fraction, int]]:
+        """The affine tail (slope, intercept, n0) of the stable counts, from fit_complexity_tail."""
+        return fit_complexity_tail(self.full_counts[: self.stable_through])
+
+    @property
+    def slope(self) -> Optional[Fraction]:
+        """The law's slope, or None when the stable counts have no affine tail."""
+        law = self.law
+        return None if law is None else law[0]
 
 
 def complexity(word: str, n_max: int) -> ComplexityProfile:
@@ -297,7 +309,6 @@ def complexity(word: str, n_max: int) -> ComplexityProfile:
     half = len(word) // 2
     return ComplexityProfile(
         word_length=len(word),
-        n_max=n_max,
         full_counts=_prefix_counts(_windows(word, n_max), n_max),
         half_counts=_prefix_counts(_windows(word[:half], n_max), n_max),
     )

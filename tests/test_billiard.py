@@ -1,5 +1,6 @@
 """Billiard engine: crossing order, wall conventions, validation."""
 
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -193,14 +194,16 @@ def test_other_family_member():
 
 
 def test_direction_and_start_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^the rational speed r must be positive$"):
         Direction(0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^the rational speed r must be positive$"):
         Direction(Fraction(-1, 2))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^coordinate a=2 outside \[0, 1\]$"):
         StartPoint(2, 0, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^coordinate b=-1/3 outside \[0, 1\]$"):
         StartPoint(0, -Fraction(1, 3), 0)
+    with pytest.raises(ValueError, match=r"^coordinate c=1\*phi outside \[0, 1\]$"):
+        StartPoint(0, 0, PHI)
     assert StartPoint(0, 0, 1).integral_axes == "abc"
     assert StartPoint(0, HALF, 1).integral_axes == "ac"
     assert not StartPoint(0, HALF, HALF).is_degenerate
@@ -208,6 +211,39 @@ def test_direction_and_start_validation():
         StartPoint(0, 0.5, 0.25)
     # grammar strings still parse
     assert StartPoint("0", "1/2", "2-phi") == StartPoint(0, HALF, 2 - PHI)
+
+
+def test_records_compare_and_hash_by_value():
+    # int, Fraction, str and FieldNumber inputs coerce to one stored value
+    directions = [Direction(2), Direction(Fraction(2)), Direction("2"), Direction("4/2")]
+    starts = [
+        StartPoint(0, HALF, 1),
+        StartPoint(Fraction(0), "1/2", FieldNumber(1)),
+        StartPoint("0", FieldNumber(HALF), Fraction(2, 2)),
+    ]
+    for records in (directions, starts):
+        assert all(record == records[0] for record in records)
+        assert len({hash(record) for record in records}) == 1
+        assert len(set(records)) == 1
+    assert Direction() == GOLDEN_DIRECTION == Direction("1/2")
+    assert Direction(2) != Direction(3) and Direction(2) != 2
+    assert StartPoint(0, HALF, 1) != StartPoint(0, HALF, HALF)
+    assert type(directions[2].r) is Fraction
+    assert all(type(value) is FieldNumber for value in starts[1].coords)
+    assert starts[1].coords == (starts[1].x, starts[1].y, starts[1].z)
+
+
+def test_records_are_frozen_dataclasses():
+    assert [field.name for field in dataclasses.fields(Direction)] == ["r"]
+    assert [field.name for field in dataclasses.fields(StartPoint)] == ["x", "y", "z"]
+    direction, start = Direction(Fraction(1, 3)), StartPoint(0, HALF, HALF)
+    for record, name in ((direction, "r"), (start, "x"), (start, "z"), (start, "w")):
+        with pytest.raises(AttributeError):
+            setattr(record, name, 1)
+    assert direction.r == Fraction(1, 3) and start.coords == (0, HALF, HALF)
+    assert repr(GOLDEN_DIRECTION) == "Direction(Fraction(1, 2))"
+    assert repr(StartPoint(0, HALF, HALF)) == "StartPoint(0, 1/2, 1/2)"
+    assert repr(StartPoint(0, "1/3", 2 - PHI)) == "StartPoint(0, 1/3, 2-1*phi)"
 
 
 def test_zero_and_tiny_lengths():
@@ -602,10 +638,8 @@ def fraction_validate(start, direction=GOLDEN_DIRECTION, horizon=1000):
         for tie in fraction_pair_ties(first, second, time_bound)
     ]
     ties.sort(key=lambda event: event.time)
-    degenerate = start.is_degenerate
     return Validation(
-        ok=not degenerate and not ties,
-        degenerate_start=degenerate,
+        degenerate_start=start.is_degenerate,
         ties=tuple(ties),
         horizon=horizon,
         time_bound=time_bound,

@@ -12,6 +12,7 @@ from fractions import Fraction
 import pytest
 
 from cubewords import cli, words
+from cubewords.billiard import Direction, StartPoint, trace_letters
 from cubewords.cli import main, parse_args, run
 from cubewords.exactnum import FieldNumber, reduce_mod1
 from cubewords.verification import CriterionResult
@@ -188,6 +189,27 @@ class TestComplexity:
         assert first == ["1", "3", "4", "1"]
         last = lines[-1].split("\t")
         assert last[0] == "20" and last[2] == ""
+
+    @pytest.mark.parametrize(
+        "m, r, letters, n_max",
+        [
+            ("0,1/2,1/2", "1/2", 40, 20),
+            ("0,1/5,2/7", "1/2", 60, 30),
+            ("0,0,sqrt2-1", "1/3", 500, 12),
+            ("0,1/5,2/7", "3", 300, 20),
+        ],
+    )
+    def test_law_line_is_the_profile_law(self, capsys, m, r, letters, n_max):
+        argv = ["complexity", "--m", m, "--r", r, "--letters", str(letters), "--n-max", str(n_max)]
+        start = StartPoint(*m.split(","))
+        profile = words.complexity(trace_letters(start, Direction(r), letters), n_max)
+        law = cli._fit_meta(profile.law)
+        status, out, _ = invoke(capsys, *argv)
+        assert status == 0
+        assert out.splitlines()[1] == "# law\t" + cli._text(law)
+        status, out, _ = invoke(capsys, *argv, "--format", "json")
+        assert status == 0
+        assert json.loads(out)["law"] == law
 
     def test_profile_is_built_once(self, capsys, monkeypatch):
         calls = []

@@ -366,6 +366,10 @@ class TestCensus:
     def test_union_table(self, small_census):
         assert small_census.union_p(1) == 3
         assert small_census.union_p(2) == 7
+        assert small_census.union_p(25) == small_census.union_counts[-1]
+        for n in (0, 26):
+            with pytest.raises(ValueError, match=r"outside table range 1\.\.25$"):
+                small_census.union_p(n)
 
     def test_one_partition_per_sample(self, monkeypatch):
         calls = []
@@ -387,6 +391,10 @@ class TestUnionComplexity:
         assert table.p(1) == 3
         assert table.p(2) == 7
         assert table.sample_count == 3
+        assert len(table.counts) == 12
+        for n in (0, 13):
+            with pytest.raises(ValueError, match=r"outside table range 1\.\.12$"):
+                table.p(n)
 
     def test_monotone_in_samples(self):
         samples = [

@@ -565,6 +565,16 @@ def test_dyadic_bound_encloses_the_oracle():
         assert _dyadic(vector) == _dyadic(vector, basis_approx(64))
 
 
+def test_dyadic_estimate_of_an_integer_is_exact():
+    # code_orbit and the circle sweep read denom * 2**p off this estimate
+    rng = random.Random(6363)
+    precision = exactnum._PRECISION
+    for d in [0, 1, 2, 97] + [rng.randrange(1, 10**30) for _ in range(200)]:
+        assert _dyadic((d, 0, 0, 0)) == (d << precision, 2)
+        assert _dyadic((-d, 0, 0, 0)) == (-d << precision, 2)
+    assert basis_approx(precision) is basis_approx(precision)
+
+
 def test_dyadic_estimate_is_linear_and_bound_subadditive():
     rng = random.Random(6565)
     for _ in range(300):

@@ -1,8 +1,10 @@
-"""The package's modules import each other without a cycle.
+"""The package's modules import each other without a cycle, and keep no unused import.
 
 ast.walk also sees imports inside function bodies, so a deferred import
 cannot hide a cycle.  Like test_exports.py, this keeps a later change
-from bringing one back.
+from bringing one back.  A removal can leave the names it alone used
+imported; every module but __init__.py, whose imports are the package's
+exports, must read each name it imports.
 """
 
 import ast
@@ -70,3 +72,45 @@ def test_imports_inside_functions_count():
 def test_package_imports_form_no_cycle():
     cycle = find_cycle(relative_imports())
     assert cycle == [], " -> ".join(cycle)
+
+
+def unused_imports(source: str) -> list[str]:
+    """The names a module's source imports but never reads; from __future__ is exempt.
+
+    Annotations are expressions in the tree even under postponed
+    evaluation, so a name read only in an annotation counts as read.
+    """
+    tree = ast.parse(source)
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [alias.asname or alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [alias.asname or alias.name for alias in node.names]
+    read = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    return [name for name in imported if name not in read]
+
+
+def test_unused_import_reader():
+    source = (
+        "from __future__ import annotations\n"
+        "import os.path\nimport sys as system\n"
+        "from typing import Optional, Sequence\nfrom .words import complexity\n"
+        "def f(x: Optional[int]) -> None:\n    system.exit(complexity)\n"
+    )
+    assert unused_imports(source) == ["os", "Sequence"]
+
+
+def test_no_module_keeps_an_unused_import():
+    unused = {
+        path.name: names
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "__init__.py"
+        for names in [unused_imports(path.read_text(encoding="utf-8"))]
+        if names
+    }
+    assert unused == {}

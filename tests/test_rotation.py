@@ -431,14 +431,13 @@ class TestCodingComplexity:
         return coding_complexity(rc, n_max)
 
     def test_zero_circle_law(self):
-        report = self.run_coding(F(0), fr(1, 7))
-        profile = report.profile
+        profile = self.run_coding(F(0), fr(1, 7))
         assert profile.stable_through >= 38
         for n in range(1, 36):
             assert profile.p(n) == 2 * n + 1
-        assert report.slope == 2
-        assert report.intercept == 1
-        assert report.threshold == 1
+        assert profile.slope == 2
+        assert profile.law[1] == 1
+        assert profile.law[2] == 1
 
     def test_golden_circle_law(self):
         # p(2) = 7, not 9: three of the five step-one refinement points
@@ -446,24 +445,22 @@ class TestCodingComplexity:
         # (5-3phi)+a = 2-phi, (2-phi)+a = phi-1 and (4-2phi)+a = 1, so the
         # law is 2n+3 from n = 2 onward.  Verified both by counting the
         # refined cut orbit by hand and by the suffix automaton here.
-        report = self.run_coding(2 - PHI, fr(1, 9))
-        profile = report.profile
+        profile = self.run_coding(2 - PHI, fr(1, 9))
         assert profile.p(1) == 4
         for n in range(2, 36):
             assert profile.p(n) == 2 * n + 3
-        assert report.slope == 2
-        assert report.intercept == 3
-        assert report.threshold == 2
+        assert profile.slope == 2
+        assert profile.law[1] == 3
+        assert profile.law[2] == 2
 
     def test_quartic_circle_law(self):
-        report = self.run_coding(SQRT2 - 1, fr(1, 11), steps=12_000)
-        profile = report.profile
+        profile = self.run_coding(SQRT2 - 1, fr(1, 11), steps=12_000)
         assert profile.p(1) == 4
         for n in range(2, 36):
             assert profile.p(n) == 4 * n + 2
-        assert report.slope == 4
-        assert report.intercept == 2
-        assert report.threshold == 2
+        assert profile.slope == 4
+        assert profile.law[1] == 2
+        assert profile.law[2] == 2
 
     def test_slope_matches_rank(self):
         for s, expected in ((F(0), 2), (2 - PHI, 2), (SQRT2 - 1, 4)):
@@ -491,6 +488,7 @@ class TestCodingComplexity:
             angle=TRANSLATION_ANGLE, partition=part, start=F(0), word=scrambled
         )
         report = coding_complexity(rc, 10)
+        assert report == complexity(rc.symbols, 10)
         assert report.slope is None
         assert report.law is None
 

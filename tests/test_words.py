@@ -321,6 +321,23 @@ def test_stability_and_unstable_errors():
         profile.p(0)
 
 
+def test_profile_owns_its_law():
+    # seeded words with and without an affine tail, stable or not at the top
+    rng = random.Random(2302)
+    samples = [fibonacci_word(400), "abc" * 40, "ab" * 3 + "c" * 50]
+    samples += ["".join(rng.choice("abc"[:k]) for _ in range(rng.randrange(8, 300))) for k in (2, 3) * 20]
+    for word in samples:
+        for n_max in {1, 2, len(word) // 4 or 1, len(word) // 2}:
+            profile = complexity(word, n_max)
+            assert profile.n_max == len(profile.full_counts) == n_max
+            law = fit_complexity_tail(profile.full_counts[: profile.stable_through])
+            assert profile.law == law
+            assert profile.slope == (None if law is None else law[0])
+            with pytest.raises(ValueError, match=f"outside profile range 1..{n_max}"):
+                profile.stable(n_max + 1)
+    assert complexity(fibonacci_word(400), 100).law == (1, 1, 1)
+
+
 def test_periodic_word_profile():
     profile = complexity("abc" * 400, 10)
     assert all(profile.p(n) == 3 for n in range(1, 11))
