@@ -229,6 +229,11 @@ class FieldNumber:
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("FieldNumber is immutable")
 
+    def __reduce__(self) -> tuple[type, tuple[Fraction, Fraction, Fraction, Fraction]]:
+        # copy and pickle rebuild the number from its coefficients; the
+        # default would restore the slots through __setattr__, which refuses
+        return type(self), self.coeffs
+
     # -- constructors ------------------------------------------------
 
     @classmethod

@@ -231,16 +231,16 @@ def return_words(word: str) -> ReturnWords:
 
     The final stretch, which is only bounded by the window and not by a
     further occurrence, is reported as trailing, not as a return word.
+    The blocks are read from one str.split on the letter a.
     """
-    positions = [i for i, ch in enumerate(word) if ch == "a"]
-    if len(positions) < 2:
+    pieces = word.split("a")
+    if len(pieces) < 3:
         raise InsufficientOccurrences(
-            f"need at least two occurrences of 'a', found {len(positions)}"
+            f"need at least two occurrences of 'a', found {len(pieces) - 1}"
         )
-    blocks = tuple(
-        word[lo:hi] for lo, hi in zip(positions, positions[1:])
-    )
-    return ReturnWords(blocks=blocks, trailing=word[positions[-1] :])
+    # pieces[0] precedes the first a; each later piece follows one a
+    blocks = tuple(["a" + piece for piece in pieces[1:-1]])
+    return ReturnWords(blocks=blocks, trailing="a" + pieces[-1])
 
 
 def translation_step(r: Fraction) -> FieldNumber:

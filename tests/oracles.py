@@ -24,6 +24,7 @@ from cubewords.returns import (
     FacePartition,
     HitsCut,
     InsufficientOccurrences,
+    ReturnWords,
     return_words,
 )
 
@@ -97,6 +98,20 @@ def empirical_cells(r: Fraction) -> dict[str, list[tuple[Fraction, Fraction]]]:
                 continue
             found.setdefault(block, []).append((y, z))
     return found
+
+
+def scanned_return_words(word: str) -> ReturnWords:
+    """Return words cut at the positions of a found by one scan of the letters.
+
+    The route returns.return_words replaces with one str.split on a.
+    """
+    positions = [i for i, ch in enumerate(word) if ch == "a"]
+    if len(positions) < 2:
+        raise InsufficientOccurrences(
+            f"need at least two occurrences of 'a', found {len(positions)}"
+        )
+    blocks = tuple(word[lo:hi] for lo, hi in zip(positions, positions[1:]))
+    return ReturnWords(blocks=blocks, trailing=word[positions[-1] :])
 
 
 def red_z(y: FieldNumber) -> FieldNumber:

@@ -1,7 +1,9 @@
 """Billiard engine: crossing order, wall conventions, validation."""
 
+import copy
 import dataclasses
 import itertools
+import pickle
 import random
 from fractions import Fraction
 
@@ -244,6 +246,30 @@ def test_records_are_frozen_dataclasses():
     assert repr(GOLDEN_DIRECTION) == "Direction(Fraction(1, 2))"
     assert repr(StartPoint(0, HALF, HALF)) == "StartPoint(0, 1/2, 1/2)"
     assert repr(StartPoint(0, "1/3", 2 - PHI)) == "StartPoint(0, 1/3, 2-1*phi)"
+
+
+@pytest.mark.parametrize("route", ["copy", "deepcopy", "pickle"])
+def test_records_holding_field_numbers_copy_and_pickle(route):
+    round_trip = {
+        "copy": copy.copy,
+        "deepcopy": copy.deepcopy,
+        "pickle": lambda value: pickle.loads(pickle.dumps(value)),
+    }[route]
+    tied = StartPoint(0, HALF, (3 - PHI) / 2)
+    records = [
+        StartPoint(0, "1/2", "1/3"),
+        StartPoint(0, 0, SQRT2 - 1),
+        tied,
+        validate(tied, horizon=20),  # ties with FieldNumber times
+        validate(StartPoint(0, HALF, HALF), horizon=200),
+        trace(tied, length=24),  # times included
+        trace(StartPoint(0, 0, 2 - PHI), length=300),
+    ]
+    assert records[3].ties and records[5].times
+    for record in records:
+        copied = round_trip(record)
+        assert type(copied) is type(record)
+        assert copied == record and hash(copied) == hash(record)
 
 
 def test_zero_and_tiny_lengths():

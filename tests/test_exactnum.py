@@ -1,6 +1,8 @@
 """Exact field arithmetic: algebra, ordering, floor, parsing."""
 
+import copy
 import math
+import pickle
 import random
 from fractions import Fraction
 from functools import cmp_to_key
@@ -573,6 +575,30 @@ def test_dyadic_estimate_of_an_integer_is_exact():
         assert _dyadic((d, 0, 0, 0)) == (d << precision, 2)
         assert _dyadic((-d, 0, 0, 0)) == (-d << precision, 2)
     assert basis_approx(precision) is basis_approx(precision)
+
+
+ROUND_TRIPS = {
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+    "pickle": lambda value: pickle.loads(pickle.dumps(value)),
+}
+
+
+@pytest.mark.parametrize("route", ROUND_TRIPS)
+def test_field_numbers_copy_and_pickle(route):
+    rng = random.Random(6464)
+    numbers = [FieldNumber(1), FieldNumber(0), FieldNumber(Fraction(-7, 3))]  # rational
+    numbers += [PHI, 2 * PHI - 3, (3 - PHI) / 2]  # golden
+    numbers += [SQRT2 - 1, PHI_SQRT2 / 5 - SQRT2 + Fraction(1, 9)]  # quartic
+    numbers += [random_field_number(rng) for _ in range(40)]
+    for number in numbers:
+        copied = ROUND_TRIPS[route](number)
+        assert type(copied) is FieldNumber
+        assert copied == number and hash(copied) == hash(number)
+        assert copied.coeffs == number.coeffs
+        assert str(copied) == str(number)
+    with pytest.raises(AttributeError, match="FieldNumber is immutable"):
+        copy.copy(PHI)._num = (0, 0, 0, 0)
 
 
 def test_dyadic_estimate_is_linear_and_bound_subadditive():

@@ -34,7 +34,15 @@ from cubewords.returns import (
     return_words,
     translation_step,
 )
-from oracles import blue_z, empirical_cells, interval_of, label_of, lengths, red_z
+from oracles import (
+    blue_z,
+    empirical_cells,
+    interval_of,
+    label_of,
+    lengths,
+    red_z,
+    scanned_return_words,
+)
 
 F = FieldNumber
 A1, A2, A3, A4, A5, A6, A7 = CellLabel
@@ -380,6 +388,18 @@ class TestPredictionAgainstFieldOracle:
         bounded(60, check)
 
 
+def assert_same_return_words(word):
+    """return_words and the position scan agree: blocks, trailing part, or the error."""
+    try:
+        expected = scanned_return_words(word)
+    except InsufficientOccurrences as error:
+        with pytest.raises(InsufficientOccurrences) as raised:
+            return_words(word)
+        assert str(raised.value) == str(error)
+        return
+    assert return_words(word) == expected, word
+
+
 class TestReturnWords:
     def test_blocks_and_trailing(self):
         rw = return_words("abcabcabbacb")
@@ -398,6 +418,51 @@ class TestReturnWords:
         rebuilt = "".join(rw.blocks) + rw.trailing
         assert rebuilt == word[word.index("a") :]
         assert set(rw.blocks) <= {label.word for label in CellLabel}
+
+    @pytest.mark.parametrize(
+        "word",
+        [
+            "aa",
+            "aaaaaa",
+            "ab",  # one a: found 1
+            "ba",
+            "a",
+            "",  # no a: found 0
+            "bcbc",
+            "bcbcbca",  # one a, at the end
+            "abca",  # the trailing part is a single a
+            "bbabcbca",
+            "bcbcabca",
+            "bbbbbbbbbbab",  # a long stretch before the first a
+            "abcabcabbacba",
+            "a\u00e9a\u4e00\U0001f600a\0a",  # letters past ASCII and NUL
+            "\u00e9\u00e9a\u00e9",
+        ],
+    )
+    def test_split_matches_the_position_scan(self, word):
+        assert_same_return_words(word)
+
+    def test_split_matches_the_position_scan_on_random_words(self):
+        rng = random.Random(2424)
+        for alphabet in ("abc", "ab", "a\u00e9\u4e00", "abcdefg"):
+            for _ in range(300):
+                length = rng.randint(0, 40)
+                word = "".join(rng.choice(alphabet) for _ in range(length))
+                if rng.random() < 0.3:
+                    word = word.replace("a", "") + word  # a stretch with no a first
+                assert_same_return_words(word)
+        for start in (StartPoint(0, fr(1, 2), fr(1, 2)), StartPoint(0, 0, SQRT2 - 1)):
+            word = trace_letters(start, length=8000)
+            for head in (word, word[1:], word[: word.rindex("a") + 1], "bbb" + word):
+                assert_same_return_words(head)
+
+    def test_insufficient_counts_the_occurrences(self):
+        for word, found in (("", 0), ("bcbc", 0), ("a", 1), ("bcabcc", 1), ("cccca", 1)):
+            message = f"need at least two occurrences of 'a', found {found}"
+            with pytest.raises(InsufficientOccurrences, match=message):
+                return_words(word)
+            with pytest.raises(InsufficientOccurrences, match=message):
+                scanned_return_words(word)
 
     def test_mean_return_length_approaches_three(self):
         word = trace_letters(StartPoint(0, fr(1, 2), fr(1, 2)), length=100_000)

@@ -338,6 +338,39 @@ def test_profile_owns_its_law():
     assert complexity(fibonacci_word(400), 100).law == (1, 1, 1)
 
 
+def looped_cassaigne_failures(word, n_max):
+    """cassaigne_check by one stability and increment call per length, sums from the censuses."""
+    profile = complexity(word, n_max)
+    checked = [n for n in range(1, n_max - 1) if all(map(profile.stable, (n, n + 1, n + 2)))]
+    sums = census_bispecial_sums(word, checked[-1]) if checked else ()
+    increments = {n: profile.s(n + 1) - profile.s(n) for n in checked}
+    return [(n, increments[n], sums[n - 1]) for n in checked if increments[n] != sums[n - 1]]
+
+
+def test_profile_reads_match_the_per_length_calls():
+    # stable_through, the checked lengths and increments of cassaigne_check
+    # and is_sturmian read the count tuples in one pass; the per-length
+    # calls are the plain route, on words stable, unstable and in between
+    rng = random.Random(2424)
+    samples = [fibonacci_word(300), "ab" * 60, "aab" * 30 + "b" * 40, "a" * 80 + "b"]
+    samples += [
+        "".join(rng.choice("abc"[:k]) for _ in range(rng.randrange(6, 120))) for k in (2, 3) * 30
+    ]
+    for word in samples:
+        for n_max in {1, 3, len(word) // 4 or 1, len(word) // 2}:
+            profile = complexity(word, n_max)
+            top = next((n - 1 for n in range(1, n_max + 1) if not profile.stable(n)), n_max)
+            assert profile.stable_through == top, (word, n_max)
+            expected = looped_cassaigne_failures(word, n_max)
+            assert cassaigne_check(word, n_max) == expected, (word, n_max)
+            if top == 0:
+                with pytest.raises(UnstableLength):
+                    is_sturmian(word, n_max)
+            else:
+                sturmian = all(profile.p(n) == n + 1 for n in range(1, top + 1))
+                assert is_sturmian(word, n_max) == sturmian, (word, n_max)
+
+
 def test_periodic_word_profile():
     profile = complexity("abc" * 400, 10)
     assert all(profile.p(n) == 3 for n in range(1, 11))
@@ -461,16 +494,32 @@ def test_windows_of_traced_words():
             assert words._windows(word, width) == sliced_windows(word, width), width
 
 
+def test_windows_where_the_separator_grows_with_the_width():
+    # width // 4 > _ANCHOR at every one of these widths
+    rng = random.Random(3134)
+    texts = [
+        "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 700)))
+        for alphabet in ("ab", "abc", "aab") * 4
+    ]
+    texts += ["abc" * 300, "ab" * 400 + "b", "a" * 500, fibonacci_word(900)]
+    texts += [trace_letters(start, length=3000) for start in REFERENCE_STARTS]
+    for word in texts:
+        for width in (24, 52, 100, 103, 205):
+            assert words._windows(word, width) == sliced_windows(word, width), (word[:20], width)
+
+
 def test_windows_do_not_depend_on_the_anchor(monkeypatch):
     # any anchor set containing position 0 is correct; the separator
-    # length only sets how many spans are expanded
+    # length, max(_ANCHOR, width // 4), only sets how many spans are
+    # expanded.  Widths 24 and 52 take width // 4 under the small
+    # anchors and _ANCHOR under the large ones.
     rng = random.Random(88)
     texts = ["".join(rng.choice("ab") for _ in range(rng.randint(0, 50))) for _ in range(40)]
     texts.append(trace_letters(REFERENCE_STARTS[2], length=500))
     for anchor in (1, 2, 3, 9, 40):
         monkeypatch.setattr(words, "_ANCHOR", anchor)
         for word in texts:
-            for width in (1, 4, 11):
+            for width in (1, 4, 11, 24, 52):
                 assert words._windows(word, width) == sliced_windows(word, width)
 
 
@@ -581,10 +630,13 @@ def scanned_common_prefix(a, b):
         ("\u0101b", "\u0101c"),  # letters outside Latin-1 take the wide codes
         ("\U0010ffff", "\U0010ffff\0"),
         ("\ud800a", "\ud800b"),  # a lone surrogate is a letter like any other
+        ("a\u00ff", "a"),  # code 0xff beside the shorter text's padding
+        ("a\x7f", "a"),  # the largest ASCII code beside the padding
     ],
     ids=[
         "empty", "one-empty", "equal", "prefix", "extension", "first", "last", "one", "long",
-        "nul-pad", "nul-run", "nul-inside", "wide", "wide-nul", "surrogate",
+        "nul-pad", "nul-run", "nul-inside", "wide", "wide-nul", "surrogate", "latin-pad",
+        "ascii-pad",
     ],
 )
 def test_common_prefix_on_hand_cases(a, b, bounded):
@@ -611,6 +663,17 @@ def test_common_prefix_matches_the_scan_on_random_texts(bounded):
             assert words._common_prefixes([a, b]) == [scanned_common_prefix(a, b)], (a, b)
 
     bounded(5, check)
+
+
+@pytest.mark.parametrize("width", [16, 100, 2000])
+def test_common_prefixes_of_sorted_window_tables(width):
+    # sorted windows as _prefix_counts reads them: width 16 of the union
+    # counts, 100 of a long word's profile, 2000 of the widest request
+    for start in REFERENCE_STARTS:
+        table = sorted(words._windows(trace_letters(start, length=3000), width))
+        assert words._common_prefixes(table) == [
+            scanned_common_prefix(a, b) for a, b in zip(table, table[1:])
+        ], start
 
 
 def test_common_prefixes_of_a_list_are_the_adjacent_pairs():
