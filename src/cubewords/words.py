@@ -50,9 +50,10 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from itertools import accumulate, compress, count, islice, repeat
-from operator import eq, ne, rshift, xor
+from operator import eq, rshift, xor
 from typing import Collection, Optional, Sequence
 
 
@@ -276,17 +277,25 @@ class ComplexityProfile:
     def n_max(self) -> int:
         return len(self.full_counts)
 
-    def p(self, n: int) -> int:
+    def _index(self, n: int) -> int:
         if not 1 <= n <= self.n_max:
             raise ValueError(f"length {n} outside profile range 1..{self.n_max}")
-        return self.full_counts[n - 1]
+        return n - 1
+
+    def p(self, n: int) -> int:
+        return self.full_counts[self._index(n)]
 
     def s(self, n: int) -> int:
         return self.p(n + 1) - self.p(n)
 
+    @cached_property
+    def _stable_flags(self) -> tuple[bool, ...]:
+        """Per length 1..n_max, whether the half window already saw every factor of it."""
+        return tuple(map(eq, self.full_counts, self.half_counts))
+
     def stable(self, n: int) -> bool:
         """True when the half window already saw every factor of length n."""
-        return self.p(n) == self.half_counts[n - 1]
+        return self._stable_flags[self._index(n)]
 
     def require_stable(self, n: int) -> int:
         if not self.stable(n):
@@ -295,9 +304,9 @@ class ComplexityProfile:
 
     @property
     def stable_through(self) -> int:
-        """Largest m with every length 1..m stable; 0 if none, in one pass over the counts."""
-        unstable = compress(count(), map(ne, self.full_counts, self.half_counts))
-        return next(unstable, self.n_max)
+        """Largest m with every length 1..m stable; 0 if none."""
+        flags = self._stable_flags
+        return flags.index(False) if False in flags else self.n_max
 
     @property
     def law(self) -> Optional[tuple[Fraction, Fraction, int]]:
@@ -428,10 +437,10 @@ def _cassaigne_failures(word: str, profile: ComplexityProfile) -> list[tuple[int
 
     Length n is checked when n, n + 1 and n + 2 are all stable, and its
     increment s(n + 1) - s(n) is p(n + 2) - 2p(n + 1) + p(n); both are
-    read from the count tuples in one pass each.
+    read from the profile in one pass each.
     """
     full = profile.full_counts
-    stable = list(map(eq, full, profile.half_counts))
+    stable = profile._stable_flags
     checked = [
         n for n, a, b, c in zip(count(1), stable, stable[1:], stable[2:]) if a and b and c
     ]

@@ -341,16 +341,18 @@ def test_profile_owns_its_law():
 def looped_cassaigne_failures(word, n_max):
     """cassaigne_check by one stability and increment call per length, sums from the censuses."""
     profile = complexity(word, n_max)
-    checked = [n for n in range(1, n_max - 1) if all(map(profile.stable, (n, n + 1, n + 2)))]
+    stable = [None] + [profile.p(n) == profile.half_counts[n - 1] for n in range(1, n_max + 1)]
+    checked = [n for n in range(1, n_max - 1) if stable[n] and stable[n + 1] and stable[n + 2]]
     sums = census_bispecial_sums(word, checked[-1]) if checked else ()
     increments = {n: profile.s(n + 1) - profile.s(n) for n in checked}
     return [(n, increments[n], sums[n - 1]) for n in checked if increments[n] != sums[n - 1]]
 
 
 def test_profile_reads_match_the_per_length_calls():
-    # stable_through, the checked lengths and increments of cassaigne_check
-    # and is_sturmian read the count tuples in one pass; the per-length
-    # calls are the plain route, on words stable, unstable and in between
+    # stable, stable_through, the checked lengths and increments of
+    # cassaigne_check and is_sturmian read the profile's stable flags and
+    # count tuples in one pass; per-length comparisons of the counts are
+    # the plain route, on words stable, unstable and in between
     rng = random.Random(2424)
     samples = [fibonacci_word(300), "ab" * 60, "aab" * 30 + "b" * 40, "a" * 80 + "b"]
     samples += [
@@ -359,7 +361,9 @@ def test_profile_reads_match_the_per_length_calls():
     for word in samples:
         for n_max in {1, 3, len(word) // 4 or 1, len(word) // 2}:
             profile = complexity(word, n_max)
-            top = next((n - 1 for n in range(1, n_max + 1) if not profile.stable(n)), n_max)
+            flags = [profile.p(n) == profile.half_counts[n - 1] for n in range(1, n_max + 1)]
+            assert [profile.stable(n) for n in range(1, n_max + 1)] == flags, (word, n_max)
+            top = next((n for n, flag in enumerate(flags) if not flag), n_max)
             assert profile.stable_through == top, (word, n_max)
             expected = looped_cassaigne_failures(word, n_max)
             assert cassaigne_check(word, n_max) == expected, (word, n_max)

@@ -1,4 +1,4 @@
-"""Before/after record of two source trees: benchmark pairs, traces, micro timings, reports.
+"""Before/after record of two source trees: benchmark pairs, a traced pair, reports, Tier-1.
 
 Run from the repository root, stdlib only:
 
@@ -7,25 +7,28 @@ Run from the repository root, stdlib only:
 P and C are two complete checkouts, for example ``git archive`` of the
 parent commit and of the change, unpacked side by side.  Each --part
 fills one section of the output file and keeps the others, so the
-parts can run one at a time:
+parts can run one at a time.  Benchmark runs go through each tree's own
+``perfbench/record.py`` (``run_once``, ``summarise``) at the run length
+``run_seconds`` of BENCHMARK.json, one process at a time, with every
+``__pycache__`` of the tree removed before each run:
 
-  pairs    ``perfbench/run.py --trace 0`` of every workload on every seed,
-           one process at a time, the parent first on odd seeds and the
-           change first on even ones, with every ``__pycache__`` of the
-           tree removed before each run; medians, quartiles
-           (``statistics.quantiles(n=4)``) and pairs won per metric
-  traced   one ``--trace 1`` long_words run per tree on one seed: the
-           per-layer metrics it prints and, from its span file, the self
-           time of each ``returns.return_words`` span
-  micro    interleaved child processes, one tree at a time, timing
-           ``words._common_prefixes``, ``words._windows`` and
-           ``returns.return_words`` on traced 8000-letter words
+  pairs    every workload of BENCHMARK.json on every seed of --seeds,
+           untraced, the parent first on odd seeds and the change first
+           on even ones; every run's metrics, and per end-to-end metric
+           both trees' medians and quartiles and the pairs won
+  traced   one traced long_words run per tree on the first seed: the
+           metrics it prints and, from its span file, the calls and
+           mean self time (``perfbench/measure.py``) of every span name
   cli      SHA-256 of standard output and standard error and the exit
            status of every request in REQUESTS, in both formats, from
-           one ``cli.main`` process per tree; then the CPU time of the
-           wide requests in interleaved child processes
+           one ``cli.main`` process per tree
   tier1    ``python -m pytest -q --continue-on-collection-errors`` in
            each tree with ``PYTHONPATH=src``
+  FILE.py  a timing script of the change at hand, run ROUNDS times per
+           tree in a child process with ``PYTHONPATH=<tree>/src``, the
+           trees alternating; its last line of output is a JSON object
+           of numbers, whose medians per tree are kept under ``timings``
+           and the script's name
 
 All times are CPU seconds of the measuring process, as in perfbench.
 """
@@ -33,9 +36,9 @@ All times are CPU seconds of the measuring process, as in perfbench.
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import os
-import platform
 import re
 import shutil
 import statistics
@@ -43,8 +46,9 @@ import subprocess
 import sys
 from pathlib import Path
 
-WORKLOADS = ("long_words", "orbit_coding", "union_growth", "cli_mix")
-METRICS = ("op_tail_ms", "setup_s", "peak_rss_mb")
+ROOT = Path(__file__).resolve().parent.parent
+ROUNDS = 7
+TRACED_WORKLOAD = "long_words"
 
 # Every subcommand at its defaults, the wide complexity requests, the
 # --r 1/3 family, and invalid requests that must exit 1 with a reason.
@@ -72,10 +76,6 @@ REQUESTS = [
     ["trace", "--r", "0"],
     ["trace", "--m", "0,2,1/3"],
 ]
-WIDE = [
-    ["complexity", "--letters", "4000", "--n-max", "2000"],
-    ["complexity", "--letters", "100000", "--n-max", "200"],
-]
 
 CLI_CHILD = r"""
 import contextlib, hashlib, io, json, sys
@@ -98,48 +98,15 @@ for argv in json.loads(sys.argv[1]):
 print(json.dumps(rows))
 """
 
-WIDE_CHILD = r"""
-import contextlib, io, json, sys, time
-from cubewords.cli import main
-times = []
-for argv in json.loads(sys.argv[1]):
-    with contextlib.redirect_stdout(io.StringIO()):
-        start = time.process_time()
-        main(argv)
-        times.append(time.process_time() - start)
-print(json.dumps(times))
-"""
 
-MICRO_CHILD = r"""
-import json, time
-from fractions import Fraction
-from cubewords import returns, words
-from cubewords.billiard import StartPoint, trace_letters
-from cubewords.exactnum import PHI, SQRT2
-
-def best(call, repeats):
-    times = []
-    for _ in range(repeats):
-        start = time.process_time()
-        call()
-        times.append(time.process_time() - start)
-    return min(times) * 1e6
-
-starts = {
-    "zero": StartPoint(0, Fraction(1, 2), Fraction(1, 2)),
-    "golden": StartPoint(0, 0, 2 - PHI),
-    "quartic": StartPoint(0, 0, SQRT2 - 1),
-}
-row = {}
-for name, start in starts.items():
-    word = trace_letters(start, length=8000)
-    table = sorted(words._windows(word, 107))
-    row[f"common_prefixes_107_{name}_us"] = best(lambda: words._common_prefixes(table), 60)
-    for width in (16, 52, 100, 103):
-        row[f"windows_{width}_{name}_us"] = best(lambda: words._windows(word, width), 60)
-    row[f"return_words_{name}_us"] = best(lambda: returns.return_words(word), 60)
-print(json.dumps(row))
-"""
+def perfbench_module(tree: Path, name: str):
+    """The tree's own perfbench/<name>.py, loaded so that its paths point into the tree."""
+    spec = importlib.util.spec_from_file_location(
+        f"{name}_of_{tree.name}", tree / "perfbench" / f"{name}.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def clear_bytecode(tree: Path) -> None:
@@ -147,143 +114,89 @@ def clear_bytecode(tree: Path) -> None:
         shutil.rmtree(cache, ignore_errors=True)
 
 
-def child_env(tree: Path) -> dict:
-    env = dict(os.environ)
-    env["PYTHONPATH"] = str(tree / "src")
-    return env
-
-
-def run_child(tree: Path, code: str, argument: str) -> object:
+def run_child(tree: Path, argv: list[str]) -> object:
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     done = subprocess.run(
-        [sys.executable, "-c", code, argument],
-        cwd=tree, env=child_env(tree), capture_output=True, text=True, check=True,
+        [sys.executable, *argv], cwd=tree, env=env, capture_output=True, text=True, check=True
     )
     return json.loads(done.stdout.splitlines()[-1])
 
 
-def summary(values: list[float]) -> dict:
-    q1, _, q3 = statistics.quantiles(values, n=4)
-    return {"median": statistics.median(values), "q1": q1, "q3": q3, "runs": values}
-
-
-def ordered(trees: dict[str, Path], seed: int) -> list[tuple[str, Path]]:
+def ordered(trees: dict[str, Path], index: int) -> list[tuple[str, Path]]:
     sides = list(trees.items())
-    return sides if seed % 2 else sides[::-1]
+    return sides if index % 2 else sides[::-1]
 
 
-def part_pairs(trees: dict[str, Path], seeds: list[int], seconds: float) -> dict:
-    raw: dict = {w: {side: [] for side in trees} for w in WORKLOADS}
+def part_pairs(trees: dict[str, Path], seeds: list[int], spec: dict) -> dict:
+    seconds = spec["run_seconds"]
+    record = {side: perfbench_module(tree, "record") for side, tree in trees.items()}
+    raw: dict = {w["name"]: {side: [] for side in trees} for w in spec["workloads"]}
     for seed in seeds:
-        for workload in WORKLOADS:
+        for workload, sides in raw.items():
             for side, tree in ordered(trees, seed):
                 clear_bytecode(tree)
-                done = subprocess.run(
-                    [sys.executable, "perfbench/run.py", "--workload", workload,
-                     "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
-                    cwd=tree, capture_output=True, text=True, check=True,
-                )
-                result = json.loads(done.stdout.splitlines()[-1])
-                raw[workload][side].append(result)
-                print(side, seed, workload, json.dumps(result), file=sys.stderr, flush=True)
+                result, environment, _ = record[side].run_once(workload, seed, seconds, 0)
+                sides[side].append(result)
+                print(side, seed, workload, result["failed"],
+                      {m["name"]: result["metrics"][m["name"]]["value"] for m in spec["end_to_end"]},
+                      file=sys.stderr, flush=True)
     workloads = {}
     for workload, sides in raw.items():
+        summary = {side: record[side].summarise(results) for side, results in sides.items()}
         entry: dict = {}
-        for metric in METRICS:
-            per_side = {
-                side: [r["metrics"][metric]["value"] for r in results]
-                for side, results in sides.items()
-            }
-            parent, change = per_side["parent"], per_side["change"]
+        for metric in (m["name"] for m in spec["end_to_end"]):
+            parent, change = summary["parent"][metric], summary["change"][metric]
             entry[metric] = {
-                "parent": summary(parent),
-                "change": summary(change),
-                "pairs_won": sum(c < p for p, c in zip(parent, change)),
-                "median_change_pct": 100 * (statistics.median(change) / statistics.median(parent) - 1),
+                side: {key: summary[side][metric][key] for key in ("median", "q1", "q3", "values")}
+                for side in trees
             }
-        entry["failed"] = {side: sum(r["failed"] for r in results) for side, results in sides.items()}
-        entry["attempted"] = {
-            side: sum(r["attempted"] for r in results) for side, results in sides.items()
-        }
+            entry[metric]["pairs_won"] = sum(c < p for p, c in zip(parent["values"], change["values"]))
+            entry[metric]["median_change_pct"] = 100 * (change["median"] / parent["median"] - 1)
+        for key in ("attempted", "failed"):
+            entry[key] = {side: sum(r[key] for r in results) for side, results in sides.items()}
         workloads[workload] = entry
     return {
-        "command": "python3 perfbench/run.py --workload W --seed N --seconds S --trace 0",
+        "command": f"python3 perfbench/run.py --workload W --seed N --seconds {seconds} --trace 0",
         "seeds": seeds,
-        "seconds": seconds,
         "order": "for each seed, every workload in turn; parent first on odd seeds",
+        "environment": environment,
         "workloads": workloads,
     }
 
 
-def part_traced(trees: dict[str, Path], seed: int, seconds: float) -> dict:
-    keep = ("words.complexity.busy_s", "words.cassaigne_check.busy_s",
-            "words.complexity.letters_per_s", "billiard.trace_letters.busy_s")
-    result = {"seed": seed, "seconds": seconds, "per_round": {}}
+def part_traced(trees: dict[str, Path], seed: int, spec: dict) -> dict:
+    result: dict = {"workload": TRACED_WORKLOAD, "seed": seed}
     for side, tree in ordered(trees, seed):
         clear_bytecode(tree)
-        done = subprocess.run(
-            [sys.executable, "perfbench/run.py", "--workload", "long_words",
-             "--seed", str(seed), "--seconds", str(seconds), "--trace", "1"],
-            cwd=tree, capture_output=True, text=True, check=True,
+        run, _, _ = perfbench_module(tree, "record").run_once(
+            TRACED_WORKLOAD, seed, spec["run_seconds"], 1
         )
-        metrics = json.loads(done.stdout.splitlines()[-1])["metrics"]
+        measure = perfbench_module(tree, "measure")
         payload = json.loads(
-            (tree / "perfbench" / "out" / f"spans-long_words-seed{seed}.json").read_text()
+            (tree / "perfbench" / "out" / f"spans-{TRACED_WORKLOAD}-seed{seed}.json").read_text()
         )
-        fields = payload["fields"]
-        spans = [dict(zip(fields, span)) for span in payload["spans"]]
-        parents = {span["parent"] for span in spans}
-        own = [
-            span["end"] - span["start"]
-            for span in spans
-            if span["name"] == "returns.return_words" and span["id"] not in parents
-        ]
-        entry = {name: metrics[name]["value"] for name in keep if name in metrics}
-        entry["returns.return_words.self_us"] = {
-            "calls": len(own),
-            "median": statistics.median(own) * 1e6,
+        totals = measure.layer_totals([measure.Span(*span) for span in payload["spans"]])
+        result[side] = {
+            "metrics": {name: metric["value"] for name, metric in run["metrics"].items()},
+            "self_us_per_call": {
+                name: {"calls": total.calls, "mean": total.busy / total.calls * 1e6}
+                for name, total in sorted(totals.items())
+            },
         }
-        result["per_round"][side] = entry
     return result
 
 
-def part_micro(trees: dict[str, Path], rounds: int) -> dict:
-    rows: dict = {side: [] for side in trees}
-    for index in range(rounds):
-        for side, tree in ordered(trees, index):
-            rows[side].append(run_child(tree, MICRO_CHILD, ""))
-    result = {}
-    for key in rows["parent"][0]:
-        result[key] = {
-            side: statistics.median(row[key] for row in side_rows)
-            for side, side_rows in rows.items()
-        }
-    return {
-        "how": f"best of 60 calls per child, median over {rounds} children per tree, "
-        "alternating trees; the reference starts' traced 8000-letter words; "
-        "_common_prefixes on the sorted width-107 windows cassaigne_check(word, 52) reads",
-        "us": result,
-    }
-
-
-def part_cli(trees: dict[str, Path], rounds: int) -> dict:
+def part_cli(trees: dict[str, Path]) -> dict:
     argvs = [argv + ["--format", fmt] for argv in REQUESTS for fmt in ("tsv", "json")]
-    reports = {side: run_child(tree, CLI_CHILD, json.dumps(argvs)) for side, tree in trees.items()}
+    reports = {
+        side: run_child(tree, ["-c", CLI_CHILD, json.dumps(argvs)]) for side, tree in trees.items()
+    }
     identical = [p == c for p, c in zip(reports["parent"], reports["change"])]
-    wide: dict = {side: [] for side in trees}
-    for index in range(rounds):
-        for side, tree in ordered(trees, index):
-            wide[side].append(run_child(tree, WIDE_CHILD, json.dumps(WIDE)))
     return {
         "requests": len(argvs),
         "identical": sum(identical),
         "differing": [r["argv"] for r, same in zip(reports["change"], identical) if not same],
         "reports": reports["change"],
-        "wide_cpu_ms": {
-            " ".join(argv): {
-                side: summary([runs[i] * 1e3 for runs in wide[side]]) for side in trees
-            }
-            for i, argv in enumerate(WIDE)
-        },
     }
 
 
@@ -294,11 +207,28 @@ def part_tier1(trees: dict[str, Path]) -> dict:
         done = subprocess.run(
             [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
              "-p", "no:cacheprovider"],
-            cwd=tree, env=child_env(tree), capture_output=True, text=True,
+            cwd=tree, env=dict(os.environ, PYTHONPATH=str(tree / "src")),
+            capture_output=True, text=True,
         )
         tail = [line for line in done.stdout.splitlines() if re.search(r"\d+ (passed|failed)", line)]
         result[side] = tail[-1].strip("= ") if tail else f"exit {done.returncode}"
     return result
+
+
+def part_script(trees: dict[str, Path], script: Path) -> dict:
+    rows: dict = {side: [] for side in trees}
+    for index in range(ROUNDS):
+        for side, tree in ordered(trees, index):
+            rows[side].append(run_child(tree, [str(script)]))
+    return {
+        "script": script.relative_to(ROOT).as_posix(),
+        "how": f"median over {ROUNDS} child processes per tree, trees alternating",
+        "medians": {
+            key: {side: statistics.median(row[key] for row in side_rows)
+                  for side, side_rows in rows.items()}
+            for key in rows["parent"][0]
+        },
+    }
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -306,33 +236,27 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--parent", type=Path, required=True)
     parser.add_argument("--change", type=Path, required=True)
     parser.add_argument("--out", type=Path, required=True)
-    parser.add_argument("--part", required=True,
-                        choices=("pairs", "traced", "micro", "cli", "tier1"))
+    parser.add_argument("--part", required=True, help="pairs, traced, cli, tier1 or a FILE.py")
     parser.add_argument("--seeds", default="1-10", help='inclusive range "a-b"')
-    parser.add_argument("--seconds", type=float, default=20)
-    parser.add_argument("--rounds", type=int, default=7)
     args = parser.parse_args(argv)
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    low, high = map(int, args.seeds.split("-"))
-    seeds = list(range(low, high + 1))
+    low, _, high = args.seeds.partition("-")
+    seeds = list(range(int(low), int(high or low) + 1))
     record = json.loads(args.out.read_text()) if args.out.exists() else {}
-    record["environment"] = {
-        "python": platform.python_version(),
-        "nproc": len(os.sched_getaffinity(0)),
-        "timing": "CPU seconds of the measuring process",
-        "trees": "parent: the parent commit; change: the change; "
-        "every __pycache__ removed before each benchmark run",
-    }
     if args.part == "pairs":
-        record["pairs"] = part_pairs(trees, seeds, args.seconds)
+        record["pairs"] = part_pairs(trees, seeds, spec)
     elif args.part == "traced":
-        record["traced"] = part_traced(trees, seeds[0], args.seconds)
-    elif args.part == "micro":
-        record["micro"] = part_micro(trees, args.rounds)
+        record["traced"] = part_traced(trees, seeds[0], spec)
     elif args.part == "cli":
-        record["cli"] = part_cli(trees, args.rounds)
-    else:
+        record["cli"] = part_cli(trees)
+    elif args.part == "tier1":
         record["tier1"] = part_tier1(trees)
+    elif args.part.endswith(".py"):
+        script = Path(args.part).resolve()
+        record.setdefault("timings", {})[script.stem] = part_script(trees, script)
+    else:
+        parser.error(f"unknown part {args.part!r}")
     args.out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     return 0
 
