@@ -39,7 +39,6 @@ from .returns import (
     return_words,
 )
 from .rotation import (
-    RotationCoding,
     coding_complexity,
     rotation_coding,
     zmodule_rank,
@@ -50,7 +49,6 @@ from .words import (
     SuffixAutomaton,
     cassaigne_check,
     complexity,
-    extension_censuses,
     is_sturmian,
 )
 
@@ -67,7 +65,6 @@ __all__ = [
     "GOLDEN_DIRECTION",
     "PHI",
     "PHI_SQRT2",
-    "RotationCoding",
     "SQRT2",
     "StartPoint",
     "SuffixAutomaton",
@@ -82,7 +79,6 @@ __all__ = [
     "coding_complexity",
     "complexity",
     "delete_letter",
-    "extension_censuses",
     "is_sturmian",
     "kth_return_prediction",
     "letter_frequencies",

@@ -22,12 +22,13 @@ on, are read as limits of trajectories shifted by ``epsilon * (0, +1, -1)``:
 * simultaneous crossings at t > 0 resolve in the order b, a, c, because
   the same shift makes the y crossing earlier and the z crossing later.
 
-Two independent evaluation routes are provided.  raw_crossings merges
-the three progressions with field-number comparisons and is the
-reference; the crossing merge behind trace and trace_letters
-(_merged_axes) sorts bounded integer keys of the crossing times in one
-list.sort per chunk of about _CHUNK crossings, which makes it fast
-enough for words of 10**5 letters and beyond:
+The tests check the crossing merge behind trace and trace_letters
+(_merged_axes) against an independent reference, raw_crossings in
+tests/oracles.py, which merges the three progressions with direct
+field-number comparisons.  The merge itself sorts bounded integer keys
+of the crossing times in one list.sort per chunk of about _CHUNK
+crossings, which makes it fast enough for words of 10**5 letters and
+beyond:
 
 * Keys.  The p-bit dyadic estimates of a chunk's crossing times are
   rebased at the smallest and shifted right by q bits.  Two keys'
@@ -60,7 +61,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations, compress, groupby, islice
 from operator import sub
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .exactnum import (
     FieldNumber,
@@ -444,33 +445,6 @@ def trace_letters(
     return _emit(_cube_axes(start, direction), length, with_times=False)[0]
 
 
-def raw_crossings(
-    start: StartPoint, direction: Direction = GOLDEN_DIRECTION
-) -> Iterator[tuple[FieldNumber, str]]:
-    """Reference crossing stream: (time, letter) pairs in exact order.
-
-    Merges the three progressions with direct field-number comparisons
-    and no dyadic shortcut; kept deliberately independent of the sorted
-    merge of _merged_axes so the two routes can cross-check each other.
-    """
-    specs = _cube_axes(start, direction)
-    zero = FieldNumber(0)
-    for letter in _wall_letters(specs):
-        yield zero, letter
-    plane = [1] * len(specs)
-    current = [
-        (FieldNumber(plane[i]) - spec.offset) * spec.inverse_speed
-        for i, spec in enumerate(specs)
-    ]
-    while True:
-        lead = min(range(len(specs)), key=lambda i: current[i])
-        tied = [i for i in range(len(specs)) if current[i] == current[lead]]
-        for i in tied:
-            yield current[i], specs[i].letter
-            plane[i] += 1
-            current[i] = (FieldNumber(plane[i]) - specs[i].offset) * specs[i].inverse_speed
-
-
 def delete_letter(word: str, letter: str) -> str:
     """Projection of a word obtained by erasing every copy of one letter."""
     if len(letter) != 1:
@@ -501,7 +475,6 @@ class Validation:
 
     degenerate_start: bool
     ties: tuple[SimultaneousCrossing, ...]
-    horizon: int
     time_bound: FieldNumber
 
     @property
@@ -580,6 +553,5 @@ def validate(
     return Validation(
         degenerate_start=start.is_degenerate,
         ties=tuple(ties),
-        horizon=horizon,
         time_bound=time_bound,
     )

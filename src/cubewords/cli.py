@@ -307,11 +307,11 @@ def _cmd_rotation(config: argparse.Namespace) -> tuple[int, list[str], dict]:
         # the final label covers the wrap interval behind the last cut
         "wrap_label": str(partition.labels[-1]),
         "cuts": cuts,
-        "orbit": coding.symbols,
+        "orbit": coding,
     }
     lines = _headers(payload, "command", "s", "angle", "k", "rank", "law", "match", "wrap_label")
     lines += _table(("i", "cut", "cut_decimal", "label"), cuts)
-    lines.append(f"orbit\t{coding.symbols}")
+    lines.append(f"orbit\t{coding}")
     return 0, lines, payload
 
 
@@ -341,7 +341,7 @@ def _cmd_directional(config: argparse.Namespace) -> tuple[int, list[str], dict]:
         )
     payload = {
         "command": "directional",
-        "samples": result.sample_count,
+        "samples": len(schedule),
         "classes": class_meta,
         "rows": rows,
     }

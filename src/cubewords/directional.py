@@ -246,7 +246,6 @@ class UnionComplexity:
 class ClassSummary:
     """One complexity class: members seen, partition size, fitted laws."""
 
-    label: str
     s_values: tuple[str, ...]
     k: int
     law: Optional[_LAW]
@@ -259,7 +258,6 @@ class DirectionalCensus:
 
     classes: dict[str, ClassSummary]
     union_counts: tuple[int, ...]
-    sample_count: int
 
     def union_p(self, n: int) -> int:
         if not 1 <= n <= len(self.union_counts):
@@ -295,17 +293,12 @@ def census(samples: Sequence, n_max: int) -> DirectionalCensus:
         # a quartic member, when there is one, speaks for the class
         quartic = [law for s, _, law in members if s.tag == "quartic"]
         classes[label] = ClassSummary(
-            label=label,
             s_values=tuple(str(s) for s, _, _ in members),
             k=k,
             law=(quartic or [members[0][2]])[0],
             sample_laws=tuple(law for _, _, law in members),
         )
-    return DirectionalCensus(
-        classes=classes,
-        union_counts=_prefix_counts(languages, n_max),
-        sample_count=len(samples),
-    )
+    return DirectionalCensus(classes=classes, union_counts=_prefix_counts(languages, n_max))
 
 
 def union_complexity(samples: Sequence, n_max: int, prefix: int) -> UnionComplexity:

@@ -3,42 +3,21 @@
 Consecutive returns to the face X = 0 add the same exact angle to the
 Y coordinate, so everything about return words reduces to coding an
 irrational rotation against an interval partition, which
-returns.code_orbit does exactly.  This module records a coding with its
-angle, partition and start, measures the complexity profile of its
-word, whose law is the affine tail of the stable counts, and computes
-the Z-module rank of the numbers steering a coding, which predicts the
+returns.code_orbit does exactly.  This module writes a coding as a
+string of cell digits, measures the complexity profile of that string,
+whose law is the affine tail of the stable counts, and computes the
+Z-module rank of the numbers steering a coding, which predicts the
 slope of that law.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Sequence
 
 from .exactnum import FieldNumber, _field
-from .returns import CellLabel, CirclePartition, code_orbit
+from .returns import CirclePartition, code_orbit
 from .words import ComplexityProfile, complexity
-
-
-@dataclass(frozen=True)
-class RotationCoding:
-    """A coded rotation orbit: the angle, partition, start and word."""
-
-    angle: FieldNumber
-    partition: CirclePartition
-    start: FieldNumber
-    word: tuple[CellLabel, ...]
-
-    @cached_property
-    def symbols(self) -> str:
-        """The word as a plain string, one digit 1..7 per step, built once per coding."""
-        # label._value_ is the stored value; .value and hashing an Enum run Python code
-        return bytes([ord("0") + label._value_ for label in self.word]).decode()
-
-    def __len__(self) -> int:
-        return len(self.word)
 
 
 def rotation_coding(
@@ -46,9 +25,11 @@ def rotation_coding(
     partition: CirclePartition,
     angle: FieldNumber,
     n: int,
-) -> RotationCoding:
-    word = code_orbit(y0, partition, angle, n)
-    return RotationCoding(angle=angle, partition=partition, start=_field(y0), word=word)
+) -> str:
+    """The first n labels of code_orbit as a string, one digit 1..7 per step."""
+    # label._value_ is the stored value; .value and hashing an Enum run Python code
+    labels = code_orbit(y0, partition, angle, n)
+    return bytes([ord("0") + label._value_ for label in labels]).decode()
 
 
 def zmodule_rank(generators: Sequence[FieldNumber]) -> int:
@@ -83,7 +64,7 @@ def zmodule_rank(generators: Sequence[FieldNumber]) -> int:
     return rank
 
 
-def coding_complexity(rc: RotationCoding, n_max: int) -> ComplexityProfile:
+def coding_complexity(coding: str, n_max: int) -> ComplexityProfile:
     """Measured factor counts of the coded word; the profile's law is their affine tail.
 
     The law is reported from the data, never assumed: the profile is
@@ -91,4 +72,4 @@ def coding_complexity(rc: RotationCoding, n_max: int) -> ComplexityProfile:
     n0 from which every stabilized count lies on one line.  Callers
     compare the slope against zmodule_rank predictions themselves.
     """
-    return complexity(rc.symbols, n_max)
+    return complexity(coding, n_max)

@@ -42,9 +42,9 @@ from .rotation import coding_complexity, rotation_coding, zmodule_rank
 from .words import (
     ComplexityProfile,
     _prefix_counts,
+    _right_special,
     cassaigne_check,
     complexity,
-    extension_censuses,
 )
 
 REFERENCE_LENGTH = 100_000
@@ -157,15 +157,12 @@ def criterion_2(ctx: VerificationContext) -> CriterionResult:
         mismatch = _affine_mismatch(profile, 8, 100, 2, 8)
         if mismatch:
             return False, mismatch
-        censuses = extension_censuses(word, 12)
-        letters = sorted(piece for piece, e in censuses[0].items() if len(e.right) >= 2)
+        special = _right_special(word, 12)
+        letters = sorted(v for v in special if len(v) == 1)
         if letters != ["a", "b", "c"]:
             return False, f"right-special letters {letters}, expected [a, b, c]"
         for probe in ("abcabacbabc", "cbabcab", "acbabcabcbab"):
-            census = censuses[len(probe) - 1].get(probe)
-            if census is None:
-                return False, f"probe {probe} does not occur"
-            if len(census.right) < 2:
+            if probe not in special:
                 return False, f"probe {probe} is not right special"
         return True, "p(1..7)=3n, p(n)=2n+8 for 8<=n<=100, probes right special"
 
@@ -177,10 +174,11 @@ def criterion_3(ctx: VerificationContext) -> CriterionResult:
 
     The word counts are p(1..7) = 3, 6, 9, 14, 19, 25, 31 and then
     p(n) = 4n+4 for 8 <= n <= 100, all stabilized.  The word law once
-    read 4n-1, and the word's own factors refute it: raw_crossings
-    agrees with the reference tracer letter for letter, plain slice-set
-    counts give 4n+4 from n = 8, and since every factor of a prefix is
-    a factor of the infinite word, p(100) >= 404 > 399.
+    read 4n-1, and the word's own factors refute it: the tests'
+    reference crossing stream (raw_crossings in tests/oracles.py) agrees
+    with the tracer letter for letter, plain slice-set counts give 4n+4
+    from n = 8, and since every factor of a prefix is a factor of the
+    infinite word, p(100) >= 404 > 399.
     """
 
     def body() -> tuple[bool, str]:
@@ -193,8 +191,8 @@ def criterion_3(ctx: VerificationContext) -> CriterionResult:
         if mismatch:
             return False, mismatch
         partition = circle_partition(SQRT2 - 1)
-        rc = rotation_coding(FieldNumber(0), partition, TRANSLATION_ANGLE, CODING_STEPS)
-        coding_profile = complexity(rc.symbols, 100)
+        coding = rotation_coding(FieldNumber(0), partition, TRANSLATION_ANGLE, CODING_STEPS)
+        coding_profile = complexity(coding, 100)
         rot_mismatch = _affine_mismatch(coding_profile, 2, 100, 4, 2)
         if rot_mismatch:
             return False, f"rotation layer {rot_mismatch}"
@@ -337,10 +335,10 @@ def criterion_7(ctx: VerificationContext) -> CriterionResult:
         for s, expected in cases:
             partition = circle_partition(s)
             rank = zmodule_rank((TRANSLATION_ANGLE,) + partition.cuts)
-            rc = rotation_coding(
+            coding = rotation_coding(
                 FieldNumber(Fraction(1, 7)), partition, TRANSLATION_ANGLE, 9000
             )
-            slope = coding_complexity(rc, 30).slope
+            slope = coding_complexity(coding, 30).slope
             if rank != expected:
                 return False, f"s={s}: rank {rank}, expected {expected}"
             if slope != expected:

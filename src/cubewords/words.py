@@ -7,43 +7,45 @@ count on the half-length prefix; a count that agrees between the half
 and the full window is reported stable, anything else is suspect and
 can be made fatal through require_stable.
 
-Factor counts and extension censuses (left, right and two-sided
-special factors) are both read from the distinct windows of the word,
-cut short at its end, for every length at once: a length-n factor is
-the length-n prefix of the window that starts where it does.  The
-SuffixAutomaton stays as the independent reference route for the
-counts, against which the tests check them.  At length n, a window
-shorter than 2n + 3 letters carries no right letter: a right extension
-is only believed when a further n + 2 letters follow it, which removes
-the bias a truncated final occurrence would otherwise inject into
-special-factor counts.  Those distinct windows cost about one slice per
-distinct window, not one per position: the occurrences of the word's
-own prefix cut it into spans, and equal spans of equal length start
-equal windows, so only the distinct spans are expanded.  The prefix is
-max(_ANCHOR, width // 4) letters long, so wider windows are cut at
-fewer, rarer anchors.  Counts of distinct prefixes, as of these windows
-or of a language, come from one sorted pass with longest-common-prefix
-lengths, all read from integer keys: each text becomes a left-aligned
-integer with one fixed-width code per letter, one byte when every text
-is ASCII and a UTF-32 code unit otherwise, padded with all-ones codes
-that no letter has, and the bit length of the exclusive or of two
-adjacent keys locates their first unequal letter.  The keys and the
+Factor counts and special factors are both read from the distinct
+windows of the word, cut short at its end, for every length at once: a
+length-n factor is the length-n prefix of the window that starts where
+it does.  The SuffixAutomaton stays as the independent reference route
+for the counts, against which the tests check them.  At length n, a
+right letter is only believed when the window starting with the factor
+holds 2n + 2 letters or more, so that a further n + 2 letters follow
+it, which removes the bias a truncated final occurrence would otherwise
+inject into special-factor counts.  Those distinct windows cost about
+one slice per distinct window, not one per position: the occurrences of
+the word's own prefix cut it into spans, and equal spans of equal
+length start equal windows, so only the distinct spans are expanded.
+The prefix is max(_ANCHOR, width // 4) letters long, so wider windows
+are cut at fewer, rarer anchors.  Counts of distinct prefixes, as of
+these windows or of a language, come from one sorted pass with
+longest-common-prefix lengths, all read from integer keys: each text
+becomes a left-aligned integer with one fixed-width code per letter,
+one byte when every text is ASCII and a UTF-32 code unit otherwise,
+padded with all-ones codes that no letter has, and the bit length of
+the exclusive or of two adjacent keys locates their first unequal
+letter.  The keys and the
 common-prefix lengths come from C-level map passes over all the texts
 at once, with no Python loop per text or per letter.
 
-Cassaigne's identity needs only one integer per length from that
-census, the summed bilateral multiplicity of the bispecial factors, so
-cassaigne_check reads it from one sorted table of distinct windows per
-side, with no census objects.  In a sorted table the texts sharing a
-prefix v are contiguous, and the adjacent pairs whose common prefix is
-exactly v, both going on past it, are where the letter after v changes:
-its branch points.  The branch points of the reversed word's windows
-give every left special factor with its left letters, and those of the
-forward windows a superset of the right special ones; for a factor in
-both, each pair of extensions is read exactly, by bisection, under the
-census's trust rules.  The identity still compares two different
-computations over those windows: prefix counts against sums over branch
-points and pair lookups.
+Special factors are read from sorted tables of distinct windows.  In a
+sorted table the texts sharing a prefix v are contiguous, and the
+adjacent pairs whose common prefix is exactly v, both going on past it,
+are where the letter after v changes: its branch points.  The branch
+points of the forward windows are a superset of the right special
+factors, and each of their right letters is kept only when a long
+enough window starts with it, found by bisection (_right_special).
+Cassaigne's identity needs one integer per length, the summed bilateral
+multiplicity of the bispecial factors, so cassaigne_check also reads
+the branch points of the reversed word's windows, which give every
+left special factor with its left letters, and for a factor special on
+both sides reads each pair of extensions exactly under the same rule.
+The identity still compares two different computations over those
+windows: prefix counts against sums over branch points and pair
+lookups.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ from functools import cached_property
 from fractions import Fraction
 from itertools import accumulate, compress, count, islice, repeat
 from operator import eq, rshift, xor
-from typing import Collection, Optional, Sequence
+from typing import AbstractSet, Optional, Sequence
 
 
 class UnstableLength(Exception):
@@ -135,20 +137,6 @@ class SuffixAutomaton:
         return counts
 
 
-@dataclass(frozen=True)
-class ExtensionCensus:
-    """Observed extensions of one factor inside the window."""
-
-    left: frozenset[str]
-    right: frozenset[str]
-    pairs: frozenset[tuple[str, str]]
-
-    @property
-    def bilateral_multiplicity(self) -> int:
-        """m(v) = #pairs - #right - #left + 1, the Cassaigne weight."""
-        return len(self.pairs) - len(self.right) - len(self.left) + 1
-
-
 _ANCHOR = 6  # fewest letters of the word's own prefix that mark window anchors
 
 
@@ -214,55 +202,28 @@ def _common_prefixes(texts: Sequence[str]) -> list[int]:
     return shared
 
 
-def _prefix_counts(texts: Collection[str], n_max: int) -> tuple[int, ...]:
+def _prefix_counts(texts: AbstractSet[str], n_max: int) -> tuple[int, ...]:
     """Distinct length-n prefixes among texts of at least n letters, n = 1..n_max.
 
-    Applied to the cut-short windows of a word, these are its factor
-    counts: every length-n factor starts some window of n letters or more.
-    The texts are cut to n_max letters and sorted without repeats.  The
-    texts sharing a length-n prefix are then contiguous, so that prefix
-    is counted once, by the first of them: the text w with
-    lcp(w, predecessor) < n <= len(w).  _common_prefixes reads every lcp
-    from integer keys of one byte per letter when all texts are ASCII and
-    four otherwise, in C-level map passes.  The counts are an interval
-    histogram, as in SuffixAutomaton.factor_counts.
+    The texts are a set of distinct texts of at most n_max letters, as
+    every caller holds them: the cut-short windows of n_max letters, or
+    a language of length-n_max factors.  Applied to the windows of a
+    word, these are its factor counts: every length-n factor starts some
+    window of n letters or more.  Sorted, the texts sharing a length-n
+    prefix are contiguous, so that prefix is counted once, by the first
+    of them: the text w with lcp(w, predecessor) < n <= len(w).
+    _common_prefixes reads every lcp from integer keys of one byte per
+    letter when all texts are ASCII and four otherwise, in C-level map
+    passes.  The counts are an interval histogram, as in
+    SuffixAutomaton.factor_counts.
     """
-    texts = sorted({text[:n_max] for text in texts})
+    texts = sorted(texts)
     deltas = [0] * (n_max + 1)
     for shared in _common_prefixes(["", *texts]):
         deltas[shared] += 1
     for size in map(len, texts):
         deltas[size] -= 1
     return tuple(accumulate(deltas[:n_max]))
-
-
-def extension_censuses(word: str, n_max: int) -> tuple[dict[str, ExtensionCensus], ...]:
-    """Extension censuses of the word at every length 1..n_max; entry n - 1 is length n.
-
-    One set of distinct windows of 2 * n_max + 3 letters carries them
-    all.  A window t starting at j stands for the occurrence at j + 1:
-    its left letter is t[0], its length-n factor t[1 : n + 1], and its
-    right letter t[n + 1] counts only when t has 2n + 3 letters or more.
-    Each length reads the distinct contexts t[: n + 2], or t[: n + 1]
-    without a trusted right letter.  Position 0 has no left letter and
-    is read directly.
-    """
-    total = len(word)
-    if not 1 <= n_max <= total:
-        raise ValueError(f"factor length {n_max} out of range for window of {total}")
-    windows = _windows(word, 2 * n_max + 3)
-    censuses = []
-    for n in range(1, n_max + 1):
-        found = {word[:n]: (set(), {word[n]} if total >= 2 * n + 2 else set(), set())}
-        contexts = {t[: n + 2 if len(t) >= 2 * n + 3 else n + 1] for t in windows if len(t) > n}
-        for context in contexts:
-            left, right, pairs = found.setdefault(context[1 : n + 1], (set(), set(), set()))
-            left.add(context[0])
-            if len(context) == n + 2:
-                right.add(context[-1])
-                pairs.add((context[0], context[-1]))
-        censuses.append({v: ExtensionCensus(*map(frozenset, sets)) for v, sets in found.items()})
-    return tuple(censuses)
 
 
 @dataclass(frozen=True)
@@ -371,45 +332,65 @@ def _starts_long_window(windows: list[str], context: str, width: int) -> bool:
     return False
 
 
+def _trusted_right(windows: list[str], v: str, letters: set[str]) -> set[str]:
+    """The letters r among letters that follow v with a further |v| + 2 letters after r.
+
+    The one trust rule for right letters: an occurrence of v counts its
+    right letter r only when a window of 2|v| + 2 letters or more starts
+    there with v + r, in the sorted windows of the word, which must be at
+    least that wide.  A truncated final occurrence then cannot pass an
+    extension off as seen.
+    """
+    return {r for r in letters if _starts_long_window(windows, v + r, 2 * len(v) + 2)}
+
+
+def _right_special(word: str, n_max: int) -> dict[str, set[str]]:
+    """The right special factors of at most n_max letters, each with its trusted right letters.
+
+    A factor is right special when two or more of its right letters pass
+    _trusted_right in the sorted distinct windows of 2 * n_max + 2
+    letters, the narrowest the rule reads.  Every right special factor
+    branches in those windows, so only the branch points of
+    _branch_letters are examined.
+    """
+    windows = sorted(_windows(word, 2 * n_max + 2))
+    branches = _branch_letters(windows, n_max).items()
+    trusted = {v: _trusted_right(windows, v, letters) for v, letters in branches}
+    return {v: right for v, right in trusted.items() if len(right) >= 2}
+
+
 def _bispecial_sums(word: str, n_max: int) -> tuple[int, ...]:
     """Summed bilateral multiplicity of the bispecial factors of each length 1..n_max.
 
-    Entry n - 1 equals the sum over extension_censuses(word, n_max)[n - 1],
-    for 1 <= n_max <= len(word), from the same windows and trust rules
-    but without census objects, in one sorted pass per side.  The left
+    Entry n - 1 is the sum of m(v) = #pairs - #right - #left + 1 over the
+    factors v of length n with two or more left letters and two or more
+    trusted right letters, in one sorted pass per side.  The left
     letters of v are the letters after v's reverse in the reversed word,
     so v is left special exactly where the sorted windows of the
     reversed word, n_max + 1 letters wide, branch after v's reverse.
     Those windows are the reversed factors of n_max + 1 letters, read
     off the forward windows, and the reversed prefixes of the word.  The
     forward windows, 2 * n_max + 3 letters wide, branch after every right
-    special factor, counting untrusted right letters and the head's too,
-    so only the factors branching on both sides are examined.  For those,
-    each pair (l, r) is read exactly: it is trusted when a window of
-    2n + 3 letters or more starts with l + v + r, found by bisection.
-    The occurrence at position 0 adds the right letter word[n] to
-    v = word[:n] when the word has 2n + 2 letters or more.
+    special factor, so only the factors branching on both sides are
+    examined, their right letters by _trusted_right.  For a factor
+    special on both sides, a pair (l, r) is trusted when a window of
+    2n + 3 letters or more starts with l + v + r, the same rule one
+    letter to the left, found by bisection.
     """
-    total = len(word)
     forward = sorted(_windows(word, 2 * n_max + 3))
     backward = {t[n_max::-1] for t in forward if len(t) > n_max}
-    backward.update(word[m - 1 :: -1] for m in range(1, min(n_max, total) + 1))
+    backward.update(word[m - 1 :: -1] for m in range(1, min(n_max, len(word)) + 1))
     lefts = {u[::-1]: letters for u, letters in _branch_letters(sorted(backward), n_max).items()}
     rights = _branch_letters(forward, n_max)
     sums = [0] * n_max
     for v in lefts.keys() & rights.keys():
-        n = len(v)
-        pairs = [
-            (l, r)
-            for l in lefts[v]
-            for r in rights[v]
-            if _starts_long_window(forward, l + v + r, 2 * n + 3)
-        ]
-        right = {r for _, r in pairs}
-        if total >= 2 * n + 2 and word.startswith(v):
-            right.add(word[n])
+        right = _trusted_right(forward, v, rights[v])
         if len(right) >= 2:
-            sums[n - 1] += len(pairs) - len(right) - len(lefts[v]) + 1
+            n = len(v)
+            pairs = sum(
+                _starts_long_window(forward, l + v + r, 2 * n + 3) for l in lefts[v] for r in right
+            )
+            sums[n - 1] += pairs - len(right) - len(lefts[v]) + 1
     return tuple(sums)
 
 
@@ -419,15 +400,14 @@ def cassaigne_check(word: str, n_max: int) -> list[tuple[int, int, int]]:
     For each checkable n, the increment s(n+1) - s(n) must equal the sum
     of bilateral multiplicities m(v) = #pairs - #right - #left + 1 over
     the bispecial factors v of length n (Cassaigne 1997).  Returns the
-    list of (n, increment, census_sum) mismatches, empty when the window
+    list of (n, increment, bispecial_sum) mismatches, empty when the window
     passes; lengths whose counts are unstable are not checked, since the
     identity only holds for honest windows.  The increments come from
     the prefix counts of the distinct windows and the sums from the
     branch points of the sorted windows and exact pair lookups, so the
     two sides are different computations.  Only factors that branch on
-    both sides can be bispecial, so only they are examined; the sums
-    follow the trust rules of extension_censuses without building its
-    census objects.
+    both sides can be bispecial, so only they are examined; their right
+    letters follow the trust rule of _right_special.
     """
     return _cassaigne_failures(word, complexity(word, n_max))
 

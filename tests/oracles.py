@@ -6,15 +6,17 @@ two; nothing in the package or the benchmark calls them.
 """
 
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from cubewords.billiard import (
     GOLDEN_DIRECTION,
     Direction,
     StartPoint,
     _AxisSpec,
+    _cube_axes,
     _emit,
     _on_wall,
+    _wall_letters,
     trace_letters,
 )
 from cubewords.exactnum import FieldNumber, _field
@@ -44,6 +46,33 @@ def square_trace(y, z, length: int) -> str:
         _AxisSpec("c", FieldNumber(0) if _on_wall(z) else z, c_speed, _on_wall(z), 0),
     ]
     return _emit(specs, length, with_times=False)[0]
+
+
+def raw_crossings(
+    start: StartPoint, direction: Direction = GOLDEN_DIRECTION
+) -> Iterator[tuple[FieldNumber, str]]:
+    """Reference crossing stream: (time, letter) pairs in exact order.
+
+    Merges the three progressions with direct field-number comparisons
+    and no dyadic shortcut: the route billiard._merged_axes replaces
+    with a sort of bounded integer keys per chunk.
+    """
+    specs = _cube_axes(start, direction)
+    zero = FieldNumber(0)
+    for letter in _wall_letters(specs):
+        yield zero, letter
+    plane = [1] * len(specs)
+    current = [
+        (FieldNumber(plane[i]) - spec.offset) * spec.inverse_speed
+        for i, spec in enumerate(specs)
+    ]
+    while True:
+        lead = min(range(len(specs)), key=lambda i: current[i])
+        tied = [i for i in range(len(specs)) if current[i] == current[lead]]
+        for i in tied:
+            yield current[i], specs[i].letter
+            plane[i] += 1
+            current[i] = (FieldNumber(plane[i]) - specs[i].offset) * specs[i].inverse_speed
 
 
 def saddle_connection(a_i, a_j, alpha) -> Optional[int]:

@@ -23,13 +23,12 @@ from cubewords.billiard import (
     Validation,
     delete_letter,
     letter_frequencies,
-    raw_crossings,
     trace,
     trace_letters,
     validate,
 )
 from cubewords.exactnum import PHI, SQRT2, FieldNumber, basis_approx, reduce_mod1
-from oracles import square_trace
+from oracles import raw_crossings, square_trace
 
 HALF = Fraction(1, 2)
 
@@ -667,7 +666,6 @@ def fraction_validate(start, direction=GOLDEN_DIRECTION, horizon=1000):
     return Validation(
         degenerate_start=start.is_degenerate,
         ties=tuple(ties),
-        horizon=horizon,
         time_bound=time_bound,
     )
 

@@ -19,7 +19,6 @@ from cubewords.returns import (
     translation_step,
 )
 from cubewords.rotation import (
-    RotationCoding,
     coding_complexity,
     rotation_coding,
     zmodule_rank,
@@ -97,14 +96,11 @@ class TestCodeOrbit:
 
     def test_coding_wrapper(self):
         part = circle_partition(F(0))
-        rc = rotation_coding(fr(1, 2), part, TRANSLATION_ANGLE, 6)
-        assert rc.word[:4] == (A2, A2, A4, A1)
-        assert rc.symbols[:4] == "2241"
-        assert rc.symbols == "".join(str(label.value) for label in rc.word)
-        assert rc.symbols is rc.symbols
-        assert len(rc) == 6
-        assert rc.partition is part
-        assert rc.start == fr(1, 2)
+        coding = rotation_coding(fr(1, 2), part, TRANSLATION_ANGLE, 6)
+        labels = code_orbit(fr(1, 2), part, TRANSLATION_ANGLE, 6)
+        assert labels[:4] == (A2, A2, A4, A1)
+        assert coding[:4] == "2241"
+        assert coding == "".join(str(label.value) for label in labels)
 
     def test_matches_reference_route(self):
         def reference(y, part, angle, n):
@@ -427,8 +423,8 @@ class TestZModuleRank:
 class TestCodingComplexity:
     def run_coding(self, s, y0, steps=4000, n_max=40):
         part = circle_partition(s)
-        rc = rotation_coding(y0, part, TRANSLATION_ANGLE, steps)
-        return coding_complexity(rc, n_max)
+        coding = rotation_coding(y0, part, TRANSLATION_ANGLE, steps)
+        return coding_complexity(coding, n_max)
 
     def test_zero_circle_law(self):
         profile = self.run_coding(F(0), fr(1, 7))
@@ -471,9 +467,9 @@ class TestCodingComplexity:
 
     def test_recoding_preserves_increment_rate(self):
         part = circle_partition(SQRT2 - 1)
-        rc = rotation_coding(fr(1, 11), part, TRANSLATION_ANGLE, 12_000)
-        coded = coding_complexity(rc, 30)
-        expanded = "".join(label.word for label in rc.word)
+        coding = rotation_coding(fr(1, 11), part, TRANSLATION_ANGLE, 12_000)
+        coded = coding_complexity(coding, 30)
+        expanded = "".join(CellLabel(int(digit)).word for digit in coding)
         word_profile = complexity(expanded, 60)
         tail = [(n, word_profile.p(n)) for n in range(40, 56)]
         law = fit_affine(tail)
@@ -482,13 +478,9 @@ class TestCodingComplexity:
 
     def test_no_law_for_scrambled_word(self):
         rng = random.Random(1)
-        part = circle_partition(F(0))
-        scrambled = tuple(rng.choice(list(CellLabel)) for _ in range(600))
-        rc = RotationCoding(
-            angle=TRANSLATION_ANGLE, partition=part, start=F(0), word=scrambled
-        )
-        report = coding_complexity(rc, 10)
-        assert report == complexity(rc.symbols, 10)
+        scrambled = "".join(str(rng.choice(list(CellLabel)).value) for _ in range(600))
+        report = coding_complexity(scrambled, 10)
+        assert report == complexity(scrambled, 10)
         assert report.slope is None
         assert report.law is None
 

@@ -7,22 +7,20 @@ from fractions import Fraction
 import pytest
 
 from cubewords import words
-from cubewords.billiard import StartPoint, raw_crossings, trace_letters
+from cubewords.billiard import StartPoint, trace_letters
 from cubewords.exactnum import PHI, SQRT2
 from cubewords.returns import TRANSLATION_ANGLE, circle_partition
 from cubewords.rotation import rotation_coding
 from cubewords.words import (
     ComplexityProfile,
-    ExtensionCensus,
     SuffixAutomaton,
     UnstableLength,
     cassaigne_check,
     complexity,
-    extension_censuses,
     fit_complexity_tail,
     is_sturmian,
 )
-from oracles import fit_affine, fitted_tail
+from oracles import fit_affine, fitted_tail, raw_crossings
 
 
 def naive_counts(word, n_max):
@@ -30,7 +28,7 @@ def naive_counts(word, n_max):
 
 
 def scanned_extensions(word, n):
-    """Census at one length by a scan over every position of the word.
+    """Left letters, right letters and pairs of every length-n factor, by one scan.
 
     A right extension is trusted only when n + 2 further letters follow
     it; position 0 has no left letter.
@@ -45,26 +43,25 @@ def scanned_extensions(word, n):
             right.add(word[i + n])
             if i >= 1:
                 pairs.add((word[i - 1], word[i + n]))
-    return {
-        piece: ExtensionCensus(frozenset(l), frozenset(r), frozenset(p))
-        for piece, (l, r, p) in raw.items()
-    }
+    return raw
 
 
 def census_bispecial_sums(word, n_max):
-    """The Cassaigne sums read off the census objects, one per length."""
+    """The Cassaigne sums m(v) = #pairs - #right - #left + 1 of the scans, one per length."""
     return tuple(
         sum(
-            e.bilateral_multiplicity
-            for e in census.values()
-            if len(e.left) >= 2 and len(e.right) >= 2
+            len(pairs) - len(right) - len(left) + 1
+            for left, right, pairs in scanned_extensions(word, n).values()
+            if len(left) >= 2 and len(right) >= 2
         )
-        for census in extension_censuses(word, n_max)
+        for n in range(1, n_max + 1)
     )
 
 
-def right_special(census):
-    return sorted(piece for piece, e in census.items() if len(e.right) >= 2)
+def right_special(word, n):
+    """The scan's right special factors of length n, each with its right letters."""
+    extensions = scanned_extensions(word, n)
+    return {piece: right for piece, (_, right, _) in extensions.items() if len(right) >= 2}
 
 
 def fibonacci_word(length):
@@ -123,26 +120,31 @@ def test_quartic_word_refutes_4n_minus_1():
 
 def test_known_right_special_factors():
     word = trace_letters(StartPoint(0, 0, 2 - PHI), length=30000)
-    censuses = extension_censuses(word, 12)
-    assert "abcabacbabc" in right_special(censuses[10])
-    assert "cbabcab" in right_special(censuses[6])
-    assert "acbabcabcbab" in right_special(censuses[11])
-    assert right_special(censuses[0]) == ["a", "b", "c"]
+    assert "abcabacbabc" in right_special(word, 11)
+    assert "cbabcab" in right_special(word, 7)
+    assert "acbabcabcbab" in right_special(word, 12)
+    assert sorted(right_special(word, 1)) == ["a", "b", "c"]
 
 
 def test_hand_censused_extensions():
-    (census,) = extension_censuses("aabab", 1)
-    assert census["a"].left == frozenset("ab")
-    assert census["a"].right == frozenset("ab")
-    assert census["b"].left == frozenset("a")
-    assert census["b"].right == frozenset()
-    assert sorted(piece for piece, e in census.items() if len(e.left) >= 2) == ["a"]
-    assert right_special(census) == ["a"]
-    bispecial = [p for p, e in census.items() if len(e.left) >= 2 and len(e.right) >= 2]
+    extensions = scanned_extensions("aabab", 1)
+    assert extensions["a"][:2] == ({"a", "b"}, {"a", "b"})
+    assert extensions["b"][:2] == ({"a"}, set())
+    assert sorted(piece for piece, (left, _, _) in extensions.items() if len(left) >= 2) == ["a"]
+    assert right_special("aabab", 1) == {"a": {"a", "b"}}
+    bispecial = [p for p, (l, r, _) in extensions.items() if len(l) >= 2 and len(r) >= 2]
     assert bispecial == ["a"]
 
 
-def test_censuses_match_the_scan_on_random_words():
+def assert_right_special(word, n_max):
+    """_right_special equals the scan's right special factors at every length 1..n_max."""
+    expected = {}
+    for n in range(1, n_max + 1):
+        expected.update(right_special(word, n))
+    assert words._right_special(word, n_max) == expected, (word, n_max)
+
+
+def test_right_special_matches_the_scan_on_random_words():
     rng = random.Random(7207)
     for _ in range(300):
         length = rng.randint(1, 90)
@@ -150,31 +152,12 @@ def test_censuses_match_the_scan_on_random_words():
         word = "".join(rng.choice(alphabet) for _ in range(length))
         # n_max = len(word), windows longer than the word, and the rest
         for n_max in {length, rng.randint(1, length), min(length, 4)}:
-            censuses = extension_censuses(word, n_max)
-            assert len(censuses) == n_max
-            for n in range(1, n_max + 1):
-                assert censuses[n - 1] == scanned_extensions(word, n), (word, n)
+            assert_right_special(word, n_max)
 
 
-def test_censuses_match_the_scan_on_reference_words():
-    for start in [
-        StartPoint(0, Fraction(1, 2), Fraction(1, 2)),
-        StartPoint(0, 0, 2 - PHI),
-        StartPoint(0, 0, SQRT2 - 1),
-    ]:
-        word = trace_letters(start, length=8000)
-        censuses = extension_censuses(word, 52)
-        for n in range(1, 53):
-            assert censuses[n - 1] == scanned_extensions(word, n), n
-
-
-def test_census_length_out_of_range():
-    with pytest.raises(ValueError):
-        extension_censuses("abcab", 0)
-    with pytest.raises(ValueError):
-        extension_censuses("abcab", 6)
-    with pytest.raises(ValueError):
-        extension_censuses("", 1)
+def test_right_special_matches_the_scan_on_reference_words():
+    for start in REFERENCE_STARTS:
+        assert_right_special(trace_letters(start, length=8000), 52)
 
 
 def test_cassaigne_on_traced_words():
@@ -254,18 +237,18 @@ def test_bispecial_sums_where_a_right_letter_has_one_source():
     # a left special v whose second right letter comes only from the head
     # occurrence, or whose extra right letter comes only from a window cut
     # short of the trust length: the branch filter admits both, and only
-    # the exact pair lookups and the head rule settle them
+    # the lookups of long windows settle them
     rng = random.Random(2122)
     head_only = cut_short_only = 0
     while head_only < 40 or cut_short_only < 40:
         word = "".join(rng.choice("abc"[: rng.randint(2, 3)]) for _ in range(rng.randint(4, 40)))
         kinds = set()
-        for n, census in enumerate(extension_censuses(word, len(word)), start=1):
-            for v, e in census.items():
-                if len(e.left) < 2:
+        for n in range(1, len(word) + 1):
+            for v, (left, right, _) in scanned_extensions(word, n).items():
+                if len(left) < 2:
                     continue
                 trusted, head, every = right_letter_sources(word, v)
-                assert e.right == trusted | head
+                assert right == trusted | head
                 if len(trusted) == 1 and head - trusted:
                     kinds.add("head")
                 if every - trusted - head:
@@ -285,16 +268,6 @@ def test_bispecial_sums_of_the_wide_request():
     top = complexity(word, 2000).stable_through - 2
     assert top > 300
     assert words._bispecial_sums(word, top) == census_bispecial_sums(word, top)
-
-
-def test_cassaigne_check_builds_no_census(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("cassaigne_check built a census")
-
-    monkeypatch.setattr(words, "ExtensionCensus", refuse)
-    monkeypatch.setattr(words, "extension_censuses", refuse)
-    word = trace_letters(StartPoint(0, 0, SQRT2 - 1), length=8000)
-    assert cassaigne_check(word, 52) == []
 
 
 def test_cassaigne_on_fibonacci():
@@ -541,7 +514,8 @@ def test_prefix_counts_match_the_slices():
         texts += rng.sample(texts, len(texts) // 3)  # duplicates
         texts += [text[: rng.randint(0, len(text))] for text in rng.sample(texts, len(texts) // 4)]
         n_max = rng.randint(1, 16)
-        assert words._prefix_counts(texts, n_max) == sliced_prefix_counts(texts, n_max)
+        cut = {text[:n_max] for text in texts}
+        assert words._prefix_counts(cut, n_max) == sliced_prefix_counts(texts, n_max)
 
 
 @pytest.mark.parametrize(
@@ -563,8 +537,8 @@ def test_prefix_counts_match_the_slices():
 )
 def test_prefix_counts_on_hand_cases(texts):
     for n_max in (1, 2, 3, 6, 20, 2000):
-        assert words._prefix_counts(texts, n_max) == sliced_prefix_counts(texts, n_max)
-    assert words._prefix_counts(set(texts), 6) == sliced_prefix_counts(set(texts), 6)
+        cut = {text[:n_max] for text in texts}
+        assert words._prefix_counts(cut, n_max) == sliced_prefix_counts(texts, n_max)
 
 
 def test_prefix_counts_of_traced_windows():
@@ -608,7 +582,7 @@ def test_complexity_matches_the_automaton_on_traced_words():
 def test_complexity_matches_the_automaton_on_a_rotation_coding():
     partition = circle_partition(SQRT2 - 1)
     coding = rotation_coding(Fraction(1, 11), partition, TRANSLATION_ANGLE, 6000)
-    assert_automaton_counts(coding.symbols, 60)
+    assert_automaton_counts(coding, 60)
 
 
 def scanned_common_prefix(a, b):
