@@ -4,9 +4,9 @@ Six subcommands expose the library end to end: ``trace`` emits a word
 with its crossing times, ``complexity`` a factor-count profile with the
 fitted law and the second-difference check, ``returns`` the observed
 versus predicted return-word sequence, ``rotation`` a circle partition
-with its coded orbit and the rank-versus-slope comparison,
-``directional`` a sampled census with the union table, and ``verify``
-the acceptance suite.
+of the r = 1/2 face with its coded orbit and the rank-versus-slope
+comparison, ``directional`` a sampled census with the union table, and
+``verify`` the acceptance suite.
 
 run takes the namespace of parse_args, so argparse holds the only
 defaults.  Each command builds its JSON payload first; each TSV table
@@ -32,18 +32,18 @@ from functools import cache
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .billiard import Direction, StartPoint, trace, trace_letters
+from .billiard import GOLDEN_DIRECTION, Direction, StartPoint, trace, trace_letters
 from .directional import census, sample_schedule
-from .exactnum import FieldNumber, reduce_mod1
+from .exactnum import FieldNumber, reduce_mod1, zmodule_rank
 from .returns import (
+    TRANSLATION_ANGLE,
     HitsCut,
     InsufficientOccurrences,
     circle_partition,
     predict_return_words,
     return_words,
-    translation_step,
+    rotation_coding,
 )
-from .rotation import coding_complexity, rotation_coding, zmodule_rank
 from .verification import run_all
 from .words import _cassaigne_failures, complexity
 
@@ -270,18 +270,19 @@ def _cmd_returns(config: argparse.Namespace) -> tuple[int, list[str], dict]:
 
 def _cmd_rotation(config: argparse.Namespace) -> tuple[int, list[str], dict]:
     start = _parse_start(config)
-    ratio = _direction(config).r
+    if _direction(config) != GOLDEN_DIRECTION:
+        raise InputError("unsupported_r: the circle partition is the face partition of r = 1/2")
     if start.x != 0:
         raise InputError("not_on_face: the coded circle lives on the face x = 0")
     invariant = reduce_mod1(start.y + start.z)
     partition = circle_partition(invariant)
-    angle = translation_step(ratio)
+    angle = TRANSLATION_ANGLE
     try:
         coding = rotation_coding(reduce_mod1(start.y), partition, angle, config.n_letters)
     except HitsCut as exc:
         raise _orbit_hits_cut(exc) from exc
     try:
-        profile = coding_complexity(coding, config.n_max)
+        profile = complexity(coding, config.n_max)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
     rank = zmodule_rank((angle,) + partition.cuts)

@@ -23,7 +23,7 @@ import random
 from dataclasses import dataclass
 from functools import cache
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .billiard import StartPoint, trace_letters, validate
 from .exactnum import (
@@ -150,6 +150,18 @@ def representative_start(s: FieldNumber) -> StartPoint:
     return StartPoint(0, y, reduce_mod1(s - y))
 
 
+def _traced_words(samples: Iterable, length: int) -> Iterator[tuple[FieldNumber, str]]:
+    """Each sample's invariant s and the traced word of representative_start(s).
+
+    A sample whose start does not validate for length letters is skipped.
+    """
+    for raw in samples:
+        s = _coerce_invariant(raw)
+        start = representative_start(s)
+        if validate(start, horizon=length).ok:
+            yield s, trace_letters(start, length=length)
+
+
 def circle_language(s, n: int) -> frozenset[str]:
     """Every length-n factor of the valid words on the circle s.
 
@@ -179,10 +191,10 @@ def circle_language(s, n: int) -> frozenset[str]:
     second lap reads each arc's coding as the one before it with the
     steps tagged at its left end moved; no arc is coded on its own.
     The points are integer 4-vectors over one denominator, stepped by
-    -alpha.  A point wraps when it falls below 0; as in code_orbit, an
-    exactnum._dyadic estimate stepped by integer adds, with an
-    error bound growing by the angle's bound per step, decides that
-    test, and only a point within its bound of 0 calls _int_sign.
+    -alpha.  A point wraps when it falls below 0; as in rotation_coding,
+    an exactnum._dyadic estimate stepped by integer adds, with an error
+    bound growing by the angle's bound per step, decides that test, and
+    only a point within its bound of 0 calls _int_sign.
     exactnum._sorted_merged certifies their order and merges coinciding
     ones (saddle connections), whose steps all move at once.  No float
     decides anything.
@@ -316,11 +328,7 @@ def union_complexity(samples: Sequence, n_max: int, prefix: int) -> UnionComplex
         raise ValueError("prefix must be at least twice n_max for stable counts")
     windows: set[str] = set()
     used = 0
-    for raw in samples:
-        s = _coerce_invariant(raw)
-        start = representative_start(s)
-        if not validate(start, horizon=prefix).ok:
-            continue
-        windows |= _windows(trace_letters(start, length=prefix), n_max)
+    for _, word in _traced_words(samples, prefix):
+        windows |= _windows(word, n_max)
         used += 1
     return UnionComplexity(sample_count=used, counts=_prefix_counts(windows, n_max))

@@ -18,7 +18,7 @@ import re
 from fractions import Fraction
 from functools import cache, cmp_to_key, total_ordering
 from operator import itemgetter
-from typing import Iterable, Optional, Union
+from typing import Iterable, Optional, Sequence, Union
 
 RationalLike = Union[int, Fraction]
 
@@ -519,6 +519,38 @@ def common_denominator(values: Iterable[FieldNumber]) -> int:
 def _field(value: FieldNumber | RationalLike) -> FieldNumber:
     """A FieldNumber unchanged; an int or Fraction converted; else TypeError."""
     return value if isinstance(value, FieldNumber) else FieldNumber(value)
+
+
+def zmodule_rank(generators: Sequence[FieldNumber]) -> int:
+    """Rank of the Z-module spanned by 1 together with the generators.
+
+    1 is always included: the ambient circle identifies integers with
+    zero, so the constant is part of every steering set whether or not
+    the caller lists it.  Since the four basis numbers are linearly
+    independent over Q, the rank is the Q-dimension of the span, which
+    Gaussian elimination over exact fractions computes directly.
+    """
+    rows = [[Fraction(1), Fraction(0), Fraction(0), Fraction(0)]]
+    for g in generators:
+        rows.append(list(_field(g).coeffs))
+    rank = 0
+    for col in range(4):
+        pivot = None
+        for r in range(rank, len(rows)):
+            if rows[r][col] != 0:
+                pivot = r
+                break
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        head = rows[rank][col]
+        for r in range(rank + 1, len(rows)):
+            if rows[r][col] != 0:
+                factor = rows[r][col] / head
+                for c in range(col, 4):
+                    rows[r][c] -= factor * rows[rank][c]
+        rank += 1
+    return rank
 
 
 PHI = FieldNumber(0, 1)

@@ -22,8 +22,8 @@ quantity s = Y + Z mod 1 is invariant and each start lives on a circle
 {(y, s - y mod 1)}.  Cutting that circle with the four curves (and the
 seam where Z wraps past 0) gives an interval partition with k pieces,
 k in {3, 5, 6}; coding the rotation orbit of Y against it and mapping
-each interval label through the block table reconstructs the billiard
-word letter for letter.
+each interval's cell digit through the block table reconstructs the
+billiard word letter for letter.
 
 The face partition decides on integers too.  _cell_label takes a face
 point as two integer vectors over one denominator and settles the open
@@ -32,12 +32,13 @@ square and each curve by the sign of one integer vector
 labels of circle_partition all call it, so no cell is decided by
 FieldNumber arithmetic.
 
-code_orbit codes that orbit on integers: each point is four integer
-coordinates over the common denominator of the start, the angle and
-the cuts.  A certified dyadic filter steps a dyadic estimate of the
-point with its error bound and places it among the cuts' estimates by
-bisection; only a step whose estimate is too close to a cut or to the
-wrap point to certify falls back to exactnum._int_sign.
+rotation_coding codes that orbit on integers, as a string of cell
+digits: each point is four integer coordinates over the common
+denominator of the start, the angle and the cuts.  A certified dyadic
+filter steps a dyadic estimate of the point with its error bound and
+places it among the cuts' estimates by bisection; only a step whose
+estimate is too close to a cut or to the wrap point to certify falls
+back to exactnum._int_sign.
 """
 
 from __future__ import annotations
@@ -117,6 +118,9 @@ _CELL_WORDS = {
     CellLabel.A6: "acbb",
     CellLabel.A7: "ab",
 }
+
+# the block of each cell digit of a rotation coding
+_DIGIT_WORDS = {str(label.value): word for label, word in _CELL_WORDS.items()}
 
 
 class FacePartition:
@@ -315,8 +319,8 @@ def predict_return_words(m: StartPoint, count: int, r: Fraction = Fraction(1, 2)
         raise ValueError("return prediction starts from the face X = 0")
     if r == Fraction(1, 2):
         partition = circle_partition(reduce_mod1(m.y + m.z))
-        orbit = code_orbit(reduce_mod1(m.y), partition, TRANSLATION_ANGLE, count)
-        return [label.word for label in orbit]
+        coding = rotation_coding(reduce_mod1(m.y), partition, TRANSLATION_ANGLE, count)
+        return [_DIGIT_WORDS[digit] for digit in coding]
     length = int(1 / Fraction(r)) + 6
     probes = (StartPoint(0, *_translated_face_point(m, k, r)) for k in range(count))
     return [return_words(trace_letters(p, Direction(r), length)).blocks[0] for p in probes]
@@ -342,14 +346,17 @@ class CirclePartition:
         return len(self.labels)
 
 
-def code_orbit(
+def rotation_coding(
     y0: FieldNumber, partition: CirclePartition, angle: FieldNumber, n: int
-) -> tuple[CellLabel, ...]:
-    """Labels of y0, y0 + angle, ... against the partition, n steps.
+) -> str:
+    """Coding of y0, y0 + angle, ... against the partition, n steps, as a digit string.
 
-    Any orbit point landing exactly on a cut raises HitsCut carrying
-    the step index; the coding of such an orbit is ambiguous and the
-    caller must pick a different start rather than get a silent choice.
+    Each step writes the value 1..7 of its interval's CellLabel, so the
+    coding of a circle of the face partition maps to return words
+    digit by digit.  Any orbit point landing exactly on a cut raises
+    HitsCut carrying the step index; the coding of such an orbit is
+    ambiguous and the caller must pick a different start rather than get
+    a silent choice.
 
     The angle is reduced mod 1 once.  Over the common denominator D of
     the start, the angle and the cuts, step j sits at the integer vector
@@ -364,7 +371,7 @@ def code_orbit(
       is subadditive, so B(y_j) <= B(a) + j*B(d): the error bound grows
       by one add per step, linearly in j.
     * bisect locates E(y_j) among the cuts' estimates at index i.  The
-      label is interval i's when E(y_j) - E(c_{i-1}) > B(y_j) + B(c_{i-1})
+      digit is interval i's when E(y_j) - E(c_{i-1}) > B(y_j) + B(c_{i-1})
       and E(c_i) - E(y_j) > B(y_j) + B(c_i), for then
       c_{i-1} < y_j < c_i exactly, whatever the order of the other
       estimates.  The wrap point bounds interval 0 below and the last
@@ -378,7 +385,7 @@ def code_orbit(
     cuts in order, or y_j + d - D against 0.  A point on a cut is never
     certified off it, so it reaches the exact route, which raises
     HitsCut with the same (cut, step) as an all-exact coding would.  No
-    float and no uncertified margin decides a label.
+    float and no uncertified margin decides a digit.
     """
     if n < 0:
         raise ValueError("orbit length must be nonnegative")
@@ -397,6 +404,7 @@ def code_orbit(
     highs = [key - bound for key, bound in estimates] + [2 * one]
     estimate, error = _dyadic((a0, a1, a2, a3))
     step_estimate, step_error = _dyadic((d0, d1, d2, d3))
+    digits = [str(label.value) for label in partition.labels]
 
     def exact_point(step: int, wraps: int) -> tuple[int, int, int, int]:
         return (a0 + step * d0 - wraps * denom, a1 + step * d1, a2 + step * d2, a3 + step * d3)
@@ -413,13 +421,13 @@ def code_orbit(
             index += 1
         return index
 
-    labels = []
+    coding = []
     wraps = 0
     for step in range(n):
         index = bisect_right(keys, estimate)
         if not lows[index] < estimate - error or not estimate + error < highs[index]:
             index = exact_index(step, wraps)
-        labels.append(partition.labels[index])
+        coding.append(digits[index])
         estimate += step_estimate
         error += step_error
         # the angle lies in [0, 1), so one comparison with 1 = D/D wraps y
@@ -428,7 +436,7 @@ def code_orbit(
         ):
             estimate -= one
             wraps += 1
-    return tuple(labels)
+    return "".join(coding)
 
 
 def _circle_cut_candidates(s: FieldNumber) -> Iterator[tuple[str, FieldNumber]]:

@@ -24,11 +24,12 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from typing import Callable, Iterable, Optional
 
 from .billiard import StartPoint, delete_letter, letter_frequencies, trace_letters, validate
-from .directional import circle_language, representative_start, sample_schedule
-from .exactnum import PHI, SQRT2, FieldNumber, reduce_mod1
+from .directional import _traced_words, circle_language, sample_schedule
+from .exactnum import PHI, SQRT2, FieldNumber, reduce_mod1, zmodule_rank
 from .returns import (
     TRANSLATION_ANGLE,
     OnBoundary,
@@ -37,8 +38,8 @@ from .returns import (
     predict_return_words,
     reconstruct,
     return_words,
+    rotation_coding,
 )
-from .rotation import coding_complexity, rotation_coding, zmodule_rank
 from .words import (
     ComplexityProfile,
     _prefix_counts,
@@ -338,7 +339,7 @@ def criterion_7(ctx: VerificationContext) -> CriterionResult:
             coding = rotation_coding(
                 FieldNumber(Fraction(1, 7)), partition, TRANSLATION_ANGLE, 9000
             )
-            slope = coding_complexity(coding, 30).slope
+            slope = complexity(coding, 30).slope
             if rank != expected:
                 return False, f"s={s}: rank {rank}, expected {expected}"
             if slope != expected:
@@ -423,20 +424,13 @@ def criterion_10(ctx: VerificationContext) -> CriterionResult:
         base = _prefix_counts(union, 40)
         if base[1] != 7:
             return False, f"union p(2)={base[1]}, expected 7"
-        traced = 0
-        for s in schedule:
-            if traced == 24:
-                break
-            start = representative_start(s)
-            if not validate(start, horizon=3000).ok:
-                continue
-            word = trace_letters(start, length=3000)
+        traced = list(islice(_traced_words(schedule, 3000), 24))
+        for s, word in traced:
             for i in range(len(word) - 39):
                 if word[i : i + 40] not in union:
                     return False, f"traced 40-gram at {i} on circle s={s} missing from the union"
-            traced += 1
-        if traced < 24:
-            return False, f"only {traced} schedule circles have valid starts, expected 24"
+        if len(traced) < 24:
+            return False, f"only {len(traced)} schedule circles have valid starts, expected 24"
         for s in schedule[400:]:
             union |= circle_language(s, 40)
         doubled = _prefix_counts(union, 40)

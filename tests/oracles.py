@@ -169,7 +169,7 @@ def interval_of(partition: CirclePartition, y: FieldNumber) -> int:
 
 
 def label_of(partition: CirclePartition, y: FieldNumber) -> CellLabel:
-    """Label of one circle point on FieldNumbers, the single-point route code_orbit replaces."""
+    """Label of one circle point on FieldNumbers, the single-point route rotation_coding replaces."""
     return partition.labels[interval_of(partition, y)]
 
 

@@ -319,6 +319,16 @@ class TestRotation:
         assert out == ""
         assert err == "invalid input: the rational speed r must be positive\n"
 
+    @pytest.mark.parametrize("ratio", ["1/3", "2"])
+    def test_other_ratio_rejected(self, capsys, ratio):
+        # the circle partition is the r = 1/2 face partition, whatever --r says
+        status, out, err = invoke(capsys, "rotation", f"--r={ratio}")
+        assert status == 1
+        assert out == ""
+        assert err == (
+            "invalid input: unsupported_r: the circle partition is the face partition of r = 1/2\n"
+        )
+
 
 class TestDirectional:
     def test_fixed_seed_census(self, capsys):

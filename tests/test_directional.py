@@ -20,7 +20,7 @@ from cubewords.directional import (
     union_complexity,
 )
 from cubewords.exactnum import PHI, SQRT2, FieldNumber, reduce_mod1
-from cubewords.returns import TRANSLATION_ANGLE, circle_partition, code_orbit
+from cubewords.returns import TRANSLATION_ANGLE, CellLabel, circle_partition, rotation_coding
 from cubewords.words import complexity
 
 F = FieldNumber
@@ -39,7 +39,7 @@ def language_counts(language, n_max):
 
 
 def arc_midpoint_language(s, n):
-    """circle_language with one code_orbit per arc, the route the sweep replaced.
+    """circle_language with one rotation_coding per arc, the route the sweep replaced.
 
     The distinct points c - j*alpha mod 1 are sorted as FieldNumbers, the
     midpoint of each arc between neighbours is coded for n // 2 + 3
@@ -53,10 +53,8 @@ def arc_midpoint_language(s, n):
     )
     language = set()
     for lo, hi in zip(points, points[1:] + [F(1)]):
-        blocks = [
-            label.word
-            for label in code_orbit((lo + hi) / 2, partition, TRANSLATION_ANGLE, steps)
-        ]
+        coding = rotation_coding((lo + hi) / 2, partition, TRANSLATION_ANGLE, steps)
+        blocks = [CellLabel(int(digit)).word for digit in coding]
         word = "".join(blocks)
         language.update(word[i : i + n] for i in range(len(blocks[0])))
     return frozenset(language)
@@ -306,8 +304,8 @@ class TestCircleLanguage:
         def refuse(*args):
             raise AssertionError("the sweep coded an orbit")
 
-        monkeypatch.setattr(returns, "code_orbit", refuse)
-        monkeypatch.setattr(directional, "code_orbit", refuse, raising=False)
+        monkeypatch.setattr(returns, "rotation_coding", refuse)
+        monkeypatch.setattr(directional, "rotation_coding", refuse, raising=False)
         assert [circle_language(s, 20) for s in samples] == languages
         assert census(samples, n_max=20) == summary
 

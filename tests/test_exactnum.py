@@ -568,7 +568,7 @@ def test_dyadic_bound_encloses_the_oracle():
 
 
 def test_dyadic_estimate_of_an_integer_is_exact():
-    # code_orbit and the circle sweep read denom * 2**p off this estimate
+    # rotation_coding and the circle sweep read denom * 2**p off this estimate
     rng = random.Random(6363)
     precision = exactnum._PRECISION
     for d in [0, 1, 2, 97] + [rng.randrange(1, 10**30) for _ in range(200)]:

@@ -66,7 +66,7 @@ def test_imports_inside_functions_count():
     assert module_imports(source) == {"words", "rotation"}
     assert find_cycle({"a": {"b"}, "b": {"a"}, "c": set()}) == ["a", "b", "a"]
     # a reader that found nothing would pass vacuously
-    assert {"exactnum", "returns", "words"} <= relative_imports()["rotation"]
+    assert {"billiard", "exactnum", "returns", "words"} <= relative_imports()["directional"]
 
 
 def test_package_imports_form_no_cycle():

@@ -9,8 +9,7 @@ import pytest
 from cubewords import words
 from cubewords.billiard import StartPoint, trace_letters
 from cubewords.exactnum import PHI, SQRT2
-from cubewords.returns import TRANSLATION_ANGLE, circle_partition
-from cubewords.rotation import rotation_coding
+from cubewords.returns import TRANSLATION_ANGLE, circle_partition, rotation_coding
 from cubewords.words import (
     ComplexityProfile,
     SuffixAutomaton,
