@@ -275,12 +275,12 @@ def _merged_axes(specs: Sequence[_AxisSpec], count: int) -> tuple[bytes, int]:
     axis lie u_i > 4g apart, so no neighbours of the sorted keys are
     close.  Only a nonzero count looks for the runs of close keys, and
     those are re-sorted by exactnum._sorted_merged on the integer
-    vectors.  Equal times have equal vectors, but the floors may give
-    them different keys, so each group of equal times is put back in
-    tie rank order; each such group is one tie.  Only keys below every
-    axis's first missing plane, less the margin, are emitted, and the
-    cut never splits a close run; the next chunk starts at the first
-    plane of each axis not emitted.
+    vectors and their _dyadic estimates.  Equal times have equal
+    vectors, but the floors may give them different keys, so each group
+    of equal times is put back in tie rank order; each such group is one
+    tie.  Only keys below every axis's first missing plane, less the
+    margin, are emitted, and the cut never splits a close run; the next
+    chunk starts at the first plane of each axis not emitted.
 
     p starts at exactnum._PRECISION and doubles while 4k(m + 2) exceeds
     the smallest u_i.  That ends: M grows with the coordinates, not with
@@ -364,7 +364,8 @@ def _merged_axes(specs: Sequence[_AxisSpec], count: int) -> tuple[bytes, int]:
             run = [j for _, j in run]
             lo, hi = run[0], run[-1] + 2
             position = lo
-            for _, group in _sorted_merged([(time_vector(key), key) for key in keys[lo:hi]]):
+            vectors = [(time_vector(key), key) for key in keys[lo:hi]]
+            for _, group in _sorted_merged([(*_dyadic(v), v, key) for v, key in vectors]):
                 group.sort(key=(3).__and__)  # equal times in tie rank order
                 keys[position : position + len(group)] = group
                 if len(group) > 1 and position < limit:
@@ -475,7 +476,6 @@ class Validation:
 
     degenerate_start: bool
     ties: tuple[SimultaneousCrossing, ...]
-    time_bound: FieldNumber
 
     @property
     def ok(self) -> bool:
@@ -496,9 +496,10 @@ def _pair_ties(
     p: _Vector,
     q: _Vector,
     r: _Vector,
-    time_bound: FieldNumber,
+    horizon: int,
+    direction: Direction,
 ) -> list[SimultaneousCrossing]:
-    """All common crossing times of two progressions within the bound.
+    """All common crossing times of two progressions that cover ``horizon`` letters.
 
     Solves n*p - m*q = r, with p and q the two axes' integer steps and r
     the difference of their integer shifts (_scaled_progressions), over
@@ -509,9 +510,10 @@ def _pair_ties(
     integers and counts only if n >= 1 and it satisfies all four
     coordinates: a non-integral solution floors to a pair that fails the
     (1, phi) system, and since the common time is positive, n >= 1
-    forces m >= 1.  Only such a candidate has its exact time built for
-    the bound test.  One candidate per pair makes the cost independent
-    of the horizon.
+    forces m >= 1.  Only such a candidate has its exact time built and
+    tested against the bound (horizon + 3) / speed_sum, the time by
+    which the word holds at least ``horizon`` letters.  One candidate
+    per pair makes the cost independent of the horizon.
     """
     det = q[0] * p[1] - p[0] * q[1]
     n = (q[0] * r[1] - q[1] * r[0]) // det
@@ -521,7 +523,7 @@ def _pair_ties(
     if any(n * a - m * b != c for a, b, c in zip(p, q, r)):
         return []
     time = (FieldNumber(n) - first.offset) * first.inverse_speed
-    if time > time_bound:
+    if time > FieldNumber(horizon + 3) / direction.speed_sum:
         return []
     return [SimultaneousCrossing(time, first.letter + second.letter, (n, m))]
 
@@ -542,16 +544,11 @@ def validate(
     """
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
-    time_bound = FieldNumber(horizon + 3) / direction.speed_sum
     specs = _cube_axes(start, direction)
     steps, shifts = _scaled_progressions(specs)
     ties: list[SimultaneousCrossing] = []
     for i, j in combinations(range(len(specs)), 2):
         r = tuple(map(sub, shifts[i], shifts[j]))
-        ties.extend(_pair_ties(specs[i], specs[j], steps[i], steps[j], r, time_bound))
+        ties.extend(_pair_ties(specs[i], specs[j], steps[i], steps[j], r, horizon, direction))
     ties.sort(key=lambda event: event.time)
-    return Validation(
-        degenerate_start=start.is_degenerate,
-        ties=tuple(ties),
-        time_bound=time_bound,
-    )
+    return Validation(degenerate_start=start.is_degenerate, ties=tuple(ties))

@@ -107,7 +107,8 @@ def sample_schedule(total: int, seed: int = 0) -> list[FieldNumber]:
     ends, generated on integers by _farey_interior.  random.sample picks
     by index, so drawing 50 indices of the pool takes the same choices
     and leaves the same generator state as sampling the sorted list of
-    Fractions; only the 50 drawn become FieldNumbers.
+    Fractions.  A drawn index becomes a FieldNumber only when its slot
+    is emitted.
     """
     if not 0 <= total <= _SCHEDULE_LIMIT:
         raise ValueError(f"total {total} outside 0..{_SCHEDULE_LIMIT} distinct invariants")
@@ -115,15 +116,13 @@ def sample_schedule(total: int, seed: int = 0) -> list[FieldNumber]:
     stream: list[FieldNumber] = [FieldNumber(0)]
     stream.extend(value for value, _ in SPECIAL_INVARIANTS)
     pool = _farey_interior(64)
-    rationals = [
-        FieldNumber(Fraction(*pool[i])) for i in rng.sample(range(len(pool)), 50)
-    ]
+    drawn = rng.sample(range(len(pool)), 50)
     emitted = 0
     seen = set(stream)
     while len(stream) < total:
         slot = len(stream) - 5
-        if emitted < len(rationals) and slot % _RATIONAL_CADENCE == 0:
-            stream.append(rationals[emitted])
+        if emitted < len(drawn) and slot % _RATIONAL_CADENCE == 0:
+            stream.append(FieldNumber(Fraction(*pool[drawn[emitted]])))
             emitted += 1
             continue
         u = Fraction(rng.randrange(0, 97), 97)
@@ -194,10 +193,11 @@ def circle_language(s, n: int) -> frozenset[str]:
     -alpha.  A point wraps when it falls below 0; as in rotation_coding,
     an exactnum._dyadic estimate stepped by integer adds, with an error
     bound growing by the angle's bound per step, decides that test, and
-    only a point within its bound of 0 calls _int_sign.
-    exactnum._sorted_merged certifies their order and merges coinciding
-    ones (saddle connections), whose steps all move at once.  No float
-    decides anything.
+    only a point within its bound of 0 calls _int_sign.  The same
+    estimates and bounds go with the points to exactnum._sorted_merged,
+    which certifies their order and merges coinciding ones (saddle
+    connections), whose steps all move at once.  No float decides
+    anything.
     """
     return _partition_language(circle_partition(_coerce_invariant(s)), n)
 
@@ -217,7 +217,7 @@ def _partition_language(partition: CirclePartition, n: int) -> frozenset[str]:
     for new, (a0, a1, a2, a3) in enumerate(seeds):
         estimate, error = _dyadic((a0, a1, a2, a3))
         for j in range(steps):
-            points.append(((a0, a1, a2, a3), (j, new)))
+            points.append((estimate, error, (a0, a1, a2, a3), (j, new)))
             a0, a1, a2, a3 = a0 - d0, a1 - d1, a2 - d2, a3 - d3
             estimate -= step_estimate
             error += step_error
@@ -232,13 +232,13 @@ def _partition_language(partition: CirclePartition, n: int) -> frozenset[str]:
     for _, tags in arcs:
         for j, new in tags:
             blocks[j] = words[new]
-    language = set()
+    # each arc's joined blocks and the length of its first block
+    texts = []
     for _, tags in arcs:
         for j, new in tags:
             blocks[j] = words[new]
-        word = "".join(blocks)
-        language.update(word[i : i + n] for i in range(len(blocks[0])))
-    return frozenset(language)
+        texts.append(("".join(blocks), len(blocks[0])))
+    return frozenset({word[i : i + n] for word, first in texts for i in range(first)})
 
 
 @dataclass(frozen=True)
@@ -258,7 +258,7 @@ class UnionComplexity:
 class ClassSummary:
     """One complexity class: members seen, partition size, fitted laws."""
 
-    s_values: tuple[str, ...]
+    s_values: tuple[FieldNumber, ...]
     k: int
     law: Optional[_LAW]
     sample_laws: tuple[Optional[_LAW], ...]
@@ -305,7 +305,7 @@ def census(samples: Sequence, n_max: int) -> DirectionalCensus:
         # a quartic member, when there is one, speaks for the class
         quartic = [law for s, _, law in members if s.tag == "quartic"]
         classes[label] = ClassSummary(
-            s_values=tuple(str(s) for s, _, _ in members),
+            s_values=tuple(s for s, _, _ in members),
             k=k,
             law=(quartic or [members[0][2]])[0],
             sample_laws=tuple(law for _, _, law in members),

@@ -89,24 +89,25 @@ def _int_sign(scaled: tuple[int, int, int, int]) -> int:
         estimate, error = _dyadic(scaled, basis_approx(precision))
 
 
-def _sorted_merged(points: Iterable[tuple[tuple[int, int, int, int], object]]) -> list:
-    """Distinct values of (vector, tag) points in increasing order, with their tags.
+def _sorted_merged(rows: Iterable[tuple[int, int, tuple[int, int, int, int], object]]) -> list:
+    """Distinct values of (estimate, bound, vector, tag) rows in increasing order, with their tags.
 
     Each vector (a0, a1, a2, a3) stands for a0 + a1*phi + a2*sqrt2 +
-    a3*phi*sqrt2 over one denominator shared by all points.  The points
-    are sorted by their first _dyadic estimate, the first round of
-    _int_sign, and the order is then certified pair by pair.  A pair
-    whose estimates differ by more than the sum of their bounds is in
-    order: E is linear and B subadditive, so the gap estimates the
-    difference within B(p - q) <= B(p) + B(q).  Only the other pairs
-    call _int_sign: a sign of 0 merges two points into one entry, and a
-    negative sign (estimates closer than their error bounds, in the
-    wrong order) re-sorts with the exact comparator.  Equal values have
-    equal vectors, since the basis is linearly independent over Q.
+    a3*phi*sqrt2 over one denominator shared by all rows.  Its estimate
+    E and bound B must satisfy |E - value * 2**p| < B at the one
+    precision p = _PRECISION: _dyadic's pair does, and so does an
+    estimate a caller steps by integer adds with the matching sum of
+    bounds.  The rows are sorted by estimate and the order is then
+    certified pair by pair.  A pair whose estimates differ by more than
+    the sum of their bounds is in order, by the triangle inequality, so
+    a looser bound costs sign tests but never a wrong order.  Only the
+    other pairs call _int_sign: a sign of 0 merges two rows into one
+    entry, and a negative sign (estimates closer than their bounds, in
+    the wrong order) re-sorts with the exact comparator.  Equal values
+    have equal vectors, since the basis is linearly independent over Q.
     Returns a list of (vector, tags) pairs.
     """
-    rows = [(*_dyadic(vector), vector, tag) for vector, tag in points]
-    rows.sort(key=itemgetter(0))
+    rows = sorted(rows, key=itemgetter(0))
 
     def relation(p: tuple, q: tuple) -> int:
         (u0, u1, u2, u3), (v0, v1, v2, v3) = p[2], q[2]

@@ -30,7 +30,8 @@ point as two integer vectors over one denominator and settles the open
 square and each curve by the sign of one integer vector
 (exactnum._int_sign).  cell_of, kth_return_prediction and the interval
 labels of circle_partition all call it, so no cell is decided by
-FieldNumber arithmetic.
+FieldNumber arithmetic.  circle_partition solves its cuts the same way,
+on integer vectors over the denominator of s.
 
 rotation_coding codes that orbit on integers, as a string of cell
 digits: each point is four integer coordinates over the common
@@ -58,6 +59,7 @@ from .exactnum import (
     _field,
     _floor,
     _int_sign,
+    _reduced,
     _sorted_merged,
     common_denominator,
     reduce_mod1,
@@ -129,9 +131,9 @@ class FacePartition:
     cell_of assigns the cells.  They are open: points on any of the four
     dividing curves are rejected, since trajectories from there may run
     into cube edges.  Constants are hard-coded exactly, here only: the
-    integer classifier _cell_label reads its vectors from them, and the
-    whole table is cross-validated against traced return words in the
-    tests.
+    integer classifier _cell_label and the cut solve of circle_partition
+    read their vectors from them, and the whole table is cross-validated
+    against traced return words in the tests.
     """
 
     HORIZONTAL_Z = 2 * PHI - 3
@@ -439,71 +441,83 @@ def rotation_coding(
     return "".join(coding)
 
 
-def _circle_cut_candidates(s: FieldNumber) -> Iterator[tuple[str, FieldNumber]]:
+def _circle_cut_candidates(s: _Vector, denom: int) -> Iterator[tuple[str, _Vector]]:
     """Exact intersections of the circle with the seam and the four curves.
 
-    The circle is z(y) = s - y + e with branch e = 0 on y in [0, s] and
-    e = 1 on y in (s, 1).  Each curve is solved against both branches;
-    solutions outside their branch are discarded.  The anti-diagonal
-    never crosses transversally (for s = 0 the circle lies inside it),
-    so it contributes no cuts.
+    s and every candidate are integer vectors over denom > 0, the
+    denominator of the invariant: the curve constants have denominator
+    1, so over denom they are denom times their vectors.  The circle is
+    z(y) = s - y + e with branch e = 0 on y in [0, s] and e = 1 on y in
+    (s, 1).  Each curve is solved against both branches; solutions
+    outside their branch are discarded.  The anti-diagonal never
+    crosses transversally (for s = 0 the circle lies inside it), so it
+    contributes no cuts.  Every test is the sign of an integer vector,
+    decided by exactnum._int_sign.
     """
-    one = FieldNumber(1)
+    s0, s1, s2, s3 = s
 
-    def branch_holds(y: FieldNumber, e: int) -> bool:
-        if y < 0 or y >= 1:
-            return False
-        if e == 0:
-            return y <= s
-        return y > s
+    def compare(v: _Vector, c: _Vector) -> int:  # the sign of v - c
+        return _int_sign((v[0] - c[0], v[1] - c[1], v[2] - c[2], v[3] - c[3]))
 
-    if s != 0:
+    one = (denom, 0, 0, 0)
+    vertical = tuple(denom * a for a in _VERTICAL)
+    if any(s):
         yield "seam", s
-    horizontal = reduce_mod1(s - FacePartition.HORIZONTAL_Z)
+    # s and 2*phi - 3 lie in [0, 1), so s - (2*phi - 3) wraps at most once
+    h0, h1, h2, h3 = _HORIZONTAL
+    horizontal = (s0 - denom * h0, s1 - denom * h1, s2 - denom * h2, s3 - denom * h3)
+    if _int_sign(horizontal) < 0:
+        horizontal = (horizontal[0] + denom,) + horizontal[1:]
     yield "horizontal", horizontal
-    yield "vertical", FacePartition.VERTICAL_Y
+    yield "vertical", vertical
     # z = (phi - 1)*y + b meets z = s - y + e where phi*y = s + e - b, so
-    # y = (s + e - b)/phi, and 1/phi = phi - 1 is the lines' own slope
-    slope = FacePartition.LINE_SLOPE
+    # y = (s + e - b)/phi, and 1/phi = phi - 1 maps (a0, a1, a2, a3) to
+    # (a1 - a0, a0, a3 - a2, a2), as in _cell_label
     for e in (0, 1):
-        red = (s + e - FacePartition.RED_INTERCEPT) * slope
-        if branch_holds(red, e):
-            yield "red", red
-        blue = (s + e - FacePartition.BLUE_INTERCEPT) * slope
-        if branch_holds(blue, e) and FacePartition.VERTICAL_Y < blue < one:
-            yield "blue", blue
+        for curve, (b0, b1, b2, b3) in (("red", _RED), ("blue", _BLUE)):
+            a0, a1, a2, a3 = s0 + denom * (e - b0), s1 - denom * b1, s2 - denom * b2, s3 - denom * b3
+            y = (a1 - a0, a0, a3 - a2, a2)
+            # y in [0, 1) and on its branch: y <= s for e = 0, y > s for e = 1
+            if _int_sign(y) < 0 or compare(y, one) >= 0 or (compare(y, s) > 0) != (e == 1):
+                continue
+            # the blue segment lies right of the vertical line
+            if curve == "red" or compare(y, vertical) > 0:
+                yield curve, y
 
 
 def circle_partition(s: FieldNumber) -> CirclePartition:
     """Partition of the circle with invariant s into labeled intervals.
 
+    The cuts are solved on integer vectors over the denominator D of s
+    (_circle_cut_candidates), sorted and merged by
+    exactnum._sorted_merged, and become FieldNumbers only at the end.
     Cut candidates that coincide exactly (special circles run through
     multiple-curve intersection points) would bound zero-length
-    intervals; they are merged and logged rather than kept.  Each
-    interval is labeled by the cell of its midpoint: with the cuts as
-    integer vectors over a denominator D, the midpoint and
-    s - midpoint mod 1 are integer vectors over 2*D, and _cell_label
-    classifies them.  No label raises OnBoundary: every point where the
-    circle meets one of the four curves, and the seam where Z wraps, is
-    a cut, and each midpoint lies strictly between two consecutive cuts
-    or the wrap point.
+    intervals; they are merged and logged rather than kept, and so is a
+    cut on the wrap point.  Each interval is labeled by the cell of its
+    midpoint: the midpoint and s - midpoint mod 1 are integer vectors
+    over 2*D, and _cell_label classifies them.  No label raises
+    OnBoundary: every point where the circle meets one of the four
+    curves, and the seam where Z wraps, is a cut, and each midpoint lies
+    strictly between two consecutive cuts or the wrap point.
     """
     s = _field(s)
-    if s < 0 or s >= 1:
+    denom = common_denominator((s,))
+    s0, s1, s2, s3 = s.scaled_coeffs(denom)
+    if _int_sign((s0, s1, s2, s3)) < 0 or _int_sign((s0 - denom, s1, s2, s3)) >= 0:
         raise ValueError(f"circle invariant {s} outside [0, 1)")
-    candidates = list(_circle_cut_candidates(s))
-    denom = common_denominator([s] + [y for _, y in candidates])
-    points = ((y.scaled_coeffs(denom), i) for i, (_, y) in enumerate(candidates))
+    candidates = list(_circle_cut_candidates((s0, s1, s2, s3), denom))
+    rows = [(*_dyadic(vector), vector, i) for i, (_, vector) in enumerate(candidates)]
     cuts: list[FieldNumber] = []
     vectors: list[_Vector] = []
     # the sorts are stable, so each value lists its candidates in order
-    for vector, tags in _sorted_merged(points):
+    for vector, tags in _sorted_merged(rows):
         curves = [candidates[i][0] for i in tags]
         if not any(vector):
             for curve in curves:
                 logger.info("circle s=%s: %s cut sits on the wrap point, dropped", s, curve)
             continue
-        cuts.append(candidates[tags[0]][1])
+        cuts.append(_reduced(vector, denom))
         vectors.append(vector)
         for curve in curves[1:]:
             logger.info(
@@ -513,7 +527,7 @@ def circle_partition(s: FieldNumber) -> CirclePartition:
                 cuts[-1],
             )
     # midpoints (lo + hi) / 2 and s - mid mod 1 as integer vectors over 2*denom
-    s0, s1, s2, s3 = (2 * a for a in s.scaled_coeffs(denom))
+    s0, s1, s2, s3 = 2 * s0, 2 * s1, 2 * s2, 2 * s3
     bounds = [(0, 0, 0, 0)] + vectors + [(denom, 0, 0, 0)]
     labels = []
     for lo, hi in zip(bounds, bounds[1:]):

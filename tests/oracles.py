@@ -19,7 +19,7 @@ from cubewords.billiard import (
     _wall_letters,
     trace_letters,
 )
-from cubewords.exactnum import FieldNumber, _field
+from cubewords.exactnum import FieldNumber, _field, reduce_mod1
 from cubewords.returns import (
     CellLabel,
     CirclePartition,
@@ -151,6 +151,39 @@ def red_z(y: FieldNumber) -> FieldNumber:
 def blue_z(y: FieldNumber) -> FieldNumber:
     """Z on the blue line at Y = y, in FieldNumber arithmetic."""
     return FacePartition.LINE_SLOPE * y + FacePartition.BLUE_INTERCEPT
+
+
+def field_cut_candidates(s: FieldNumber) -> Iterator[tuple[str, FieldNumber]]:
+    """Cut candidates of the circle s solved in FieldNumber arithmetic.
+
+    The route returns._circle_cut_candidates replaces with signs of
+    integer vectors over the denominator of s.  The circle is
+    z(y) = s - y + e with branch e = 0 on y in [0, s] and e = 1 on y in
+    (s, 1); each curve is solved against both branches, and solutions
+    outside their branch are discarded.
+    """
+    one = FieldNumber(1)
+
+    def branch_holds(y: FieldNumber, e: int) -> bool:
+        if y < 0 or y >= 1:
+            return False
+        if e == 0:
+            return y <= s
+        return y > s
+
+    if s != 0:
+        yield "seam", s
+    yield "horizontal", reduce_mod1(s - FacePartition.HORIZONTAL_Z)
+    yield "vertical", FacePartition.VERTICAL_Y
+    # z = (phi - 1)*y + b meets z = s - y + e where y = (s + e - b)/phi
+    slope = FacePartition.LINE_SLOPE
+    for e in (0, 1):
+        red = (s + e - FacePartition.RED_INTERCEPT) * slope
+        if branch_holds(red, e):
+            yield "red", red
+        blue = (s + e - FacePartition.BLUE_INTERCEPT) * slope
+        if branch_holds(blue, e) and FacePartition.VERTICAL_Y < blue < one:
+            yield "blue", blue
 
 
 def interval_of(partition: CirclePartition, y: FieldNumber) -> int:

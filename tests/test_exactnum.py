@@ -365,6 +365,11 @@ def as_values(merged):
     return [(FieldNumber(*vector), sorted(tags)) for vector, tags in merged]
 
 
+def dyadic_rows(points):
+    """(vector, tag) points as the (estimate, bound, vector, tag) rows _sorted_merged takes."""
+    return [(*_dyadic(vector), vector, tag) for vector, tag in points]
+
+
 # F(48) - F(47)*phi: about -1.7e-10 below zero, yet its 64-bit dyadic
 # estimate reads +50920843, since 2971215073 times phi's rounding error
 # outweighs the value itself; the negation is misestimated the other way.
@@ -395,7 +400,7 @@ def test_sorted_merged_matches_field_order_random():
         size = rng.randint(1, 12)
         pool = [tuple(rng.randint(-40, 40) for _ in range(4)) for _ in range(size)]
         points = [(rng.choice(pool), tag) for tag in range(rng.randint(1, 30))]
-        assert as_values(_sorted_merged(points)) == field_sorted_merged(points)
+        assert as_values(_sorted_merged(dyadic_rows(points))) == field_sorted_merged(points)
 
 
 def test_sorted_merged_certifies_separated_pairs_by_estimates(monkeypatch):
@@ -407,7 +412,7 @@ def test_sorted_merged_certifies_separated_pairs_by_estimates(monkeypatch):
     rng = random.Random(1818)
     pool = [tuple(rng.randint(-40, 40) for _ in range(4)) for _ in range(60)]
     points = [(rng.choice(pool), tag) for tag in range(200)]
-    merged = _sorted_merged(points)
+    merged = _sorted_merged(dyadic_rows(points))
     assert len(calls) == len(points) - len(merged) > 0
     assert not any(any(vector) for vector in calls)
     assert as_values(merged) == field_sorted_merged(points)
@@ -415,7 +420,10 @@ def test_sorted_merged_certifies_separated_pairs_by_estimates(monkeypatch):
 
 def test_sorted_merged_exact_duplicates():
     points = [((3, 1, 0, 0), "a"), ((0, 0, 1, 0), "b"), ((3, 1, 0, 0), "c"), ((0, 0, 1, 0), "d")]
-    assert _sorted_merged(points) == [((0, 0, 1, 0), ["b", "d"]), ((3, 1, 0, 0), ["a", "c"])]
+    assert _sorted_merged(dyadic_rows(points)) == [
+        ((0, 0, 1, 0), ["b", "d"]),
+        ((3, 1, 0, 0), ["a", "c"]),
+    ]
 
 
 def test_sorted_merged_near_ties_fall_back(monkeypatch):
@@ -440,7 +448,7 @@ def test_sorted_merged_near_ties_fall_back(monkeypatch):
         (below, "below again"),
         ((-1, 0, 0, 0), "minus one"),
     ]
-    merged = _sorted_merged(points)
+    merged = _sorted_merged(dyadic_rows(points))
     assert len(calls) == 1
     assert merged == [
         ((-1, 0, 0, 0), ["minus one"]),
@@ -463,16 +471,40 @@ def test_sorted_merged_when_every_key_ties(bounded):
     points = [(tuple(t * a for a in unit), t) for t in ts]
     assert {v[0] * e0 + v[1] * e1 for v, _ in points} == {0}
     order = sorted(ts, key=lambda t: rising * t)
-    merged = bounded(10, _sorted_merged, points)
+    merged = bounded(10, _sorted_merged, dyadic_rows(points))
     assert merged == [(tuple(t * a for a in unit), [t]) for t in order]
     doubled = [(vector, (t, copy)) for copy in (0, 1) for vector, t in points]
     rng.shuffle(doubled)
-    merged = bounded(10, _sorted_merged, doubled)
+    merged = bounded(10, _sorted_merged, dyadic_rows(doubled))
     assert [vector for vector, _ in merged] == [tuple(t * a for a in unit) for t in order]
     copies = {}
     for _, tag in doubled:
         copies.setdefault(tag[0], []).append(tag)
     assert [tags for _, tags in merged] == [copies[t] for t in order]
+
+
+def test_sorted_merged_takes_any_valid_bound():
+    # |E - value * 2**p| < B still holds when B grows by w and E moves by
+    # at most w, so such rows are as valid as _dyadic's and certify each
+    # pair by the triangle inequality.  With the estimates kept, the
+    # output is the same list; with them moved, the same values and tags.
+    e0, e1, _, _ = basis_approx(64)
+    near = [NEAR_ZERO, tuple(-a for a in NEAR_ZERO), (0, 0, 0, 0), (1, 0, 0, 0)]
+    near += [(t * e1, -t * e0, 0, 0) for t in (1, 2, -3)]
+    rng = random.Random(3571)
+    for trial in range(120):
+        pool = [tuple(rng.randint(-40, 40) for _ in range(4)) for _ in range(rng.randint(1, 10))]
+        if trial % 2:
+            pool += near
+        points = [(rng.choice(pool), tag) for tag in range(rng.randint(1, 30))]
+        rows = dyadic_rows(points)
+        want = _sorted_merged(rows)
+        assert as_values(want) == field_sorted_merged(points)
+        widths = [rng.choice((0, 1, 7, 10**3, 10**12, 2**70)) for _ in rows]
+        wider = [(e, b + w, v, tag) for (e, b, v, tag), w in zip(rows, widths)]
+        assert _sorted_merged(wider) == want
+        moved = [(e + rng.randint(-w, w), b + w, v, tag) for (e, b, v, tag), w in zip(rows, widths)]
+        assert as_values(_sorted_merged(moved)) == as_values(want)
 
 
 ORACLE_BITS = 2000

@@ -16,7 +16,8 @@ from fractions import Fraction
 import pytest
 
 from cubewords.billiard import GOLDEN_DIRECTION, Direction, StartPoint, trace_letters, validate
-from cubewords.exactnum import PHI, SQRT2, FieldNumber, reduce_mod1
+from cubewords.directional import SPECIAL_INVARIANTS, _farey_interior, sample_schedule
+from cubewords.exactnum import PHI, SQRT2, FieldNumber, common_denominator, reduce_mod1
 from cubewords.returns import (
     TRANSLATION_ANGLE,
     CellLabel,
@@ -37,6 +38,7 @@ from cubewords.returns import (
 from oracles import (
     blue_z,
     empirical_cells,
+    field_cut_candidates,
     interval_of,
     label_of,
     lengths,
@@ -555,7 +557,7 @@ class TestPredictions:
         # start is steered so that step j lands within the golden unit
         # F(49) - F(48)*phi (about 1e-10) of the family's cut, on either side.
         s = reduce_mod1((2 + SQRT2) / 3)
-        cuts = dict(_circle_cut_candidates(s))
+        cuts = dict(field_cut_candidates(s))
         assert len(cuts) == 5
         unit = golden_unit(48)
         j = 60 + 110 * ["seam", "horizontal", "vertical", "red", "blue"].index(family)
@@ -575,6 +577,50 @@ class TestPredictions:
         assert len(predict_return_words(start, 3)) == 3
         with pytest.raises(OnBoundary, match="vertical"):
             kth_return_prediction(start, 3)
+
+
+def integer_cut_candidates(s):
+    """_circle_cut_candidates of the circle s, its vectors read back as FieldNumbers."""
+    denom = common_denominator((s,))
+    return [
+        (curve, FieldNumber(*(Fraction(a, denom) for a in vector)))
+        for curve, vector in _circle_cut_candidates(s.scaled_coeffs(denom), denom)
+    ]
+
+
+class TestCutCandidatesAgainstFieldOracle:
+    """The integer cut solve against the FieldNumber solve it replaced."""
+
+    def assert_routes_agree(self, circles):
+        for s in circles:
+            assert integer_cut_candidates(s) == list(field_cut_candidates(s)), str(s)
+
+    def test_every_farey_circle(self):
+        circles = [fr(p, q) for p, q in _farey_interior(64)]
+        assert len(circles) == 1259
+        self.assert_routes_agree(circles)
+
+    def test_zero_and_golden_circles(self):
+        self.assert_routes_agree([F(0)] + [value for value, _ in SPECIAL_INVARIANTS])
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_schedule_circles(self, seed):
+        self.assert_routes_agree(sample_schedule(400, seed))
+
+    def test_quartic_circles_near_curve_crossings(self):
+        # the circles through crossings of two curves (or a curve and an
+        # edge) are the zero and golden ones; these pass within 1e-6 of them
+        offsets = ((SQRT2 - 1) / 10**6, golden_unit(40) * SQRT2)
+        circles = [
+            reduce_mod1(c + sign * u)
+            for c in [F(0)] + [value for value, _ in SPECIAL_INVARIANTS]
+            for u in offsets
+            for sign in (1, -1)
+        ]
+        assert {s.tag for s in circles} == {"quartic"}
+        self.assert_routes_agree(circles)
+        for s in circles:
+            assert_labels_match_cells(circle_partition(s))
 
 
 def assert_labels_match_cells(part):

@@ -16,19 +16,22 @@ parts can run one at a time.  Benchmark runs go through each tree's own
            untraced, the parent first on odd seeds and the change first
            on even ones; every run's metrics, and per end-to-end metric
            both trees' medians and quartiles and the pairs won
-  traced   one traced long_words run per tree on the first seed: the
-           metrics it prints and, from its span file, the calls and
-           mean self time (``perfbench/measure.py``) of every span name
+  traced   one traced run per tree of every workload of BENCHMARK.json
+           on the first seed: the metrics it prints and, from its span
+           file, the calls and mean self time (``perfbench/measure.py``)
+           of every span name
   cli      SHA-256 of standard output and standard error and the exit
            status of every request in REQUESTS, in both formats, from
            one ``cli.main`` process per tree
   tier1    ``python -m pytest -q --continue-on-collection-errors`` in
            each tree with ``PYTHONPATH=src``
-  FILE.py  a timing script of the change at hand, run ROUNDS times per
-           tree in a child process with ``PYTHONPATH=<tree>/src``, the
-           trees alternating; its last line of output is a JSON object
-           of numbers, whose medians per tree are kept under ``timings``
-           and the script's name
+  FILE.py  a timing script inside the repository that defines
+           ``measure(cw) -> dict`` of numbers.  One child process loads
+           both trees' ``src/cubewords`` under two package names and
+           calls ``measure`` with each package for ROUNDS rounds, the
+           trees alternating, so that both see the same spells of the
+           host; the medians per tree are kept under ``timings`` and
+           the script's name
 
 All times are CPU seconds of the measuring process, as in perfbench.
 """
@@ -48,7 +51,6 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 ROUNDS = 7
-TRACED_WORKLOAD = "long_words"
 
 # Every subcommand at its defaults, the wide complexity requests, the
 # --r 1/3 family, and invalid requests that must exit 1 with a reason.
@@ -98,6 +100,34 @@ for argv in json.loads(sys.argv[1]):
 print(json.dumps(rows))
 """
 
+# Every import inside the package is relative, so a tree's package loads
+# under any name; the script sees each as the module it is handed.
+SCRIPT_CHILD = r"""
+import importlib.util, json, sys
+from pathlib import Path
+
+def load(name, path, search=None):
+    spec = importlib.util.spec_from_file_location(name, path, submodule_search_locations=search)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+script, rounds, trees = sys.argv[1], int(sys.argv[2]), json.loads(sys.argv[3])
+packages = {
+    side: load(f"cubewords_{side}", Path(tree, "src", "cubewords", "__init__.py"),
+               [str(Path(tree, "src", "cubewords"))])
+    for side, tree in trees.items()
+}
+measure = load("timing_script", script).measure
+rows = {side: [] for side in packages}
+for index in range(rounds):
+    sides = list(packages) if index % 2 else list(packages)[::-1]
+    for side in sides:
+        rows[side].append(measure(packages[side]))
+print(json.dumps(rows))
+"""
+
 
 def perfbench_module(tree: Path, name: str):
     """The tree's own perfbench/<name>.py, loaded so that its paths point into the tree."""
@@ -114,8 +144,8 @@ def clear_bytecode(tree: Path) -> None:
         shutil.rmtree(cache, ignore_errors=True)
 
 
-def run_child(tree: Path, argv: list[str]) -> object:
-    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+def run_child(tree: Path, argv: list[str], pythonpath: str) -> object:
+    env = dict(os.environ, PYTHONPATH=pythonpath)
     done = subprocess.run(
         [sys.executable, *argv], cwd=tree, env=env, capture_output=True, text=True, check=True
     )
@@ -165,31 +195,35 @@ def part_pairs(trees: dict[str, Path], seeds: list[int], spec: dict) -> dict:
 
 
 def part_traced(trees: dict[str, Path], seed: int, spec: dict) -> dict:
-    result: dict = {"workload": TRACED_WORKLOAD, "seed": seed}
-    for side, tree in ordered(trees, seed):
-        clear_bytecode(tree)
-        run, _, _ = perfbench_module(tree, "record").run_once(
-            TRACED_WORKLOAD, seed, spec["run_seconds"], 1
-        )
-        measure = perfbench_module(tree, "measure")
-        payload = json.loads(
-            (tree / "perfbench" / "out" / f"spans-{TRACED_WORKLOAD}-seed{seed}.json").read_text()
-        )
-        totals = measure.layer_totals([measure.Span(*span) for span in payload["spans"]])
-        result[side] = {
-            "metrics": {name: metric["value"] for name, metric in run["metrics"].items()},
-            "self_us_per_call": {
-                name: {"calls": total.calls, "mean": total.busy / total.calls * 1e6}
-                for name, total in sorted(totals.items())
-            },
-        }
+    result: dict = {"seed": seed, "workloads": {}}
+    for workload in (w["name"] for w in spec["workloads"]):
+        sides = result["workloads"][workload] = {}
+        for side, tree in ordered(trees, seed):
+            clear_bytecode(tree)
+            run, _, _ = perfbench_module(tree, "record").run_once(
+                workload, seed, spec["run_seconds"], 1
+            )
+            measure = perfbench_module(tree, "measure")
+            payload = json.loads(
+                (tree / "perfbench" / "out" / f"spans-{workload}-seed{seed}.json").read_text()
+            )
+            totals = measure.layer_totals([measure.Span(*span) for span in payload["spans"]])
+            sides[side] = {
+                "metrics": {name: metric["value"] for name, metric in run["metrics"].items()},
+                "self_us_per_call": {
+                    name: {"calls": total.calls, "mean": total.busy / total.calls * 1e6}
+                    for name, total in sorted(totals.items())
+                },
+            }
+            print(side, seed, workload, "traced", file=sys.stderr, flush=True)
     return result
 
 
 def part_cli(trees: dict[str, Path]) -> dict:
     argvs = [argv + ["--format", fmt] for argv in REQUESTS for fmt in ("tsv", "json")]
     reports = {
-        side: run_child(tree, ["-c", CLI_CHILD, json.dumps(argvs)]) for side, tree in trees.items()
+        side: run_child(tree, ["-c", CLI_CHILD, json.dumps(argvs)], str(tree / "src"))
+        for side, tree in trees.items()
     }
     identical = [p == c for p, c in zip(reports["parent"], reports["change"])]
     return {
@@ -216,13 +250,11 @@ def part_tier1(trees: dict[str, Path]) -> dict:
 
 
 def part_script(trees: dict[str, Path], script: Path) -> dict:
-    rows: dict = {side: [] for side in trees}
-    for index in range(ROUNDS):
-        for side, tree in ordered(trees, index):
-            rows[side].append(run_child(tree, [str(script)]))
+    paths = json.dumps({side: str(tree) for side, tree in trees.items()})
+    rows = run_child(ROOT, ["-c", SCRIPT_CHILD, str(script), str(ROUNDS), paths], "")
     return {
         "script": script.relative_to(ROOT).as_posix(),
-        "how": f"median over {ROUNDS} child processes per tree, trees alternating",
+        "how": f"median over {ROUNDS} rounds of one process holding both trees, trees alternating",
         "medians": {
             key: {side: statistics.median(row[key] for row in side_rows)
                   for side, side_rows in rows.items()}
