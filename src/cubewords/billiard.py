@@ -92,11 +92,19 @@ def _on_wall(value: FieldNumber) -> bool:
 
 @dataclass(frozen=True, repr=False)
 class Direction:
-    """A member of the direction family (r, phi - 1, 2 - phi); r is coerced to a Fraction."""
+    """A member of the direction family (r, phi - 1, 2 - phi); r is coerced to a Fraction.
+
+    r may be an int, a Fraction or a string such as "4/2"; anything else,
+    a float included, raises TypeError, since a float is not exact.
+    """
 
     r: Fraction = Fraction(1, 2)
 
     def __post_init__(self) -> None:
+        if not isinstance(self.r, (int, Fraction, str)):
+            raise TypeError(
+                f"the rational speed r must be int, Fraction or str, not {type(self.r).__name__}"
+            )
         r = Fraction(self.r)
         if r <= 0:
             raise ValueError("the rational speed r must be positive")

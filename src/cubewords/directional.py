@@ -287,6 +287,8 @@ def census(samples: Sequence, n_max: int) -> DirectionalCensus:
     the union of the languages.  A class whose circles differ in
     partition size raises, since it would falsify the classification.
     """
+    if n_max < 1:
+        raise ValueError("n_max must be at least 1")
     languages: set[str] = set()
     buckets: dict[str, list] = {}
     for raw in samples:

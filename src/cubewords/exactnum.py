@@ -89,6 +89,19 @@ def _int_sign(scaled: tuple[int, int, int, int]) -> int:
         estimate, error = _dyadic(scaled, basis_approx(precision))
 
 
+def _compare(
+    u: tuple[int, int, int, int], v: tuple[int, int, int, int], scale: int = 1
+) -> int:
+    """Sign of u - scale*v for integer vectors u and v, by _int_sign.
+
+    Over one denominator D > 0 it orders u / D and scale*v / D; a
+    constant c over 1 compares with u / D as _compare(u, c, D).
+    """
+    u0, u1, u2, u3 = u
+    v0, v1, v2, v3 = v
+    return _int_sign((u0 - scale * v0, u1 - scale * v1, u2 - scale * v2, u3 - scale * v3))
+
+
 def _sorted_merged(rows: Iterable[tuple[int, int, tuple[int, int, int, int], object]]) -> list:
     """Distinct values of (estimate, bound, vector, tag) rows in increasing order, with their tags.
 
@@ -101,17 +114,13 @@ def _sorted_merged(rows: Iterable[tuple[int, int, tuple[int, int, int, int], obj
     certified pair by pair.  A pair whose estimates differ by more than
     the sum of their bounds is in order, by the triangle inequality, so
     a looser bound costs sign tests but never a wrong order.  Only the
-    other pairs call _int_sign: a sign of 0 merges two rows into one
+    other pairs call _compare: a sign of 0 merges two rows into one
     entry, and a negative sign (estimates closer than their bounds, in
     the wrong order) re-sorts with the exact comparator.  Equal values
     have equal vectors, since the basis is linearly independent over Q.
     Returns a list of (vector, tags) pairs.
     """
     rows = sorted(rows, key=itemgetter(0))
-
-    def relation(p: tuple, q: tuple) -> int:
-        (u0, u1, u2, u3), (v0, v1, v2, v3) = p[2], q[2]
-        return _int_sign((u0 - v0, u1 - v1, u2 - v2, u3 - v3))
 
     def merged_runs() -> Optional[list]:
         merged: list = []
@@ -120,7 +129,7 @@ def _sorted_merged(rows: Iterable[tuple[int, int, tuple[int, int, int, int], obj
             if previous is None or row[0] - previous[0] > row[1] + previous[1]:
                 order = 1
             else:
-                order = relation(row, previous)
+                order = _compare(row[2], previous[2])
             if order < 0:
                 return None
             if order == 0:
@@ -132,49 +141,45 @@ def _sorted_merged(rows: Iterable[tuple[int, int, tuple[int, int, int, int], obj
 
     merged = merged_runs()
     if merged is None:
-        rows.sort(key=cmp_to_key(relation))
+        rows.sort(key=cmp_to_key(lambda p, q: _compare(p[2], q[2])))
         merged = merged_runs()
     return merged
-
-
-def _estimate(
-    vector: tuple[int, int, int, int], denom: int, precision: int, scale: int = 1
-) -> tuple[int, int, int]:
-    """Dyadic estimate E of value * (D << p), p, and a bound on |E - value * (D << p)|.
-
-    The value is vector / denom, D = denom > 0.  p doubles from
-    ``precision`` until the bound times scale is below D << p.
-    """
-    while True:
-        estimate, error = _dyadic(vector, basis_approx(precision))
-        if error * scale < denom << precision:
-            return estimate, precision, error
-        precision *= 2
 
 
 def _floor(vector: tuple[int, int, int, int], denom: int) -> int:
     """Exact floor of vector / denom, for denom > 0.
 
     The estimate E of value * M, M = D << p, lies within B < M of it, so
-    the value is below g + 1 for g = floor((E + B) / M).  When E - B is
-    at least g*M too, the value lies inside (g, g + 1) and g is the
-    floor, with no sign test.  Only an estimate within its bound of an
-    integer multiple of M needs sign tests, of value - g and at most two
-    lower integers.  FieldNumber.floor and the face-point reductions of
-    returns share it.
+    the value is below g + 1 for g = floor((E + B) / M).  _dyadic's B
+    does not depend on p, which doubles from _PRECISION until B < M.
+    When E - B is at least g*M too, the value lies inside (g, g + 1) and
+    g is the floor, with no sign test.  Only an estimate within its
+    bound of an integer multiple of M needs sign tests, of value - g and
+    at most two lower integers.  FieldNumber.floor and decimal, _mod1
+    and the face-point reductions of returns share it.
     """
     a0, a1, a2, a3 = vector
     if not (a1 or a2 or a3):
         return a0 // denom
-    estimate, precision, error = _estimate(vector, denom, _PRECISION)
+    estimate, error = _dyadic(vector)
+    precision = _PRECISION
+    while error >= denom << precision:
+        precision *= 2
+        estimate, _ = _dyadic(vector, basis_approx(precision))
     unit = denom << precision
     guess = (estimate + error) // unit
     if estimate - error >= guess * unit:
         return guess
-    # value - g has integer coordinates (a0 - g*D, a1, a2, a3) over D > 0
-    while _int_sign((a0 - guess * denom, a1, a2, a3)) < 0:
+    # value - g is the integer vector minus g*(D, 0, 0, 0), over D > 0
+    while _compare(vector, (denom, 0, 0, 0), guess) < 0:
         guess -= 1
     return guess
+
+
+def _mod1(vector: tuple[int, int, int, int], denom: int) -> tuple[int, int, int, int]:
+    """The integer vector of vector / denom reduced mod 1 into [0, 1), over the same denom > 0."""
+    a0, a1, a2, a3 = vector
+    return a0 - _floor(vector, denom) * denom, a1, a2, a3
 
 
 def _gmul(a: int, b: int, c: int, d: int) -> tuple[int, int]:
@@ -428,9 +433,8 @@ class FieldNumber:
         if o is None:
             return NotImplemented
         # a/d < b/e with d, e > 0 iff a*e - b*d < 0
-        (a0, a1, a2, a3), d = self._num, self._den
-        (b0, b1, b2, b3), e = o._num, o._den
-        return _int_sign((a0 * e - b0 * d, a1 * e - b1 * d, a2 * e - b2 * d, a3 * e - b3 * d)) < 0
+        (a0, a1, a2, a3), e = self._num, o._den
+        return _compare((a0 * e, a1 * e, a2 * e, a3 * e), o._num, self._den) < 0
 
     def __hash__(self) -> int:
         # A rational value equals its Fraction, so it must hash like it.
@@ -486,21 +490,20 @@ class FieldNumber:
         The value itself stays exact; this string is its magnitude
         rounded half up at the requested number of places, the sign
         kept unless the digits are all zero.  At 0 places it is the
-        rounded integer, with no decimal point.
+        rounded integer, with no decimal point.  For v = a / D the
+        digits are one exact floor, floor(|v|*10**places + 1/2) =
+        _floor(2*10**places*|a| + (D, 0, 0, 0), 2*D).
         """
         if places < 0:
             raise ValueError(f"decimal places must be nonnegative, got {places}")
+        negative = self.sign() < 0
         unit = 10**places
-        scaled, precision, error = _estimate(self._num, self._den, 192, 2 * unit)
-        total = self._den << precision
-        # 2|E|*unit + total is off by at most margin; when that is too
-        # close to a multiple of 2*total, a tie decides, so settle it exactly
-        quotient, rest = divmod(2 * abs(scaled) * unit + total, 2 * total)
-        margin = 2 * error * unit
-        if not margin <= rest < 2 * total - margin:
-            quotient = (abs(self) * unit + Fraction(1, 2)).floor()
+        scale = -2 * unit if negative else 2 * unit
+        a0, a1, a2, a3 = self._num
+        den = self._den
+        quotient = _floor((scale * a0 + den, scale * a1, scale * a2, scale * a3), 2 * den)
         whole, fraction = divmod(quotient, unit)
-        text = f"{'-' if scaled < 0 and quotient != 0 else ''}{whole}"
+        text = f"{'-' if negative and quotient else ''}{whole}"
         return f"{text}.{fraction:0{places}d}" if places else text
 
 

@@ -49,16 +49,18 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from operator import add, sub
 from typing import Iterator, Optional
 
-from .billiard import Direction, StartPoint, trace_letters
+from .billiard import GOLDEN_DIRECTION, Direction, StartPoint, trace_letters
 from .exactnum import (
     PHI,
     FieldNumber,
+    _compare,
     _dyadic,
     _field,
-    _floor,
     _int_sign,
+    _mod1,
     _reduced,
     _sorted_merged,
     common_denominator,
@@ -145,7 +147,8 @@ class FacePartition:
 
 _Vector = tuple[int, int, int, int]
 
-# The curve constants as integer vectors over the denominator 1.
+# 1 and the curve constants as integer vectors over the denominator 1.
+_ONE = (1, 0, 0, 0)
 _HORIZONTAL = FacePartition.HORIZONTAL_Z.scaled_coeffs(1)
 _VERTICAL = FacePartition.VERTICAL_Y.scaled_coeffs(1)
 _RED = FacePartition.RED_INTERCEPT.scaled_coeffs(1)
@@ -153,15 +156,15 @@ _BLUE = FacePartition.BLUE_INTERCEPT.scaled_coeffs(1)
 
 
 def _face_point(y: _Vector, z: _Vector, denom: int) -> tuple[FieldNumber, FieldNumber]:
-    return tuple(FieldNumber(*(Fraction(a, denom) for a in v)) for v in (y, z))
+    return _reduced(y, denom), _reduced(z, denom)
 
 
 def _cell_label(y: _Vector, z: _Vector, denom: int) -> CellLabel:
     """cell_of for the point (y, z) / denom, with y and z integer vectors over denom > 0.
 
-    Every test is the sign of an integer vector, decided by
-    exactnum._int_sign: v / denom < c for a constant c over 1 iff
-    v - denom*c < 0.  The vertical and horizontal lines lie inside the
+    Every test is the sign of an integer vector: v / denom < c for a
+    constant c over 1 iff v - denom*c < 0, which exactnum._compare
+    decides.  The vertical and horizontal lines lie inside the
     square, 0 < 4 - 2*phi < 1 and 0 < 2*phi - 3 < 1, so each of their
     signs leaves one edge to test: y < 4 - 2*phi already puts y below
     1, y > 4 - 2*phi already puts it above 0, and on the line y is
@@ -174,17 +177,13 @@ def _cell_label(y: _Vector, z: _Vector, denom: int) -> CellLabel:
     ValueError before any curve is reported, then the vertical line,
     the horizontal one, the red and the blue are tested in that order.
     """
-    y0, y1, y2, y3 = y
-    z0, z1, z2, z3 = z
-    v0, v1, v2, v3 = _VERTICAL
-    vertical = _int_sign((y0 - denom * v0, y1 - denom * v1, y2 - denom * v2, y3 - denom * v3))
-    h0, h1, h2, h3 = _HORIZONTAL
-    horizontal = _int_sign((z0 - denom * h0, z1 - denom * h1, z2 - denom * h2, z3 - denom * h3))
+    vertical = _compare(y, _VERTICAL, denom)
+    horizontal = _compare(z, _HORIZONTAL, denom)
     if (
         vertical < 0 and _int_sign(y) <= 0
-        or vertical > 0 and _int_sign((y0 - denom, y1, y2, y3)) >= 0
+        or vertical > 0 and _compare(y, _ONE, denom) >= 0
         or horizontal < 0 and _int_sign(z) <= 0
-        or horizontal > 0 and _int_sign((z0 - denom, z1, z2, z3)) >= 0
+        or horizontal > 0 and _compare(z, _ONE, denom) >= 0
     ):
         point = _face_point(y, z, denom)
         raise ValueError(f"point ({point[0]}, {point[1]}) outside the open unit square")
@@ -195,17 +194,17 @@ def _cell_label(y: _Vector, z: _Vector, denom: int) -> CellLabel:
     if horizontal < 0:
         return CellLabel.A7 if vertical < 0 else CellLabel.A4
     # z - (phi - 1)*y, then less the red or the blue intercept
-    w0, w1, w2, w3 = z0 - y1 + y0, z1 - y0, z2 - y3 + y2, z3 - y2
-    r0, r1, r2, r3 = _RED
-    red = _int_sign((w0 - denom * r0, w1 - denom * r1, w2 - denom * r2, w3 - denom * r3))
+    y0, y1, y2, y3 = y
+    z0, z1, z2, z3 = z
+    w = (z0 - y1 + y0, z1 - y0, z2 - y3 + y2, z3 - y2)
+    red = _compare(w, _RED, denom)
     if red == 0:
         raise OnBoundary("red", _face_point(y, z, denom))
     if vertical < 0:
         return CellLabel.A2 if red < 0 else CellLabel.A1
     if red > 0:
         return CellLabel.A6
-    b0, b1, b2, b3 = _BLUE
-    blue = _int_sign((w0 - denom * b0, w1 - denom * b1, w2 - denom * b2, w3 - denom * b3))
+    blue = _compare(w, _BLUE, denom)
     if blue == 0:
         raise OnBoundary("blue", _face_point(y, z, denom))
     return CellLabel.A3 if blue > 0 else CellLabel.A5
@@ -290,7 +289,7 @@ def kth_return_prediction(m: StartPoint, k: int) -> CellLabel:
     z + k*(2 - alpha) = z - k*alpha mod 1.  alpha has denominator 1, so
     over the common denominator D of y and z both coordinates are the
     integer vectors y + k*D*alpha and z - k*D*alpha; each is reduced
-    mod 1 by exactnum._floor and _cell_label classifies the pair.
+    mod 1 by exactnum._mod1 and _cell_label classifies the pair.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
@@ -298,11 +297,9 @@ def kth_return_prediction(m: StartPoint, k: int) -> CellLabel:
         raise ValueError("return prediction starts from the face X = 0")
     denom = common_denominator((m.y, m.z))
     shift = [k * denom * a for a in _ANGLE]
-    y0, y1, y2, y3 = (a + b for a, b in zip(m.y.scaled_coeffs(denom), shift))
-    z0, z1, z2, z3 = (a - b for a, b in zip(m.z.scaled_coeffs(denom), shift))
-    y0 -= _floor((y0, y1, y2, y3), denom) * denom
-    z0 -= _floor((z0, z1, z2, z3), denom) * denom
-    return _cell_label((y0, y1, y2, y3), (z0, z1, z2, z3), denom)
+    y = _mod1(tuple(map(add, m.y.scaled_coeffs(denom), shift)), denom)
+    z = _mod1(tuple(map(sub, m.z.scaled_coeffs(denom), shift)), denom)
+    return _cell_label(y, z, denom)
 
 
 def predict_return_words(m: StartPoint, count: int, r: Fraction = Fraction(1, 2)) -> list[str]:
@@ -316,16 +313,18 @@ def predict_return_words(m: StartPoint, count: int, r: Fraction = Fraction(1, 2)
     so it raises HitsCut at step 0.  For other r each prediction traces
     floor(1/r) + 6 letters from the translated face point, as at most
     floor(1/r) + 2 crossings of Y and Z faces lie between two of X.
+    r is coerced by Direction first, so a float raises TypeError.
     """
+    direction = Direction(r)
     if m.x != 0:
         raise ValueError("return prediction starts from the face X = 0")
-    if r == Fraction(1, 2):
+    if direction == GOLDEN_DIRECTION:
         partition = circle_partition(reduce_mod1(m.y + m.z))
         coding = rotation_coding(reduce_mod1(m.y), partition, TRANSLATION_ANGLE, count)
         return [_DIGIT_WORDS[digit] for digit in coding]
-    length = int(1 / Fraction(r)) + 6
-    probes = (StartPoint(0, *_translated_face_point(m, k, r)) for k in range(count))
-    return [return_words(trace_letters(p, Direction(r), length)).blocks[0] for p in probes]
+    length = int(1 / direction.r) + 6
+    probes = (StartPoint(0, *_translated_face_point(m, k, direction.r)) for k in range(count))
+    return [return_words(trace_letters(p, direction, length)).blocks[0] for p in probes]
 
 
 @dataclass(frozen=True)
@@ -383,8 +382,8 @@ def rotation_coding(
       its bound, and does not when it falls short by more.
 
     Every other step, and every wrap too close to call, takes the exact
-    route: exactnum._int_sign on the integer vector y_j - c against the
-    cuts in order, or y_j + d - D against 0.  A point on a cut is never
+    route: exactnum._compare of y_j with the cuts in order, or
+    exactnum._int_sign of y_j + d - D.  A point on a cut is never
     certified off it, so it reaches the exact route, which raises
     HitsCut with the same (cut, step) as an all-exact coding would.  No
     float and no uncertified margin decides a digit.
@@ -412,10 +411,10 @@ def rotation_coding(
         return (a0 + step * d0 - wraps * denom, a1 + step * d1, a2 + step * d2, a3 + step * d3)
 
     def exact_index(step: int, wraps: int) -> int:
-        v0, v1, v2, v3 = exact_point(step, wraps)
+        point = exact_point(step, wraps)
         index = 0
-        for cut, (c0, c1, c2, c3) in cuts:
-            relation = _int_sign((v0 - c0, v1 - c1, v2 - c2, v3 - c3))
+        for cut, vector in cuts:
+            relation = _compare(point, vector)
             if relation == 0:
                 raise HitsCut(cut, step)
             if relation < 0:
@@ -452,24 +451,13 @@ def _circle_cut_candidates(s: _Vector, denom: int) -> Iterator[tuple[str, _Vecto
     outside their branch are discarded.  The anti-diagonal never
     crosses transversally (for s = 0 the circle lies inside it), so it
     contributes no cuts.  Every test is the sign of an integer vector,
-    decided by exactnum._int_sign.
+    decided by exactnum._int_sign or exactnum._compare.
     """
     s0, s1, s2, s3 = s
-
-    def compare(v: _Vector, c: _Vector) -> int:  # the sign of v - c
-        return _int_sign((v[0] - c[0], v[1] - c[1], v[2] - c[2], v[3] - c[3]))
-
-    one = (denom, 0, 0, 0)
-    vertical = tuple(denom * a for a in _VERTICAL)
     if any(s):
         yield "seam", s
-    # s and 2*phi - 3 lie in [0, 1), so s - (2*phi - 3) wraps at most once
-    h0, h1, h2, h3 = _HORIZONTAL
-    horizontal = (s0 - denom * h0, s1 - denom * h1, s2 - denom * h2, s3 - denom * h3)
-    if _int_sign(horizontal) < 0:
-        horizontal = (horizontal[0] + denom,) + horizontal[1:]
-    yield "horizontal", horizontal
-    yield "vertical", vertical
+    yield "horizontal", _mod1(tuple(a - denom * b for a, b in zip(s, _HORIZONTAL)), denom)
+    yield "vertical", tuple(denom * a for a in _VERTICAL)
     # z = (phi - 1)*y + b meets z = s - y + e where phi*y = s + e - b, so
     # y = (s + e - b)/phi, and 1/phi = phi - 1 maps (a0, a1, a2, a3) to
     # (a1 - a0, a0, a3 - a2, a2), as in _cell_label
@@ -478,10 +466,10 @@ def _circle_cut_candidates(s: _Vector, denom: int) -> Iterator[tuple[str, _Vecto
             a0, a1, a2, a3 = s0 + denom * (e - b0), s1 - denom * b1, s2 - denom * b2, s3 - denom * b3
             y = (a1 - a0, a0, a3 - a2, a2)
             # y in [0, 1) and on its branch: y <= s for e = 0, y > s for e = 1
-            if _int_sign(y) < 0 or compare(y, one) >= 0 or (compare(y, s) > 0) != (e == 1):
+            if _int_sign(y) < 0 or _compare(y, _ONE, denom) >= 0 or (_compare(y, s) > 0) != (e == 1):
                 continue
             # the blue segment lies right of the vertical line
-            if curve == "red" or compare(y, vertical) > 0:
+            if curve == "red" or _compare(y, _VERTICAL, denom) > 0:
                 yield curve, y
 
 
@@ -503,10 +491,10 @@ def circle_partition(s: FieldNumber) -> CirclePartition:
     """
     s = _field(s)
     denom = common_denominator((s,))
-    s0, s1, s2, s3 = s.scaled_coeffs(denom)
-    if _int_sign((s0, s1, s2, s3)) < 0 or _int_sign((s0 - denom, s1, s2, s3)) >= 0:
+    invariant = s.scaled_coeffs(denom)
+    if _int_sign(invariant) < 0 or _compare(invariant, _ONE, denom) >= 0:
         raise ValueError(f"circle invariant {s} outside [0, 1)")
-    candidates = list(_circle_cut_candidates((s0, s1, s2, s3), denom))
+    candidates = list(_circle_cut_candidates(invariant, denom))
     rows = [(*_dyadic(vector), vector, i) for i, (_, vector) in enumerate(candidates)]
     cuts: list[FieldNumber] = []
     vectors: list[_Vector] = []
@@ -527,16 +515,12 @@ def circle_partition(s: FieldNumber) -> CirclePartition:
                 cuts[-1],
             )
     # midpoints (lo + hi) / 2 and s - mid mod 1 as integer vectors over 2*denom
-    s0, s1, s2, s3 = 2 * s0, 2 * s1, 2 * s2, 2 * s3
+    doubled = [2 * a for a in invariant]
     bounds = [(0, 0, 0, 0)] + vectors + [(denom, 0, 0, 0)]
     labels = []
     for lo, hi in zip(bounds, bounds[1:]):
-        mid = tuple(a + b for a, b in zip(lo, hi))
-        z = (s0 - mid[0], s1 - mid[1], s2 - mid[2], s3 - mid[3])
-        # s and the midpoint lie in [0, 1), so s - mid wraps at most once
-        if _int_sign(z) < 0:
-            z = (z[0] + 2 * denom,) + z[1:]
-        labels.append(_cell_label(mid, z, 2 * denom))
+        mid = tuple(map(add, lo, hi))
+        labels.append(_cell_label(mid, _mod1(tuple(map(sub, doubled, mid)), 2 * denom), 2 * denom))
     partition = CirclePartition(s=s, cuts=tuple(cuts), labels=tuple(labels))
     if partition.k not in (3, 5, 6):
         raise ValueError(f"circle s={s} produced k={partition.k}, expected 3, 5 or 6")

@@ -466,13 +466,9 @@ CRITERIA: tuple[Callable[[VerificationContext], CriterionResult], ...] = (
 )
 
 
-def run_all(
-    ctx: Optional[VerificationContext] = None,
-    numbers: Optional[Iterable[int]] = None,
-) -> list[CriterionResult]:
-    """Run the acceptance criteria, all ten by default, in order."""
-    if ctx is None:
-        ctx = VerificationContext()
+def run_all(numbers: Optional[Iterable[int]] = None) -> list[CriterionResult]:
+    """Run the acceptance criteria, all ten by default, in order, sharing one context."""
+    ctx = VerificationContext()
     chosen = sorted(set(numbers)) if numbers is not None else list(range(1, 11))
     results = []
     for number in chosen:

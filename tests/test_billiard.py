@@ -199,6 +199,10 @@ def test_direction_and_start_validation():
         Direction(0)
     with pytest.raises(ValueError, match="^the rational speed r must be positive$"):
         Direction(Fraction(-1, 2))
+    # a float is not exact: 0.1 would be stored as 3602879701896397/2**55
+    for value in (0.1, 0.5, 2.0):
+        with pytest.raises(TypeError, match="r must be int, Fraction or str, not float$"):
+            Direction(value)
     with pytest.raises(ValueError, match=r"^coordinate a=2 outside \[0, 1\]$"):
         StartPoint(2, 0, 0)
     with pytest.raises(ValueError, match=r"^coordinate b=-1/3 outside \[0, 1\]$"):

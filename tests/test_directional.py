@@ -376,6 +376,13 @@ class TestCensus:
         census([F(0), 2 - PHI, SQRT2 - 1], n_max=8)
         assert len(calls) == 3
 
+    @pytest.mark.parametrize("samples", [[], [F(0), 2 - PHI]], ids=["empty", "two"])
+    @pytest.mark.parametrize("n_max", [0, -3])
+    def test_rejects_n_max_below_one(self, samples, n_max):
+        # checked before any sample, so an empty sample list raises too
+        with pytest.raises(ValueError, match="^n_max must be at least 1$"):
+            census(samples, n_max)
+
     def test_union_counts_the_union_of_languages(self, small_census):
         samples = [F(0), 2 - PHI, SQRT2 - 1, fr(1, 3)]
         union = set().union(*(circle_language(s, 25) for s in samples))

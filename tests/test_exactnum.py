@@ -730,3 +730,49 @@ def test_floor_far_from_an_integer_takes_no_sign_test(monkeypatch):
         del calls[:]
         assert value.floor() == oracle_floor(value), value
         assert calls == [], value
+
+
+def seeded_vector(rng, digits):
+    return tuple(rng.randrange(-(10**digits), 10**digits) for _ in range(4))
+
+
+NEAR_ZERO_UNITS = [golden_unit(k) for k in (48, 49, 60, 121)] + [sqrt2_unit(k) for k in (27, 66)]
+
+
+def test_compare_matches_the_field_sign():
+    rng = random.Random(2828)
+    cases = []
+    for _ in range(200):
+        u, v = seeded_vector(rng, rng.choice((2, 12, 40))), seeded_vector(rng, rng.choice((2, 12)))
+        cases.append((u, v, rng.choice((1, -1, rng.randrange(-(10**6), 10**6)))))
+    # u - scale*v within golden_unit(48), about 1e-10, of 0 on either side, and exactly 0
+    for unit in NEAR_ZERO_UNITS:
+        for _ in range(4):
+            v, scale = seeded_vector(rng, 12), rng.choice((1, rng.randrange(-(10**6), 10**6)))
+            for tiny in (unit, -unit, FieldNumber(0)):
+                u = tuple(scale * b + c for b, c in zip(v, tiny.scaled_coeffs(1)))
+                cases.append((u, v, scale))
+    for u, v, scale in cases:
+        want = (FieldNumber(*u) - scale * FieldNumber(*v)).sign()
+        assert exactnum._compare(u, v, scale) == want, (u, v, scale)
+    assert exactnum._compare((3, 1, 0, 0), (3, 1, 0, 0)) == 0
+
+
+def test_mod1_matches_reduce_mod1():
+    rng = random.Random(2929)
+    cases = []
+    for _ in range(200):
+        digits = rng.choice((2, 12, 40))
+        cases.append((seeded_vector(rng, digits), rng.randrange(1, 10 ** rng.choice((1, 6, 20)))))
+    # values within golden_unit(48), about 1e-10, of an integer, below and above it
+    for unit in NEAR_ZERO_UNITS:
+        for shift in (0, 1, -1, rng.randrange(-(10**9), 10**9)):
+            for value in (unit + shift, -unit + shift, FieldNumber(shift)):
+                denom = rng.randrange(1, 50)
+                cases.append((value.scaled_coeffs(denom), denom))
+    for vector, denom in cases:
+        value = FieldNumber(*(Fraction(a, denom) for a in vector))
+        reduced = exactnum._mod1(vector, denom)
+        assert FieldNumber(*(Fraction(a, denom) for a in reduced)) == reduce_mod1(value), value
+        floor = math.floor(value.as_fraction()) if value.is_rational else oracle_floor(value)
+        assert reduced == (vector[0] - floor * denom,) + vector[1:], value

@@ -482,6 +482,15 @@ class TestPredictions:
         with pytest.raises(ValueError, match="must be positive"):
             translation_step(r)
 
+    def test_float_r_rejected(self):
+        # 0.5 == Fraction(1, 2), so an uncoerced float would take the r = 1/2 route
+        m = StartPoint(0, fr(1, 3), fr(1, 5))
+        with pytest.raises(TypeError, match="not float$"):
+            translation_step(0.5)
+        for r in (0.5, 1 / 3):
+            with pytest.raises(TypeError, match="not float$"):
+                predict_return_words(m, 1, r)
+
     def test_first_and_third_return(self):
         m = StartPoint(0, fr(1, 2), fr(1, 2))
         assert kth_return_prediction(m, 0) is A2

@@ -13,6 +13,7 @@ from cubewords.exactnum import (
     PHI,
     SQRT2,
     FieldNumber,
+    _compare,
     _int_sign,
     common_denominator,
     reduce_mod1,
@@ -199,10 +200,13 @@ FILTER_CIRCLES = (F(0), 2 - PHI, reduce_mod1(fr(4, 13) + SQRT2 / 3))
 
 @pytest.fixture
 def exact_calls(monkeypatch):
-    """Count rotation_coding's exact fallbacks: its own calls of _int_sign."""
+    """Count rotation_coding's exact fallbacks: its own calls of _int_sign and _compare."""
     calls = []
     monkeypatch.setattr(
         returns, "_int_sign", lambda vector: calls.append(vector) or _int_sign(vector)
+    )
+    monkeypatch.setattr(
+        returns, "_compare", lambda u, v, scale=1: calls.append((u, v)) or _compare(u, v, scale)
     )
     return calls
 

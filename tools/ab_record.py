@@ -25,13 +25,14 @@ parts can run one at a time.  Benchmark runs go through each tree's own
            one ``cli.main`` process per tree
   tier1    ``python -m pytest -q --continue-on-collection-errors`` in
            each tree with ``PYTHONPATH=src``
-  FILE.py  a timing script inside the repository that defines
-           ``measure(cw) -> dict`` of numbers.  One child process loads
-           both trees' ``src/cubewords`` under two package names and
-           calls ``measure`` with each package for ROUNDS rounds, the
-           trees alternating, so that both see the same spells of the
-           host; the medians per tree are kept under ``timings`` and
-           the script's name
+  FILE.py  a timing script that defines ``measure(cw) -> dict`` of
+           numbers.  One child process loads both trees'
+           ``src/cubewords`` under two package names and calls
+           ``measure`` with each package for ROUNDS rounds, the trees
+           alternating, so that both see the same spells of the host;
+           the medians per tree are kept under ``timings`` with the
+           script's path in the repository, or its file name for a
+           script kept outside it
 
 All times are CPU seconds of the measuring process, as in perfbench.
 """
@@ -53,7 +54,9 @@ ROOT = Path(__file__).resolve().parent.parent
 ROUNDS = 7
 
 # Every subcommand at its defaults, the wide complexity requests, the
-# --r 1/3 family, and invalid requests that must exit 1 with a reason.
+# --r 1/3 family, a trace whose decimals need finer estimates and a
+# circle solved over a large denominator, and invalid requests that must
+# exit 1 with a reason.
 REQUESTS = [
     ["trace"],
     ["complexity"],
@@ -73,6 +76,8 @@ REQUESTS = [
     ["complexity", "--r", "1/3"],
     ["returns", "--r", "1/3"],
     ["rotation", "--r", "1/3"],
+    ["trace", "--m", "0,123456789/987654321,1/3", "--letters", "16"],
+    ["rotation", "--m", "0,1/5,12345/98765*sqrt2-1/9", "--letters", "400", "--n-max", "20"],
     ["complexity", "--letters", "50", "--n-max", "40"],
     ["returns", "--letters", "2"],
     ["trace", "--r", "0"],
@@ -253,7 +258,7 @@ def part_script(trees: dict[str, Path], script: Path) -> dict:
     paths = json.dumps({side: str(tree) for side, tree in trees.items()})
     rows = run_child(ROOT, ["-c", SCRIPT_CHILD, str(script), str(ROUNDS), paths], "")
     return {
-        "script": script.relative_to(ROOT).as_posix(),
+        "script": script.relative_to(ROOT).as_posix() if script.is_relative_to(ROOT) else script.name,
         "how": f"median over {ROUNDS} rounds of one process holding both trees, trees alternating",
         "medians": {
             key: {side: statistics.median(row[key] for row in side_rows)
