@@ -40,7 +40,13 @@ beyond:
 * Word size.  q leaves the smallest step 60 - bitlen(W) bits, W the
   chunk's window of crossings, and every key is below W such steps,
   so below 2**60: the tagged key 4*key + axis fits a 64-bit word, and
-  one array pass reads the letters off the sorted keys' low bytes.
+  one array pass reads the letters off the sorted keys' low bytes.  The
+  array's type code, _WORD, is "L" where an unsigned long has 8 bytes:
+  its conversion, PyLong_AsUnsignedLong, reads a small int's digits
+  directly, while "Q"'s unsigned long long conversion copies each key
+  through a byte array and takes about 2.7 times as long (28 against
+  75 us for 3000 keys on CPython 3.11).  "Q" serves where "L" has 4
+  bytes.
 * Gate.  For each pair of axes an exact floor sum (_floor_sum) counts
   the planes of one axis within the margin of the other's progression.
   A zero count proves that no two keys are close; only a nonzero count
@@ -59,7 +65,8 @@ from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations, compress, groupby, islice
+from functools import cached_property
+from itertools import combinations, compress, groupby, islice
 from operator import sub
 from typing import NamedTuple, Optional, Sequence
 
@@ -69,6 +76,7 @@ from .exactnum import (
     _PRECISION,
     _dyadic,
     _field,
+    _reduced,
     _sorted_merged,
     basis_approx,
     common_denominator,
@@ -95,7 +103,9 @@ class Direction:
     """A member of the direction family (r, phi - 1, 2 - phi); r is coerced to a Fraction.
 
     r may be an int, a Fraction or a string such as "4/2"; anything else,
-    a float included, raises TypeError, since a float is not exact.
+    a float included, raises TypeError, since a float is not exact.  The
+    speeds, inverse speeds and speed sum are built on first use and kept;
+    equality and hashing read r alone.
     """
 
     r: Fraction = Fraction(1, 2)
@@ -110,16 +120,16 @@ class Direction:
             raise ValueError("the rational speed r must be positive")
         object.__setattr__(self, "r", r)
 
-    @property
+    @cached_property
     def speeds(self) -> tuple[FieldNumber, FieldNumber, FieldNumber]:
         return (FieldNumber(self.r), PHI - 1, 2 - PHI)
 
-    @property
+    @cached_property
     def inverse_speeds(self) -> tuple[FieldNumber, FieldNumber, FieldNumber]:
         # 1/(phi - 1) = phi and 1/(2 - phi) = phi + 1
         return (FieldNumber(1 / self.r), PHI, PHI + 1)
 
-    @property
+    @cached_property
     def speed_sum(self) -> FieldNumber:
         return FieldNumber(self.r) + 1
 
@@ -132,7 +142,11 @@ GOLDEN_DIRECTION = Direction(Fraction(1, 2))
 
 @dataclass(frozen=True, repr=False)
 class StartPoint:
-    """An exact point of the closed unit cube; each coordinate is coerced to a FieldNumber."""
+    """An exact point of the closed unit cube; each coordinate is coerced to a FieldNumber.
+
+    A coordinate lies in [0, 1] exactly when its floor is 0 or it equals 1,
+    so one exact floor checks it.
+    """
 
     x: FieldNumber
     y: FieldNumber
@@ -141,7 +155,7 @@ class StartPoint:
     def __post_init__(self) -> None:
         coords = tuple(map(_as_number, (self.x, self.y, self.z)))
         for name, axis, value in zip("xyz", LETTERS, coords):
-            if value < 0 or value > 1:
+            if value.floor() != 0 and value != 1:
                 raise ValueError(f"coordinate {axis}={value} outside [0, 1]")
             object.__setattr__(self, name, value)
 
@@ -206,26 +220,37 @@ _CHUNK = 4096  # crossings merged per sort, which bounds the memory of long trac
 _Vector = tuple[int, int, int, int]
 
 # _merged_axes reads its tagged keys 4*K + i back as the low byte of each
-# 8-byte array("Q") item, whose low two bits are the axis i.
+# 8-byte array item, whose low two bits are the axis i; the type code
+# _WORD is chosen as the module docstring's "Word size" describes.
+_WORD = "L" if array("L").itemsize == 8 else "Q"
 _LOW_BYTE = 0 if sys.byteorder == "little" else 7
 _AXIS_OF_BYTE = bytes(byte & 3 for byte in range(256))
 
 
-def _scaled_progressions(specs: Sequence[_AxisSpec]) -> tuple[list[_Vector], list[_Vector]]:
+class _Progressions(NamedTuple):
+    """Axis i crosses plane n at time (n*steps[i] - shifts[i]) / denominator."""
+
+    steps: list[_Vector]
+    shifts: list[_Vector]
+    denominator: int
+
+
+def _scaled_progressions(specs: Sequence[_AxisSpec]) -> _Progressions:
     """Integer steps and shifts of the axes' crossing times.
 
     Axis i crosses plane n at time (n - offset_i) * inverse_speed_i.  With
     D the common denominator of every inverse speed and every product
     offset_i * inverse_speed_i, D times that time has the integer
     coordinates n*step_i - shift_i over the basis (1, phi, sqrt2,
-    phi*sqrt2); this returns the lists of step_i and shift_i.
+    phi*sqrt2); this returns the lists of step_i and shift_i, and D.
     """
     inverse_speeds = [spec.inverse_speed for spec in specs]
     shifts = [spec.offset * spec.inverse_speed for spec in specs]
     denominator = common_denominator(inverse_speeds + shifts)
-    return (
+    return _Progressions(
         [value.scaled_coeffs(denominator) for value in inverse_speeds],
         [value.scaled_coeffs(denominator) for value in shifts],
+        denominator,
     )
 
 
@@ -234,24 +259,26 @@ def _floor_sum(n: int, m: int, a: int, b: int) -> int:
 
     Once a and b are reduced modulo m, the sum counts the lattice points
     under a line, which is the same kind of sum with a and m swapped; so
-    the loop takes the steps of Euclid's algorithm on (m, a).  a and b may
-    be any integers.
+    the loop takes the steps of Euclid's algorithm on (m, a).  It stops
+    as soon as one term is left, floor(b / m), rather than running
+    Euclid's algorithm to its end.  a and b may be any integers.
     """
     total = 0
-    while n:
+    while n > 1:
         carry_a, a = divmod(a, m)
         carry_b, b = divmod(b, m)
         total += carry_a * (n * (n - 1) // 2) + carry_b * n
         n, b = divmod(a * n + b, m)
         m, a = a, m
-    return total
+    # n is 1 as the caller's, with m >= 1, or after a step that left a > 0
+    return total + b // m if n else total
 
 
-def _merged_axes(specs: Sequence[_AxisSpec], count: int) -> tuple[bytes, int]:
-    """Spec indices of the first ``count`` crossings in exact order, and the ties.
+def _merged_axes(progressions: _Progressions, count: int) -> tuple[bytes, int]:
+    """Axis indices of the first ``count`` crossings in exact order, and the ties.
 
     D times the time of plane n on axis i has the integer coordinates
-    n*step_i - shift_i of _scaled_progressions, and its p-bit dyadic
+    n*step_i - shift_i of the progressions, and its p-bit dyadic
     estimate S_i(n) = n*s_i - h_i (s_i and h_i the exactnum._dyadic
     estimates of step_i and shift_i) lies within n*B(step_i) + B(shift_i)
     of the value times 2**p, B the _dyadic bound, which is the same at
@@ -269,10 +296,13 @@ def _merged_axes(specs: Sequence[_AxisSpec], count: int) -> tuple[bytes, int]:
     of 2**q, by less than the margin m = (M >> q) + 2 + J, and keys more
     than m apart are in exact order.  Every K is at most
     W / sum(1 / u_i) <= W * min(u_i) < 2**60, so the tagged key 4*K + i
-    (i the tie rank) is below 2**62 and fits a machine word: the one
-    list.sort per chunk merges small ints (the runs of each axis are
-    already sorted), and one array("Q") pass reads the axes back from
-    the keys' low bytes.  _CHUNK sets W and so the unit width.
+    (i the tie rank) is below 2**62 and fits a machine word.  The keys
+    are laid out by one list += of each axis's range, the one list.sort
+    per chunk merges small ints (the runs of each axis are already
+    sorted), and one array pass of type code _WORD, "L" where an unsigned
+    long has 8 bytes and "Q" otherwise, reads the axes back from the
+    keys' low bytes ("L" converts a small int directly, in about a third
+    of "Q"'s time).  _CHUNK sets W and so the unit width.
 
     Gate.  For axes i < l and g = m + 1, plane j of axis i lies within g
     of some term of axis l's progression exactly when (K - K_l + g) mod
@@ -299,8 +329,8 @@ def _merged_axes(specs: Sequence[_AxisSpec], count: int) -> tuple[bytes, int]:
     2k + 1 more crossings than the chunk needs, keeps more than k of
     them below the cut, so every chunk emits crossings.
     """
-    k = len(specs)
-    steps, shifts = _scaled_progressions(specs)
+    steps, shifts, _ = progressions
+    k = len(steps)
     # _dyadic's bound does not depend on the precision
     slopes = [_dyadic(step)[1] for step in steps]
     intercepts = [_dyadic(shift)[1] for shift in shifts]
@@ -345,12 +375,9 @@ def _merged_axes(specs: Sequence[_AxisSpec], count: int) -> tuple[bytes, int]:
             dyadic_steps, dyadic_shifts = estimates(precision)
             continue
         nexts = [f + size * u for f, u, size in zip(starts, units, sizes)]
-        keys = list(
-            chain.from_iterable(
-                range(4 * f + i, 4 * nxt, 4 * u)
-                for i, (f, u, nxt) in enumerate(zip(starts, units, nexts))
-            )
-        )
+        keys = []
+        for i, (f, u, nxt) in enumerate(zip(starts, units, nexts)):
+            keys += range(4 * f + i, 4 * nxt, 4 * u)
         keys.sort()
         cut = bisect_left(keys, 4 * (min(nexts) - margin))
         g = margin + 1
@@ -379,7 +406,7 @@ def _merged_axes(specs: Sequence[_AxisSpec], count: int) -> tuple[bytes, int]:
                 if len(group) > 1 and position < limit:
                     ties += 1
                 position += len(group)
-        axes = array("Q", keys).tobytes()[_LOW_BYTE : 8 * limit : 8].translate(_AXIS_OF_BYTE)
+        axes = array(_WORD, keys).tobytes()[_LOW_BYTE : 8 * limit : 8].translate(_AXIS_OF_BYTE)
         out += axes
         for i in range(k):
             planes[i] += axes.count(i)
@@ -402,29 +429,35 @@ class BilliardWord:
 
 
 def _emit(
-    specs: Sequence[_AxisSpec], length: int, with_times: bool
+    specs: Sequence[_AxisSpec], progressions: _Progressions, length: int, with_times: bool
 ) -> tuple[str, Optional[tuple[FieldNumber, ...]], int]:
     """Word, crossing times (None unless ``with_times``) and tie count.
 
     The one driver of the crossing merge: the wall letters at t = 0 come
-    first, then the merged crossings up to ``length`` letters.
+    first, then the merged crossings up to ``length`` letters.  The
+    progressions are _scaled_progressions(specs), which the caller may
+    share with _validation.  Each time is the reduced field number
+    (n*step_i - shift_i) / D, built from the integer progressions.
     """
     if length < 0:
         raise ValueError("length must be nonnegative")
     head = _wall_letters(specs)[:length]
-    axes, tie_count = _merged_axes(specs, length - len(head))
+    axes, tie_count = _merged_axes(progressions, length - len(head))
     letters = bytes.maketrans(
         bytes(range(len(specs))), "".join(spec.letter for spec in specs).encode()
     )
     word = head + axes.translate(letters).decode()
     times = None
     if with_times:
+        steps, shifts, denominator = progressions
         planes = [0] * len(specs)
         crossings = []
         for axis in axes:
-            planes[axis] += 1
-            spec = specs[axis]
-            crossings.append((planes[axis] - spec.offset) * spec.inverse_speed)
+            n = planes[axis] = planes[axis] + 1
+            (s0, s1, s2, s3), (h0, h1, h2, h3) = steps[axis], shifts[axis]
+            crossings.append(
+                _reduced((n * s0 - h0, n * s1 - h1, n * s2 - h2, n * s3 - h3), denominator)
+            )
         times = (FieldNumber(0),) * len(head) + tuple(crossings)
     return word, times, tie_count
 
@@ -442,7 +475,8 @@ def trace(
     word; callers that need a start free of degeneracy and simultaneous
     crossings check it first with validate.
     """
-    return BilliardWord(*_emit(_cube_axes(start, direction), length, with_times))
+    specs = _cube_axes(start, direction)
+    return BilliardWord(*_emit(specs, _scaled_progressions(specs), length, with_times))
 
 
 def trace_letters(
@@ -451,7 +485,8 @@ def trace_letters(
     length: int = 100,
 ) -> str:
     """Letters-only fast path of trace."""
-    return _emit(_cube_axes(start, direction), length, with_times=False)[0]
+    specs = _cube_axes(start, direction)
+    return _emit(specs, _scaled_progressions(specs), length, with_times=False)[0]
 
 
 def delete_letter(word: str, letter: str) -> str:
@@ -553,10 +588,33 @@ def validate(
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
     specs = _cube_axes(start, direction)
-    steps, shifts = _scaled_progressions(specs)
+    return _validation(specs, _scaled_progressions(specs), horizon, direction)
+
+
+def _validation(
+    specs: Sequence[_AxisSpec], progressions: _Progressions, horizon: int, direction: Direction
+) -> Validation:
+    """validate on the start's axes and their _scaled_progressions."""
+    steps, shifts, _ = progressions
     ties: list[SimultaneousCrossing] = []
     for i, j in combinations(range(len(specs)), 2):
         r = tuple(map(sub, shifts[i], shifts[j]))
         ties.extend(_pair_ties(specs[i], specs[j], steps[i], steps[j], r, horizon, direction))
     ties.sort(key=lambda event: event.time)
-    return Validation(degenerate_start=start.is_degenerate, ties=tuple(ties))
+    degenerate = sum(spec.on_wall for spec in specs) >= 2
+    return Validation(degenerate_start=degenerate, ties=tuple(ties))
+
+
+def _valid_letters(
+    start: StartPoint, length: int, direction: Direction = GOLDEN_DIRECTION
+) -> Optional[str]:
+    """The word of trace_letters where validate passes for ``length`` letters, else None.
+
+    The check and the trace read one _cube_axes and _scaled_progressions
+    build, which is most of the fixed cost of a start.
+    """
+    specs = _cube_axes(start, direction)
+    progressions = _scaled_progressions(specs)
+    if not _validation(specs, progressions, length, direction).ok:
+        return None
+    return _emit(specs, progressions, length, with_times=False)[0]

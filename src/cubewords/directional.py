@@ -25,7 +25,7 @@ from functools import cache
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .billiard import StartPoint, trace_letters, validate
+from .billiard import StartPoint, _valid_letters
 from .exactnum import (
     PHI,
     SQRT2,
@@ -144,7 +144,11 @@ def _coerce_invariant(s) -> FieldNumber:
 
 def representative_start(s: FieldNumber) -> StartPoint:
     """A face start with invariant s and neither coordinate zero."""
-    s = _coerce_invariant(s)
+    return _face_start(_coerce_invariant(s))
+
+
+def _face_start(s: FieldNumber) -> StartPoint:
+    """representative_start of an invariant already reduced into [0, 1)."""
     y = next(y for y in _Y_CANDIDATES if s != y)
     return StartPoint(0, y, reduce_mod1(s - y))
 
@@ -152,13 +156,14 @@ def representative_start(s: FieldNumber) -> StartPoint:
 def _traced_words(samples: Iterable, length: int) -> Iterator[tuple[FieldNumber, str]]:
     """Each sample's invariant s and the traced word of representative_start(s).
 
-    A sample whose start does not validate for length letters is skipped.
+    A sample whose start does not validate for length letters is skipped;
+    billiard._valid_letters validates and traces from one set-up.
     """
     for raw in samples:
         s = _coerce_invariant(raw)
-        start = representative_start(s)
-        if validate(start, horizon=length).ok:
-            yield s, trace_letters(start, length=length)
+        word = _valid_letters(_face_start(s), length)
+        if word is not None:
+            yield s, word
 
 
 def circle_language(s, n: int) -> frozenset[str]:

@@ -27,7 +27,14 @@ from fractions import Fraction
 from itertools import islice
 from typing import Callable, Iterable, Optional
 
-from .billiard import StartPoint, delete_letter, letter_frequencies, trace_letters, validate
+from .billiard import (
+    StartPoint,
+    _valid_letters,
+    delete_letter,
+    letter_frequencies,
+    trace_letters,
+    validate,
+)
 from .directional import _traced_words, circle_language, sample_schedule
 from .exactnum import PHI, SQRT2, FieldNumber, reduce_mod1, zmodule_rank
 from .returns import (
@@ -233,9 +240,9 @@ def criterion_4(ctx: VerificationContext) -> CriterionResult:
             if partition.k != expected_k:
                 return False, f"start y={start.y}: k={partition.k}, expected {expected_k}"
             sizes.add(partition.k)
-            if not validate(start, horizon=10_000).ok:
+            traced = _valid_letters(start, 10_000)
+            if traced is None:
                 return False, f"start y={start.y} failed validation"
-            traced = trace_letters(start, length=10_000)
             rebuilt = reconstruct(start, 10_000)
             if traced != rebuilt:
                 at = next(i for i, pair in enumerate(zip(traced, rebuilt)) if pair[0] != pair[1])

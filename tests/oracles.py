@@ -16,6 +16,7 @@ from cubewords.billiard import (
     _cube_axes,
     _emit,
     _on_wall,
+    _scaled_progressions,
     _wall_letters,
     trace_letters,
 )
@@ -45,7 +46,7 @@ def square_trace(y, z, length: int) -> str:
         _AxisSpec("b", FieldNumber(0) if _on_wall(y) else y, b_speed, _on_wall(y), None),
         _AxisSpec("c", FieldNumber(0) if _on_wall(z) else z, c_speed, _on_wall(z), 0),
     ]
-    return _emit(specs, length, with_times=False)[0]
+    return _emit(specs, _scaled_progressions(specs), length, with_times=False)[0]
 
 
 def raw_crossings(

@@ -5,6 +5,8 @@ import dataclasses
 import itertools
 import pickle
 import random
+import re
+from array import array
 from fractions import Fraction
 
 import pytest
@@ -17,6 +19,7 @@ from cubewords.billiard import (
     _floor_sum,
     _merged_axes,
     _scaled_progressions,
+    _valid_letters,
     GOLDEN_DIRECTION,
     SimultaneousCrossing,
     StartPoint,
@@ -497,8 +500,9 @@ def test_merge_of_crafted_progressions(monkeypatch):
         monkeypatch.setattr(billiard, "_CHUNK", chunk)
         for case in cases:
             specs = [_AxisSpec("abc"[i], o, v, False, None) for i, (o, v) in enumerate(case)]
+            progressions = _scaled_progressions(specs)
             for count in (0, 1, 2, 5, 24):
-                assert _merged_axes(specs, count) == sorted_progressions(specs, count)
+                assert _merged_axes(progressions, count) == sorted_progressions(specs, count)
 
 
 def test_ties_of_commensurate_speeds(monkeypatch):
@@ -520,8 +524,9 @@ def test_ties_of_commensurate_speeds(monkeypatch):
         monkeypatch.setattr(billiard, "_CHUNK", chunk)
         for case in cases:
             specs = [_AxisSpec("abc"[i], o, v, False, None) for i, (o, v) in enumerate(case)]
+            progressions = _scaled_progressions(specs)
             for count in (5, 24, 100):
-                assert _merged_axes(specs, count) == sorted_progressions(specs, count)
+                assert _merged_axes(progressions, count) == sorted_progressions(specs, count)
 
 
 def test_large_coordinates_raise_the_precision(monkeypatch):
@@ -592,7 +597,7 @@ LARGE_DENOMINATOR_STARTS = [large_denominator_start(random.Random(seed)) for see
 
 def test_large_denominators_merge_like_the_oracles(monkeypatch):
     for start in LARGE_DENOMINATOR_STARTS:
-        steps, _ = _scaled_progressions(_cube_axes(start, GOLDEN_DIRECTION))
+        steps = _scaled_progressions(_cube_axes(start, GOLDEN_DIRECTION)).steps
         assert steps[0][1] > 2**40  # D * phi, the step of axis b
     # more crossings than one chunk holds
     start = LARGE_DENOMINATOR_STARTS[0]
@@ -603,7 +608,8 @@ def test_large_denominators_merge_like_the_oracles(monkeypatch):
             for direction in DIRECTIONS:
                 assert_engine_matches_oracle(start, direction, 30)
                 specs = _cube_axes(start, direction)
-                assert _merged_axes(specs, 40) == sorted_progressions(specs, 40)
+                merged = _merged_axes(_scaled_progressions(specs), 40)
+                assert merged == sorted_progressions(specs, 40)
 
 
 def test_precision_doubles_on_large_denominators_and_coefficients(monkeypatch):
@@ -777,3 +783,65 @@ def test_large_starts_validate_like_fractions(start):
     tied = StartPoint(n - time / 2, start.y, start.z)
     report = assert_validate_matches_fractions(tied, horizon=50)
     assert [(tie.time, tie.letters, tie.planes) for tie in report.ties] == [(time, "ba", (3, n))]
+
+
+def test_valid_letters_is_validate_then_trace_letters():
+    # one set-up serves both checks: the word where validate passes, else None
+    starts = engine_starts(random.Random(2929), 30)
+    starts += [start for start, _ in CONSTRUCTED_TIES]
+    starts += [late_tie_start(n)[0] for n in (1, 50, 700)]
+    for start in starts:
+        for direction in DIRECTIONS[:2]:
+            for length in (0, 1, 40, 2500):
+                valid = validate(start, direction, horizon=length).ok
+                expected = trace_letters(start, direction, length=length) if valid else None
+                assert _valid_letters(start, length, direction) == expected, (start, length)
+    assert any(_valid_letters(start, 2500) is None for start in starts)
+    assert any(_valid_letters(start, 2500) for start in starts)
+
+
+def test_direction_constants_are_kept_and_identity_is_r():
+    used, fresh = Direction("1/2"), Direction(HALF)
+    assert used.inverse_speeds is used.inverse_speeds
+    assert used.speeds is used.speeds and used.speed_sum is used.speed_sum
+    assert used.inverse_speeds == (FieldNumber(2), PHI, PHI + 1)
+    assert used.speeds == (FieldNumber(HALF), PHI - 1, 2 - PHI)
+    assert used.speed_sum == FieldNumber(Fraction(3, 2))
+    # the kept constants take no part in equality, hashing or copies
+    assert used == fresh and hash(used) == hash(fresh) and len({used, fresh}) == 1
+    for copied in (copy.copy(used), pickle.loads(pickle.dumps(used))):
+        assert copied == fresh and hash(copied) == hash(fresh)
+        assert copied.inverse_speeds == used.inverse_speeds
+    third = dataclasses.replace(used, r=Fraction(1, 3))
+    assert third.inverse_speeds[0] == FieldNumber(3) and third.speed_sum == Fraction(4, 3)
+    assert third != used and used.inverse_speeds[0] == FieldNumber(2)
+
+
+def golden_unit_above_zero():
+    """F(41)*phi - F(42) = phi**-41, a positive golden number of about 2.7e-9."""
+    return fibonacci(41) * PHI - fibonacci(42)
+
+
+def test_start_rejects_just_outside_coordinates():
+    quartic = FieldNumber(1)
+    for _ in range(30):
+        quartic = quartic * (SQRT2 - 1)  # about 3e-12
+    for tiny in (FieldNumber(Fraction(1, 10**30)), quartic, golden_unit_above_zero()):
+        assert 0 < tiny < Fraction(1, 10**8)
+        for index, axis in enumerate("abc"):
+            for value in (-tiny, 1 + tiny):
+                coords = [HALF, HALF, HALF]
+                coords[index] = value
+                message = rf"^coordinate {axis}={re.escape(str(value))} outside \[0, 1\]$"
+                with pytest.raises(ValueError, match=message):
+                    StartPoint(*coords)
+            for value in (tiny, 1 - tiny, FieldNumber(0), FieldNumber(1)):
+                coords = [HALF, HALF, HALF]
+                coords[index] = value
+                assert StartPoint(*coords).coords[index] == value
+
+
+def test_key_words_are_eight_bytes():
+    # the tagged keys 4*K + axis are below 2**62 and are read back as the
+    # low byte of each array item
+    assert array(billiard._WORD).itemsize == 8

@@ -2,7 +2,6 @@
 
 import random
 from fractions import Fraction
-from types import SimpleNamespace
 
 import pytest
 
@@ -452,8 +451,6 @@ class TestUnionComplexity:
         # the counting route alone: every start is valid and each trace is
         # the next of a seeded list holding empty, short and repeated words
         rng = random.Random(8111)
-        valid = SimpleNamespace(ok=True)
-        monkeypatch.setattr(directional, "validate", lambda start, horizon: valid)
         for _ in range(60):
             n_max = rng.randint(1, 9)
             words = [
@@ -462,7 +459,7 @@ class TestUnionComplexity:
             ]
             words += rng.sample(words, min(len(words), 2)) + [""]
             traces = iter(words)
-            monkeypatch.setattr(directional, "trace_letters", lambda start, length: next(traces))
+            monkeypatch.setattr(directional, "_valid_letters", lambda start, length: next(traces))
             samples = [fr(k, 101) for k in range(1, len(words) + 1)]
             table = union_complexity(samples, n_max, 2 * n_max)
             plain = tuple(
@@ -471,6 +468,20 @@ class TestUnionComplexity:
             )
             assert table.counts == plain, (words, n_max)
             assert table.sample_count == len(words)
+
+    def test_traced_words_validate_then_trace(self):
+        # each kept word is validate-then-trace of the representative start;
+        # y = 1/23 and z = 1 - (22/23)(phi - 1) cross their first planes
+        # together, so that circle is skipped
+        tied = fr(1, 23) + 1 - fr(22, 23) * (PHI - 1)
+        samples = sample_schedule(12, seed=4) + [tied, fr(1, 23), fr(24, 23), 2 - PHI]
+        expected = []
+        for raw in samples:
+            start = representative_start(raw)
+            if validate(start, horizon=800).ok:
+                expected.append((reduce_mod1(raw), trace_letters(start, length=800)))
+        assert len(expected) == len(samples) - 1
+        assert list(directional._traced_words(samples, 800)) == expected
 
     def test_rejects_nonpositive_length(self):
         with pytest.raises(ValueError):

@@ -732,6 +732,37 @@ def test_floor_far_from_an_integer_takes_no_sign_test(monkeypatch):
         assert calls == [], value
 
 
+def test_floor_takes_both_fallback_decrements(monkeypatch):
+    # With B in [M/2, M), M = D << 64, the guess floor((E + B) / M) can lie
+    # two above the floor.  The 64-bit estimates of phi, sqrt2 and
+    # phi*sqrt2 all fall short of their values, so negative coefficients
+    # push E above the value, and a fractional part near 1 then costs both
+    # decrements; nearer 0 it costs one or none.
+    calls = []
+    real = exactnum._compare
+    monkeypatch.setattr(
+        exactnum, "_compare", lambda u, v, scale=1: calls.append(scale) or real(u, v, scale)
+    )
+    rng = random.Random(2929)
+    decrements = set()
+    for _ in range(300):
+        denom = rng.randrange(1, 10)
+        unit = denom << 64
+        # |a1| + |a2| + |a3| = budget, so B = 2*budget + 2 lies in [M/2, M)
+        budget = rng.randrange(unit // 4, unit // 2 - 1)
+        a2 = rng.randrange(0, budget // 4)
+        a3 = rng.randrange(0, budget // 4)
+        vector = (rng.randrange(-(10**30), 10**30), a2 + a3 - budget, -a2, -a3)
+        _, bound = _dyadic(vector)
+        assert unit // 2 <= bound < unit
+        value = FieldNumber(*(Fraction(a, denom) for a in vector))
+        del calls[:]
+        assert exactnum._floor(vector, denom) == oracle_floor(value), (vector, denom)
+        # each fallback decrement is one _compare that comes out negative
+        decrements.add(max(0, len(calls) - 1))
+    assert decrements == {0, 1, 2}
+
+
 def seeded_vector(rng, digits):
     return tuple(rng.randrange(-(10**digits), 10**digits) for _ in range(4))
 

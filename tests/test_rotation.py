@@ -245,16 +245,21 @@ class TestCodeOrbitFilter:
     @pytest.mark.parametrize("exponent", [40, 62, 80])
     def test_near_cut_and_near_wrap_starts(self, exponent, exact_calls):
         # step j lands 2**-exponent above or below a cut or the wrap point;
-        # at 2**-40 the filter decides, at 2**-80 only the fallback can
+        # at 2**-40 the filter decides, at 2**-80 only the fallback can.
+        # The partitions are built first: circle_partition's own sign
+        # tests go through the same names and must not count as fallbacks.
         offsets = (fr(1, 2**exponent), fr(-1, 2**exponent), fr(3, 2**(exponent + 1)))
-        for s in FILTER_CIRCLES:
-            part = circle_partition(s)
+        parts = [circle_partition(s) for s in FILTER_CIRCLES]
+        del exact_calls[:]
+        for s, part in zip(FILTER_CIRCLES, parts):
             for target in (F(0),) + part.cuts:
                 for step in (0, 1, 250, 1999):
                     for offset in offsets:
                         y0 = reduce_mod1(target - step * TRANSLATION_ANGLE + offset)
                         got = coded(rotation_coding, y0, part, TRANSLATION_ANGLE, step + 2)
                         assert got == exact_code_orbit(y0, part, TRANSLATION_ANGLE, step + 2)
+        if exponent == 40:
+            assert exact_calls == []
         if exponent == 80:
             assert exact_calls
 
