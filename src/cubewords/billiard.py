@@ -47,11 +47,12 @@ beyond:
   through a byte array and takes about 2.7 times as long (28 against
   75 us for 3000 keys on CPython 3.11).  "Q" serves where "L" has 4
   bytes.
-* Gate.  For each pair of axes an exact floor sum (_floor_sum) counts
-  the planes of one axis within the margin of the other's progression.
-  A zero count proves that no two keys are close; only a nonzero count
-  looks for runs of close keys, which are re-sorted with exact vector
-  comparisons.
+* Gate.  For each pair of axes one modular-minimum descent (_min_mod)
+  finds how near the planes of one axis come to the other's
+  progression, in a number of steps logarithmic in the key step.  A
+  minimum above the margin proves that no two keys are close; only a
+  smaller one looks for runs of close keys, which are re-sorted with
+  exact vector comparisons.
 * Termination.  p doubles while the margin is not small against every
   shifted step; M >> q falls to 0 as p grows and the floor term stays
   at most W + 3, far below a step, so the doubling ends.
@@ -83,6 +84,7 @@ from .exactnum import (
 )
 
 LETTERS = "abc"
+_ZERO = FieldNumber(0)  # the offset of an axis whose coordinate lies on a wall
 
 NumberLike = FieldNumber | Fraction | int | str
 
@@ -95,7 +97,7 @@ def _as_number(value: NumberLike) -> FieldNumber:
 
 def _on_wall(value: FieldNumber) -> bool:
     """Whether the coordinate is an integer, that is, lies on a wall."""
-    return value.is_rational and value.as_fraction().denominator == 1
+    return value._den == 1 and value.is_rational
 
 
 @dataclass(frozen=True, repr=False)
@@ -195,7 +197,7 @@ def _cube_axes(start: StartPoint, direction: Direction) -> list[_AxisSpec]:
     for index, wall_rank in ((1, None), (0, 0), (2, 1)):
         value = start.coords[index]
         on_wall = _on_wall(value)
-        offset = FieldNumber(0) if on_wall else value
+        offset = _ZERO if on_wall else value
         specs.append(
             _AxisSpec(LETTERS[index], offset, inverse_speeds[index], on_wall, wall_rank)
         )
@@ -254,24 +256,34 @@ def _scaled_progressions(specs: Sequence[_AxisSpec]) -> _Progressions:
     )
 
 
-def _floor_sum(n: int, m: int, a: int, b: int) -> int:
-    """The sum of floor((a*j + b) / m) over j = 0, ..., n - 1, for m >= 1.
+def _min_mod(n: int, m: int, a: int, b: int) -> int:
+    """The least (a*j + b) mod m over j = 0, ..., n - 1, for m >= 1; m when n is 0.
 
-    Once a and b are reduced modulo m, the sum counts the lattice points
-    under a line, which is the same kind of sum with a and m swapped; so
-    the loop takes the steps of Euclid's algorithm on (m, a).  It stops
-    as soon as one term is left, floor(b / m), rather than running
-    Euclid's algorithm to its end.  a and b may be any integers.
+    With a and b reduced modulo m, a term exceeds the one before it
+    unless the sum wraps past a multiple of m, so the least term is b or
+    the value just after one of the T wraps, (q, r) = divmod(a*(n - 1) +
+    b, m) giving T = q and the last term r.  The t-th of those values is
+    (b - t*m) mod a, so over t = 1, ..., T their least is the same
+    problem for (T, a, -m mod a, (b - m) mod a), and the loop goes on
+    with it.  A step a > m / 2 is read backwards instead: from r the
+    terms step up by m - a < m / 2 and wrap n - 1 - q times.  So each
+    step at least halves m, and the loop ends after O(log m) steps.  a
+    and b may be any integers.
     """
-    total = 0
-    while n > 1:
-        carry_a, a = divmod(a, m)
-        carry_b, b = divmod(b, m)
-        total += carry_a * (n * (n - 1) // 2) + carry_b * n
-        n, b = divmod(a * n + b, m)
-        m, a = a, m
-    # n is 1 as the caller's, with m >= 1, or after a step that left a > 0
-    return total + b // m if n else total
+    if n <= 0:
+        return m
+    a %= m
+    b %= m
+    least = m
+    while True:
+        wraps, last = divmod(a * (n - 1) + b, m)
+        if 2 * a > m:
+            a, b, wraps = m - a, last, n - 1 - wraps
+        if b < least:
+            least = b
+        if not wraps:
+            return least
+        n, m, a, b = wraps, a, -m % a, (b - m) % a
 
 
 def _merged_axes(progressions: _Progressions, count: int) -> tuple[bytes, int]:
@@ -306,34 +318,42 @@ def _merged_axes(progressions: _Progressions, count: int) -> tuple[bytes, int]:
 
     Gate.  For axes i < l and g = m + 1, plane j of axis i lies within g
     of some term of axis l's progression exactly when (K - K_l + g) mod
-    u_l <= 2g, K_l the first key of axis l; with 2g < u_l that indicator
-    is floor(x / u_l) - floor((x - 2g - 1) / u_l), x = K - K_l + g, and
-    summed over j it is two _floor_sum calls.  A zero count for every
-    pair proves no two keys of different axes within g, and keys of one
-    axis lie u_i > 4g apart, so no neighbours of the sorted keys are
-    close.  Only a nonzero count looks for the runs of close keys, and
-    those are re-sorted by exactnum._sorted_merged on the integer
-    vectors and their _dyadic estimates.  Equal times have equal
-    vectors, but the floors may give them different keys, so each group
-    of equal times is put back in tie rank order; each such group is one
-    tie.  Only keys below every axis's first missing plane, less the
-    margin, are emitted, and the cut never splits a close run; the next
-    chunk starts at the first plane of each axis not emitted.
+    u_l <= 2g, K_l the first key of axis l.  So the pair is clear when
+    the least of those residues over the axis's keys K = K_i + j*u_i
+    exceeds 2g, which one _min_mod(size_i, u_l, u_i, K_i - K_l + g) call
+    decides; its descent at least halves the modulus at each step, so it
+    ends after O(log u_l) steps.  The verdict is that of counting the
+    near planes (with 2g < u_l, which the precision test below ensures,
+    plane j counts when floor(x / u_l) - floor((x - 2g - 1) / u_l) is 1,
+    x = K - K_l + g): the count is zero exactly when no residue is at
+    most 2g.  A clear verdict for every pair proves no two keys of
+    different axes within g, and keys of one axis lie u_i > 4g apart, so
+    no neighbours of the sorted keys are close.  Only a pair that is not
+    clear looks for the runs of close keys, and those are re-sorted by
+    exactnum._sorted_merged on the integer vectors and their _dyadic
+    estimates.  Equal times have equal vectors, but the floors may give
+    them different keys, so each group of equal times is put back in tie
+    rank order; each such group is one tie.  Only keys below every
+    axis's first missing plane, less the margin, are emitted, and the
+    cut never splits a close run; the next chunk starts at the first
+    plane of each axis not emitted.
 
-    p starts at exactnum._PRECISION and doubles while 4k(m + 2) exceeds
-    the smallest u_i.  That ends: M grows with the coordinates, not with
-    p, so M >> q falls to 0 as p, and with it q, grows; J is at most
-    W + 1, and u_i has at least 59 - bitlen(W) bits, which leaves
-    4k(W + 5) far below u_i for any _CHUNK up to 2**25.  Then a close
-    run holds at most one crossing per axis, and each window, sized for
-    2k + 1 more crossings than the chunk needs, keeps more than k of
-    them below the cut, so every chunk emits crossings.
+    p starts at exactnum._PRECISION, where one _dyadic call per step and
+    shift gives both its estimate and its bound, and doubles while
+    4k(m + 2) exceeds the smallest u_i.  That ends: M grows with the
+    coordinates, not with p, so M >> q falls to 0 as p, and with it q,
+    grows; J is at most W + 1, and u_i has at least 59 - bitlen(W) bits,
+    which leaves 4k(W + 5) far below u_i for any _CHUNK up to 2**25.
+    Then a close run holds at most one crossing per axis, and each
+    window, sized for 2k + 1 more crossings than the chunk needs, keeps
+    more than k of them below the cut, so every chunk emits crossings.
     """
     steps, shifts, _ = progressions
     k = len(steps)
-    # _dyadic's bound does not depend on the precision
-    slopes = [_dyadic(step)[1] for step in steps]
-    intercepts = [_dyadic(shift)[1] for shift in shifts]
+    # One _dyadic call per vector gives the first estimates and the
+    # bounds, which do not depend on the precision.
+    dyadic_steps, slopes = zip(*map(_dyadic, steps))
+    dyadic_shifts, intercepts = zip(*map(_dyadic, shifts))
 
     def estimates(precision: int) -> tuple[list[int], list[int]]:
         basis = basis_approx(precision)
@@ -343,7 +363,6 @@ def _merged_axes(progressions: _Progressions, count: int) -> tuple[bytes, int]:
         )
 
     precision = _PRECISION
-    dyadic_steps, dyadic_shifts = estimates(precision)
 
     def time_vector(key: int) -> tuple[int, ...]:  # n*step_i - shift_i
         i = key & 3
@@ -382,10 +401,9 @@ def _merged_axes(progressions: _Progressions, count: int) -> tuple[bytes, int]:
         cut = bisect_left(keys, 4 * (min(nexts) - margin))
         g = margin + 1
         close = []
-        # Close keys are rare, so an exact count of near planes rules them out first.
+        # Close keys are rare, so each pair's least modular distance rules them out first.
         if any(
-            _floor_sum(sizes[i], units[l], units[i], starts[i] - starts[l] + g)
-            != _floor_sum(sizes[i], units[l], units[i], starts[i] - starts[l] - g - 1)
+            _min_mod(sizes[i], units[l], units[i], starts[i] - starts[l] + g) <= 2 * g
             for i, l in combinations(range(k), 2)
         ):
             gap = 4 * g

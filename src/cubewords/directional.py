@@ -135,7 +135,7 @@ def sample_schedule(total: int, seed: int = 0) -> list[FieldNumber]:
     return stream[:total]
 
 
-_Y_CANDIDATES = tuple(Fraction(k, 23) for k in range(1, 23))
+_Y_CANDIDATES = tuple(FieldNumber(Fraction(k, 23)) for k in range(1, 23))
 
 
 def _coerce_invariant(s) -> FieldNumber:

@@ -512,8 +512,20 @@ def sign(value: FieldNumber) -> int:
 
 
 def reduce_mod1(value: FieldNumber) -> FieldNumber:
-    """Exact fractional part: value - floor(value), in [0, 1)."""
-    return value - value.floor()
+    """Exact fractional part: value - floor(value), in [0, 1).
+
+    The stored vector reduced by _mod1 over the same denominator D stays
+    in lowest terms, since subtracting a multiple of D from the first
+    coordinate leaves the gcd of D and the coordinates at 1; so no gcd
+    is taken, and a value already in [0, 1) is returned as it is.
+    """
+    num = _mod1(value._num, value._den)
+    if num == value._num:
+        return value
+    result = object.__new__(FieldNumber)
+    object.__setattr__(result, "_num", num)
+    object.__setattr__(result, "_den", value._den)
+    return result
 
 
 def common_denominator(values: Iterable[FieldNumber]) -> int:
@@ -521,8 +533,14 @@ def common_denominator(values: Iterable[FieldNumber]) -> int:
 
 
 def _field(value: FieldNumber | RationalLike) -> FieldNumber:
-    """A FieldNumber unchanged; an int or Fraction converted; else TypeError."""
-    return value if isinstance(value, FieldNumber) else FieldNumber(value)
+    """A FieldNumber unchanged; an int or Fraction converted; else TypeError.
+
+    An int or Fraction, already in lowest terms, is stored as it is by
+    FieldNumber._coerce; only other types reach the constructor, which
+    raises TypeError.
+    """
+    number = FieldNumber._coerce(value)
+    return FieldNumber(value) if number is None else number
 
 
 def zmodule_rank(generators: Sequence[FieldNumber]) -> int:

@@ -19,17 +19,18 @@ inject into special-factor counts.  Those distinct windows cost about
 one slice per distinct window, not one per position: the occurrences of
 the word's own prefix cut it into spans, and equal spans of equal
 length start equal windows, so only the distinct spans are expanded.
-The prefix is max(_ANCHOR, width // 4) letters long, so wider windows
-are cut at fewer, rarer anchors.  Counts of distinct prefixes, as of
-these windows or of a language, come from one sorted pass with
-longest-common-prefix lengths, all read from integer keys: each text
-becomes a left-aligned integer with one fixed-width code per letter,
-one byte when every text is ASCII and a UTF-32 code unit otherwise,
-padded with all-ones codes that no letter has, and the bit length of
-the exclusive or of two adjacent keys locates their first unequal
-letter.  The keys and the
-common-prefix lengths come from C-level map passes over all the texts
-at once, with no Python loop per text or per letter.
+The prefix is max(_ANCHOR, width // 4) letters long, at least 12, so
+that frequent short prefixes do not cut the word into many copies of a
+few spans, and wider windows are cut at fewer, rarer anchors.  Counts
+of distinct prefixes, as of these windows or of a language, come from
+one sorted pass with longest-common-prefix lengths, all read from
+integer keys: each text becomes a left-aligned integer with one
+fixed-width code per letter, one byte when every text is ASCII and a
+UTF-32 code unit otherwise, padded with all-ones codes that no letter
+has, and the bit length of the exclusive or of two adjacent keys
+locates their first unequal letter.  The keys and the common-prefix
+lengths come from C-level map passes over all the texts at once, with
+no Python loop per text or per letter.
 
 Special factors are read from sorted tables of distinct windows.  In a
 sorted table the texts sharing a prefix v are contiguous, and the
@@ -137,7 +138,15 @@ class SuffixAutomaton:
         return counts
 
 
-_ANCHOR = 6  # fewest letters of the word's own prefix that mark window anchors
+# The fewest letters of the word's own prefix that mark window anchors.
+# At width 16 the 3000-letter traced words of sample_schedule(24, 5)
+# hold a 6-letter prefix about 240 times (median over the 24 words), yet
+# those anchors cut only about 10 distinct spans, and slicing the spans
+# of every anchor costs more than the few distinct ones save; the
+# 12-letter prefix marks about 48 anchors and 6 spans, and _windows
+# takes 71 us per word against 93 us at 6 letters (CPython 3.11).  Only
+# widths below 4 * _ANCHOR = 48 read it.
+_ANCHOR = 12
 
 
 def _windows(word: str, width: int) -> set[str]:
@@ -153,8 +162,9 @@ def _windows(word: str, width: int) -> set[str]:
     the same result; the prefix length sets only the speed.  Every
     anchor slices a span of at least width - 1 letters, so wide windows
     take a longer prefix, whose rarer occurrences cut fewer spans: in
-    8000-letter traced words the 6-letter prefix typically recurs 390 to
-    630 times and the 25-letter one of width 100 only 90 to 150.
+    the 8000-letter traced words of sample_schedule(24, 5) the 6-letter
+    prefix recurs about 630 times (median), the 12-letter one about 125
+    and the 25-letter one of width 100 about 86.
     """
     if not word:
         return set()

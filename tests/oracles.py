@@ -49,6 +49,29 @@ def square_trace(y, z, length: int) -> str:
     return _emit(specs, _scaled_progressions(specs), length, with_times=False)[0]
 
 
+def floor_sum(n: int, m: int, a: int, b: int) -> int:
+    """The sum of floor((a*j + b) / m) over j = 0, ..., n - 1, for m >= 1.
+
+    Once a and b are reduced modulo m, the sum counts the lattice points
+    under a line, which is the same kind of sum with a and m swapped; so
+    the loop takes the steps of Euclid's algorithm on (m, a).  It stops
+    as soon as one term is left, floor(b / m), rather than running
+    Euclid's algorithm to its end.  a and b may be any integers.  The
+    reference count for billiard._min_mod's gate: with 2g < m, the terms
+    j with (a*j + b) mod m <= 2g number
+    floor_sum(n, m, a, b) - floor_sum(n, m, a, b - 2g - 1).
+    """
+    total = 0
+    while n > 1:
+        carry_a, a = divmod(a, m)
+        carry_b, b = divmod(b, m)
+        total += carry_a * (n * (n - 1) // 2) + carry_b * n
+        n, b = divmod(a * n + b, m)
+        m, a = a, m
+    # n is 1 as the caller's, with m >= 1, or after a step that left a > 0
+    return total + b // m if n else total
+
+
 def raw_crossings(
     start: StartPoint, direction: Direction = GOLDEN_DIRECTION
 ) -> Iterator[tuple[FieldNumber, str]]:

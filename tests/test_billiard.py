@@ -16,8 +16,8 @@ from cubewords.billiard import (
     Direction,
     _AxisSpec,
     _cube_axes,
-    _floor_sum,
     _merged_axes,
+    _min_mod,
     _scaled_progressions,
     _valid_letters,
     GOLDEN_DIRECTION,
@@ -31,7 +31,7 @@ from cubewords.billiard import (
     validate,
 )
 from cubewords.exactnum import PHI, SQRT2, FieldNumber, basis_approx, reduce_mod1
-from oracles import raw_crossings, square_trace
+from oracles import floor_sum, raw_crossings, square_trace
 
 HALF = Fraction(1, 2)
 
@@ -578,7 +578,45 @@ def test_floor_sum_matches_brute_force():
             cases.append((n, m, rng.randint(-3 * m, 3 * m), rng.randint(-3 * m, 3 * m)))
     assert any(a >= m for _, m, a, _ in cases) and any(b >= m for _, m, _, b in cases)
     for n, m, a, b in cases:
-        assert _floor_sum(n, m, a, b) == sum((a * j + b) // m for j in range(n)), (n, m, a, b)
+        assert floor_sum(n, m, a, b) == sum((a * j + b) // m for j in range(n)), (n, m, a, b)
+
+
+def test_on_wall_reads_integers_only():
+    integers = [FieldNumber(0), FieldNumber(1), FieldNumber(2)]
+    others = [FieldNumber(HALF), PHI - 1, SQRT2 - 1, reduce_mod1(SQRT2 / 3 + PHI)]
+    assert [billiard._on_wall(value) for value in integers + others] == [True] * 3 + [False] * 4
+
+
+def test_min_mod_matches_brute_force():
+    rng = random.Random(6152)
+    cases = [(0, 7, 3, 2), (1, 1, -5, 9), (1, 200, -401, 399), (300, 200, 0, -7)]
+    for _ in range(3000):
+        m = rng.randint(1, 200)
+        n = rng.randint(1, 300)
+        cases.append((n, m, rng.randint(-400, 400), rng.randint(-400, 400)))
+        cases.append((n, m, m * rng.randint(-2, 2), rng.randint(-400, 400)))  # a = 0 mod m
+        cases.append((1, m, rng.randint(-400, 400), rng.randint(-400, 400)))
+    assert any(a < 0 for _, _, a, _ in cases) and any(b < 0 for _, _, _, b in cases)
+    for n, m, a, b in cases:
+        expected = min(((a * j + b) % m for j in range(n)), default=m)
+        assert _min_mod(n, m, a, b) == expected, (n, m, a, b)
+
+
+def test_gate_verdict_matches_the_floor_sum_count():
+    # _merged_axes clears a pair of axes when the least (a*j + b) mod m
+    # exceeds 2g; the reference count of near planes is zero exactly then.
+    rng = random.Random(6153)
+    verdicts = set()
+    for _ in range(20000):
+        m = rng.randint(3, 2 ** rng.randint(2, 62))
+        g = rng.randint(0, min((m - 1) // 2, 2 ** rng.randint(0, 62)))
+        n = rng.randint(0, 5000)
+        a, b = rng.randint(-3 * m, 3 * m), rng.randint(-3 * m, 3 * m)
+        count = floor_sum(n, m, a, b) - floor_sum(n, m, a, b - 2 * g - 1)
+        clear = _min_mod(n, m, a, b) > 2 * g
+        assert clear == (count == 0), (n, m, a, b, g)
+        verdicts.add(clear)
+    assert verdicts == {True, False}
 
 
 def large_denominator_start(rng):
@@ -614,10 +652,19 @@ def test_large_denominators_merge_like_the_oracles(monkeypatch):
 
 def test_precision_doubles_on_large_denominators_and_coefficients(monkeypatch):
     # 30-digit coefficients over a 2**41 denominator: at 64 bits the
-    # margin is far above the shifted step, so the merge doubles p.
-    precisions = []
-    real = billiard.basis_approx
-    monkeypatch.setattr(billiard, "basis_approx", lambda p: precisions.append(p) or real(p))
+    # margin is far above the shifted step, so the merge doubles p.  The
+    # 64-bit estimates and the bounds come from one _dyadic call per step
+    # and shift vector, so basis_approx is first asked for 128 bits.
+    events = []
+    real_basis, real_dyadic = billiard.basis_approx, billiard._dyadic
+
+    def dyadic(vector, *basis):
+        if not basis:
+            events.append(vector)
+        return real_dyadic(vector, *basis)
+
+    monkeypatch.setattr(billiard, "basis_approx", lambda p: events.append(p) or real_basis(p))
+    monkeypatch.setattr(billiard, "_dyadic", dyadic)
     big = 10**30
     start = LARGE_DENOMINATOR_STARTS[1]
     start = StartPoint(
@@ -625,11 +672,16 @@ def test_precision_doubles_on_large_denominators_and_coefficients(monkeypatch):
         reduce_mod1(start.y + FieldNumber(0, big) + FieldNumber(-big * 1618034 // 10**6)),
         start.z,
     )
+    progressions = _scaled_progressions(_cube_axes(start, GOLDEN_DIRECTION))
     for chunk in (2, 4096):
         monkeypatch.setattr(billiard, "_CHUNK", chunk)
-        del precisions[:]
+        del events[:]
+        _merged_axes(progressions, 200)
+        precisions = [event for event in events if isinstance(event, int)]
+        first = events.index(precisions[0])
+        assert precisions[0] == 128 and max(precisions) > 64
+        assert events[:first] == [*progressions.steps, *progressions.shifts]
         assert_engine_matches_oracle(start, GOLDEN_DIRECTION, 200)
-        assert precisions[0] == 64 and max(precisions) > 64
 
 
 def test_near_tie_in_the_second_chunk_runs_the_exact_resort(monkeypatch):

@@ -807,3 +807,31 @@ def test_mod1_matches_reduce_mod1():
         assert FieldNumber(*(Fraction(a, denom) for a in reduced)) == reduce_mod1(value), value
         floor = math.floor(value.as_fraction()) if value.is_rational else oracle_floor(value)
         assert reduced == (vector[0] - floor * denom,) + vector[1:], value
+
+
+def test_reduce_mod1_is_the_field_difference_in_lowest_terms():
+    rng = random.Random(3031)
+
+    def fraction(span=400):
+        return Fraction(rng.randint(-span, span), rng.randint(1, 97))
+
+    values = [FieldNumber(fraction()) for _ in range(100)]
+    values += [FieldNumber(fraction(), fraction()) for _ in range(100)]
+    values += [random_field_number(rng, span=400, max_denominator=50) for _ in range(100)]
+    values += [FieldNumber(k) for k in (-(10**20), -3, -1, 0, 1, 2, 10**20)]
+    # (sqrt2 - 1)**30 and phi**-41, about 3e-12 and 3e-9, beside integers
+    for unit in (sqrt2_unit(30), -golden_unit(41)):
+        for shift in (0, 1, -1, 2, -2, 7, -(10**9)):
+            values += [unit + shift, -unit + shift]
+    for value in values:
+        reduced = reduce_mod1(value)
+        assert reduced == value - value.floor(), value
+        assert 0 <= reduced < 1, value
+        assert reduced._den > 0 and math.gcd(reduced._den, *reduced._num) == 1, value
+        rebuilt = FieldNumber(*reduced.coeffs)
+        assert (reduced._num, reduced._den) == (rebuilt._num, rebuilt._den), value
+        if value.is_rational:
+            fraction = value.as_fraction() % 1
+            assert reduced == fraction and hash(reduced) == hash(fraction), value
+    assert reduce_mod1(sqrt2_unit(30) - 1) == sqrt2_unit(30)
+    assert reduce_mod1(golden_unit(41) + 7) == 1 + golden_unit(41)  # golden_unit(41) < 0

@@ -480,7 +480,23 @@ def test_windows_where_the_separator_grows_with_the_width():
     texts += ["abc" * 300, "ab" * 400 + "b", "a" * 500, fibonacci_word(900)]
     texts += [trace_letters(start, length=3000) for start in REFERENCE_STARTS]
     for word in texts:
-        for width in (24, 52, 100, 103, 205):
+        for width in (60, 52, 100, 103, 205):
+            assert words._windows(word, width) == sliced_windows(word, width), (word[:20], width)
+
+
+def test_windows_at_the_anchor_widths():
+    # widths below 4 * _ANCHOR cut at the _ANCHOR-letter prefix, 48 and 49
+    # at the width // 4 = 12 one; the union and coding widths are 16 and 12
+    assert words._ANCHOR == 12
+    rng = random.Random(3135)
+    texts = [
+        "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 400)))
+        for alphabet in ("ab", "abc", "aab", "abcc")
+    ]
+    texts += ["abc" * 100, "ab" * 150 + "b", "a" * 200, "abcabcabcab", fibonacci_word(600)]
+    texts += [trace_letters(start, length=1500) for start in REFERENCE_STARTS]
+    for word in texts:
+        for width in (*range(1, 12), 16, 47, 48, 49):
             assert words._windows(word, width) == sliced_windows(word, width), (word[:20], width)
 
 
