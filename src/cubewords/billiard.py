@@ -14,7 +14,7 @@ its word simply begins with the bounce at that wall.  Starts where two
 or more coordinates are integral, and any simultaneous crossings later
 on, are read as limits of trajectories shifted by ``epsilon * (0, +1, -1)``:
 
-* a start on x = 0 emits its a at t = 0 (the x offset is unperturbed);
+* a start on x = 0 or x = 1 emits its a at t = 0 (the x offset is unperturbed);
 * a start on z = 0 or z = 1 emits a c just after it (the z offset drops
   to just below the wall, which is crossed immediately);
 * the y wall crossing at t = 0 is dropped (the y offset moves inside,
@@ -22,40 +22,11 @@ on, are read as limits of trajectories shifted by ``epsilon * (0, +1, -1)``:
 * simultaneous crossings at t > 0 resolve in the order b, a, c, because
   the same shift makes the y crossing earlier and the z crossing later.
 
-The tests check the crossing merge behind trace and trace_letters
-(_merged_axes) against an independent reference, raw_crossings in
-tests/oracles.py, which merges the three progressions with direct
-field-number comparisons.  The merge itself sorts bounded integer keys
-of the crossing times in one list.sort per chunk of about _CHUNK
-crossings, which makes it fast enough for words of 10**5 letters and
-beyond:
-
-* Keys.  The p-bit dyadic estimates of a chunk's crossing times are
-  rebased at the smallest and shifted right by q bits.  Two keys'
-  errors then differ by less than (M >> q) + 1 from the estimates, M
-  the error bound of two p-bit estimates, plus less than 1 + max j
-  from the floors of their starts and of the j steps added to them;
-  keys farther apart than the margin (M >> q) + 2 + max j are in
-  exact order.
-* Word size.  q leaves the smallest step 60 - bitlen(W) bits, W the
-  chunk's window of crossings, and every key is below W such steps,
-  so below 2**60: the tagged key 4*key + axis fits a 64-bit word, and
-  one array pass reads the letters off the sorted keys' low bytes.  The
-  array's type code, _WORD, is "L" where an unsigned long has 8 bytes:
-  its conversion, PyLong_AsUnsignedLong, reads a small int's digits
-  directly, while "Q"'s unsigned long long conversion copies each key
-  through a byte array and takes about 2.7 times as long (28 against
-  75 us for 3000 keys on CPython 3.11).  "Q" serves where "L" has 4
-  bytes.
-* Gate.  For each pair of axes one modular-minimum descent (_min_mod)
-  finds how near the planes of one axis come to the other's
-  progression, in a number of steps logarithmic in the key step.  A
-  minimum above the margin proves that no two keys are close; only a
-  smaller one looks for runs of close keys, which are re-sorted with
-  exact vector comparisons.
-* Termination.  p doubles while the margin is not small against every
-  shifted step; M >> q falls to 0 as p grows and the floor term stays
-  at most W + 3, far below a step, so the doubling ends.
+_cube_axes reads this convention off StartPoint.integral_axes.  The
+argument behind the crossing merge, a sort of bounded integer keys per
+chunk of crossings, is _merged_axes' docstring; the tests check the
+merge against raw_crossings in tests/oracles.py, which merges the three
+progressions with direct field-number comparisons.
 """
 
 from __future__ import annotations
@@ -147,7 +118,8 @@ class StartPoint:
     """An exact point of the closed unit cube; each coordinate is coerced to a FieldNumber.
 
     A coordinate lies in [0, 1] exactly when its floor is 0 or it equals 1,
-    so one exact floor checks it.
+    so one exact floor checks it.  integral_axes is built on first use
+    and kept, since both the crossing set-up and validation read it.
     """
 
     x: FieldNumber
@@ -165,14 +137,10 @@ class StartPoint:
     def coords(self) -> tuple[FieldNumber, FieldNumber, FieldNumber]:
         return (self.x, self.y, self.z)
 
-    @property
+    @cached_property
     def integral_axes(self) -> str:
         """Letters of the coordinates lying on a wall, in a, b, c order."""
-        out = []
-        for axis, value in zip(LETTERS, self.coords):
-            if _on_wall(value):
-                out.append(axis)
-        return "".join(out)
+        return "".join(axis for axis, value in zip(LETTERS, self.coords) if _on_wall(value))
 
     @property
     def is_degenerate(self) -> bool:
@@ -182,78 +150,75 @@ class StartPoint:
         return f"StartPoint({self.x}, {self.y}, {self.z})"
 
 
-class _AxisSpec(NamedTuple):
-    letter: str
-    offset: FieldNumber  # start coordinate reduced into [0, 1)
-    inverse_speed: FieldNumber
-    on_wall: bool  # original coordinate was integral
-    wall_rank: Optional[int]  # emission slot at t = 0; None drops the crossing
-
-
-def _cube_axes(start: StartPoint, direction: Direction) -> list[_AxisSpec]:
-    inverse_speeds = direction.inverse_speeds
-    specs = []
-    # tie order b, a, c; wall emission a at rank 0, then c; b is dropped
-    for index, wall_rank in ((1, None), (0, 0), (2, 1)):
-        value = start.coords[index]
-        on_wall = _on_wall(value)
-        offset = _ZERO if on_wall else value
-        specs.append(
-            _AxisSpec(LETTERS[index], offset, inverse_speeds[index], on_wall, wall_rank)
-        )
-    return specs
-
-
-def _wall_letters(specs: Sequence[_AxisSpec]) -> str:
-    on_wall = [spec for spec in specs if spec.on_wall]
-    if len(on_wall) == 1:
-        # A plain wall start: the word begins with the bounce at that wall.
-        return on_wall[0].letter
-    # Degenerate cluster, resolved by the limit convention: the y crossing
-    # drops out and the ranked walls emit in their t = 0+ order.
-    ranked = [
-        (spec.wall_rank, spec.letter) for spec in on_wall if spec.wall_rank is not None
-    ]
-    return "".join(letter for _, letter in sorted(ranked))
-
-
 _CHUNK = 4096  # crossings merged per sort, which bounds the memory of long traces
 
 _Vector = tuple[int, int, int, int]
 
 # _merged_axes reads its tagged keys 4*K + i back as the low byte of each
-# 8-byte array item, whose low two bits are the axis i; the type code
-# _WORD is chosen as the module docstring's "Word size" describes.
+# 8-byte array item, whose low two bits are the axis i.  The type code is
+# "L" where an unsigned long has 8 bytes: its conversion,
+# PyLong_AsUnsignedLong, reads a small int's digits directly, while "Q"'s
+# unsigned long long conversion copies each key through a byte array and
+# takes about 2.7 times as long (28 against 75 us for 3000 keys on
+# CPython 3.11).  "Q" serves where "L" has 4 bytes.
 _WORD = "L" if array("L").itemsize == 8 else "Q"
 _LOW_BYTE = 0 if sys.byteorder == "little" else 7
 _AXIS_OF_BYTE = bytes(byte & 3 for byte in range(256))
 
 
-class _Progressions(NamedTuple):
-    """Axis i crosses plane n at time (n*steps[i] - shifts[i]) / denominator."""
+class _Axes(NamedTuple):
+    """The crossing set-up of a start, shared by the merge, the times and validation.
 
+    Axis i, letter letters[i], crosses plane n at time
+    (n*steps[i] - shifts[i]) / denominator, on the basis (1, phi, sqrt2,
+    phi*sqrt2); the letters are in tie order, and head holds the letters
+    written at t = 0.
+    """
+
+    letters: str
+    head: str
     steps: list[_Vector]
     shifts: list[_Vector]
     denominator: int
 
 
-def _scaled_progressions(specs: Sequence[_AxisSpec]) -> _Progressions:
-    """Integer steps and shifts of the axes' crossing times.
+def _axes(
+    letters: str,
+    head: str,
+    offsets: Sequence[FieldNumber],
+    inverse_speeds: Sequence[FieldNumber],
+) -> _Axes:
+    """The _Axes of axes crossing plane n at time (n - offsets[i]) * inverse_speeds[i].
 
-    Axis i crosses plane n at time (n - offset_i) * inverse_speed_i.  With
-    D the common denominator of every inverse speed and every product
-    offset_i * inverse_speed_i, D times that time has the integer
-    coordinates n*step_i - shift_i over the basis (1, phi, sqrt2,
-    phi*sqrt2); this returns the lists of step_i and shift_i, and D.
+    With D the common denominator of every inverse speed and every
+    product offset_i * inverse_speed_i, D times that time has the integer
+    coordinates n*step_i - shift_i.
     """
-    inverse_speeds = [spec.inverse_speed for spec in specs]
-    shifts = [spec.offset * spec.inverse_speed for spec in specs]
-    denominator = common_denominator(inverse_speeds + shifts)
-    return _Progressions(
-        [value.scaled_coeffs(denominator) for value in inverse_speeds],
-        [value.scaled_coeffs(denominator) for value in shifts],
-        denominator,
-    )
+    products = [offset * speed for offset, speed in zip(offsets, inverse_speeds)]
+    denominator = common_denominator([*inverse_speeds, *products])
+    steps = [value.scaled_coeffs(denominator) for value in inverse_speeds]
+    shifts = [value.scaled_coeffs(denominator) for value in products]
+    return _Axes(letters, head, steps, shifts, denominator)
+
+
+def _cube_axes(start: StartPoint, direction: Direction) -> _Axes:
+    """The start's axes in tie order b, a, c, with the limit convention's head.
+
+    A plain wall start writes its own wall at t = 0; a degenerate cluster
+    drops y and writes a before c.  A coordinate on a wall, 0 or 1, has
+    offset 0.
+    """
+    walls = start.integral_axes
+    head = walls if len(walls) == 1 else walls.replace("b", "")
+    x, y, z = (_ZERO if axis in walls else value for axis, value in zip(LETTERS, start.coords))
+    a, b, c = direction.inverse_speeds
+    return _axes("bac", head, (y, x, z), (b, a, c))
+
+
+def _time(axes: _Axes, i: int, n: int) -> FieldNumber:
+    """The time at which axis i crosses plane n: (n*step_i - shift_i) / D, reduced."""
+    (s0, s1, s2, s3), (h0, h1, h2, h3) = axes.steps[i], axes.shifts[i]
+    return _reduced((n * s0 - h0, n * s1 - h1, n * s2 - h2, n * s3 - h3), axes.denominator)
 
 
 def _min_mod(n: int, m: int, a: int, b: int) -> int:
@@ -286,11 +251,11 @@ def _min_mod(n: int, m: int, a: int, b: int) -> int:
         n, m, a, b = wraps, a, -m % a, (b - m) % a
 
 
-def _merged_axes(progressions: _Progressions, count: int) -> tuple[bytes, int]:
+def _merged_axes(axes: _Axes, count: int) -> tuple[bytes, int]:
     """Axis indices of the first ``count`` crossings in exact order, and the ties.
 
     D times the time of plane n on axis i has the integer coordinates
-    n*step_i - shift_i of the progressions, and its p-bit dyadic
+    n*step_i - shift_i of the axes, and its p-bit dyadic
     estimate S_i(n) = n*s_i - h_i (s_i and h_i the exactnum._dyadic
     estimates of step_i and shift_i) lies within n*B(step_i) + B(shift_i)
     of the value times 2**p, B the _dyadic bound, which is the same at
@@ -311,10 +276,8 @@ def _merged_axes(progressions: _Progressions, count: int) -> tuple[bytes, int]:
     (i the tie rank) is below 2**62 and fits a machine word.  The keys
     are laid out by one list += of each axis's range, the one list.sort
     per chunk merges small ints (the runs of each axis are already
-    sorted), and one array pass of type code _WORD, "L" where an unsigned
-    long has 8 bytes and "Q" otherwise, reads the axes back from the
-    keys' low bytes ("L" converts a small int directly, in about a third
-    of "Q"'s time).  _CHUNK sets W and so the unit width.
+    sorted), and one array pass of type code _WORD reads the axes back
+    from the keys' low bytes.  _CHUNK sets W and so the unit width.
 
     Gate.  For axes i < l and g = m + 1, plane j of axis i lies within g
     of some term of axis l's progression exactly when (K - K_l + g) mod
@@ -348,7 +311,7 @@ def _merged_axes(progressions: _Progressions, count: int) -> tuple[bytes, int]:
     window, sized for 2k + 1 more crossings than the chunk needs, keeps
     more than k of them below the cut, so every chunk emits crossings.
     """
-    steps, shifts, _ = progressions
+    steps, shifts = axes.steps, axes.shifts
     k = len(steps)
     # One _dyadic call per vector gives the first estimates and the
     # bounds, which do not depend on the precision.
@@ -424,10 +387,10 @@ def _merged_axes(progressions: _Progressions, count: int) -> tuple[bytes, int]:
                 if len(group) > 1 and position < limit:
                     ties += 1
                 position += len(group)
-        axes = array(_WORD, keys).tobytes()[_LOW_BYTE : 8 * limit : 8].translate(_AXIS_OF_BYTE)
-        out += axes
+        emitted = array(_WORD, keys).tobytes()[_LOW_BYTE : 8 * limit : 8].translate(_AXIS_OF_BYTE)
+        out += emitted
         for i in range(k):
-            planes[i] += axes.count(i)
+            planes[i] += emitted.count(i)
     return bytes(out), ties
 
 
@@ -447,36 +410,28 @@ class BilliardWord:
 
 
 def _emit(
-    specs: Sequence[_AxisSpec], progressions: _Progressions, length: int, with_times: bool
+    axes: _Axes, length: int, with_times: bool
 ) -> tuple[str, Optional[tuple[FieldNumber, ...]], int]:
     """Word, crossing times (None unless ``with_times``) and tie count.
 
-    The one driver of the crossing merge: the wall letters at t = 0 come
+    The one driver of the crossing merge: the head letters at t = 0 come
     first, then the merged crossings up to ``length`` letters.  The
-    progressions are _scaled_progressions(specs), which the caller may
-    share with _validation.  Each time is the reduced field number
-    (n*step_i - shift_i) / D, built from the integer progressions.
+    caller may share the axes with _validation.
     """
     if length < 0:
         raise ValueError("length must be nonnegative")
-    head = _wall_letters(specs)[:length]
-    axes, tie_count = _merged_axes(progressions, length - len(head))
-    letters = bytes.maketrans(
-        bytes(range(len(specs))), "".join(spec.letter for spec in specs).encode()
-    )
-    word = head + axes.translate(letters).decode()
+    head = axes.head[:length]
+    merged, tie_count = _merged_axes(axes, length - len(head))
+    letters = bytes.maketrans(bytes(range(len(axes.letters))), axes.letters.encode())
+    word = head + merged.translate(letters).decode()
     times = None
     if with_times:
-        steps, shifts, denominator = progressions
-        planes = [0] * len(specs)
+        planes = [0] * len(axes.letters)
         crossings = []
-        for axis in axes:
+        for axis in merged:
             n = planes[axis] = planes[axis] + 1
-            (s0, s1, s2, s3), (h0, h1, h2, h3) = steps[axis], shifts[axis]
-            crossings.append(
-                _reduced((n * s0 - h0, n * s1 - h1, n * s2 - h2, n * s3 - h3), denominator)
-            )
-        times = (FieldNumber(0),) * len(head) + tuple(crossings)
+            crossings.append(_time(axes, axis, n))
+        times = (_ZERO,) * len(head) + tuple(crossings)
     return word, times, tie_count
 
 
@@ -493,8 +448,7 @@ def trace(
     word; callers that need a start free of degeneracy and simultaneous
     crossings check it first with validate.
     """
-    specs = _cube_axes(start, direction)
-    return BilliardWord(*_emit(specs, _scaled_progressions(specs), length, with_times))
+    return BilliardWord(*_emit(_cube_axes(start, direction), length, with_times))
 
 
 def trace_letters(
@@ -503,8 +457,7 @@ def trace_letters(
     length: int = 100,
 ) -> str:
     """Letters-only fast path of trace."""
-    specs = _cube_axes(start, direction)
-    return _emit(specs, _scaled_progressions(specs), length, with_times=False)[0]
+    return _emit(_cube_axes(start, direction), length, with_times=False)[0]
 
 
 def delete_letter(word: str, letter: str) -> str:
@@ -552,30 +505,26 @@ class Validation:
 
 
 def _pair_ties(
-    first: _AxisSpec,
-    second: _AxisSpec,
-    p: _Vector,
-    q: _Vector,
-    r: _Vector,
-    horizon: int,
-    direction: Direction,
+    axes: _Axes, i: int, j: int, horizon: int, direction: Direction
 ) -> list[SimultaneousCrossing]:
-    """All common crossing times of two progressions that cover ``horizon`` letters.
+    """All common crossing times of axes i and j that cover ``horizon`` letters.
 
     Solves n*p - m*q = r, with p and q the two axes' integer steps and r
-    the difference of their integer shifts (_scaled_progressions), over
-    the four basis coordinates.  The inverse speeds of the family are
-    1/r, phi and phi + 1, so on the coordinates (1, phi) the pairs (b, a),
-    (b, c) and (a, c) have nonzero determinants: the pair of planes
-    (n, m) is the single solution of that 2x2 system.  It is floored to
-    integers and counts only if n >= 1 and it satisfies all four
-    coordinates: a non-integral solution floors to a pair that fails the
-    (1, phi) system, and since the common time is positive, n >= 1
-    forces m >= 1.  Only such a candidate has its exact time built and
-    tested against the bound (horizon + 3) / speed_sum, the time by
-    which the word holds at least ``horizon`` letters.  One candidate
-    per pair makes the cost independent of the horizon.
+    the difference of their integer shifts, over the four basis
+    coordinates.  The inverse speeds of the family are 1/r, phi and
+    phi + 1, so on the coordinates (1, phi) the pairs (b, a), (b, c) and
+    (a, c) have nonzero determinants: the pair of planes (n, m) is the
+    single solution of that 2x2 system.  It is floored to integers and
+    counts only if n >= 1 and it satisfies all four coordinates: a
+    non-integral solution floors to a pair that fails the (1, phi)
+    system, and since the common time is positive, n >= 1 forces m >= 1.
+    Only such a candidate has its exact time built and tested against the
+    bound (horizon + 3) / speed_sum, the time by which the word holds at
+    least ``horizon`` letters.  One candidate per pair makes the cost
+    independent of the horizon.
     """
+    p, q = axes.steps[i], axes.steps[j]
+    r = tuple(map(sub, axes.shifts[i], axes.shifts[j]))
     det = q[0] * p[1] - p[0] * q[1]
     n = (q[0] * r[1] - q[1] * r[0]) // det
     m = (p[0] * r[1] - p[1] * r[0]) // det
@@ -583,10 +532,10 @@ def _pair_ties(
         return []
     if any(n * a - m * b != c for a, b, c in zip(p, q, r)):
         return []
-    time = (FieldNumber(n) - first.offset) * first.inverse_speed
+    time = _time(axes, i, n)
     if time > FieldNumber(horizon + 3) / direction.speed_sum:
         return []
-    return [SimultaneousCrossing(time, first.letter + second.letter, (n, m))]
+    return [SimultaneousCrossing(time, axes.letters[i] + axes.letters[j], (n, m))]
 
 
 def validate(
@@ -600,27 +549,20 @@ def validate(
     axes cross planes simultaneously before the time that covers the
     requested number of letters.  The simultaneity equations are solved
     exactly, never scanned numerically: each pair of axes is one 2x2
-    integer system on the common-denominator coordinates of
-    _scaled_progressions.
+    integer system on the common-denominator coordinates of _cube_axes.
     """
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
-    specs = _cube_axes(start, direction)
-    return _validation(specs, _scaled_progressions(specs), horizon, direction)
+    return _validation(start, _cube_axes(start, direction), horizon, direction)
 
 
-def _validation(
-    specs: Sequence[_AxisSpec], progressions: _Progressions, horizon: int, direction: Direction
-) -> Validation:
-    """validate on the start's axes and their _scaled_progressions."""
-    steps, shifts, _ = progressions
+def _validation(start: StartPoint, axes: _Axes, horizon: int, direction: Direction) -> Validation:
+    """validate on the start's _cube_axes."""
     ties: list[SimultaneousCrossing] = []
-    for i, j in combinations(range(len(specs)), 2):
-        r = tuple(map(sub, shifts[i], shifts[j]))
-        ties.extend(_pair_ties(specs[i], specs[j], steps[i], steps[j], r, horizon, direction))
+    for i, j in combinations(range(len(axes.letters)), 2):
+        ties += _pair_ties(axes, i, j, horizon, direction)
     ties.sort(key=lambda event: event.time)
-    degenerate = sum(spec.on_wall for spec in specs) >= 2
-    return Validation(degenerate_start=degenerate, ties=tuple(ties))
+    return Validation(degenerate_start=start.is_degenerate, ties=tuple(ties))
 
 
 def _valid_letters(
@@ -628,11 +570,10 @@ def _valid_letters(
 ) -> Optional[str]:
     """The word of trace_letters where validate passes for ``length`` letters, else None.
 
-    The check and the trace read one _cube_axes and _scaled_progressions
-    build, which is most of the fixed cost of a start.
+    The check and the trace read one _cube_axes build, which is most of
+    the fixed cost of a start.
     """
-    specs = _cube_axes(start, direction)
-    progressions = _scaled_progressions(specs)
-    if not _validation(specs, progressions, length, direction).ok:
+    axes = _cube_axes(start, direction)
+    if not _validation(start, axes, length, direction).ok:
         return None
-    return _emit(specs, progressions, length, with_times=False)[0]
+    return _emit(axes, length, with_times=False)[0]

@@ -263,12 +263,9 @@ def _translated_face_point(
     """The face point (y + k*d, z + k*e) mod 1 of the (k+1)-th return.
 
     d = theta_2 / r and e = theta_3 / r = 1/r - d; e equals -d mod 1
-    only when 1/r is an integer.
+    only when 1/r is an integer.  Its one caller, predict_return_words,
+    checks the face and passes k >= 0.
     """
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    if m.x != 0:
-        raise ValueError("return prediction starts from the face X = 0")
     step = translation_step(r)
     z_step = 1 / Fraction(r) - step
     return reduce_mod1(m.y + k * step), reduce_mod1(m.z + k * z_step)

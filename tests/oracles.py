@@ -12,12 +12,8 @@ from cubewords.billiard import (
     GOLDEN_DIRECTION,
     Direction,
     StartPoint,
-    _AxisSpec,
-    _cube_axes,
+    _axes,
     _emit,
-    _on_wall,
-    _scaled_progressions,
-    _wall_letters,
     trace_letters,
 )
 from cubewords.exactnum import FieldNumber, _field, reduce_mod1
@@ -36,17 +32,17 @@ def square_trace(y, z, length: int) -> str:
     """Billiard word of the unit square in direction (phi - 1, 2 - phi).
 
     Same limit convention as the cube, restricted to the last two axes:
-    the word is over b and c, a z wall emits its c at t = 0, a y wall
-    crossing at t = 0 is dropped, and ties resolve b before c.  The two
-    axes go through the cube's crossing merge, billiard._emit.
+    the word is over b and c, a start on one wall writes that wall's
+    letter at t = 0, the corner writes only its c (its y wall crossing at
+    t = 0 is dropped), and ties resolve b before c.  The two axes go
+    through the cube's crossing merge, billiard._emit.
     """
     _, y, z = StartPoint(0, y, z).coords  # checks y and z as axes b and c
+    walls = [letter for letter, value in (("b", y), ("c", z)) if value == value.floor()]
+    head = "c" if len(walls) == 2 else "".join(walls)
+    offsets = [value - value.floor() for value in (y, z)]
     _, b_speed, c_speed = GOLDEN_DIRECTION.inverse_speeds
-    specs = [
-        _AxisSpec("b", FieldNumber(0) if _on_wall(y) else y, b_speed, _on_wall(y), None),
-        _AxisSpec("c", FieldNumber(0) if _on_wall(z) else z, c_speed, _on_wall(z), 0),
-    ]
-    return _emit(specs, _scaled_progressions(specs), length, with_times=False)[0]
+    return _emit(_axes("bc", head, offsets, (b_speed, c_speed)), length, with_times=False)[0]
 
 
 def floor_sum(n: int, m: int, a: int, b: int) -> int:
@@ -72,31 +68,53 @@ def floor_sum(n: int, m: int, a: int, b: int) -> int:
     return total + b // m if n else total
 
 
+def cube_axis_specs(
+    start: StartPoint, direction: Direction = GOLDEN_DIRECTION
+) -> list[tuple[str, FieldNumber, FieldNumber]]:
+    """(letter, offset, inverse speed) of each cube axis, in the tie order b, a, c.
+
+    The offset is the start coordinate less its floor, so a coordinate on
+    a wall, 0 or 1, has offset 0, and the inverse speed is 1 / speed of
+    direction.speeds: axis i crosses plane n at (n - offset) * inverse
+    speed.  Read from the start and the speeds alone, these check the
+    engine's set-up, billiard._cube_axes, and its inverse speeds.
+    """
+    return [
+        (letter, start.coords[i] - start.coords[i].floor(), 1 / direction.speeds[i])
+        for letter, i in (("b", 1), ("a", 0), ("c", 2))
+    ]
+
+
 def raw_crossings(
     start: StartPoint, direction: Direction = GOLDEN_DIRECTION
 ) -> Iterator[tuple[FieldNumber, str]]:
     """Reference crossing stream: (time, letter) pairs in exact order.
 
-    Merges the three progressions with direct field-number comparisons
-    and no dyadic shortcut: the route billiard._merged_axes replaces
-    with a sort of bounded integer keys per chunk.
+    Merges the three progressions of cube_axis_specs with direct
+    field-number comparisons and no dyadic shortcut: the route
+    billiard._merged_axes replaces with a sort of bounded integer keys
+    per chunk.  At t = 0 a start on one wall crosses that wall.  A start
+    on two or three walls is the limit of starts shifted by
+    epsilon * (0, +1, -1): x stays on its wall and is crossed at t = 0,
+    z falls just below its wall and is crossed just after, and y moves
+    off its wall.
     """
-    specs = _cube_axes(start, direction)
+    specs = cube_axis_specs(start, direction)
     zero = FieldNumber(0)
-    for letter in _wall_letters(specs):
+    walls = [letter for letter, offset, _ in specs if offset == 0]
+    if len(walls) > 1:
+        walls = [letter for letter in "ac" if letter in walls]
+    for letter in walls:
         yield zero, letter
     plane = [1] * len(specs)
-    current = [
-        (FieldNumber(plane[i]) - spec.offset) * spec.inverse_speed
-        for i, spec in enumerate(specs)
-    ]
+    current = [(FieldNumber(1) - offset) * speed for _, offset, speed in specs]
     while True:
-        lead = min(range(len(specs)), key=lambda i: current[i])
-        tied = [i for i in range(len(specs)) if current[i] == current[lead]]
-        for i in tied:
-            yield current[i], specs[i].letter
-            plane[i] += 1
-            current[i] = (FieldNumber(plane[i]) - specs[i].offset) * specs[i].inverse_speed
+        lead = min(current)
+        for i, (letter, offset, speed) in enumerate(specs):
+            if current[i] == lead:
+                yield lead, letter
+                plane[i] += 1
+                current[i] = (FieldNumber(plane[i]) - offset) * speed
 
 
 def saddle_connection(a_i, a_j, alpha) -> Optional[int]:

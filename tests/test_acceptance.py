@@ -17,6 +17,7 @@ from fractions import Fraction
 
 import pytest
 
+from cubewords import verification
 from cubewords.billiard import StartPoint, trace_letters
 from cubewords.directional import circle_language
 from cubewords.exactnum import PHI, SQRT2, FieldNumber
@@ -86,6 +87,17 @@ def test_criterion_05_return_word_predictions(ctx):
 
 def test_criterion_06_circle_census(ctx):
     _report(criterion_6(ctx))
+
+
+def test_a_raising_criterion_fails_with_its_exception(ctx, monkeypatch):
+    # _run turns a crash of a criterion's body into a failed verdict
+    def broken(s):
+        raise ArithmeticError(f"no partition for s={s}")
+
+    monkeypatch.setattr(verification, "circle_partition", broken)
+    result = criterion_6(ctx)
+    assert (result.number, result.passed) == (6, False)
+    assert result.detail == "raised ArithmeticError: no partition for s=0"
 
 
 def test_criterion_07_rank_predicts_slope(ctx):

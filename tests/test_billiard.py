@@ -14,11 +14,10 @@ import pytest
 from cubewords import billiard
 from cubewords.billiard import (
     Direction,
-    _AxisSpec,
+    _axes,
     _cube_axes,
     _merged_axes,
     _min_mod,
-    _scaled_progressions,
     _valid_letters,
     GOLDEN_DIRECTION,
     SimultaneousCrossing,
@@ -31,7 +30,7 @@ from cubewords.billiard import (
     validate,
 )
 from cubewords.exactnum import PHI, SQRT2, FieldNumber, basis_approx, reduce_mod1
-from oracles import floor_sum, raw_crossings, square_trace
+from oracles import cube_axis_specs, floor_sum, raw_crossings, square_trace
 
 HALF = Fraction(1, 2)
 
@@ -186,8 +185,9 @@ def test_square_trace_is_projection_of_cube_trace():
 
 def test_square_trace_wall_convention():
     assert square_trace(HALF, 0, 1) == "c"
+    assert square_trace(0, HALF, 8) == "bcbbcbbc"  # a lone y wall writes its b
     assert square_trace(0, HALF, 12) == square_trace(1, HALF, 12)
-    assert square_trace(0, 0, 4) == "cbcb"
+    assert square_trace(0, 0, 4) == "cbcb"  # the corner drops its y crossing
 
 
 def test_other_family_member():
@@ -310,6 +310,17 @@ def test_trace_without_times():
     assert trace(tied, length=300, with_times=False).tie_count == 1
 
 
+def test_validate_rejects_a_negative_horizon():
+    with pytest.raises(ValueError, match="^horizon must be nonnegative$"):
+        validate(StartPoint(0, HALF, HALF), horizon=-1)
+
+
+def test_delete_letter_rejects_more_than_one_letter():
+    for letter in ("ab", ""):
+        with pytest.raises(ValueError, match="^letter must be a single character$"):
+            delete_letter("abcab", letter)
+
+
 def test_square_trace_checks_coordinates():
     with pytest.raises(ValueError, match="coordinate b="):
         square_trace(2, HALF, 4)
@@ -372,6 +383,24 @@ def test_engine_matches_raw_crossings():
                 assert_engine_matches_oracle(start, direction, length)
     for start in starts[:3] + starts[-2:]:
         assert_engine_matches_oracle(start, GOLDEN_DIRECTION, 1000)
+
+
+# One interior value per axis.  With x on a wall, y = 4 - 2*phi crosses
+# plane 2 as x crosses plane 1, a b-a tie at t = 2 for r = 1/2.
+WALL_PATTERN_VALUES = [(0, Fraction(3, 10), 1), (0, 4 - 2 * PHI, 1), (0, HALF, 1)]
+
+
+@pytest.mark.parametrize("direction", DIRECTIONS, ids=lambda direction: f"r={direction.r}")
+def test_engine_matches_raw_crossings_on_every_wall_pattern(direction):
+    # all 27 patterns of {0, interior, 1} per axis: the head at t = 0, the
+    # offset of a coordinate on a wall and the tie order, against the
+    # oracle's own set-up
+    for coords in itertools.product(*WALL_PATTERN_VALUES):
+        start = StartPoint(*coords)
+        for length in (0, 1, 2, 3, 40):
+            assert_engine_matches_oracle(start, direction, length)
+        report = assert_validate_matches_fractions(start, direction, 40)
+        assert report.degenerate_start == (sum(value in (0, 1) for value in coords) >= 2)
 
 
 def test_engine_across_chunk_boundaries(monkeypatch):
@@ -460,13 +489,14 @@ def test_misordered_dyadic_keys_are_resorted(monkeypatch):
 def sorted_progressions(specs, count):
     """Spec indices and tie count of the first ``count`` crossings, by sorting.
 
-    Each axis contributes count + 1 planes, more than the first count
-    crossings can use; (time, index) pairs sort in exact time order with
-    the spec index breaking ties.
+    specs are (letter, offset, inverse speed) triples, as cube_axis_specs
+    gives them.  Each axis contributes count + 1 planes, more than the
+    first count crossings can use; (time, index) pairs sort in exact time
+    order with the spec index breaking ties.
     """
     events = sorted(
-        ((n - spec.offset) * spec.inverse_speed, index)
-        for index, spec in enumerate(specs)
+        ((n - offset) * speed, index)
+        for index, (_, offset, speed) in enumerate(specs)
         for n in range(1, count + 2)
     )
     ties = sum(
@@ -475,6 +505,13 @@ def sorted_progressions(specs, count):
         if events[i][0] == events[i + 1][0] and (i == 0 or events[i - 1][0] != events[i][0])
     )
     return bytes(index for _, index in events[:count]), ties
+
+
+def crafted_axes(case):
+    """The specs of sorted_progressions and the engine's _axes for (offset, inverse speed) pairs."""
+    specs = [("abc"[i], offset, speed) for i, (offset, speed) in enumerate(case)]
+    offsets, speeds = zip(*case)
+    return specs, _axes("abc"[: len(case)], "", offsets, speeds)
 
 
 def test_merge_of_crafted_progressions(monkeypatch):
@@ -499,10 +536,9 @@ def test_merge_of_crafted_progressions(monkeypatch):
     for chunk in range(1, 10):
         monkeypatch.setattr(billiard, "_CHUNK", chunk)
         for case in cases:
-            specs = [_AxisSpec("abc"[i], o, v, False, None) for i, (o, v) in enumerate(case)]
-            progressions = _scaled_progressions(specs)
+            specs, axes = crafted_axes(case)
             for count in (0, 1, 2, 5, 24):
-                assert _merged_axes(progressions, count) == sorted_progressions(specs, count)
+                assert _merged_axes(axes, count) == sorted_progressions(specs, count)
 
 
 def test_ties_of_commensurate_speeds(monkeypatch):
@@ -523,10 +559,9 @@ def test_ties_of_commensurate_speeds(monkeypatch):
     for chunk in (5, 4096):
         monkeypatch.setattr(billiard, "_CHUNK", chunk)
         for case in cases:
-            specs = [_AxisSpec("abc"[i], o, v, False, None) for i, (o, v) in enumerate(case)]
-            progressions = _scaled_progressions(specs)
+            specs, axes = crafted_axes(case)
             for count in (5, 24, 100):
-                assert _merged_axes(progressions, count) == sorted_progressions(specs, count)
+                assert _merged_axes(axes, count) == sorted_progressions(specs, count)
 
 
 def test_large_coordinates_raise_the_precision(monkeypatch):
@@ -635,7 +670,7 @@ LARGE_DENOMINATOR_STARTS = [large_denominator_start(random.Random(seed)) for see
 
 def test_large_denominators_merge_like_the_oracles(monkeypatch):
     for start in LARGE_DENOMINATOR_STARTS:
-        steps = _scaled_progressions(_cube_axes(start, GOLDEN_DIRECTION)).steps
+        steps = _cube_axes(start, GOLDEN_DIRECTION).steps
         assert steps[0][1] > 2**40  # D * phi, the step of axis b
     # more crossings than one chunk holds
     start = LARGE_DENOMINATOR_STARTS[0]
@@ -645,9 +680,8 @@ def test_large_denominators_merge_like_the_oracles(monkeypatch):
         for start in LARGE_DENOMINATOR_STARTS:
             for direction in DIRECTIONS:
                 assert_engine_matches_oracle(start, direction, 30)
-                specs = _cube_axes(start, direction)
-                merged = _merged_axes(_scaled_progressions(specs), 40)
-                assert merged == sorted_progressions(specs, 40)
+                merged = _merged_axes(_cube_axes(start, direction), 40)
+                assert merged == sorted_progressions(cube_axis_specs(start, direction), 40)
 
 
 def test_precision_doubles_on_large_denominators_and_coefficients(monkeypatch):
@@ -672,15 +706,15 @@ def test_precision_doubles_on_large_denominators_and_coefficients(monkeypatch):
         reduce_mod1(start.y + FieldNumber(0, big) + FieldNumber(-big * 1618034 // 10**6)),
         start.z,
     )
-    progressions = _scaled_progressions(_cube_axes(start, GOLDEN_DIRECTION))
+    axes = _cube_axes(start, GOLDEN_DIRECTION)
     for chunk in (2, 4096):
         monkeypatch.setattr(billiard, "_CHUNK", chunk)
         del events[:]
-        _merged_axes(progressions, 200)
+        _merged_axes(axes, 200)
         precisions = [event for event in events if isinstance(event, int)]
         first = events.index(precisions[0])
         assert precisions[0] == 128 and max(precisions) > 64
-        assert events[:first] == [*progressions.steps, *progressions.shifts]
+        assert events[:first] == [*axes.steps, *axes.shifts]
         assert_engine_matches_oracle(start, GOLDEN_DIRECTION, 200)
 
 
@@ -698,10 +732,15 @@ def test_near_tie_in_the_second_chunk_runs_the_exact_resort(monkeypatch):
 
 
 def fraction_pair_ties(first, second, time_bound):
-    """The Fraction route to _pair_ties: Cramer's rule on the coefficients."""
-    p = first.inverse_speed.coeffs
-    q = second.inverse_speed.coeffs
-    r = (first.offset * first.inverse_speed - second.offset * second.inverse_speed).coeffs
+    """The Fraction route to _pair_ties: Cramer's rule on the coefficients.
+
+    first and second are (letter, offset, inverse speed) triples of
+    cube_axis_specs.
+    """
+    first_letter, first_offset, first_speed = first
+    second_letter, second_offset, second_speed = second
+    p, q = first_speed.coeffs, second_speed.coeffs
+    r = (first_offset * first_speed - second_offset * second_speed).coeffs
     det = q[0] * p[1] - p[0] * q[1]
     n = (q[0] * r[1] - q[1] * r[0]) / det
     m = (p[0] * r[1] - p[1] * r[0]) / det
@@ -709,23 +748,28 @@ def fraction_pair_ties(first, second, time_bound):
         return []
     if n.denominator != 1 or m.denominator != 1 or n < 1 or m < 1:
         return []
-    time = (FieldNumber(n) - first.offset) * first.inverse_speed
+    time = (FieldNumber(n) - first_offset) * first_speed
     if time > time_bound:
         return []
-    return [SimultaneousCrossing(time, first.letter + second.letter, (int(n), int(m)))]
+    return [SimultaneousCrossing(time, first_letter + second_letter, (int(n), int(m)))]
 
 
 def fraction_validate(start, direction=GOLDEN_DIRECTION, horizon=1000):
-    """The Fraction route to validate, pair by pair over the cube axes."""
+    """The Fraction route to validate, pair by pair over cube_axis_specs.
+
+    A start is degenerate when two or more of its offsets are 0, that is,
+    when two or more coordinates lie on walls.
+    """
     time_bound = FieldNumber(horizon + 3) / direction.speed_sum
-    specs = _cube_axes(start, direction)
+    specs = cube_axis_specs(start, direction)
     ties = [
         tie
         for first, second in itertools.combinations(specs, 2)
         for tie in fraction_pair_ties(first, second, time_bound)
     ]
     ties.sort(key=lambda event: event.time)
-    return Validation(degenerate_start=start.is_degenerate, ties=tuple(ties))
+    degenerate = sum(offset == 0 for _, offset, _ in specs) >= 2
+    return Validation(degenerate_start=degenerate, ties=tuple(ties))
 
 
 def assert_validate_matches_fractions(start, direction=GOLDEN_DIRECTION, horizon=1000):
@@ -867,6 +911,17 @@ def test_direction_constants_are_kept_and_identity_is_r():
     third = dataclasses.replace(used, r=Fraction(1, 3))
     assert third.inverse_speeds[0] == FieldNumber(3) and third.speed_sum == Fraction(4, 3)
     assert third != used and used.inverse_speeds[0] == FieldNumber(2)
+
+
+def test_start_keeps_its_wall_letters():
+    # the crossing set-up and validation both read integral_axes, built once
+    start, fresh = StartPoint(0, HALF, 1), StartPoint(0, HALF, 1)
+    assert start.integral_axes is start.integral_axes
+    assert start.integral_axes == "ac" and start.is_degenerate
+    # the kept letters take no part in equality, hashing or copies
+    assert start == fresh and hash(start) == hash(fresh)
+    copied = pickle.loads(pickle.dumps(start))
+    assert copied == fresh and copied.integral_axes == "ac"
 
 
 def golden_unit_above_zero():

@@ -389,6 +389,12 @@ class TestCensus:
 
 
 class TestUnionComplexity:
+    def test_rejects_a_prefix_below_twice_n_max(self):
+        with pytest.raises(
+            ValueError, match="^prefix must be at least twice n_max for stable counts$"
+        ):
+            union_complexity([F(0), 2 - PHI], 16, 31)
+
     def test_low_lengths(self):
         samples = [F(0), 2 - PHI, fr(1, 5)]
         table = union_complexity(samples, n_max=12, prefix=2000)

@@ -768,6 +768,10 @@ class TestReconstruct:
         with pytest.raises(ValueError):
             reconstruct(StartPoint(fr(1, 2), fr(1, 2), fr(1, 3)), 10)
 
+    def test_rejects_a_negative_length(self):
+        with pytest.raises(ValueError, match="^n_letters must be nonnegative$"):
+            reconstruct(StartPoint(0, fr(1, 2), fr(1, 2)), -1)
+
     def test_orbit_on_cut_raises(self):
         start = StartPoint(0, 2 - PHI, PHI - 1)
         with pytest.raises(HitsCut):

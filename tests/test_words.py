@@ -293,6 +293,11 @@ def test_stability_and_unstable_errors():
         profile.p(0)
 
 
+def test_complexity_rejects_n_max_below_one():
+    with pytest.raises(ValueError, match="^n_max must be at least 1$"):
+        complexity("abcabcab", 0)
+
+
 def test_profile_owns_its_law():
     # seeded words with and without an affine tail, stable or not at the top
     rng = random.Random(2302)

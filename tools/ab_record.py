@@ -7,7 +7,10 @@ Run from the repository root, stdlib only:
 P and C are two complete checkouts, for example ``git archive`` of the
 parent commit and of the change, unpacked side by side.  Each --part
 fills one section of the output file and keeps the others, so the
-parts can run one at a time.  Benchmark runs go through each tree's own
+parts can run one at a time; a traced or FILE.py part run again on the
+same file adds a run to its section and keeps the earlier ones, since
+the host's speed can shift between runs and only repeated runs show
+it.  Benchmark runs go through each tree's own
 ``perfbench/record.py`` (``run_once``, ``summarise``) at the run length
 ``run_seconds`` of BENCHMARK.json, one process at a time, with every
 ``__pycache__`` of the tree removed before each run:
@@ -19,7 +22,7 @@ parts can run one at a time.  Benchmark runs go through each tree's own
   traced   one traced run per tree of every workload of BENCHMARK.json
            on the first seed: the metrics it prints and, from its span
            file, the calls and mean self time (``perfbench/measure.py``)
-           of every span name
+           of every span name; each run is appended to ``runs``
   cli      SHA-256 of standard output and standard error and the exit
            status of every request in REQUESTS, in both formats, from
            one ``cli.main`` process per tree
@@ -29,10 +32,12 @@ parts can run one at a time.  Benchmark runs go through each tree's own
            numbers.  One child process loads both trees'
            ``src/cubewords`` under two package names and calls
            ``measure`` with each package for ROUNDS rounds, the trees
-           alternating, so that both see the same spells of the host;
-           the medians per tree are kept under ``timings`` with the
-           script's path in the repository, or its file name for a
-           script kept outside it
+           alternating, so that both see the same spells of the host.
+           Each run is appended to the ``runs`` of the script's entry
+           under ``timings``, keyed by the script's file stem: per key,
+           every round's value, the median and quartiles per tree, and
+           the number of rounds in which the change read lower than the
+           parent
 
 All times are CPU seconds of the measuring process, as in perfbench.
 """
@@ -255,17 +260,19 @@ def part_tier1(trees: dict[str, Path]) -> dict:
 
 
 def part_script(trees: dict[str, Path], script: Path) -> dict:
+    """One run of the timing script: per key, every round and its summary per tree."""
     paths = json.dumps({side: str(tree) for side, tree in trees.items()})
     rows = run_child(ROOT, ["-c", SCRIPT_CHILD, str(script), str(ROUNDS), paths], "")
-    return {
-        "script": script.relative_to(ROOT).as_posix() if script.is_relative_to(ROOT) else script.name,
-        "how": f"median over {ROUNDS} rounds of one process holding both trees, trees alternating",
-        "medians": {
-            key: {side: statistics.median(row[key] for row in side_rows)
-                  for side, side_rows in rows.items()}
-            for key in rows["parent"][0]
-        },
-    }
+    run = {}
+    for key in rows["parent"][0]:
+        values = {side: [row[key] for row in side_rows] for side, side_rows in rows.items()}
+        entry: dict = {}
+        for side, series in values.items():
+            q1, median, q3 = statistics.quantiles(series, n=4)
+            entry[side] = {"median": median, "q1": q1, "q3": q3, "values": series}
+        entry["change_lower"] = sum(c < p for p, c in zip(values["parent"], values["change"]))
+        run[key] = entry
+    return run
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -284,14 +291,19 @@ def main(argv: list[str] | None = None) -> int:
     if args.part == "pairs":
         record["pairs"] = part_pairs(trees, seeds, spec)
     elif args.part == "traced":
-        record["traced"] = part_traced(trees, seeds[0], spec)
+        record.setdefault("traced", {"runs": []})["runs"].append(part_traced(trees, seeds[0], spec))
     elif args.part == "cli":
         record["cli"] = part_cli(trees)
     elif args.part == "tier1":
         record["tier1"] = part_tier1(trees)
     elif args.part.endswith(".py"):
         script = Path(args.part).resolve()
-        record.setdefault("timings", {})[script.stem] = part_script(trees, script)
+        name = script.relative_to(ROOT).as_posix() if script.is_relative_to(ROOT) else script.name
+        how = f"{ROUNDS} rounds per run in one process holding both trees, trees alternating"
+        entry = record.setdefault("timings", {}).setdefault(
+            script.stem, {"script": name, "how": how, "runs": []}
+        )
+        entry["runs"].append(part_script(trees, script))
     else:
         parser.error(f"unknown part {args.part!r}")
     args.out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")

@@ -16,6 +16,12 @@ letters:
   validate_us              validate at horizon 3000
   valid_letters_1_us       billiard._valid_letters at 1 letter: the fixed
                            cost of a union start's check and trace
+  validate_fresh_us        validate at horizon 3000 on a new StartPoint of
+                           each start's coordinates, built in the timed
+                           call as a union start is: the keys above reuse
+                           their starts, so what a start keeps once built
+                           reads free in them
+  valid_letters_fresh_1_us _valid_letters at 1 letter on such new starts
   windows_16_us            words._windows of each start's 3000-letter
                            word at width 16, the union width, mean per word
   windows_40_us            the same at width 40, the complexity and
@@ -56,6 +62,10 @@ def measure(cw) -> dict:
     words = [cw.trace_letters(start, length=3000) for start in starts]
     values = [s - Fraction(k, 23) for s in schedule for k in (1, 11)]
 
+    def fresh(call):
+        coords = [start.coords for start in starts]
+        return lambda: [call(cw.StartPoint(*point)) for point in coords]
+
     def windows(width: int):
         return lambda: [cw.words._windows(word, width) for word in words]
 
@@ -77,6 +87,10 @@ def measure(cw) -> dict:
         "valid_letters_1_us": best(
             lambda: [cw.billiard._valid_letters(start, 1) for start in starts]
         ) * per_start,
+        "validate_fresh_us": best(fresh(lambda start: cw.validate(start, horizon=3000)))
+        * per_start,
+        "valid_letters_fresh_1_us": best(fresh(lambda start: cw.billiard._valid_letters(start, 1)))
+        * per_start,
         "windows_16_us": best(windows(16)) * per_start,
         "windows_40_us": best(windows(40)) * per_start,
         "reduce_mod1_us": best(lambda: [cw.reduce_mod1(value) for value in values])
