@@ -113,12 +113,13 @@ def _sorted_merged(rows: Iterable[tuple[int, int, tuple[int, int, int, int], obj
     bounds.  The rows are sorted by estimate and the order is then
     certified pair by pair.  A pair whose estimates differ by more than
     the sum of their bounds is in order, by the triangle inequality, so
-    a looser bound costs sign tests but never a wrong order.  Only the
-    other pairs call _compare: a sign of 0 merges two rows into one
-    entry, and a negative sign (estimates closer than their bounds, in
-    the wrong order) re-sorts with the exact comparator.  Equal values
-    have equal vectors, since the basis is linearly independent over Q.
-    Returns a list of (vector, tags) pairs.
+    a looser bound costs sign tests but never a wrong order.  Equal
+    values have equal vectors, since the basis is linearly independent
+    over Q, so a close pair with equal vectors merges into one entry
+    with no sign test.  Only the other close pairs call _compare: a sign
+    of 0 cannot occur for them, and a negative sign (estimates closer
+    than their bounds, in the wrong order) re-sorts with the exact
+    comparator.  Returns a list of (vector, tags) pairs.
     """
     rows = sorted(rows, key=itemgetter(0))
 
@@ -128,6 +129,8 @@ def _sorted_merged(rows: Iterable[tuple[int, int, tuple[int, int, int, int], obj
         for row in rows:
             if previous is None or row[0] - previous[0] > row[1] + previous[1]:
                 order = 1
+            elif row[2] == previous[2]:
+                order = 0
             else:
                 order = _compare(row[2], previous[2])
             if order < 0:
@@ -146,17 +149,29 @@ def _sorted_merged(rows: Iterable[tuple[int, int, tuple[int, int, int, int], obj
     return merged
 
 
+def _certified_floor(estimate: int, error: int, unit: int) -> Optional[int]:
+    """floor(value) when an estimate settles it, else None.
+
+    E = estimate lies within B = error of value * M, M = unit > 0, so the
+    value is below g + 1 for g = floor((E + B) / M).  When E - B is at
+    least g*M too, the value lies inside (g, g + 1) and g is its floor.
+    Only an estimate within its bound of an integer multiple of M, or a
+    bound of at least M / 2, leaves it unsettled.
+    """
+    guess = (estimate + error) // unit
+    return guess if estimate - error >= guess * unit else None
+
+
 def _floor(vector: tuple[int, int, int, int], denom: int) -> int:
     """Exact floor of vector / denom, for denom > 0.
 
-    The estimate E of value * M, M = D << p, lies within B < M of it, so
-    the value is below g + 1 for g = floor((E + B) / M).  _dyadic's B
-    does not depend on p, which doubles from _PRECISION until B < M.
-    When E - B is at least g*M too, the value lies inside (g, g + 1) and
-    g is the floor, with no sign test.  Only an estimate within its
-    bound of an integer multiple of M needs sign tests, of value - g and
-    at most two lower integers.  FieldNumber.floor and decimal, _mod1
-    and the face-point reductions of returns share it.
+    The estimate E of value * M, M = D << p, lies within B < M of it.
+    _dyadic's B does not depend on p, which doubles from _PRECISION
+    until B < M, and _certified_floor then settles the floor with no
+    sign test unless E lies within B of an integer multiple of M.  Only
+    then are there sign tests, of value - g for g = floor((E + B) / M)
+    and at most two lower integers.  FieldNumber.floor and decimal,
+    _mod1 and the face-point reductions of returns share it.
     """
     a0, a1, a2, a3 = vector
     if not (a1 or a2 or a3):
@@ -167,9 +182,10 @@ def _floor(vector: tuple[int, int, int, int], denom: int) -> int:
         precision *= 2
         estimate, _ = _dyadic(vector, basis_approx(precision))
     unit = denom << precision
+    floor = _certified_floor(estimate, error, unit)
+    if floor is not None:
+        return floor
     guess = (estimate + error) // unit
-    if estimate - error >= guess * unit:
-        return guess
     # value - g is the integer vector minus g*(D, 0, 0, 0), over D > 0
     while _compare(vector, (denom, 0, 0, 0), guess) < 0:
         guess -= 1
@@ -549,28 +565,24 @@ def zmodule_rank(generators: Sequence[FieldNumber]) -> int:
     1 is always included: the ambient circle identifies integers with
     zero, so the constant is part of every steering set whether or not
     the caller lists it.  Since the four basis numbers are linearly
-    independent over Q, the rank is the Q-dimension of the span, which
-    Gaussian elimination over exact fractions computes directly.
+    independent over Q, the rank is the Q-dimension of the span of the
+    coordinate vectors.  Scaling a row by a nonzero integer leaves that
+    dimension unchanged, so each generator is its stored integer vector
+    _num, and elimination runs on integers with no fraction: a pivot
+    row p clears column c of a row r as p[c]*r - r[c]*p.  The row of 1
+    is the pivot of the rational column, which clears that column of
+    every generator, so the rank is 1 plus the rank of the generators'
+    three irrational coordinates.
     """
-    rows = [[Fraction(1), Fraction(0), Fraction(0), Fraction(0)]]
-    for g in generators:
-        rows.append(list(_field(g).coeffs))
-    rank = 0
-    for col in range(4):
-        pivot = None
-        for r in range(rank, len(rows)):
-            if rows[r][col] != 0:
-                pivot = r
-                break
+    rows = [_field(g)._num[1:] for g in generators]
+    rank = 1
+    for col in range(3):
+        pivot = next((row for row in rows if row[col]), None)
         if pivot is None:
             continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        head = rows[rank][col]
-        for r in range(rank + 1, len(rows)):
-            if rows[r][col] != 0:
-                factor = rows[r][col] / head
-                for c in range(col, 4):
-                    rows[r][c] -= factor * rows[rank][c]
+        rows.remove(pivot)
+        head = pivot[col]
+        rows = [tuple(head * a - row[col] * b for a, b in zip(row, pivot)) for row in rows]
         rank += 1
     return rank
 

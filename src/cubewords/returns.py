@@ -25,21 +25,25 @@ k in {3, 5, 6}; coding the rotation orbit of Y against it and mapping
 each interval's cell digit through the block table reconstructs the
 billiard word letter for letter.
 
-The face partition decides on integers too.  _cell_label takes a face
-point as two integer vectors over one denominator and settles the open
-square and each curve by the sign of one integer vector
-(exactnum._int_sign).  cell_of, kth_return_prediction and the interval
-labels of circle_partition all call it, so no cell is decided by
-FieldNumber arithmetic.  circle_partition solves its cuts the same way,
-on integer vectors over the denominator of s.
+The face partition decides on integers too, estimate first.
+_cell_label takes a face point as two integer vectors over one
+denominator, each with its exactnum._dyadic estimate and error bound,
+and settles the open square and each curve by the sign of one integer
+vector: the estimates decide every sign they certify, and only a point
+within its bound of a curve or an edge reaches exactnum._compare or
+_int_sign.  cell_of, kth_return_prediction and the interval labels of
+circle_partition all call it, so no cell is decided by FieldNumber
+arithmetic.  kth_return_prediction reduces its translate mod 1 from
+the same estimates, by exactnum._certified_floor, and circle_partition
+solves its cuts on integer vectors over the denominator of s.
 
 rotation_coding codes that orbit on integers, as a string of cell
 digits: each point is four integer coordinates over the common
 denominator of the start, the angle and the cuts.  A certified dyadic
-filter steps a dyadic estimate of the point with its error bound and
-places it among the cuts' estimates by bisection; only a step whose
-estimate is too close to a cut or to the wrap point to certify falls
-back to exactnum._int_sign.
+filter steps a dyadic estimate of the point under one error bound for
+the whole orbit and places it among the cuts' estimates by bisection;
+only a step whose estimate is too close to a cut or to the wrap point
+to certify falls back to exactnum._compare or _int_sign.
 """
 
 from __future__ import annotations
@@ -54,11 +58,14 @@ from typing import Iterator, Optional
 
 from .billiard import GOLDEN_DIRECTION, Direction, StartPoint, trace_letters
 from .exactnum import (
+    _PRECISION,
     PHI,
     FieldNumber,
+    _certified_floor,
     _compare,
     _dyadic,
     _field,
+    _floor,
     _int_sign,
     _mod1,
     _reduced,
@@ -146,6 +153,8 @@ class FacePartition:
 
 
 _Vector = tuple[int, int, int, int]
+# an integer vector with its exactnum._dyadic estimate and error bound
+_Row = tuple[_Vector, int, int]
 
 # 1 and the curve constants as integer vectors over the denominator 1.
 _ONE = (1, 0, 0, 0)
@@ -155,35 +164,101 @@ _RED = FacePartition.RED_INTERCEPT.scaled_coeffs(1)
 _BLUE = FacePartition.BLUE_INTERCEPT.scaled_coeffs(1)
 
 
+def _row(vector: _Vector) -> _Row:
+    return (vector, *_dyadic(vector))
+
+
+# the curve constants with their estimates, for _side
+_HORIZONTAL_ROW = _row(_HORIZONTAL)
+_VERTICAL_ROW = _row(_VERTICAL)
+_RED_ROW = _row(_RED)
+_BLUE_ROW = _row(_BLUE)
+
+
+def _reduced_row(vector: _Vector, denom: int) -> _Row:
+    """vector / denom reduced mod 1 into [0, 1), over denom > 0, with its estimate and bound.
+
+    The floor comes from the one _dyadic estimate by
+    exactnum._certified_floor, and from exactnum._floor only when the
+    estimate lies within its bound of an integer.  Subtracting g*denom
+    from the rational coordinate moves the estimate by exactly
+    g*(denom << p), since the estimate of 1 is exact, and leaves the
+    bound as it is.
+    """
+    estimate, bound = _dyadic(vector)
+    unit = denom << _PRECISION
+    floor = _certified_floor(estimate, bound, unit)
+    if floor is None:
+        floor = _floor(vector, denom)
+    a0, a1, a2, a3 = vector
+    return (a0 - floor * denom, a1, a2, a3), estimate - floor * unit, bound
+
+
+def _side(vector: _Vector, estimate: int, bound: int, constant: _Row, denom: int) -> int:
+    """Sign of vector - denom*c, for c, E(c), B(c) = constant, estimate first.
+
+    E is linear, so E(v) - denom*E(c) estimates the difference within
+    B(v) + denom*B(c); only a difference that bound cannot place calls
+    exactnum._compare.
+    """
+    vector_c, estimate_c, bound_c = constant
+    gap = estimate - denom * estimate_c
+    margin = bound + denom * bound_c
+    if gap > margin:
+        return 1
+    if gap < -margin:
+        return -1
+    return _compare(vector, vector_c, denom)
+
+
 def _face_point(y: _Vector, z: _Vector, denom: int) -> tuple[FieldNumber, FieldNumber]:
     return _reduced(y, denom), _reduced(z, denom)
 
 
-def _cell_label(y: _Vector, z: _Vector, denom: int) -> CellLabel:
-    """cell_of for the point (y, z) / denom, with y and z integer vectors over denom > 0.
+def _cell_label(y_row: _Row, z_row: _Row, denom: int) -> CellLabel:
+    """cell_of for the point (y, z) / denom, each coordinate a _Row over denom > 0.
 
-    Every test is the sign of an integer vector: v / denom < c for a
-    constant c over 1 iff v - denom*c < 0, which exactnum._compare
-    decides.  The vertical and horizontal lines lie inside the
-    square, 0 < 4 - 2*phi < 1 and 0 < 2*phi - 3 < 1, so each of their
-    signs leaves one edge to test: y < 4 - 2*phi already puts y below
-    1, y > 4 - 2*phi already puts it above 0, and on the line y is
-    inside; likewise z.  The curves Z = (phi - 1)*Y + b need the
-    product (phi - 1)*y on vectors.  With phi**2 = 1 + phi,
-    (phi - 1)*(a0 + a1*phi) = a0*phi + a1 + a1*phi - a0 - a1*phi
-    = (a1 - a0) + a0*phi, and sqrt2 multiplies through, so
-    (phi - 1)*(a0, a1, a2, a3) = (a1 - a0, a0, a3 - a2, a2).  The
-    outcomes are cell_of's: a point outside the open square raises
-    ValueError before any curve is reported, then the vertical line,
-    the horizontal one, the red and the blue are tested in that order.
+    A row is an integer vector with its exactnum._dyadic estimate E and
+    bound B, |E - value*denom*2**p| < B.  Every test is the sign of an
+    integer vector, read from the estimates first: v / denom < c for a
+    constant c over 1 iff v - denom*c < 0, which _side settles from
+    E(v) - denom*E(c) against B(v) + denom*B(c), the constants' rows
+    computed once at import, and exactnum._compare settles otherwise.
+    The edges compare E(v) with 0 and with denom << p, the exact
+    estimate of 1, against B(v) alone.  The vertical and horizontal
+    lines lie inside the square, 0 < 4 - 2*phi < 1 and
+    0 < 2*phi - 3 < 1, so each of their signs leaves one edge to test:
+    y < 4 - 2*phi already puts y below 1, y > 4 - 2*phi already puts it
+    above 0, and on the line y is inside; likewise z.  The curves
+    Z = (phi - 1)*Y + b need the product (phi - 1)*y on vectors.  With
+    phi**2 = 1 + phi, (phi - 1)*(a0 + a1*phi) = a0*phi + a1 + a1*phi -
+    a0 - a1*phi = (a1 - a0) + a0*phi, and sqrt2 multiplies through, so
+    (phi - 1)*(a0, a1, a2, a3) = (a1 - a0, a0, a3 - a2, a2); w = z -
+    (phi - 1)*y takes one more _dyadic, shared by the red and blue
+    tests.  The outcomes are cell_of's: a point outside the open square
+    raises ValueError before any curve is reported, then the vertical
+    line, the horizontal one, the red and the blue are tested in that
+    order.
     """
-    vertical = _compare(y, _VERTICAL, denom)
-    horizontal = _compare(z, _HORIZONTAL, denom)
+    y, y_estimate, y_bound = y_row
+    z, z_estimate, z_bound = z_row
+    unit = denom << _PRECISION
+    vertical = _side(y, y_estimate, y_bound, _VERTICAL_ROW, denom)
+    horizontal = _side(z, z_estimate, z_bound, _HORIZONTAL_ROW, denom)
+    # an edge test falls back only when the estimate is within its bound of 0 or of 1
     if (
-        vertical < 0 and _int_sign(y) <= 0
-        or vertical > 0 and _compare(y, _ONE, denom) >= 0
-        or horizontal < 0 and _int_sign(z) <= 0
-        or horizontal > 0 and _compare(z, _ONE, denom) >= 0
+        vertical < 0
+        and y_estimate <= y_bound
+        and (y_estimate < -y_bound or _int_sign(y) <= 0)
+        or vertical > 0
+        and y_estimate + y_bound >= unit
+        and (y_estimate - y_bound > unit or _compare(y, _ONE, denom) >= 0)
+        or horizontal < 0
+        and z_estimate <= z_bound
+        and (z_estimate < -z_bound or _int_sign(z) <= 0)
+        or horizontal > 0
+        and z_estimate + z_bound >= unit
+        and (z_estimate - z_bound > unit or _compare(z, _ONE, denom) >= 0)
     ):
         point = _face_point(y, z, denom)
         raise ValueError(f"point ({point[0]}, {point[1]}) outside the open unit square")
@@ -197,14 +272,15 @@ def _cell_label(y: _Vector, z: _Vector, denom: int) -> CellLabel:
     y0, y1, y2, y3 = y
     z0, z1, z2, z3 = z
     w = (z0 - y1 + y0, z1 - y0, z2 - y3 + y2, z3 - y2)
-    red = _compare(w, _RED, denom)
+    w_estimate, w_bound = _dyadic(w)
+    red = _side(w, w_estimate, w_bound, _RED_ROW, denom)
     if red == 0:
         raise OnBoundary("red", _face_point(y, z, denom))
     if vertical < 0:
         return CellLabel.A2 if red < 0 else CellLabel.A1
     if red > 0:
         return CellLabel.A6
-    blue = _compare(w, _BLUE, denom)
+    blue = _side(w, w_estimate, w_bound, _BLUE_ROW, denom)
     if blue == 0:
         raise OnBoundary("blue", _face_point(y, z, denom))
     return CellLabel.A3 if blue > 0 else CellLabel.A5
@@ -216,11 +292,11 @@ def cell_of(y: FieldNumber, z: FieldNumber) -> CellLabel:
     ValueError outside the open unit square, and TypeError for input
     that is not an int, a Fraction or a FieldNumber.  Both coordinates
     go over their common denominator and _cell_label decides on the
-    integer vectors.
+    integer vectors and their estimates.
     """
     y, z = _field(y), _field(z)
     denom = common_denominator((y, z))
-    return _cell_label(y.scaled_coeffs(denom), z.scaled_coeffs(denom), denom)
+    return _cell_label(_row(y.scaled_coeffs(denom)), _row(z.scaled_coeffs(denom)), denom)
 
 
 @dataclass(frozen=True)
@@ -285,17 +361,20 @@ def kth_return_prediction(m: StartPoint, k: int) -> CellLabel:
     (y + k*alpha, z + k*(2 - alpha)) mod 1 with alpha = 2*phi - 3, and
     z + k*(2 - alpha) = z - k*alpha mod 1.  alpha has denominator 1, so
     over the common denominator D of y and z both coordinates are the
-    integer vectors y + k*D*alpha and z - k*D*alpha; each is reduced
-    mod 1 by exactnum._mod1 and _cell_label classifies the pair.
+    integer vectors y + k*D*alpha and z - k*D*alpha.  Each takes one
+    exactnum._dyadic estimate, which settles its floor
+    (exactnum._certified_floor) unless it lies within its bound of an
+    integer, where exactnum._floor decides; the reduced estimates,
+    exact shifts of the first ones, go with the vectors to _cell_label.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
-    if m.x != 0:
+    if m.x:
         raise ValueError("return prediction starts from the face X = 0")
     denom = common_denominator((m.y, m.z))
     shift = [k * denom * a for a in _ANGLE]
-    y = _mod1(tuple(map(add, m.y.scaled_coeffs(denom), shift)), denom)
-    z = _mod1(tuple(map(sub, m.z.scaled_coeffs(denom), shift)), denom)
+    y = _reduced_row(tuple(map(add, m.y.scaled_coeffs(denom), shift)), denom)
+    z = _reduced_row(tuple(map(sub, m.z.scaled_coeffs(denom), shift)), denom)
     return _cell_label(y, z, denom)
 
 
@@ -366,17 +445,21 @@ def rotation_coding(
       linear and E(D, 0, 0, 0) = D << p exactly, so
       E(y_j) = E(a) + j*E(d) - w*(D << p) costs one add per step and
       one subtraction per wrap.  B ignores the rational coordinate and
-      is subadditive, so B(y_j) <= B(a) + j*B(d): the error bound grows
-      by one add per step, linearly in j.
+      is subadditive, so every point the orbit tests, y_j for j < n and
+      y_j + d before its wrap, is within B = B(a) + n*B(d) of its
+      estimate: one bound for the whole orbit, not one growing per
+      step, computed before the loop.
     * bisect locates E(y_j) among the cuts' estimates at index i.  The
-      digit is interval i's when E(y_j) - E(c_{i-1}) > B(y_j) + B(c_{i-1})
-      and E(c_i) - E(y_j) > B(y_j) + B(c_i), for then
-      c_{i-1} < y_j < c_i exactly, whatever the order of the other
-      estimates.  The wrap point bounds interval 0 below and the last
+      digit is interval i's when E(y_j) - E(c_{i-1}) > B + B(c_{i-1})
+      and E(c_i) - E(y_j) > B + B(c_i), for then c_{i-1} < y_j < c_i
+      exactly, whatever the order of the other estimates.  Both limits
+      are shifted by B before the loop, so the test is one chained
+      comparison.  The wrap point bounds interval 0 below and the last
       interval above; y_j in [0, 1) is exact, so their sentinels -1
       and 2 can only send a step to the fallback.
-    * y_j + angle wraps when its estimate clears D << p by more than
-      its bound, and does not when it falls short by more.
+    * y_j + angle wraps when its estimate exceeds (D << p) + B, and
+      does not when it falls below (D << p) - B; both thresholds are
+      set before the loop.
 
     Every other step, and every wrap too close to call, takes the exact
     route: exactnum._compare of y_j with the cuts in order, or
@@ -397,11 +480,13 @@ def rotation_coding(
     cuts = [(cut, cut.scaled_coeffs(denom)) for cut in partition.cuts]
     estimates = [_dyadic(vector) for _, vector in cuts]
     keys = [key for key, _ in estimates]
-    one, _ = _dyadic((denom, 0, 0, 0))  # denom * 2**p, exactly
-    lows = [-one] + [key + bound for key, bound in estimates]
-    highs = [key - bound for key, bound in estimates] + [2 * one]
+    one = denom << _PRECISION  # the exact estimate of 1 = D/D
     estimate, error = _dyadic((a0, a1, a2, a3))
     step_estimate, step_error = _dyadic((d0, d1, d2, d3))
+    error += n * step_error
+    lows = [key + bound + error for key, bound in [(-one, 0)] + estimates]
+    highs = [key - bound - error for key, bound in estimates + [(2 * one, 0)]]
+    wrap_low, wrap_high = one - error, one + error
     digits = [str(label.value) for label in partition.labels]
 
     def exact_point(step: int, wraps: int) -> tuple[int, int, int, int]:
@@ -423,14 +508,13 @@ def rotation_coding(
     wraps = 0
     for step in range(n):
         index = bisect_right(keys, estimate)
-        if not lows[index] < estimate - error or not estimate + error < highs[index]:
+        if not lows[index] < estimate < highs[index]:
             index = exact_index(step, wraps)
         coding.append(digits[index])
         estimate += step_estimate
-        error += step_error
         # the angle lies in [0, 1), so one comparison with 1 = D/D wraps y
-        if estimate + error >= one and (
-            estimate - error > one or _int_sign(exact_point(step + 1, wraps + 1)) >= 0
+        if estimate >= wrap_low and (
+            estimate > wrap_high or _int_sign(exact_point(step + 1, wraps + 1)) >= 0
         ):
             estimate -= one
             wraps += 1
@@ -481,10 +565,11 @@ def circle_partition(s: FieldNumber) -> CirclePartition:
     intervals; they are merged and logged rather than kept, and so is a
     cut on the wrap point.  Each interval is labeled by the cell of its
     midpoint: the midpoint and s - midpoint mod 1 are integer vectors
-    over 2*D, and _cell_label classifies them.  No label raises
-    OnBoundary: every point where the circle meets one of the four
-    curves, and the seam where Z wraps, is a cut, and each midpoint lies
-    strictly between two consecutive cuts or the wrap point.
+    over 2*D, and _cell_label classifies them with their estimates.  No
+    label raises OnBoundary: every point where the circle meets one of
+    the four curves, and the seam where Z wraps, is a cut, and each
+    midpoint lies strictly between two consecutive cuts or the wrap
+    point.
     """
     s = _field(s)
     denom = common_denominator((s,))
@@ -517,7 +602,8 @@ def circle_partition(s: FieldNumber) -> CirclePartition:
     labels = []
     for lo, hi in zip(bounds, bounds[1:]):
         mid = tuple(map(add, lo, hi))
-        labels.append(_cell_label(mid, _mod1(tuple(map(sub, doubled, mid)), 2 * denom), 2 * denom))
+        z = _reduced_row(tuple(map(sub, doubled, mid)), 2 * denom)
+        labels.append(_cell_label(_row(mid), z, 2 * denom))
     partition = CirclePartition(s=s, cuts=tuple(cuts), labels=tuple(labels))
     if partition.k not in (3, 5, 6):
         raise ValueError(f"circle s={s} produced k={partition.k}, expected 3, 5 or 6")

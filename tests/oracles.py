@@ -254,6 +254,36 @@ def lengths(partition: CirclePartition) -> tuple[FieldNumber, ...]:
     return tuple(hi - lo for lo, hi in zip(bounds, bounds[1:]))
 
 
+def fraction_rank(generators: Sequence) -> int:
+    """Rank of the Z-module spanned by 1 and the generators, by elimination over Fraction.
+
+    The route exactnum.zmodule_rank replaces with fraction-free integer
+    elimination: each value is its row of four Fraction coordinates, the
+    row of 1 first, and Gaussian elimination counts the pivots.
+    """
+    rows = [[Fraction(1), Fraction(0), Fraction(0), Fraction(0)]]
+    for g in generators:
+        rows.append(list(_field(g).coeffs))
+    rank = 0
+    for col in range(4):
+        pivot = None
+        for r in range(rank, len(rows)):
+            if rows[r][col] != 0:
+                pivot = r
+                break
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        head = rows[rank][col]
+        for r in range(rank + 1, len(rows)):
+            if rows[r][col] != 0:
+                factor = rows[r][col] / head
+                for c in range(col, 4):
+                    rows[r][c] -= factor * rows[rank][c]
+        rank += 1
+    return rank
+
+
 def fit_affine(points: Iterable[tuple[int, int]]) -> Optional[tuple[Fraction, Fraction]]:
     """Exact affine law through integer points, or None.
 

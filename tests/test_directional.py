@@ -244,17 +244,59 @@ class TestCircleLanguage:
             calls.append(vector)
             return real(vector)
 
+        merges = []
+        sort_and_merge = directional._sorted_merged
+
+        def merging(rows):
+            merged = sort_and_merge(rows)
+            merges.append(len(rows) - len(merged))
+            return merged
+
         monkeypatch.setattr(exactnum, "_int_sign", counting)
         monkeypatch.setattr(directional, "_int_sign", counting)
+        monkeypatch.setattr(directional, "_sorted_merged", merging)
         n = 40
         language = directional._partition_language(part, n)
         monkeypatch.undo()
         points = part.k * (n // 2 + 3)
-        # coinciding points (saddle connections) merge on a zero sign
-        merges = sum(not any(vector) for vector in calls)
-        assert merges > 0
-        assert len(calls) - merges < points // 10
+        # coinciding points (saddle connections) merge on equal vectors,
+        # with no sign test of their zero difference
+        assert merges[0] > 0
+        assert not any(not any(vector) for vector in calls)
+        assert len(calls) < points // 10
         assert language == arc_midpoint_language(s, n)
+
+    @pytest.mark.parametrize(
+        "s", [reduce_mod1(fr(4, 13) + SQRT2 / 3), reduce_mod1(3 * TRANSLATION_ANGLE), 2 - PHI, F(0)]
+    )
+    def test_saddle_connections_merge_without_a_sign_test(self, s, monkeypatch):
+        # The sweep's coinciding points are equal vectors, and every other
+        # neighbouring pair lies far more than its bounds apart, so the
+        # merge calls _compare on none of them.  The merged arcs are those
+        # of an exact sort that groups equal values, tags in input order.
+        rows = []
+        sort_and_merge = directional._sorted_merged
+
+        def recording(points):
+            rows.extend(points)
+            return sort_and_merge(points)
+
+        monkeypatch.setattr(directional, "_sorted_merged", recording)
+        directional._partition_language(circle_partition(s), 40)
+        monkeypatch.undo()
+        calls = []
+        real = exactnum._compare
+        monkeypatch.setattr(
+            exactnum, "_compare", lambda u, v, scale=1: calls.append((u, v)) or real(u, v, scale)
+        )
+        merged = sort_and_merge(rows)
+        monkeypatch.undo()
+        groups = {}
+        for _, _, vector, tag in rows:
+            groups.setdefault(F(*vector), []).append(tag)
+        assert len(merged) < len(rows)
+        assert calls == []
+        assert [(F(*vector), tags) for vector, tags in merged] == sorted(groups.items())
 
     @pytest.mark.parametrize("k", [40, 41, 100, 101])
     def test_sweep_near_the_wrap_point(self, k):

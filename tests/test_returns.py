@@ -15,6 +15,7 @@ from fractions import Fraction
 
 import pytest
 
+from cubewords import returns
 from cubewords.billiard import GOLDEN_DIRECTION, Direction, StartPoint, trace_letters, validate
 from cubewords.directional import SPECIAL_INVARIANTS, _farey_interior, sample_schedule
 from cubewords.exactnum import PHI, SQRT2, FieldNumber, common_denominator, reduce_mod1
@@ -388,6 +389,133 @@ class TestPredictionAgainstFieldOracle:
                     assert got == outcome(field_kth_return_prediction, start, k), (start, k)
 
         bounded(60, check)
+
+
+@pytest.fixture
+def fallbacks(monkeypatch):
+    """Count the exact routes the face classifier and the translate's reduction call in returns."""
+    calls = []
+    for name in ("_compare", "_int_sign", "_floor"):
+        real = getattr(returns, name)
+        monkeypatch.setattr(
+            returns, name, lambda *args, name=name, real=real: calls.append(name) or real(*args)
+        )
+    return calls
+
+
+def offset_points(rng, offset):
+    """Seeded face points offset by +-offset from each curve and each edge of the square.
+
+    y = a/97 left or right of the vertical line and z = b/89 below or
+    above the horizontal one, drawn afresh per side: the vertical and
+    horizontal lines, the red curve on both columns, the blue segment,
+    and the four edges, from inside and from outside.
+    """
+    points = []
+    for u in (offset, -offset):
+        left, right = fr(rng.randrange(1, 74), 97), fr(rng.randrange(75, 97), 97)
+        low, high = fr(rng.randrange(1, 21), 89), fr(rng.randrange(22, 89), 89)
+        points += [(V + u, low), (V + u, high), (left, H + u), (right, H + u)]
+        points += [(left, red_z(left) + u), (right, red_z(right) + u), (right, blue_z(right) + u)]
+        for inner in (low, high):
+            points += [(u, inner), (1 + u, inner)]
+        for inner in (left, right):
+            points += [(inner, u), (inner, 1 + u)]
+    return points
+
+
+def rounded_points(rng):
+    """The two roundings to 2**-100 of seeded points on each curve, in the coordinate it fixes.
+
+    These points are rational, so their own bound is 2, while denom
+    times a curve constant's estimate is off by up to denom times the
+    constant's bound: a sign test that left out that term would read
+    one of the two roundings wrong.
+    """
+
+    def roundings(x):
+        low = (x * 2**100).floor()
+        return fr(low, 2**100), fr(low + 1, 2**100)
+
+    left, right = fr(rng.randrange(1, 74), 97), fr(rng.randrange(75, 97), 97)
+    low, high = fr(rng.randrange(1, 21), 89), fr(rng.randrange(22, 89), 89)
+    points = [(y, z) for y in roundings(V) for z in (low, high)]
+    points += [(y, z) for z in roundings(H) for y in (left, right)]
+    points += [(y, z) for y in (left, right) for z in roundings(red_z(y))]
+    points += [(right, z) for z in roundings(blue_z(right))]
+    return points
+
+
+def translated_start(point, k):
+    """The face start whose k-th translate, (y + k*alpha, z - k*alpha) mod 1, is point mod 1."""
+    y, z = point
+    shift = k * TRANSLATION_ANGLE
+    return StartPoint(0, reduce_mod1(y - shift), reduce_mod1(z + shift))
+
+
+class TestEstimateFirstAgainstFieldOracle:
+    """The estimate-first classifier and reduction near every tie they can meet.
+
+    At 2**-40 from a curve, an edge or an integer translate the dyadic
+    estimates decide alone; at 2**-120 from a curve they cannot, and the
+    exact fallback decides.  A rational point's floor is always settled
+    by its estimate, whose bound is 2; golden_unit(58) is about 2**-40
+    with coordinates near 2**40, so its estimates are off by far more
+    than its size, and its integer translates reach exactnum._floor.
+    """
+
+    @pytest.mark.parametrize("exponent", [40, 80, 120, "rational"])
+    def test_cell_of_near_curves_and_edges(self, exponent, fallbacks):
+        rng = random.Random(str(exponent))
+        if exponent == "rational":
+            points = [point for _ in range(8) for point in rounded_points(rng)]
+        else:
+            points = offset_points(rng, fr(1, 2**exponent))
+        want = [outcome(field_cell_of, y, z) for y, z in points]
+        del fallbacks[:]
+        assert [outcome(cell_of, y, z) for y, z in points] == want
+        if exponent != "rational":
+            assert {label for label in want if isinstance(label, CellLabel)} == set(CellLabel)
+        if exponent == 40:
+            assert fallbacks == []
+        if exponent in (120, "rational"):
+            assert fallbacks
+
+    @pytest.mark.parametrize("exponent", [40, 80, 120, "golden", "rational"])
+    def test_predictions_near_curves_edges_and_integers(self, exponent, fallbacks):
+        rng = random.Random(str(exponent))
+        if exponent == "rational":
+            points = [point for _ in range(4) for point in rounded_points(rng)]
+        elif exponent == "golden":
+            points = offset_points(rng, golden_unit(58)) + offset_points(rng, golden_unit(58) * SQRT2)
+        else:
+            points = offset_points(rng, fr(1, 2**exponent))
+        cases = [(translated_start(point, k), k) for point in points for k in (0, 7, 2000)]
+        want = [outcome(field_kth_return_prediction, start, k) for start, k in cases]
+        del fallbacks[:]
+        assert [outcome(kth_return_prediction, start, k) for start, k in cases] == want
+        if exponent == 40:
+            assert fallbacks == []
+        if exponent in (120, "rational"):
+            assert fallbacks
+        if exponent == "golden":
+            # a translate within its bound of an integer is reduced by _floor
+            assert "_floor" in fallbacks
+
+    @pytest.mark.parametrize("exponent", [40, 80, 120, "golden"])
+    def test_partition_labels_of_circles_with_tiny_arcs(self, exponent):
+        # special circles moved by a tiny offset keep their cuts' multiple
+        # crossings apart, so some arcs are tiny and their midpoints lie
+        # within the offset of two curves
+        unit = golden_unit(58) if exponent == "golden" else fr(1, 2**exponent)
+        for s0 in (F(0),) + tuple(s for s, _ in SPECIAL_INVARIANTS):
+            for u in (unit, -unit):
+                s = reduce_mod1(s0 + u)
+                part = circle_partition(s)
+                bounds = (F(0),) + part.cuts + (F(1),)
+                for i, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+                    mid = (lo + hi) / 2
+                    assert field_cell_of(mid, reduce_mod1(s - mid)) is part.labels[i], (s, i)
 
 
 def assert_same_return_words(word):

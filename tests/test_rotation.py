@@ -29,7 +29,7 @@ from cubewords.returns import (
     translation_step,
 )
 from cubewords.words import complexity
-from oracles import fit_affine, interval_of, label_of, lengths, saddle_connection
+from oracles import fit_affine, fraction_rank, interval_of, label_of, lengths, saddle_connection
 
 F = FieldNumber
 A1, A2, A3, A4, A5, A6, A7 = CellLabel
@@ -263,6 +263,37 @@ class TestCodeOrbitFilter:
         if exponent == 80:
             assert exact_calls
 
+    @pytest.mark.parametrize("exponent", [40, 80, "rational"])
+    def test_one_bound_reaches_the_last_step(self, exponent, exact_calls):
+        # The filter's bound is that of the orbit's last point, B(a) + n*B(d),
+        # at every step.  A start whose step 19 999 of 20 000 lands 2**-40
+        # from a cut is still certified; at 2**-80 only the fallback can tell.
+        # A rational start has the bound 2 of its own, but its step j
+        # carries j times the angle's rounding error: the two roundings to
+        # 2**-100 of the point whose step 19 999 is the cut would each be
+        # coded wrong by one of the two possible signs of that error under
+        # a bound short of the n*B(d) term.
+        parts = [circle_partition(s) for s in FILTER_CIRCLES]
+        del exact_calls[:]
+        steps = 20_000
+        for part in parts:
+            for cut in part.cuts:
+                target = reduce_mod1(cut - (steps - 1) * TRANSLATION_ANGLE)
+                if exponent == "rational":
+                    low = (target * 2**100).floor()
+                    starts = (fr(low, 2**100), fr(low + 1, 2**100))
+                else:
+                    starts = (
+                        reduce_mod1(target + fr(sign, 2**exponent)) for sign in (1, -1)
+                    )
+                for y0 in starts:
+                    got = rotation_coding(y0, part, TRANSLATION_ANGLE, steps)
+                    assert got == exact_code_orbit(y0, part, TRANSLATION_ANGLE, steps), y0
+        if exponent == 40:
+            assert exact_calls == []
+        else:
+            assert exact_calls
+
     def test_exact_hits_raise_like_the_oracle(self):
         for s in FILTER_CIRCLES:
             part = circle_partition(s)
@@ -441,6 +472,36 @@ class TestZModuleRank:
         for s in (F(0), 2 - PHI, PHI - 1, 4 - 2 * PHI, 2 * PHI - 3):
             part = circle_partition(s)
             assert zmodule_rank((TRANSLATION_ANGLE,) + part.cuts) == 2
+
+    def test_matches_the_fraction_oracle(self):
+        # Each set mixes seeded field numbers, rationals, integer
+        # combinations of earlier members (which add no rank) and
+        # coefficients near 10**30; the empty set comes first.
+        rng = random.Random(3200)
+
+        def coefficient(big):
+            magnitude = 10**30 + rng.randrange(-(10**6), 10**6) if big else rng.randrange(0, 50)
+            return Fraction(rng.choice((-1, 1)) * magnitude, rng.randrange(1, 40))
+
+        sets = [()]
+        while len(sets) < 500:
+            big = rng.random() < 0.3
+            generators = []
+            for _ in range(rng.randrange(1, 7)):
+                kind = rng.randrange(4)
+                if kind == 0 and generators:
+                    generators.append(
+                        sum((rng.randrange(-9, 10) * g for g in generators), F(rng.randrange(-5, 6)))
+                    )
+                elif kind == 1:
+                    generators.append(coefficient(big))
+                else:
+                    coords = [coefficient(big) if rng.random() < 0.6 else 0 for _ in range(4)]
+                    generators.append(F(*coords))
+            sets.append(tuple(generators))
+        ranks = [zmodule_rank(generators) for generators in sets]
+        assert ranks == [fraction_rank(generators) for generators in sets]
+        assert set(ranks) == {1, 2, 3, 4}
 
 
 class TestCodingComplexity:
