@@ -49,7 +49,9 @@ from .exactnum import (
     _dyadic,
     _field,
     _reduced,
+    _row,
     _sorted_merged,
+    _Vector,
     basis_approx,
     common_denominator,
 )
@@ -151,8 +153,6 @@ class StartPoint:
 
 
 _CHUNK = 4096  # crossings merged per sort, which bounds the memory of long traces
-
-_Vector = tuple[int, int, int, int]
 
 # _merged_axes reads its tagged keys 4*K + i back as the low byte of each
 # 8-byte array item, whose low two bits are the axis i.  The type code is
@@ -380,8 +380,7 @@ def _merged_axes(axes: _Axes, count: int) -> tuple[bytes, int]:
             run = [j for _, j in run]
             lo, hi = run[0], run[-1] + 2
             position = lo
-            vectors = [(time_vector(key), key) for key in keys[lo:hi]]
-            for _, group in _sorted_merged([(*_dyadic(v), v, key) for v, key in vectors]):
+            for _, group in _sorted_merged([(*_row(time_vector(key)), key) for key in keys[lo:hi]]):
                 group.sort(key=(3).__and__)  # equal times in tie rank order
                 keys[position : position + len(group)] = group
                 if len(group) > 1 and position < limit:

@@ -27,6 +27,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 from .billiard import StartPoint, _valid_letters
 from .exactnum import (
+    _PRECISION,
     PHI,
     SQRT2,
     FieldNumber,
@@ -215,7 +216,7 @@ def _partition_language(partition: CirclePartition, n: int) -> frozenset[str]:
     denom = common_denominator((TRANSLATION_ANGLE,) + partition.cuts)
     d0, d1, d2, d3 = TRANSLATION_ANGLE.scaled_coeffs(denom)
     step_estimate, step_error = _dyadic((d0, d1, d2, d3))
-    one, _ = _dyadic((denom, 0, 0, 0))  # denom * 2**p, exactly
+    one = denom << _PRECISION  # the exact estimate of 1 = D/D
     seeds = [(0, 0, 0, 0)] + [cut.scaled_coeffs(denom) for cut in partition.cuts]
     points = []
     # a point of seed index `new` at step j moves step j into interval new

@@ -47,10 +47,12 @@ def basis_approx(precision: int) -> tuple[int, int, int, int]:
 
 _BASIS = basis_approx(_PRECISION)
 
+_Vector = tuple[int, int, int, int]
+# an integer vector after its _dyadic estimate and error bound, the order _sorted_merged sorts on
+_Row = tuple[int, int, _Vector]
 
-def _dyadic(
-    vector: tuple[int, int, int, int], basis: tuple[int, int, int, int] = _BASIS
-) -> tuple[int, int]:
+
+def _dyadic(vector: _Vector, basis: tuple[int, int, int, int] = _BASIS) -> tuple[int, int]:
     """Dyadic estimate E of a0 + a1*phi + a2*sqrt2 + a3*phi*sqrt2 times 2**p, and its error bound.
 
     E is the vector dotted with basis = basis_approx(p), p = _PRECISION
@@ -68,7 +70,7 @@ def _dyadic(
     return a0 * e0 + a1 * e1 + a2 * e2 + a3 * e3, 2 * (abs(a1) + abs(a2) + abs(a3)) + 2
 
 
-def _int_sign(scaled: tuple[int, int, int, int]) -> int:
+def _int_sign(scaled: _Vector) -> int:
     """Sign of a0 + a1*phi + a2*sqrt2 + a3*phi*sqrt2 for integer ai.
 
     Zero iff all four coordinates are zero; otherwise the _dyadic
@@ -89,9 +91,7 @@ def _int_sign(scaled: tuple[int, int, int, int]) -> int:
         estimate, error = _dyadic(scaled, basis_approx(precision))
 
 
-def _compare(
-    u: tuple[int, int, int, int], v: tuple[int, int, int, int], scale: int = 1
-) -> int:
+def _compare(u: _Vector, v: _Vector, scale: int = 1) -> int:
     """Sign of u - scale*v for integer vectors u and v, by _int_sign.
 
     Over one denominator D > 0 it orders u / D and scale*v / D; a
@@ -102,8 +102,37 @@ def _compare(
     return _int_sign((u0 - scale * v0, u1 - scale * v1, u2 - scale * v2, u3 - scale * v3))
 
 
-def _sorted_merged(rows: Iterable[tuple[int, int, tuple[int, int, int, int], object]]) -> list:
-    """Distinct values of (estimate, bound, vector, tag) rows in increasing order, with their tags.
+def _row(vector: _Vector) -> _Row:
+    return (*_dyadic(vector), vector)
+
+
+_ZERO_ROW = _row((0, 0, 0, 0))
+_ONE_ROW = _row((1, 0, 0, 0))
+
+
+def _side(row: _Row, constant: _Row, scale: int) -> int:
+    """Sign of u - scale*c for the rows of u and c and scale > 0, estimate first.
+
+    Over one denominator D, u / D against a constant c over 1 is
+    _side(row of u, row of c, D).  By the triangle inequality
+    E(u) - scale*E(c) lies within B(u) + scale*B(c) of the difference
+    times 2**p: a gap wider than that margin is the sign, and only a
+    gap inside it calls _compare.  A zero difference has u = scale*c
+    coordinate by coordinate, so its gap is 0 and _compare settles it.
+    """
+    estimate, bound, vector = row
+    estimate_c, bound_c, vector_c = constant
+    gap = estimate - scale * estimate_c
+    margin = bound + scale * bound_c
+    if gap > margin:
+        return 1
+    if gap < -margin:
+        return -1
+    return _compare(vector, vector_c, scale)
+
+
+def _sorted_merged(rows: Iterable[tuple[int, int, _Vector, object]]) -> list:
+    """Distinct values of (*row, tag) rows in increasing order, with their tags.
 
     Each vector (a0, a1, a2, a3) stands for a0 + a1*phi + a2*sqrt2 +
     a3*phi*sqrt2 over one denominator shared by all rows.  Its estimate
@@ -162,7 +191,7 @@ def _certified_floor(estimate: int, error: int, unit: int) -> Optional[int]:
     return guess if estimate - error >= guess * unit else None
 
 
-def _floor(vector: tuple[int, int, int, int], denom: int) -> int:
+def _floor(vector: _Vector, denom: int) -> int:
     """Exact floor of vector / denom, for denom > 0.
 
     The estimate E of value * M, M = D << p, lies within B < M of it.
@@ -170,8 +199,8 @@ def _floor(vector: tuple[int, int, int, int], denom: int) -> int:
     until B < M, and _certified_floor then settles the floor with no
     sign test unless E lies within B of an integer multiple of M.  Only
     then are there sign tests, of value - g for g = floor((E + B) / M)
-    and at most two lower integers.  FieldNumber.floor and decimal,
-    _mod1 and the face-point reductions of returns share it.
+    and at most two lower integers.  FieldNumber.floor and decimal and
+    _mod1_row share it.
     """
     a0, a1, a2, a3 = vector
     if not (a1 or a2 or a3):
@@ -192,10 +221,23 @@ def _floor(vector: tuple[int, int, int, int], denom: int) -> int:
     return guess
 
 
-def _mod1(vector: tuple[int, int, int, int], denom: int) -> tuple[int, int, int, int]:
-    """The integer vector of vector / denom reduced mod 1 into [0, 1), over the same denom > 0."""
+def _mod1_row(vector: _Vector, denom: int) -> _Row:
+    """The row of vector / denom reduced mod 1 into [0, 1), over the same denom > 0.
+
+    The floor g comes from the one _dyadic estimate by _certified_floor,
+    and from _floor only when the estimate lies within its bound of an
+    integer.  Subtracting g*denom from the rational coordinate moves the
+    estimate by exactly g*(denom << p), since the estimate of 1 is exact,
+    and leaves the bound as it is, so the result is _row of the reduced
+    vector with no second _dyadic.
+    """
+    estimate, bound = _dyadic(vector)
+    unit = denom << _PRECISION
+    floor = _certified_floor(estimate, bound, unit)
+    if floor is None:
+        floor = _floor(vector, denom)
     a0, a1, a2, a3 = vector
-    return a0 - _floor(vector, denom) * denom, a1, a2, a3
+    return estimate - floor * unit, bound, (a0 - floor * denom, a1, a2, a3)
 
 
 def _gmul(a: int, b: int, c: int, d: int) -> tuple[int, int]:
@@ -203,7 +245,7 @@ def _gmul(a: int, b: int, c: int, d: int) -> tuple[int, int]:
     return a * c + b * d, a * d + b * c + b * d
 
 
-def _reduced(num: tuple[int, int, int, int], den: int) -> FieldNumber:
+def _reduced(num: _Vector, den: int) -> FieldNumber:
     """The number num / den, divided through by the gcd, den made positive."""
     g = math.gcd(den, *num)
     if den < 0:
@@ -530,12 +572,12 @@ def sign(value: FieldNumber) -> int:
 def reduce_mod1(value: FieldNumber) -> FieldNumber:
     """Exact fractional part: value - floor(value), in [0, 1).
 
-    The stored vector reduced by _mod1 over the same denominator D stays
-    in lowest terms, since subtracting a multiple of D from the first
-    coordinate leaves the gcd of D and the coordinates at 1; so no gcd
-    is taken, and a value already in [0, 1) is returned as it is.
+    The stored vector reduced by _mod1_row over the same denominator D
+    stays in lowest terms, since subtracting a multiple of D from the
+    first coordinate leaves the gcd of D and the coordinates at 1; so no
+    gcd is taken, and a value already in [0, 1) is returned as it is.
     """
-    num = _mod1(value._num, value._den)
+    num = _mod1_row(value._num, value._den)[2]
     if num == value._num:
         return value
     result = object.__new__(FieldNumber)

@@ -25,17 +25,20 @@ k in {3, 5, 6}; coding the rotation orbit of Y against it and mapping
 each interval's cell digit through the block table reconstructs the
 billiard word letter for letter.
 
-The face partition decides on integers too, estimate first.
-_cell_label takes a face point as two integer vectors over one
-denominator, each with its exactnum._dyadic estimate and error bound,
-and settles the open square and each curve by the sign of one integer
-vector: the estimates decide every sign they certify, and only a point
-within its bound of a curve or an edge reaches exactnum._compare or
-_int_sign.  cell_of, kth_return_prediction and the interval labels of
-circle_partition all call it, so no cell is decided by FieldNumber
-arithmetic.  kth_return_prediction reduces its translate mod 1 from
-the same estimates, by exactnum._certified_floor, and circle_partition
-solves its cuts on integer vectors over the denominator of s.
+The face partition decides on integers too, estimate first.  Every
+cell, cut and range test is the sign of u - D*c, for an integer vector
+u over a denominator D and a constant c, and exactnum owns the one
+rule that reads it: exactnum._side takes u and c as rows, each an
+integer vector after its exactnum._dyadic estimate and error bound,
+settles the sign from the estimates when their gap clears the summed
+bounds, and calls exactnum._compare only inside them.  _cell_label
+takes a face point as two rows over one denominator; cell_of,
+kth_return_prediction and the interval labels of circle_partition all
+call it, so no cell is decided by FieldNumber arithmetic.
+circle_partition solves its cuts as rows over the denominator of s.
+The translates of kth_return_prediction, the z of each interval
+midpoint and the horizontal cut are reduced mod 1 by
+exactnum._mod1_row, which keeps the estimate.
 
 rotation_coding codes that orbit on integers, as a string of cell
 digits: each point is four integer coordinates over the common
@@ -58,18 +61,22 @@ from typing import Iterator, Optional
 
 from .billiard import GOLDEN_DIRECTION, Direction, StartPoint, trace_letters
 from .exactnum import (
+    _ONE_ROW,
     _PRECISION,
+    _ZERO_ROW,
     PHI,
     FieldNumber,
-    _certified_floor,
     _compare,
     _dyadic,
     _field,
-    _floor,
     _int_sign,
-    _mod1,
+    _mod1_row,
     _reduced,
+    _Row,
+    _row,
+    _side,
     _sorted_merged,
+    _Vector,
     common_denominator,
     reduce_mod1,
 )
@@ -152,63 +159,11 @@ class FacePartition:
     BLUE_INTERCEPT = 3 - 2 * PHI
 
 
-_Vector = tuple[int, int, int, int]
-# an integer vector with its exactnum._dyadic estimate and error bound
-_Row = tuple[_Vector, int, int]
-
-# 1 and the curve constants as integer vectors over the denominator 1.
-_ONE = (1, 0, 0, 0)
-_HORIZONTAL = FacePartition.HORIZONTAL_Z.scaled_coeffs(1)
-_VERTICAL = FacePartition.VERTICAL_Y.scaled_coeffs(1)
-_RED = FacePartition.RED_INTERCEPT.scaled_coeffs(1)
-_BLUE = FacePartition.BLUE_INTERCEPT.scaled_coeffs(1)
-
-
-def _row(vector: _Vector) -> _Row:
-    return (vector, *_dyadic(vector))
-
-
-# the curve constants with their estimates, for _side
-_HORIZONTAL_ROW = _row(_HORIZONTAL)
-_VERTICAL_ROW = _row(_VERTICAL)
-_RED_ROW = _row(_RED)
-_BLUE_ROW = _row(_BLUE)
-
-
-def _reduced_row(vector: _Vector, denom: int) -> _Row:
-    """vector / denom reduced mod 1 into [0, 1), over denom > 0, with its estimate and bound.
-
-    The floor comes from the one _dyadic estimate by
-    exactnum._certified_floor, and from exactnum._floor only when the
-    estimate lies within its bound of an integer.  Subtracting g*denom
-    from the rational coordinate moves the estimate by exactly
-    g*(denom << p), since the estimate of 1 is exact, and leaves the
-    bound as it is.
-    """
-    estimate, bound = _dyadic(vector)
-    unit = denom << _PRECISION
-    floor = _certified_floor(estimate, bound, unit)
-    if floor is None:
-        floor = _floor(vector, denom)
-    a0, a1, a2, a3 = vector
-    return (a0 - floor * denom, a1, a2, a3), estimate - floor * unit, bound
-
-
-def _side(vector: _Vector, estimate: int, bound: int, constant: _Row, denom: int) -> int:
-    """Sign of vector - denom*c, for c, E(c), B(c) = constant, estimate first.
-
-    E is linear, so E(v) - denom*E(c) estimates the difference within
-    B(v) + denom*B(c); only a difference that bound cannot place calls
-    exactnum._compare.
-    """
-    vector_c, estimate_c, bound_c = constant
-    gap = estimate - denom * estimate_c
-    margin = bound + denom * bound_c
-    if gap > margin:
-        return 1
-    if gap < -margin:
-        return -1
-    return _compare(vector, vector_c, denom)
+# the curve constants as exactnum rows over the denominator 1, for exactnum._side
+_HORIZONTAL_ROW = _row(FacePartition.HORIZONTAL_Z.scaled_coeffs(1))
+_VERTICAL_ROW = _row(FacePartition.VERTICAL_Y.scaled_coeffs(1))
+_RED_ROW = _row(FacePartition.RED_INTERCEPT.scaled_coeffs(1))
+_BLUE_ROW = _row(FacePartition.BLUE_INTERCEPT.scaled_coeffs(1))
 
 
 def _face_point(y: _Vector, z: _Vector, denom: int) -> tuple[FieldNumber, FieldNumber]:
@@ -216,52 +171,39 @@ def _face_point(y: _Vector, z: _Vector, denom: int) -> tuple[FieldNumber, FieldN
 
 
 def _cell_label(y_row: _Row, z_row: _Row, denom: int) -> CellLabel:
-    """cell_of for the point (y, z) / denom, each coordinate a _Row over denom > 0.
+    """cell_of for the point (y, z) / denom, each coordinate an exactnum row over denom > 0.
 
-    A row is an integer vector with its exactnum._dyadic estimate E and
-    bound B, |E - value*denom*2**p| < B.  Every test is the sign of an
-    integer vector, read from the estimates first: v / denom < c for a
-    constant c over 1 iff v - denom*c < 0, which _side settles from
-    E(v) - denom*E(c) against B(v) + denom*B(c), the constants' rows
-    computed once at import, and exactnum._compare settles otherwise.
-    The edges compare E(v) with 0 and with denom << p, the exact
-    estimate of 1, against B(v) alone.  The vertical and horizontal
-    lines lie inside the square, 0 < 4 - 2*phi < 1 and
-    0 < 2*phi - 3 < 1, so each of their signs leaves one edge to test:
-    y < 4 - 2*phi already puts y below 1, y > 4 - 2*phi already puts it
-    above 0, and on the line y is inside; likewise z.  The curves
-    Z = (phi - 1)*Y + b need the product (phi - 1)*y on vectors.  With
-    phi**2 = 1 + phi, (phi - 1)*(a0 + a1*phi) = a0*phi + a1 + a1*phi -
-    a0 - a1*phi = (a1 - a0) + a0*phi, and sqrt2 multiplies through, so
-    (phi - 1)*(a0, a1, a2, a3) = (a1 - a0, a0, a3 - a2, a2); w = z -
-    (phi - 1)*y takes one more _dyadic, shared by the red and blue
+    A row is (E, B, v): an integer vector v after its exactnum._dyadic
+    estimate E and bound B, |E - value*denom*2**p| < B.  Every test is
+    the sign of an integer vector: v / denom < c for a constant c over
+    1 iff v - denom*c < 0, which exactnum._side reads from the
+    estimates first, the constants' rows computed once at import.  The
+    open square is first one chained comparison per coordinate,
+    B < E < M - B with M = denom << p, the exact estimate of 1; only a
+    point that fails it is tested by _side against exactnum._ZERO_ROW
+    and _ONE_ROW.  The curves Z = (phi - 1)*Y + b need the product
+    (phi - 1)*y on vectors.  With phi**2 = 1 + phi,
+    (phi - 1)*(a0 + a1*phi) = a0*phi + a1 + a1*phi - a0 - a1*phi =
+    (a1 - a0) + a0*phi, and sqrt2 multiplies through, so
+    (phi - 1)*(a0, a1, a2, a3) = (a1 - a0, a0, a3 - a2, a2); the row of
+    w = z - (phi - 1)*y is shared by the red and blue
     tests.  The outcomes are cell_of's: a point outside the open square
     raises ValueError before any curve is reported, then the vertical
     line, the horizontal one, the red and the blue are tested in that
     order.
     """
-    y, y_estimate, y_bound = y_row
-    z, z_estimate, z_bound = z_row
+    y_estimate, y_bound, y = y_row
+    z_estimate, z_bound, z = z_row
     unit = denom << _PRECISION
-    vertical = _side(y, y_estimate, y_bound, _VERTICAL_ROW, denom)
-    horizontal = _side(z, z_estimate, z_bound, _HORIZONTAL_ROW, denom)
-    # an edge test falls back only when the estimate is within its bound of 0 or of 1
-    if (
-        vertical < 0
-        and y_estimate <= y_bound
-        and (y_estimate < -y_bound or _int_sign(y) <= 0)
-        or vertical > 0
-        and y_estimate + y_bound >= unit
-        and (y_estimate - y_bound > unit or _compare(y, _ONE, denom) >= 0)
-        or horizontal < 0
-        and z_estimate <= z_bound
-        and (z_estimate < -z_bound or _int_sign(z) <= 0)
-        or horizontal > 0
-        and z_estimate + z_bound >= unit
-        and (z_estimate - z_bound > unit or _compare(z, _ONE, denom) >= 0)
+    inside = y_bound < y_estimate < unit - y_bound and z_bound < z_estimate < unit - z_bound
+    if not inside and any(
+        _side(row, _ZERO_ROW, denom) <= 0 or _side(row, _ONE_ROW, denom) >= 0
+        for row in (y_row, z_row)
     ):
         point = _face_point(y, z, denom)
         raise ValueError(f"point ({point[0]}, {point[1]}) outside the open unit square")
+    vertical = _side(y_row, _VERTICAL_ROW, denom)
+    horizontal = _side(z_row, _HORIZONTAL_ROW, denom)
     if vertical == 0:
         raise OnBoundary("vertical", _face_point(y, z, denom))
     if horizontal == 0:
@@ -271,16 +213,15 @@ def _cell_label(y_row: _Row, z_row: _Row, denom: int) -> CellLabel:
     # z - (phi - 1)*y, then less the red or the blue intercept
     y0, y1, y2, y3 = y
     z0, z1, z2, z3 = z
-    w = (z0 - y1 + y0, z1 - y0, z2 - y3 + y2, z3 - y2)
-    w_estimate, w_bound = _dyadic(w)
-    red = _side(w, w_estimate, w_bound, _RED_ROW, denom)
+    w = _row((z0 - y1 + y0, z1 - y0, z2 - y3 + y2, z3 - y2))
+    red = _side(w, _RED_ROW, denom)
     if red == 0:
         raise OnBoundary("red", _face_point(y, z, denom))
     if vertical < 0:
         return CellLabel.A2 if red < 0 else CellLabel.A1
     if red > 0:
         return CellLabel.A6
-    blue = _side(w, w_estimate, w_bound, _BLUE_ROW, denom)
+    blue = _side(w, _BLUE_ROW, denom)
     if blue == 0:
         raise OnBoundary("blue", _face_point(y, z, denom))
     return CellLabel.A3 if blue > 0 else CellLabel.A5
@@ -361,11 +302,9 @@ def kth_return_prediction(m: StartPoint, k: int) -> CellLabel:
     (y + k*alpha, z + k*(2 - alpha)) mod 1 with alpha = 2*phi - 3, and
     z + k*(2 - alpha) = z - k*alpha mod 1.  alpha has denominator 1, so
     over the common denominator D of y and z both coordinates are the
-    integer vectors y + k*D*alpha and z - k*D*alpha.  Each takes one
-    exactnum._dyadic estimate, which settles its floor
-    (exactnum._certified_floor) unless it lies within its bound of an
-    integer, where exactnum._floor decides; the reduced estimates,
-    exact shifts of the first ones, go with the vectors to _cell_label.
+    integer vectors y + k*D*alpha and z - k*D*alpha, each reduced mod 1
+    by exactnum._mod1_row from one _dyadic estimate; the reduced rows go
+    to _cell_label.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
@@ -373,8 +312,8 @@ def kth_return_prediction(m: StartPoint, k: int) -> CellLabel:
         raise ValueError("return prediction starts from the face X = 0")
     denom = common_denominator((m.y, m.z))
     shift = [k * denom * a for a in _ANGLE]
-    y = _reduced_row(tuple(map(add, m.y.scaled_coeffs(denom), shift)), denom)
-    z = _reduced_row(tuple(map(sub, m.z.scaled_coeffs(denom), shift)), denom)
+    y = _mod1_row(tuple(map(add, m.y.scaled_coeffs(denom), shift)), denom)
+    z = _mod1_row(tuple(map(sub, m.z.scaled_coeffs(denom), shift)), denom)
     return _cell_label(y, z, denom)
 
 
@@ -471,17 +410,17 @@ def rotation_coding(
     if n < 0:
         raise ValueError("orbit length must be nonnegative")
     y0 = _field(y0)
-    if y0 < 0 or y0 >= 1:
-        raise ValueError(f"orbit start {y0} outside [0, 1)")
     angle = reduce_mod1(_field(angle))
     denom = common_denominator((y0, angle) + partition.cuts)
-    a0, a1, a2, a3 = y0.scaled_coeffs(denom)
+    start = _row(y0.scaled_coeffs(denom))
+    if _side(start, _ZERO_ROW, denom) < 0 or _side(start, _ONE_ROW, denom) >= 0:
+        raise ValueError(f"orbit start {y0} outside [0, 1)")
+    estimate, error, (a0, a1, a2, a3) = start
     d0, d1, d2, d3 = angle.scaled_coeffs(denom)
     cuts = [(cut, cut.scaled_coeffs(denom)) for cut in partition.cuts]
     estimates = [_dyadic(vector) for _, vector in cuts]
     keys = [key for key, _ in estimates]
     one = denom << _PRECISION  # the exact estimate of 1 = D/D
-    estimate, error = _dyadic((a0, a1, a2, a3))
     step_estimate, step_error = _dyadic((d0, d1, d2, d3))
     error += n * step_error
     lows = [key + bound + error for key, bound in [(-one, 0)] + estimates]
@@ -521,45 +460,53 @@ def rotation_coding(
     return "".join(coding)
 
 
-def _circle_cut_candidates(s: _Vector, denom: int) -> Iterator[tuple[str, _Vector]]:
-    """Exact intersections of the circle with the seam and the four curves.
+def _circle_cut_candidates(s: _Row, denom: int) -> Iterator[tuple[str, _Row]]:
+    """Exact intersections of the circle with the seam and the four curves, as exactnum rows.
 
     s and every candidate are integer vectors over denom > 0, the
-    denominator of the invariant: the curve constants have denominator
-    1, so over denom they are denom times their vectors.  The circle is
-    z(y) = s - y + e with branch e = 0 on y in [0, s] and e = 1 on y in
-    (s, 1).  Each curve is solved against both branches; solutions
-    outside their branch are discarded.  The anti-diagonal never
-    crosses transversally (for s = 0 the circle lies inside it), so it
-    contributes no cuts.  Every test is the sign of an integer vector,
-    decided by exactnum._int_sign or exactnum._compare.
+    denominator of the invariant, with their _dyadic estimates and
+    bounds: the curve constants have denominator 1, so over denom they
+    are denom times their vectors.  The circle is z(y) = s - y + e with
+    branch e = 0 on y in [0, s] and e = 1 on y in (s, 1).  Each curve is
+    solved against both branches; solutions outside their branch are
+    discarded.  The anti-diagonal never crosses transversally (for
+    s = 0 the circle lies inside it), so it contributes no cuts.  Every
+    test is the sign of an integer vector, decided by exactnum._side
+    from the estimates, and by exactnum._compare only inside their
+    bounds: where cuts coincide or land on s or on the wrap point.
     """
-    s0, s1, s2, s3 = s
-    if any(s):
+    s0, s1, s2, s3 = invariant = s[2]
+    if any(invariant):
         yield "seam", s
-    yield "horizontal", _mod1(tuple(a - denom * b for a, b in zip(s, _HORIZONTAL)), denom)
-    yield "vertical", tuple(denom * a for a in _VERTICAL)
+    horizontal = tuple(a - denom * b for a, b in zip(invariant, _HORIZONTAL_ROW[2]))
+    yield "horizontal", _mod1_row(horizontal, denom)
+    yield "vertical", _row(tuple(denom * a for a in _VERTICAL_ROW[2]))
     # z = (phi - 1)*y + b meets z = s - y + e where phi*y = s + e - b, so
     # y = (s + e - b)/phi, and 1/phi = phi - 1 maps (a0, a1, a2, a3) to
     # (a1 - a0, a0, a3 - a2, a2), as in _cell_label
     for e in (0, 1):
-        for curve, (b0, b1, b2, b3) in (("red", _RED), ("blue", _BLUE)):
+        for curve, (_, _, (b0, b1, b2, b3)) in (("red", _RED_ROW), ("blue", _BLUE_ROW)):
             a0, a1, a2, a3 = s0 + denom * (e - b0), s1 - denom * b1, s2 - denom * b2, s3 - denom * b3
-            y = (a1 - a0, a0, a3 - a2, a2)
+            y = _row((a1 - a0, a0, a3 - a2, a2))
             # y in [0, 1) and on its branch: y <= s for e = 0, y > s for e = 1
-            if _int_sign(y) < 0 or _compare(y, _ONE, denom) >= 0 or (_compare(y, s) > 0) != (e == 1):
+            if (
+                _side(y, _ZERO_ROW, denom) < 0
+                or _side(y, _ONE_ROW, denom) >= 0
+                or (_side(y, s, 1) > 0) != (e == 1)
+            ):
                 continue
             # the blue segment lies right of the vertical line
-            if curve == "red" or _compare(y, _VERTICAL, denom) > 0:
+            if curve == "red" or _side(y, _VERTICAL_ROW, denom) > 0:
                 yield curve, y
 
 
 def circle_partition(s: FieldNumber) -> CirclePartition:
     """Partition of the circle with invariant s into labeled intervals.
 
-    The cuts are solved on integer vectors over the denominator D of s
-    (_circle_cut_candidates), sorted and merged by
-    exactnum._sorted_merged, and become FieldNumbers only at the end.
+    The range of s and every cut are decided on exactnum rows over the
+    denominator D of s (_circle_cut_candidates), whose estimates
+    exactnum._sorted_merged sorts and merges with no second _dyadic;
+    the cuts become FieldNumbers only at the end.
     Cut candidates that coincide exactly (special circles run through
     multiple-curve intersection points) would bound zero-length
     intervals; they are merged and logged rather than kept, and so is a
@@ -573,15 +520,14 @@ def circle_partition(s: FieldNumber) -> CirclePartition:
     """
     s = _field(s)
     denom = common_denominator((s,))
-    invariant = s.scaled_coeffs(denom)
-    if _int_sign(invariant) < 0 or _compare(invariant, _ONE, denom) >= 0:
+    invariant = _row(s.scaled_coeffs(denom))
+    if _side(invariant, _ZERO_ROW, denom) < 0 or _side(invariant, _ONE_ROW, denom) >= 0:
         raise ValueError(f"circle invariant {s} outside [0, 1)")
     candidates = list(_circle_cut_candidates(invariant, denom))
-    rows = [(*_dyadic(vector), vector, i) for i, (_, vector) in enumerate(candidates)]
     cuts: list[FieldNumber] = []
     vectors: list[_Vector] = []
     # the sorts are stable, so each value lists its candidates in order
-    for vector, tags in _sorted_merged(rows):
+    for vector, tags in _sorted_merged((*row, i) for i, (_, row) in enumerate(candidates)):
         curves = [candidates[i][0] for i in tags]
         if not any(vector):
             for curve in curves:
@@ -597,12 +543,12 @@ def circle_partition(s: FieldNumber) -> CirclePartition:
                 cuts[-1],
             )
     # midpoints (lo + hi) / 2 and s - mid mod 1 as integer vectors over 2*denom
-    doubled = [2 * a for a in invariant]
+    doubled = [2 * a for a in invariant[2]]
     bounds = [(0, 0, 0, 0)] + vectors + [(denom, 0, 0, 0)]
     labels = []
     for lo, hi in zip(bounds, bounds[1:]):
         mid = tuple(map(add, lo, hi))
-        z = _reduced_row(tuple(map(sub, doubled, mid)), 2 * denom)
+        z = _mod1_row(tuple(map(sub, doubled, mid)), 2 * denom)
         labels.append(_cell_label(_row(mid), z, 2 * denom))
     partition = CirclePartition(s=s, cuts=tuple(cuts), labels=tuple(labels))
     if partition.k not in (3, 5, 6):

@@ -771,7 +771,8 @@ def seeded_vector(rng, digits):
 NEAR_ZERO_UNITS = [golden_unit(k) for k in (48, 49, 60, 121)] + [sqrt2_unit(k) for k in (27, 66)]
 
 
-def test_compare_matches_the_field_sign():
+def compare_cases():
+    """Seeded (u, v, scale) cases of _compare, ending with the near ties of u - scale*v."""
     rng = random.Random(2828)
     cases = []
     for _ in range(200):
@@ -784,10 +785,31 @@ def test_compare_matches_the_field_sign():
             for tiny in (unit, -unit, FieldNumber(0)):
                 u = tuple(scale * b + c for b, c in zip(v, tiny.scaled_coeffs(1)))
                 cases.append((u, v, scale))
-    for u, v, scale in cases:
+    return cases
+
+
+def test_compare_matches_the_field_sign():
+    for u, v, scale in compare_cases():
         want = (FieldNumber(*u) - scale * FieldNumber(*v)).sign()
         assert exactnum._compare(u, v, scale) == want, (u, v, scale)
     assert exactnum._compare((3, 1, 0, 0), (3, 1, 0, 0)) == 0
+
+
+def test_side_matches_compare_for_positive_scales():
+    # _side reads the sign from the rows' estimates and calls _compare only
+    # inside their bounds, so it must agree with _compare on every case,
+    # the near ties and the exact zeros included
+    cases = [(u, v, scale) for u, v, scale in compare_cases() if scale > 0]
+    assert sum(u == tuple(scale * b for b in v) for u, v, scale in cases) >= 4
+    for u, v, scale in cases:
+        want = exactnum._compare(u, v, scale)
+        assert exactnum._side(exactnum._row(u), exactnum._row(v), scale) == want, (u, v, scale)
+    # the constants against 0 and 1 over a denominator D
+    for u, _, scale in cases:
+        row = exactnum._row(u)
+        assert exactnum._side(row, exactnum._ZERO_ROW, scale) == exactnum._int_sign(u)
+        one = exactnum._compare(u, (1, 0, 0, 0), scale)
+        assert exactnum._side(row, exactnum._ONE_ROW, scale) == one
 
 
 def test_mod1_matches_reduce_mod1():
@@ -804,7 +826,10 @@ def test_mod1_matches_reduce_mod1():
                 cases.append((value.scaled_coeffs(denom), denom))
     for vector, denom in cases:
         value = FieldNumber(*(Fraction(a, denom) for a in vector))
-        reduced = exactnum._mod1(vector, denom)
+        row = exactnum._mod1_row(vector, denom)
+        reduced = row[2]
+        # the estimate shifts by exactly floor * (denom << p), so it is the reduced vector's
+        assert row == exactnum._row(reduced), value
         assert FieldNumber(*(Fraction(a, denom) for a in reduced)) == reduce_mod1(value), value
         floor = math.floor(value.as_fraction()) if value.is_rational else oracle_floor(value)
         assert reduced == (vector[0] - floor * denom,) + vector[1:], value

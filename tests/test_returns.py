@@ -15,10 +15,9 @@ from fractions import Fraction
 
 import pytest
 
-from cubewords import returns
 from cubewords.billiard import GOLDEN_DIRECTION, Direction, StartPoint, trace_letters, validate
 from cubewords.directional import SPECIAL_INVARIANTS, _farey_interior, sample_schedule
-from cubewords.exactnum import PHI, SQRT2, FieldNumber, common_denominator, reduce_mod1
+from cubewords.exactnum import PHI, SQRT2, FieldNumber, _row, common_denominator, reduce_mod1
 from cubewords.returns import (
     TRANSLATION_ANGLE,
     CellLabel,
@@ -391,18 +390,6 @@ class TestPredictionAgainstFieldOracle:
         bounded(60, check)
 
 
-@pytest.fixture
-def fallbacks(monkeypatch):
-    """Count the exact routes the face classifier and the translate's reduction call in returns."""
-    calls = []
-    for name in ("_compare", "_int_sign", "_floor"):
-        real = getattr(returns, name)
-        monkeypatch.setattr(
-            returns, name, lambda *args, name=name, real=real: calls.append(name) or real(*args)
-        )
-    return calls
-
-
 def offset_points(rng, offset):
     """Seeded face points offset by +-offset from each curve and each edge of the square.
 
@@ -465,24 +452,24 @@ class TestEstimateFirstAgainstFieldOracle:
     """
 
     @pytest.mark.parametrize("exponent", [40, 80, 120, "rational"])
-    def test_cell_of_near_curves_and_edges(self, exponent, fallbacks):
+    def test_cell_of_near_curves_and_edges(self, exponent, exact_calls):
         rng = random.Random(str(exponent))
         if exponent == "rational":
             points = [point for _ in range(8) for point in rounded_points(rng)]
         else:
             points = offset_points(rng, fr(1, 2**exponent))
         want = [outcome(field_cell_of, y, z) for y, z in points]
-        del fallbacks[:]
+        del exact_calls[:]
         assert [outcome(cell_of, y, z) for y, z in points] == want
         if exponent != "rational":
             assert {label for label in want if isinstance(label, CellLabel)} == set(CellLabel)
         if exponent == 40:
-            assert fallbacks == []
+            assert exact_calls == []
         if exponent in (120, "rational"):
-            assert fallbacks
+            assert exact_calls
 
     @pytest.mark.parametrize("exponent", [40, 80, 120, "golden", "rational"])
-    def test_predictions_near_curves_edges_and_integers(self, exponent, fallbacks):
+    def test_predictions_near_curves_edges_and_integers(self, exponent, exact_calls):
         rng = random.Random(str(exponent))
         if exponent == "rational":
             points = [point for _ in range(4) for point in rounded_points(rng)]
@@ -492,15 +479,15 @@ class TestEstimateFirstAgainstFieldOracle:
             points = offset_points(rng, fr(1, 2**exponent))
         cases = [(translated_start(point, k), k) for point in points for k in (0, 7, 2000)]
         want = [outcome(field_kth_return_prediction, start, k) for start, k in cases]
-        del fallbacks[:]
+        del exact_calls[:]
         assert [outcome(kth_return_prediction, start, k) for start, k in cases] == want
         if exponent == 40:
-            assert fallbacks == []
+            assert exact_calls == []
         if exponent in (120, "rational"):
-            assert fallbacks
+            assert exact_calls
         if exponent == "golden":
             # a translate within its bound of an integer is reduced by _floor
-            assert "_floor" in fallbacks
+            assert "_floor" in exact_calls
 
     @pytest.mark.parametrize("exponent", [40, 80, 120, "golden"])
     def test_partition_labels_of_circles_with_tiny_arcs(self, exponent):
@@ -717,12 +704,17 @@ class TestPredictions:
 
 
 def integer_cut_candidates(s):
-    """_circle_cut_candidates of the circle s, its vectors read back as FieldNumbers."""
+    """_circle_cut_candidates of the circle s, its rows' vectors read back as FieldNumbers.
+
+    Each candidate row must carry the _dyadic estimate and bound of its
+    own vector: the horizontal cut's, shifted by its floor, exactly so.
+    """
     denom = common_denominator((s,))
-    return [
-        (curve, FieldNumber(*(Fraction(a, denom) for a in vector)))
-        for curve, vector in _circle_cut_candidates(s.scaled_coeffs(denom), denom)
-    ]
+    candidates = []
+    for curve, row in _circle_cut_candidates(_row(s.scaled_coeffs(denom)), denom):
+        assert row == _row(row[2]), (str(s), curve)
+        candidates.append((curve, FieldNumber(*(Fraction(a, denom) for a in row[2]))))
+    return candidates
 
 
 class TestCutCandidatesAgainstFieldOracle:
@@ -739,6 +731,17 @@ class TestCutCandidatesAgainstFieldOracle:
 
     def test_zero_and_golden_circles(self):
         self.assert_routes_agree([F(0)] + [value for value, _ in SPECIAL_INVARIANTS])
+
+    def test_schedule_cuts_are_solved_from_estimates(self, exact_calls):
+        # only where cuts coincide or land on s or on the wrap point, on the
+        # s = 0, 2 - phi and 2*phi - 3 circles, can an estimate not settle a sign
+        circles = sample_schedule(64, 0)
+        special = {F(0), 2 - PHI, 2 * PHI - 3}
+        assert len(special.intersection(circles)) == 3
+        for s in circles:
+            del exact_calls[:]
+            circle_partition(s)
+            assert bool(exact_calls) == (s in special), (str(s), exact_calls)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_schedule_circles(self, seed):

@@ -8,12 +8,10 @@ import pytest
 import cubewords
 from cubewords.billiard import StartPoint, trace_letters
 from cubewords.directional import circle_language, classify_s
-from cubewords import returns
 from cubewords.exactnum import (
     PHI,
     SQRT2,
     FieldNumber,
-    _compare,
     _int_sign,
     common_denominator,
     reduce_mod1,
@@ -198,19 +196,6 @@ def coded(route, y0, partition, angle, n):
 FILTER_CIRCLES = (F(0), 2 - PHI, reduce_mod1(fr(4, 13) + SQRT2 / 3))
 
 
-@pytest.fixture
-def exact_calls(monkeypatch):
-    """Count rotation_coding's exact fallbacks: its own calls of _int_sign and _compare."""
-    calls = []
-    monkeypatch.setattr(
-        returns, "_int_sign", lambda vector: calls.append(vector) or _int_sign(vector)
-    )
-    monkeypatch.setattr(
-        returns, "_compare", lambda u, v, scale=1: calls.append((u, v)) or _compare(u, v, scale)
-    )
-    return calls
-
-
 class TestCodeOrbitFilter:
     """The dyadic filter against the all-exact per-step oracle."""
 
@@ -246,18 +231,21 @@ class TestCodeOrbitFilter:
     def test_near_cut_and_near_wrap_starts(self, exponent, exact_calls):
         # step j lands 2**-exponent above or below a cut or the wrap point;
         # at 2**-40 the filter decides, at 2**-80 only the fallback can.
-        # The partitions are built first: circle_partition's own sign
-        # tests go through the same names and must not count as fallbacks.
+        # The partitions, the starts and the oracle's codings come first,
+        # so the count sees rotation_coding's calls only.
         offsets = (fr(1, 2**exponent), fr(-1, 2**exponent), fr(3, 2**(exponent + 1)))
-        parts = [circle_partition(s) for s in FILTER_CIRCLES]
-        del exact_calls[:]
-        for s, part in zip(FILTER_CIRCLES, parts):
+        cases = []
+        for s in FILTER_CIRCLES:
+            part = circle_partition(s)
             for target in (F(0),) + part.cuts:
                 for step in (0, 1, 250, 1999):
                     for offset in offsets:
                         y0 = reduce_mod1(target - step * TRANSLATION_ANGLE + offset)
-                        got = coded(rotation_coding, y0, part, TRANSLATION_ANGLE, step + 2)
-                        assert got == exact_code_orbit(y0, part, TRANSLATION_ANGLE, step + 2)
+                        want = exact_code_orbit(y0, part, TRANSLATION_ANGLE, step + 2)
+                        cases.append((y0, part, step + 2, want))
+        del exact_calls[:]
+        for y0, part, n, want in cases:
+            assert coded(rotation_coding, y0, part, TRANSLATION_ANGLE, n) == want, y0
         if exponent == 40:
             assert exact_calls == []
         if exponent == 80:
@@ -273,10 +261,10 @@ class TestCodeOrbitFilter:
         # 2**-100 of the point whose step 19 999 is the cut would each be
         # coded wrong by one of the two possible signs of that error under
         # a bound short of the n*B(d) term.
-        parts = [circle_partition(s) for s in FILTER_CIRCLES]
-        del exact_calls[:]
         steps = 20_000
-        for part in parts:
+        cases = []
+        for s in FILTER_CIRCLES:
+            part = circle_partition(s)
             for cut in part.cuts:
                 target = reduce_mod1(cut - (steps - 1) * TRANSLATION_ANGLE)
                 if exponent == "rational":
@@ -287,8 +275,10 @@ class TestCodeOrbitFilter:
                         reduce_mod1(target + fr(sign, 2**exponent)) for sign in (1, -1)
                     )
                 for y0 in starts:
-                    got = rotation_coding(y0, part, TRANSLATION_ANGLE, steps)
-                    assert got == exact_code_orbit(y0, part, TRANSLATION_ANGLE, steps), y0
+                    cases.append((y0, part, exact_code_orbit(y0, part, TRANSLATION_ANGLE, steps)))
+        del exact_calls[:]
+        for y0, part, want in cases:
+            assert rotation_coding(y0, part, TRANSLATION_ANGLE, steps) == want, y0
         if exponent == 40:
             assert exact_calls == []
         else:
@@ -338,13 +328,14 @@ class TestCodeOrbitFilter:
         for q in roundings(2 * g):
             # step 2 near the cut 1/3, reached by adding 2*g twice
             starts.append(fr(1, 3) - q)
-        for y0 in starts:
-            assert rotation_coding(y0, part, angle, 6) == exact_code_orbit(y0, part, angle, 6), y0
+        wants = [exact_code_orbit(y0, part, angle, 6) for y0 in starts]
+        del exact_calls[:]
+        assert [rotation_coding(y0, part, angle, 6) for y0 in starts] == wants
         assert exact_calls
 
     def test_generic_orbit_makes_no_exact_call(self, exact_calls):
-        # the partitions label their intervals with _int_sign, so they are
-        # built before counting, which then sees rotation_coding's calls only
+        # the partitions are built before counting, which then sees
+        # rotation_coding's calls only
         partitions = [circle_partition(s) for s in FILTER_CIRCLES]
         del exact_calls[:]
         for part in partitions:
